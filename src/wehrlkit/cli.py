@@ -28,9 +28,15 @@ from .entropies import (
     quantum_mutual_information_tmss,
     wehrl_mutual_information,
 )
-from .errors import ToleranceNotReached, ToolkitError
-from .eur import bbm_lhs_asymptotic, eur_report, mixture_crossover, wl_lhs_stirling
-from .eur import _mixture_state as mixture01_state
+from .errors import ToleranceNotReached, ToolkitError, grid_point
+from .eur import (
+    bbm_lhs_asymptotic,
+    eur_sweep_fock,
+    eur_sweep_mixture,
+    eur_sweep_thermal,
+    mixture_crossover,
+    wl_lhs_stirling,
+)
 from .gaussian import (
     CovarianceModel,
     ModePartition,
@@ -44,7 +50,7 @@ from .gaussian import (
 )
 from .husimi import NoonMarginalHusimi
 from .quadrature import QuadratureSpec, entropy_functional
-from .states import FockState, NoonState, ThermalState, TwoModeSqueezedState, state_to_dict
+from .states import NoonState, TwoModeSqueezedState, state_to_dict
 
 _EUR_COLUMNS = (
     "grid_param",
@@ -60,23 +66,8 @@ _EUR_COLUMNS = (
 
 _ASYMPTOTIC_COLUMNS = ("wl_lhs_asymptotic", "bbm_lhs_asymptotic")
 
-# Keys accepted in a --config file; mirrors the flag names.
-_CONFIG_KEYS = {
-    "format", "output", "parallelism", "strategy", "abs_tol", "rel_tol",
-    "radial_nodes", "angular_nodes", "cartesian_nodes", "radial_cutoff",
-    "max_escalations",
-}
-
-_SPEC_DEFAULTS = {
-    "strategy": "auto",
-    "radial_nodes": 400,
-    "angular_nodes": 128,
-    "cartesian_nodes": 24,
-    "radial_cutoff": None,
-    "abs_tol": 1e-8,
-    "rel_tol": 1e-8,
-    "max_escalations": 3,
-}
+# Settings named differently on the command line and in QuadratureSpec.
+_SPEC_FIELD = {"cartesian_nodes": "cartesian_nodes_per_dim"}
 
 # The three-dimensional reduced grids converge more slowly; a looser
 # default keeps the excitation sweep responsive.
@@ -124,6 +115,39 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# Parser and allowed values of every setting a flag can give.  A --config
+# key goes through the same entry (WEHRLKIT_PARALLELISM through
+# "parallelism"), so all three sources pass the same checks and bounds.
+_SETTINGS = {
+    "format": (str, ("csv", "json")),
+    "output": (str, None),
+    "strategy": (str, ("auto", "radial-1d", "polar-2d", "polar-reduced-3d",
+                       "tensor-cartesian")),
+    "abs_tol": (_positive_float, None),
+    "rel_tol": (_positive_float, None),
+    "radial_nodes": (_bounded_int(16, 100_000), None),
+    "angular_nodes": (_bounded_int(4, 8192), None),
+    "cartesian_nodes": (_bounded_int(2, 256), None),
+    "radial_cutoff": (_positive_float, None),
+    "max_escalations": (_bounded_int(0, 8), None),
+    "parallelism": (_bounded_int(1, 64), None),
+}
+
+
+def _parse_setting(key: str, value, source: str):
+    """A config or environment value through the parser of its flag."""
+    parse, choices = _SETTINGS[key]
+    try:
+        parsed = parse(str(value))
+    except argparse.ArgumentTypeError as exc:
+        raise ToolkitError(f"{source}: {key}: {exc}")
+    if choices is not None and parsed not in choices:
+        raise ToolkitError(
+            f"{source}: {key}: {parsed!r} is not one of {', '.join(choices)}"
+        )
+    return parsed
+
+
 def _lambda_grid(text: str):
     out = []
     for piece in text.split(","):
@@ -143,25 +167,22 @@ def _lambda_grid(text: str):
 
 
 def _add_common_args(sub):
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
-    sub.add_argument("--output", default=None, metavar="FILE",
-                     help="write the table there instead of stdout")
+    def flag(target, key, **kwargs):
+        parse, choices = _SETTINGS[key]
+        target.add_argument("--" + key.replace("_", "-"), type=parse,
+                            choices=choices, default=None, **kwargs)
+
+    flag(sub, "format")
+    flag(sub, "output", metavar="FILE",
+         help="write the table there instead of stdout")
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="JSON file of default settings; explicit flags win")
     group = sub.add_argument_group("quadrature")
-    group.add_argument("--strategy", default=None,
-                       choices=("auto", "radial-1d", "polar-2d",
-                                "polar-reduced-3d", "tensor-cartesian"))
-    group.add_argument("--abs-tol", type=_positive_float, default=None)
-    group.add_argument("--rel-tol", type=_positive_float, default=None)
-    group.add_argument("--radial-nodes", type=_bounded_int(16, 100_000), default=None)
-    group.add_argument("--angular-nodes", type=_bounded_int(4, 8192), default=None)
-    group.add_argument("--cartesian-nodes", type=_bounded_int(2, 256), default=None)
-    group.add_argument("--radial-cutoff", type=_positive_float, default=None)
-    group.add_argument("--max-escalations", type=_bounded_int(0, 8), default=None)
-    group.add_argument("--parallelism", type=_bounded_int(1, 64), default=None,
-                       help="worker threads for independent chunks; results "
-                       "do not depend on this")
+    for key in ("strategy", "abs_tol", "rel_tol", "radial_nodes", "angular_nodes",
+                "cartesian_nodes", "radial_cutoff", "max_escalations"):
+        flag(group, key)
+    flag(group, "parallelism",
+         help="worker threads for independent chunks; results do not depend on this")
 
 
 def _load_config(path: str) -> dict:
@@ -174,44 +195,34 @@ def _load_config(path: str) -> dict:
         raise ToolkitError(f"{path} is not valid JSON: {exc}")
     if not isinstance(payload, dict):
         raise ToolkitError(f"{path} must hold a JSON object")
-    unknown = set(payload) - _CONFIG_KEYS
+    unknown = set(payload) - set(_SETTINGS)
     if unknown:
         raise ToolkitError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    return payload
-
-
-def _resolve(args, config: dict, key: str, fallback):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config and config[key] is not None:
-        return config[key]
-    return fallback
+    # JSON null leaves a setting unset.
+    return {key: _parse_setting(key, value, path)
+            for key, value in payload.items() if value is not None}
 
 
 def _run_config(args) -> RunConfig:
-    config = _load_config(args.config) if args.config else {}
-    tol = _COMMAND_TOL.get(args.command, 1e-8)
+    # Later layers win: environment and per-command tolerance, then the
+    # config file, then explicit flags; QuadratureSpec fills in the rest.
+    settings = {}
     env_par = os.environ.get("WEHRLKIT_PARALLELISM")
-    parallelism = _resolve(args, config, "parallelism",
-                           int(env_par) if env_par else 1)
-    defaults = dict(_SPEC_DEFAULTS, abs_tol=tol, rel_tol=tol)
-    kwargs = {key: _resolve(args, config, key, fallback)
-              for key, fallback in defaults.items()}
-    kwargs["cartesian_nodes_per_dim"] = kwargs.pop("cartesian_nodes")
-    try:
-        spec = QuadratureSpec(parallelism=int(parallelism), **kwargs)
-    except ValueError as exc:
-        raise ToolkitError(str(exc))
-    fmt = _resolve(args, config, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ToolkitError(f"unknown format {fmt!r}")
-    return RunConfig(
-        command=args.command,
-        fmt=fmt,
-        output=_resolve(args, config, "output", None),
-        spec=spec,
-    )
+    if env_par:
+        settings["parallelism"] = _parse_setting("parallelism", env_par,
+                                                 "WEHRLKIT_PARALLELISM")
+    tol = _COMMAND_TOL.get(args.command)
+    if tol is not None:
+        settings.update(abs_tol=tol, rel_tol=tol)
+    if args.config:
+        settings.update(_load_config(args.config))
+    settings.update((key, getattr(args, key)) for key in _SETTINGS
+                    if getattr(args, key) is not None)
+    fmt = settings.pop("format", "csv")
+    output = settings.pop("output", None)
+    spec = QuadratureSpec(**{_SPEC_FIELD.get(key, key): value
+                             for key, value in settings.items()})
+    return RunConfig(command=args.command, fmt=fmt, output=output, spec=spec)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,27 +321,11 @@ def _eur_row(param, report) -> dict:
     }
 
 
-def _named_point(what: str):
-    """Re-raise a tolerance failure with the grid point spelled out."""
-
-    class _Context:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if isinstance(exc, ToleranceNotReached):
-                raise ToleranceNotReached(f"{what}: {exc}", result=exc.result)
-            return False
-
-    return _Context()
-
-
 def cmd_eur_fock(args, run: RunConfig) -> int:
     columns = _EUR_COLUMNS + (_ASYMPTOTIC_COLUMNS if args.asymptotics else ())
     rows = []
-    for n in range(args.n_max + 1):
-        with _named_point(f"n={n}"):
-            row = _eur_row(n, eur_report(FockState(n), run.spec))
+    for n, report in eur_sweep_fock(args.n_max, run.spec):
+        row = _eur_row(n, report)
         if args.asymptotics:
             row["wl_lhs_asymptotic"] = wl_lhs_stirling(n) if n >= 1 else None
             row["bbm_lhs_asymptotic"] = bbm_lhs_asymptotic(n) if n >= 1 else None
@@ -340,11 +335,7 @@ def cmd_eur_fock(args, run: RunConfig) -> int:
 
 
 def cmd_eur_mixture(args, run: RunConfig) -> int:
-    rows = []
-    for i in range(args.steps):
-        q = i / (args.steps - 1)
-        with _named_point(f"q={q:.6g}"):
-            rows.append(_eur_row(q, eur_report(mixture01_state(q), run.spec)))
+    rows = [_eur_row(q, report) for q, report in eur_sweep_mixture(args.steps, run.spec)]
     crossover = mixture_crossover(run.spec)
     if crossover is None:
         sys.stderr.write("no ordering crossover inside the sampled bracket\n")
@@ -359,13 +350,8 @@ def cmd_eur_mixture(args, run: RunConfig) -> int:
 def cmd_eur_thermal(args, run: RunConfig) -> int:
     if args.beta_min >= args.beta_max:
         raise ToolkitError("--beta-min must be below --beta-max")
-    ratio = (args.beta_max / args.beta_min) ** (1.0 / (args.points - 1))
-    rows = []
-    for i in range(args.points):
-        b = args.beta_min * ratio**i
-        with _named_point(f"beta_omega={b:.6g}"):
-            rows.append(_eur_row(b, eur_report(ThermalState(b), run.spec)))
-    _emit(run, _EUR_COLUMNS, rows)
+    sweep = eur_sweep_thermal(args.beta_min, args.beta_max, args.points, run.spec)
+    _emit(run, _EUR_COLUMNS, [_eur_row(b, report) for b, report in sweep])
     return 0
 
 
@@ -384,7 +370,7 @@ def cmd_bipartite_tmss(args, run: RunConfig) -> int:
     for lam in args.lambda_grid:
         cov = tmss_covariance(lam)
         conditional, mutual = gaussian_witness(cov)
-        with _named_point(f"lambda={lam:.6g}"):
+        with grid_point(f"lambda={lam:.6g}"):
             cross = wehrl_mutual_information(TwoModeSqueezedState(lam), run.spec)
         qmi = quantum_mutual_information_tmss(lam)
         tol = max(1e-9, 10.0 * cross.error_estimate)
@@ -420,7 +406,7 @@ def cmd_bipartite_noon(args, run: RunConfig) -> int:
     )
     rows = []
     for n in range(args.n_max + 1):
-        with _named_point(f"n={n}"):
+        with grid_point(f"n={n}"):
             marginal = entropy_functional(NoonMarginalHusimi(n), run.spec)
             mutual = wehrl_mutual_information(NoonState(n), run.spec)
         err = mutual.error_estimate + marginal.error_estimate
@@ -446,23 +432,33 @@ def _load_covariance(path: str, partition_text) -> CovarianceModel:
         raise ToolkitError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ToolkitError(f"{path} is not valid JSON: {exc}")
-    if isinstance(payload, dict):
-        matrix = np.asarray(payload.get("v"), dtype=float)
-        n_a = int(payload.get("modes_a", 0))
-        n_b = int(payload.get("modes_b", 0))
-    else:
-        matrix = np.asarray(payload, dtype=float)
-        n_a, n_b = 0, 0
+    try:
+        if isinstance(payload, dict):
+            matrix = np.asarray(payload.get("v"), dtype=float)
+            n_a = int(payload.get("modes_a", 0))
+            n_b = int(payload.get("modes_b", 0))
+        else:
+            matrix = np.asarray(payload, dtype=float)
+            n_a, n_b = 0, 0
+    except (TypeError, ValueError):
+        raise ToolkitError(f"{path}: covariance and mode counts must be numbers")
+    # Checked here, before any eigenvalue routine sees the matrix.
+    if not np.all(np.isfinite(matrix)):
+        raise ToolkitError(f"{path}: covariance entries must be finite")
     if partition_text is not None:
-        pieces = partition_text.split(",")
-        if len(pieces) != 2:
-            raise ToolkitError("--partition expects NA,NB")
-        n_a, n_b = int(pieces[0]), int(pieces[1])
+        try:
+            n_a, n_b = (int(piece) for piece in partition_text.split(","))
+        except ValueError:
+            raise ToolkitError("--partition expects two integers NA,NB")
     if n_a == 0 and n_b == 0:
         if matrix.ndim != 2 or matrix.shape[0] % 2:
             raise ToolkitError("covariance must be square with even size")
         n_a, n_b = matrix.shape[0] // 2, 0
-    return CovarianceModel.from_v(matrix, ModePartition(n_a, n_b))
+    try:
+        partition = ModePartition(n_a, n_b)
+    except ValueError as exc:
+        raise ToolkitError(f"mode split {n_a},{n_b}: {exc}")
+    return CovarianceModel.from_v(matrix, partition)
 
 
 def cmd_gaussian(args, run: RunConfig) -> int:

@@ -1,5 +1,7 @@
 """Exception types raised by the toolkit."""
 
+from contextlib import contextmanager
+
 
 class ToolkitError(Exception):
     """Base class for every error raised by this package."""
@@ -69,3 +71,12 @@ class NonSymmetric(ToolkitError):
 
 class NotPure(ToolkitError):
     """Normal-form parameters do not satisfy the purity conditions."""
+
+
+@contextmanager
+def grid_point(label: str):
+    """Re-raise a tolerance failure inside the block with ``label`` in front."""
+    try:
+        yield
+    except ToleranceNotReached as exc:
+        raise ToleranceNotReached(f"{label}: {exc}", result=exc.result) from exc

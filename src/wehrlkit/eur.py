@@ -30,7 +30,7 @@ from .entropies import (
     wehrl_quadrature,
     wehrl_thermal_closed,
 )
-from .errors import UnsupportedState
+from .errors import UnsupportedState, grid_point
 from .quadrature import QuadratureSpec
 from .states import (
     FockMixtureState,
@@ -146,11 +146,17 @@ def bbm_lhs_asymptotic(n: int) -> float:
     return math.log(2.0 * math.pi * math.pi * n) - 2.0
 
 
+def _report_at(param, label: str, state: StateSpec, spec: QuadratureSpec | None):
+    """(param, report) of one grid point; a tolerance failure names the point."""
+    with grid_point(label):
+        return param, eur_report(state, spec)
+
+
 def eur_sweep_fock(n_max: int, spec: QuadratureSpec | None = None):
     """Reports for |0> through |n_max>, as (n, report) pairs."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return [(n, eur_report(FockState(n), spec)) for n in range(n_max + 1)]
+    return [_report_at(n, f"n={n}", FockState(n), spec) for n in range(n_max + 1)]
 
 
 def _mixture_state(q: float) -> StateSpec:
@@ -167,11 +173,8 @@ def eur_sweep_mixture(steps: int = 51, spec: QuadratureSpec | None = None):
     """Reports along q |0><0| + (1-q) |1><1| for q on a uniform grid."""
     if steps < 2:
         raise ValueError("a sweep needs at least two points")
-    out = []
-    for i in range(steps):
-        q = i / (steps - 1)
-        out.append((q, eur_report(_mixture_state(q), spec)))
-    return out
+    grid = [i / (steps - 1) for i in range(steps)]
+    return [_report_at(q, f"q={q:.6g}", _mixture_state(q), spec) for q in grid]
 
 
 def eur_sweep_thermal(beta_min: float = 0.05, beta_max: float = 20.0,
@@ -182,11 +185,8 @@ def eur_sweep_thermal(beta_min: float = 0.05, beta_max: float = 20.0,
     if points < 2:
         raise ValueError("a sweep needs at least two points")
     ratio = (beta_max / beta_min) ** (1.0 / (points - 1))
-    out = []
-    for i in range(points):
-        b = beta_min * ratio**i
-        out.append((b, eur_report(ThermalState(b), spec)))
-    return out
+    grid = [beta_min * ratio**i for i in range(points)]
+    return [_report_at(b, f"beta_omega={b:.6g}", ThermalState(b), spec) for b in grid]
 
 
 def eur_sweep(family: str, spec: QuadratureSpec | None = None, **kwargs):

@@ -6,9 +6,15 @@ outcome density Q, normalized so that integrating Q against
 ``(x_1, p_1, ..., x_n, p_n)`` with subsystem A first; the complex
 amplitude of a mode is ``alpha = (x + i p) / sqrt(2)``.
 
-Evaluators advertise how they like to be integrated through a ``kind``
-string plus a few hints (radial profiles, Gaussian envelopes, tail decay
-parameters); the quadrature engine dispatches on those alone.
+Evaluators declare how they can be integrated through ``kind`` alone,
+and the quadrature engine routes on it without probing for methods:
+
+* ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape`` and
+  ``radial_rate``;
+* ``"noon"`` promises ``polar_slab_factory`` and ``angular_frequency``,
+  plus the same two tail parameters for the radial cutoff;
+* every other kind is integrated on the whitened cartesian grid, through
+  ``gaussian_envelope``, which raises UnsupportedState by default.
 """
 
 from __future__ import annotations
@@ -51,6 +57,13 @@ class HusimiEvaluator:
 
     def log_q(self, points):
         raise NotImplementedError
+
+    def gaussian_envelope(self):
+        """(sigma, mean) of a Gaussian at least as wide as the density."""
+        raise UnsupportedState(
+            f"{type(self).__name__} advertises no Gaussian envelope, "
+            "so the cartesian rule has nothing to whiten against"
+        )
 
     def q(self, points):
         return np.exp(self.log_q(points))
@@ -182,10 +195,6 @@ class NoonHusimi(HusimiEvaluator):
         with np.errstate(divide="ignore"):
             return np.log(mag2) - 0.5 * rsq - self._log_norm
 
-    def log_q_polar_cos(self, r_a, r_b, cos_u):
-        """Log density on an (r_A, r_B) grid for a fixed value of cos(n dtheta)."""
-        return self.polar_slab_factory(r_a, r_b)(cos_u)
-
     def polar_slab_factory(self, r_a, r_b):
         """Closure over the radial grid; only the cosine varies per angle."""
         n = self.excitation
@@ -256,16 +265,11 @@ class ConvexCombinationHusimi(HusimiEvaluator):
         self.partition = first
         self.components = tuple(pairs)
         self._logw = np.array([math.log(w) for w, _ in pairs])
-        kinds = {ev.kind for _, ev in pairs}
-        if kinds == {"radial"}:
+        if all(ev.kind == "radial" for _, ev in pairs):
             self.kind = "radial"
             self.radial_gamma_shape = max(ev.radial_gamma_shape for _, ev in pairs)
             self.radial_rate = min(ev.radial_rate for _, ev in pairs)
             self.axis_second_moment = sum(w * ev.axis_second_moment for w, ev in pairs)
-        elif kinds == {"gaussian"}:
-            self.kind = "gaussian-mixture"
-        else:
-            self.kind = "generic"
 
     def log_q(self, points):
         stacked = np.stack([ev.log_q(points) for _, ev in self.components])

@@ -1,9 +1,10 @@
 """Numerical integration engine for phase-space and line densities.
 
-Every analytic value in the package can be cross-checked here.  The
-engine picks a coordinate system from the evaluator's ``kind`` hint
-(radial, polar with an angular difference, whitened cartesian), runs a
-deterministic composite rule, then doubles the resolution and compares.
+Every analytic value in the package can be cross-checked here.  One
+routing function picks a coordinate system from the ``kind`` each density
+declares (radial, polar with an angular difference, whitened cartesian),
+runs a deterministic composite rule, then doubles the resolution and
+compares.
 The difference between the two finest levels is the reported error
 estimate; if it misses the tolerance after the allowed escalations the
 engine raises instead of returning a number it cannot defend.
@@ -197,27 +198,21 @@ def _masked_contrib(logmass, factor):
 
 # ---------------------------------------------------------------------------
 # Coordinate-system runners.  Each integrates exp(logmass) * factor against
-# the phase-space measure, where (logmass, factor) come from a callback.
+# the phase-space measure (the line measure for line densities), where
+# (logmass, factor) come from a callback.
 # ---------------------------------------------------------------------------
 
 
-def _run_radial(log_pair_of_r, shape, rate, spec: QuadratureSpec, what: str) -> IntegralResult:
-    cutoff = spec.radial_cutoff
-    if cutoff is None:
-        cutoff = gamma_tail_threshold(shape, rate, _tail_mass(spec))
+def _run_1d(log_pair, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool,
+            breakpoints=(), tail_log_margin: float = 0.0) -> IntegralResult:
+    """Composite Gauss-Legendre rule on [0, cutoff].
 
-    def eval_at(n):
-        r, w = _panel_nodes(0.0, cutoff, n)
-        logmass, factor = log_pair_of_r(r)
-        g = _masked_contrib(logmass, factor) * r
-        return float(np.dot(w, g)), r.size
-
-    return _escalated(eval_at, spec.radial_nodes, spec, lambda n: 2 * n, what)
-
-
-def _run_line(log_pair_of_x, shape, rate, breakpoints, spec: QuadratureSpec,
-              what: str, tail_log_margin: float = 0.0) -> IntegralResult:
-    """Even density on the real line: twice the integral over [0, cutoff]."""
+    With ``radial`` the coordinate is a phase-space radius and carries
+    the Jacobian r; otherwise it is the half line of an even line
+    density, whose integral is twice that over [0, cutoff].
+    ``tail_log_margin`` shrinks the cutoff's tail-mass target for tails
+    that outrun the plain Gamma envelope.
+    """
     cutoff = spec.radial_cutoff
     if cutoff is None:
         mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
@@ -226,8 +221,10 @@ def _run_line(log_pair_of_x, shape, rate, breakpoints, spec: QuadratureSpec,
 
     def eval_at(n):
         x, w = _panel_nodes(0.0, cutoff, n, breakpoints=pos_breaks)
-        logmass, factor = log_pair_of_x(x)
+        logmass, factor = log_pair(x)
         g = _masked_contrib(logmass, factor)
+        if radial:
+            return float(np.dot(w, g * x)), x.size
         return 2.0 * float(np.dot(w, g)), x.size
 
     return _escalated(eval_at, spec.radial_nodes, spec, lambda n: 2 * n, what)
@@ -259,10 +256,7 @@ def _run_polar_pair(evaluator, pair_factory, spec: QuadratureSpec, what: str) ->
         wr_b = (w * r)[None, :]
         ra = r[:, None]
         rb = r[None, :]
-        if hasattr(evaluator, "polar_slab_factory"):
-            slab_log = evaluator.polar_slab_factory(ra, rb)
-        else:
-            slab_log = lambda cu: evaluator.log_q_polar_cos(ra, rb, cu)
+        slab_log = evaluator.polar_slab_factory(ra, rb)
         pair = pair_factory(ra, rb)
 
         def slab(cos_u):
@@ -334,8 +328,79 @@ def _run_cartesian(dim, envelope, log_pair_of_points, spec: QuadratureSpec,
 
 
 # ---------------------------------------------------------------------------
-# Integrand factories
+# Routing: the one place that maps densities to a runner
 # ---------------------------------------------------------------------------
+
+
+def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, integrand,
+               spec: QuadratureSpec, what: str) -> IntegralResult:
+    """Integrate over phase space on the runner that fits the densities.
+
+    ``integrand(logq, logs)`` maps log Q of ``evaluator`` and the log
+    density of ``reference`` on the same nodes (None without a
+    reference) to (logmass, factor).  Capabilities come from ``kind``
+    alone: "radial" promises ``log_q_radial``, ``radial_gamma_shape`` and
+    ``radial_rate``; "noon" promises ``polar_slab_factory``,
+    ``angular_frequency`` and the same two tail parameters.  The auto
+    rule is radial when every density is radial, polar when the
+    evaluator is "noon" and the reference is absent or a product of two
+    radial factors, cartesian otherwise.  A forced strategy that does not
+    fit raises UnsupportedState.
+    """
+    densities = (evaluator,) if reference is None else (evaluator, reference)
+    radial = all(d.kind == "radial" for d in densities)
+    polar = evaluator.kind == "noon" and (
+        reference is None
+        or (isinstance(reference, ProductHusimi)
+            and reference.factor_a.kind == reference.factor_b.kind == "radial")
+    )
+    strategy = spec.strategy
+    if strategy == "auto":
+        strategy = ("radial-1d" if radial
+                    else "polar-reduced-3d" if polar else "tensor-cartesian")
+
+    if strategy == "radial-1d":
+        if not radial:
+            raise UnsupportedState(
+                "radial-1d needs a radial profile on every density; "
+                "pick a different strategy"
+            )
+
+        def pair_r(r):
+            logq = evaluator.log_q_radial(r)
+            return integrand(logq, None if reference is None else reference.log_q_radial(r))
+
+        return _run_1d(pair_r, max(d.radial_gamma_shape for d in densities),
+                       min(d.radial_rate for d in densities), spec, what, radial=True)
+
+    if strategy in ("polar-2d", "polar-reduced-3d"):
+        if not polar:
+            raise UnsupportedState(
+                "polar strategies need an angular-difference density, alone "
+                "or against a product of radial marginals"
+            )
+        if strategy == "polar-2d" and int(evaluator.angular_frequency) != 0:
+            raise UnsupportedState(
+                "polar-2d drops the angle; this density still depends on it"
+            )
+
+        def pair_factory(ra, rb):
+            if reference is None:
+                return lambda logq: integrand(logq, None)
+            # The reference factorizes over the two radii, so it is
+            # computed once per radial grid, not once per angle.
+            logs = reference.factor_a.log_q_radial(ra) + reference.factor_b.log_q_radial(rb)
+            return lambda logq: integrand(logq, np.broadcast_to(logs, logq.shape))
+
+        return _run_polar_pair(evaluator, pair_factory, spec, what)
+
+    envelope = evaluator.gaussian_envelope()
+
+    def pair_pts(pts):
+        logq = evaluator.log_q(pts)
+        return integrand(logq, None if reference is None else reference.log_q(pts))
+
+    return _run_cartesian(evaluator.dim, envelope, pair_pts, spec, what)
 
 
 def _entropy_factor(logq):
@@ -346,100 +411,41 @@ def _unit_factor(logq):
     return 1.0
 
 
-def _strategy_for(evaluator: HusimiEvaluator, spec: QuadratureSpec) -> str:
-    if spec.strategy != "auto":
-        return spec.strategy
-    kind = getattr(evaluator, "kind", "generic")
-    if kind == "radial":
-        return "radial-1d"
-    if kind == "noon":
-        if int(getattr(evaluator, "angular_frequency", 0)) == 0:
-            return "polar-2d"
-        return "polar-reduced-3d"
-    return "tensor-cartesian"
+def _add_entropies(a: IntegralResult, b: IntegralResult) -> IntegralResult:
+    # Entropy is additive over independent factors.
+    return IntegralResult(a.value + b.value, a.error_estimate + b.error_estimate,
+                          a.nodes_used + b.nodes_used)
 
 
-def _require_radial(evaluator):
-    if not hasattr(evaluator, "log_q_radial"):
-        raise UnsupportedState(
-            f"{type(evaluator).__name__} exposes no radial profile; "
-            "pick a different strategy"
-        )
+def _multiply_masses(a: IntegralResult, b: IntegralResult) -> IntegralResult:
+    return IntegralResult(
+        a.value * b.value,
+        abs(a.value) * b.error_estimate + abs(b.value) * a.error_estimate,
+        a.nodes_used + b.nodes_used,
+    )
 
 
-def _require_envelope(evaluator):
-    if not hasattr(evaluator, "gaussian_envelope"):
-        raise UnsupportedState(
-            f"{type(evaluator).__name__} advertises no Gaussian envelope, "
-            "so the cartesian rule has nothing to whiten against"
-        )
-    return evaluator.gaussian_envelope()
-
-
-def _functional(evaluator: HusimiEvaluator, factor_of_log, spec: QuadratureSpec,
-                what: str) -> IntegralResult:
-    strategy = _strategy_for(evaluator, spec)
-    if strategy == "radial-1d":
-        _require_radial(evaluator)
-
-        def pair_r(r):
-            logq = evaluator.log_q_radial(r)
-            return logq, factor_of_log(logq)
-
-        return _run_radial(pair_r, evaluator.radial_gamma_shape,
-                           evaluator.radial_rate, spec, what)
-    if strategy in ("polar-2d", "polar-reduced-3d"):
-        if getattr(evaluator, "kind", None) != "noon":
-            raise UnsupportedState("polar strategies need an angular-difference evaluator")
-        if strategy == "polar-2d" and int(evaluator.angular_frequency) != 0:
-            raise UnsupportedState(
-                "polar-2d drops the angle; this density still depends on it"
-            )
-        return _run_polar_pair(
-            evaluator, lambda ra, rb: (lambda logq: (logq, factor_of_log(logq))),
-            spec, what,
-        )
-    if strategy == "tensor-cartesian":
-        envelope = _require_envelope(evaluator)
-
-        def pair_pts(pts):
-            logq = evaluator.log_q(pts)
-            return logq, factor_of_log(logq)
-
-        return _run_cartesian(evaluator.dim, envelope, pair_pts, spec, what)
-    raise UnsupportedState(f"no runner for strategy {strategy!r}")
+def _one_density(evaluator: HusimiEvaluator, factor_of_log, join, spec: QuadratureSpec,
+                 what: str) -> IntegralResult:
+    """Integral of Q * factor_of_log(ln Q); an auto-routed product splits into its factors."""
+    if isinstance(evaluator, ProductHusimi) and spec.strategy == "auto":
+        return join(_one_density(evaluator.factor_a, factor_of_log, join, spec, what),
+                    _one_density(evaluator.factor_b, factor_of_log, join, spec, what))
+    return _integrate(evaluator, None, lambda logq, _: (logq, factor_of_log(logq)), spec, what)
 
 
 def entropy_functional(evaluator: HusimiEvaluator,
                        spec: QuadratureSpec | None = None) -> IntegralResult:
     """- integral of Q ln Q over phase space."""
-    spec = spec or QuadratureSpec()
-    if isinstance(evaluator, ProductHusimi) and spec.strategy == "auto":
-        # Entropy is additive over independent factors.
-        part_a = entropy_functional(evaluator.factor_a, spec)
-        part_b = entropy_functional(evaluator.factor_b, spec)
-        return IntegralResult(
-            part_a.value + part_b.value,
-            part_a.error_estimate + part_b.error_estimate,
-            part_a.nodes_used + part_b.nodes_used,
-        )
-    return _functional(evaluator, _entropy_factor, spec, "entropy functional")
+    return _one_density(evaluator, _entropy_factor, _add_entropies,
+                        spec or QuadratureSpec(), "entropy functional")
 
 
 def normalization(evaluator: HusimiEvaluator,
                   spec: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of Q over phase space; one for any valid density."""
-    spec = spec or QuadratureSpec()
-    if isinstance(evaluator, ProductHusimi) and spec.strategy == "auto":
-        part_a = normalization(evaluator.factor_a, spec)
-        part_b = normalization(evaluator.factor_b, spec)
-        return IntegralResult(
-            part_a.value * part_b.value,
-            abs(part_a.value) * part_b.error_estimate
-            + abs(part_b.value) * part_a.error_estimate,
-            part_a.nodes_used + part_b.nodes_used,
-        )
-    return _functional(evaluator, _unit_factor, spec, "normalization")
+    return _one_density(evaluator, _unit_factor, _multiply_masses,
+                        spec or QuadratureSpec(), "normalization")
 
 
 def integrate(f, spec: QuadratureSpec | None = None, *, dim: int = 2,
@@ -488,65 +494,14 @@ def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
     violated = {"flag": False}
     floor = 2.0 * LOG_TINY
 
-    def combine(logp, logs):
+    def integrand(logp, logs):
         logp = np.asarray(logp, dtype=float)
         logs = np.asarray(logs, dtype=float)
         if np.any((logp > LOG_SUPPORT) & (logs < LOG_TINY)):
             violated["flag"] = True
         return logp, logp - np.maximum(logs, floor)
 
-    both_radial = hasattr(rho, "log_q_radial") and hasattr(sigma, "log_q_radial")
-    noon_vs_radial_product = (
-        getattr(rho, "kind", None) == "noon"
-        and isinstance(sigma, ProductHusimi)
-        and hasattr(sigma.factor_a, "log_q_radial")
-        and hasattr(sigma.factor_b, "log_q_radial")
-    )
-    if spec.strategy == "auto":
-        route = ("radial" if both_radial
-                 else "polar" if noon_vs_radial_product else "cartesian")
-    elif spec.strategy == "radial-1d":
-        if not both_radial:
-            raise UnsupportedState(
-                "radial-1d relative entropy needs radial profiles on both densities"
-            )
-        route = "radial"
-    elif spec.strategy in ("polar-2d", "polar-reduced-3d"):
-        if not noon_vs_radial_product:
-            raise UnsupportedState(
-                "polar relative entropy needs an angular-difference density "
-                "against a product of radial marginals"
-            )
-        if spec.strategy == "polar-2d" and int(rho.angular_frequency) != 0:
-            raise UnsupportedState(
-                "polar-2d drops the angle; this density still depends on it"
-            )
-        route = "polar"
-    else:
-        route = "cartesian"
-
-    if route == "radial":
-        def pair_r(r):
-            return combine(rho.log_q_radial(r), sigma.log_q_radial(r))
-
-        shape = max(rho.radial_gamma_shape, sigma.radial_gamma_shape)
-        rate = min(rho.radial_rate, sigma.radial_rate)
-        result = _run_radial(pair_r, shape, rate, spec, "relative entropy")
-    elif route == "polar":
-        # The reference factorizes over the two radii, so the same
-        # angle-reduced grid serves the relative entropy.
-        def pair_factory(ra, rb):
-            logs = sigma.factor_a.log_q_radial(ra) + sigma.factor_b.log_q_radial(rb)
-            return lambda logp: combine(logp, np.broadcast_to(logs, logp.shape))
-
-        result = _run_polar_pair(rho, pair_factory, spec, "relative entropy")
-    else:
-        envelope = _require_envelope(rho)
-
-        def pair_pts(pts):
-            return combine(rho.log_q(pts), sigma.log_q(pts))
-
-        result = _run_cartesian(rho.dim, envelope, pair_pts, spec, "relative entropy")
+    result = _integrate(rho, sigma, integrand, spec, "relative entropy")
     if violated["flag"]:
         raise SupportViolation(
             "first density keeps mass where the second has none; "
@@ -555,28 +510,25 @@ def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
     return result
 
 
+def _line(density: PositionDensity, factor_of_log, spec: QuadratureSpec | None,
+          what: str) -> IntegralResult:
+    def pair_x(x):
+        logf = density.log_f(x)
+        return logf, factor_of_log(logf)
+
+    return _run_1d(pair_x, density.position_gamma_shape, density.position_rate,
+                   spec or QuadratureSpec(), what, radial=False,
+                   breakpoints=density.breakpoints,
+                   tail_log_margin=density.position_tail_log_margin)
+
+
 def density_entropy_1d(density: PositionDensity,
                        spec: QuadratureSpec | None = None) -> IntegralResult:
     """Differential entropy - integral of f ln f dx of an even line density."""
-    spec = spec or QuadratureSpec()
-
-    def pair_x(x):
-        logf = density.log_f(x)
-        return logf, _entropy_factor(logf)
-
-    return _run_line(pair_x, density.position_gamma_shape, density.position_rate,
-                     density.breakpoints, spec, "line entropy",
-                     getattr(density, "position_tail_log_margin", 0.0))
+    return _line(density, _entropy_factor, spec, "line entropy")
 
 
 def density_normalization_1d(density: PositionDensity,
                              spec: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of an even line density f dx; one when normalized."""
-    spec = spec or QuadratureSpec()
-
-    def pair_x(x):
-        return density.log_f(x), 1.0
-
-    return _run_line(pair_x, density.position_gamma_shape, density.position_rate,
-                     density.breakpoints, spec, "line normalization",
-                     getattr(density, "position_tail_log_margin", 0.0))
+    return _line(density, _unit_factor, spec, "line normalization")

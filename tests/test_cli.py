@@ -84,6 +84,14 @@ def test_byte_identical_across_parallelism():
     assert base.stdout == other.stdout == via_env.stdout
 
 
+def test_multi_d_path_byte_identical_across_parallelism():
+    # eur-fock never reaches the thread pool; the polar relative entropy does
+    serial = run_cli("bipartite-noon", "--n-max", "1", "--parallelism", "1")
+    threaded = run_cli("bipartite-noon", "--n-max", "1", "--parallelism", "2")
+    assert serial.returncode == threaded.returncode == 0
+    assert serial.stdout == threaded.stdout
+
+
 def test_output_flag_writes_file(tmp_path):
     target = tmp_path / "table.csv"
     proc = run_cli("eur-fock", "--n-max", "1", "--output", str(target))
@@ -208,6 +216,47 @@ def test_unreachable_tolerance_exits_2():
     assert proc.returncode == 2
     assert "quadrature did not converge" in proc.stderr
     assert "n=1" in proc.stderr
+
+
+def test_eur_sweep_tolerance_failure_names_grid_point():
+    proc = run_cli("eur-fock", "--n-max", "2",
+                   "--abs-tol", "1e-15", "--rel-tol", "1e-15",
+                   "--max-escalations", "0")
+    assert proc.returncode == 2
+    assert "quadrature did not converge: n=1:" in proc.stderr
+
+
+VACUUM_1_1 = json.dumps({"v": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
+                               [0, 0, 0, 0.5]], "modes_a": 1, "modes_b": 1})
+
+
+@pytest.mark.parametrize("text,argv,env", [
+    pytest.param(VACUUM_1_1, ["gaussian", "--cov", "{file}"],
+                 {"WEHRLKIT_PARALLELISM": "abc"}, id="env-parallelism-text"),
+    pytest.param('{"radial_nodes": "abc"}', ["eur-fock", "--n-max", "2", "--config", "{file}"],
+                 None, id="config-radial-nodes-text"),
+    pytest.param('[["x", 0.0], [0.0, 0.5]]', ["gaussian", "--cov", "{file}"],
+                 None, id="covariance-text-entry"),
+    pytest.param("[[NaN, 0.0], [0.0, 0.5]]", ["gaussian", "--cov", "{file}"],
+                 None, id="covariance-nan-entry"),
+    pytest.param(VACUUM_1_1, ["gaussian", "--cov", "{file}", "--partition", "a,b"],
+                 None, id="partition-text"),
+    pytest.param(VACUUM_1_1, ["gaussian", "--cov", "{file}", "--partition", "0,2"],
+                 None, id="partition-empty-a"),
+    # config values keep the bounds of their flags; eur-fock's 1D runners
+    # never start a thread pool, so the parallelism case starts none
+    pytest.param('{"parallelism": 65}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
+                 None, id="config-parallelism-above-bound"),
+    pytest.param('{"radial_nodes": 100001}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
+                 None, id="config-radial-nodes-above-bound"),
+])
+def test_malformed_input_exits_3_with_message(tmp_path, text, argv, env):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    proc = run_cli(*[str(path) if arg == "{file}" else arg for arg in argv], env_extra=env)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_out_of_range_flag_exits_3():

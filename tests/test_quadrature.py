@@ -7,6 +7,7 @@ import pytest
 
 from wehrlkit import (
     ConvexCombinationHusimi,
+    CovarianceModel,
     DimensionMismatch,
     FockHusimi,
     GaussianHusimi,
@@ -209,6 +210,26 @@ def test_relative_entropy_forced_strategy_mismatch():
         relative_entropy(rho, sigma, QuadratureSpec(strategy="radial-1d"))
     with pytest.raises(UnsupportedState):
         relative_entropy(FockHusimi(1), ThermalHusimi(1.0), QuadratureSpec(strategy="polar-reduced-3d"))
+
+
+def test_gaussian_mixture_is_routed_by_kind_not_by_its_methods():
+    # a mixture can build a radial profile from radial components, but a
+    # mixture of Gaussians is not radial and must reach the cartesian rule
+    part = ModePartition(1, 0)
+    covs = [CovarianceModel.from_v(0.5 * np.eye(2), part),
+            CovarianceModel.from_v(np.diag([0.8, 0.6]), part)]
+    mix = ConvexCombinationHusimi([(0.5, GaussianHusimi(cov)) for cov in covs])
+    vacuum = FockHusimi(0)
+    res = relative_entropy(mix, vacuum)
+    # ln Q_vacuum = -|r|^2 / 2, and component i has second moments C_i^-1
+    second_moment = sum(0.5 * np.trace(np.linalg.inv(cov.c)) for cov in covs)
+    want = -entropy_functional(mix).value + 0.5 * second_moment
+    assert abs(res.value - want) < 1e-8
+    forced = QuadratureSpec(strategy="radial-1d")
+    with pytest.raises(UnsupportedState):
+        relative_entropy(mix, vacuum, forced)
+    with pytest.raises(UnsupportedState):
+        entropy_functional(mix, forced)
 
 
 def test_relative_entropy_noon_against_product_marginals():
