@@ -6,6 +6,8 @@ against the shared 1 + ln(pi) bound, and mutual-information witnesses
 for pure bipartite states.
 """
 
+import logging
+
 from .entropies import (
     EULER_GAMMA,
     LN_E_PI,
@@ -129,3 +131,7 @@ from .states import (
 )
 
 __version__ = "0.1.0"
+
+# Refinement levels and applied caps are logged under "wehrlkit"; the
+# library writes nothing unless the application configures logging.
+logging.getLogger(__name__).addHandler(logging.NullHandler())

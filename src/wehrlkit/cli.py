@@ -432,16 +432,18 @@ def _load_covariance(path: str, partition_text) -> CovarianceModel:
         raise ToolkitError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ToolkitError(f"{path} is not valid JSON: {exc}")
+    n_a, n_b = 0, 0
+    if isinstance(payload, dict):
+        n_a = payload.get("modes_a", 0)
+        n_b = payload.get("modes_b", 0)
+        # JSON integers only: int() would read 1.9 as 1 and true as 1.
+        if type(n_a) is not int or type(n_b) is not int:
+            raise ToolkitError(f"{path}: modes_a and modes_b must be integers")
+        payload = payload.get("v")
     try:
-        if isinstance(payload, dict):
-            matrix = np.asarray(payload.get("v"), dtype=float)
-            n_a = int(payload.get("modes_a", 0))
-            n_b = int(payload.get("modes_b", 0))
-        else:
-            matrix = np.asarray(payload, dtype=float)
-            n_a, n_b = 0, 0
+        matrix = np.asarray(payload, dtype=float)
     except (TypeError, ValueError):
-        raise ToolkitError(f"{path}: covariance and mode counts must be numbers")
+        raise ToolkitError(f"{path}: covariance entries must be numbers")
     # Checked here, before any eigenvalue routine sees the matrix.
     if not np.all(np.isfinite(matrix)):
         raise ToolkitError(f"{path}: covariance entries must be finite")

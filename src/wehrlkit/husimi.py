@@ -11,8 +11,12 @@ and the quadrature engine routes on it without probing for methods:
 
 * ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape`` and
   ``radial_rate``;
-* ``"noon"`` promises ``polar_slab_factory`` and ``angular_frequency``,
-  plus the same two tail parameters for the radial cutoff;
+* ``"noon"`` promises a two-mode density that depends on the mode phases
+  only through their difference and is symmetric under the exchange
+  r_A <-> r_B of the two radii, with ``polar_slab_factory`` (whose slab
+  returns a fresh array that the caller may overwrite) and
+  ``angular_frequency``, plus the same two tail parameters for the
+  radial cutoff;
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.
 """
@@ -196,19 +200,26 @@ class NoonHusimi(HusimiEvaluator):
             return np.log(mag2) - 0.5 * rsq - self._log_norm
 
     def polar_slab_factory(self, r_a, r_b):
-        """Closure over the radial grid; only the cosine varies per angle."""
+        """Closure over the radial nodes; only the cosine varies per angle.
+
+        ``slab(cos_u)`` returns log Q on the broadcast nodes (r_a, r_b) as a
+        fresh array, its one allocation, which the caller may overwrite.
+        """
         n = self.excitation
         ra = np.asarray(r_a, dtype=float)
         rb = np.asarray(r_b, dtype=float)
         base = -0.5 * (ra * ra + rb * rb) - self._log_norm
-        pow_a = ra ** (2 * n)
-        pow_b = rb ** (2 * n)
+        pow_sum = ra ** (2 * n) + rb ** (2 * n)
         cross = 2.0 * (ra * rb) ** n
 
         def slab(cos_u):
-            bracket = np.maximum(pow_a + pow_b + cross * cos_u, 0.0)
+            out = cross * cos_u
+            out += pow_sum
+            np.maximum(out, 0.0, out=out)
             with np.errstate(divide="ignore"):
-                return np.log(bracket) + base
+                np.log(out, out=out)
+            out += base
+            return out
 
         return slab
 

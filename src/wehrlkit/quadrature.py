@@ -17,7 +17,9 @@ integrands.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -33,8 +35,13 @@ from .errors import (
 )
 from .husimi import LOG_TINY, HusimiEvaluator, PositionDensity, ProductHusimi
 
+_log = logging.getLogger(__name__)
+
 # Proxy threshold: a state "has mass" at a point when Q exceeds this.
 LOG_SUPPORT = math.log(1e-12)
+# A reference density's log is clamped here, so nodes where it has
+# underflowed give a large finite log instead of -inf.
+_LOG_FLOOR = 2.0 * LOG_TINY
 
 _PANEL_NODES = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_NODES)
@@ -86,7 +93,14 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value plus the honest two-level error estimate that backed it."""
+    """Value plus the two-level error estimate that backed it.
+
+    ``error_estimate`` is the difference between the two finest levels.
+    It leaves out the truncation at the radial cutoff, so it can be
+    smaller than the true error.  ``nodes_used`` counts the distinct
+    nodes evaluated over all levels, after the symmetry folds of the
+    polar runner.
+    """
 
     value: float
     error_estimate: float
@@ -156,9 +170,21 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=()):
 
 
 def _escalated(eval_at, base, spec: QuadratureSpec, grow, what: str) -> IntegralResult:
-    """Run eval_at on doubling resolutions until two levels agree."""
+    """Run eval_at on doubling resolutions until two levels agree.
+
+    Each level is logged at DEBUG with its resolution, nodes, value and
+    seconds.
+    """
+
+    def timed(level):
+        start = time.perf_counter()
+        value, count = eval_at(level)
+        _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
+                   what, level, count, value, time.perf_counter() - start)
+        return value, count
+
     level = base
-    value_prev, count = eval_at(level)
+    value_prev, count = timed(level)
     total_nodes = count
     attempts = spec.max_escalations
     err = math.inf
@@ -170,7 +196,7 @@ def _escalated(eval_at, base, spec: QuadratureSpec, grow, what: str) -> Integral
                 f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
                 result=IntegralResult(float(value_prev), float(err), int(total_nodes)),
             )
-        value_cur, count = eval_at(level_next)
+        value_cur, count = timed(level_next)
         total_nodes += count
         err = abs(value_cur - value_prev)
         if err <= max(spec.abs_tol, spec.rel_tol * abs(value_cur)):
@@ -230,7 +256,8 @@ def _run_1d(log_pair, shape, rate, spec: QuadratureSpec, what: str, *, radial: b
     return _escalated(eval_at, spec.radial_nodes, spec, lambda n: 2 * n, what)
 
 
-def _run_polar_pair(evaluator, pair_factory, spec: QuadratureSpec, what: str) -> IntegralResult:
+def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec, what: str,
+                    violated: list) -> IntegralResult:
     """Two radial coordinates plus one periodic angular difference.
 
     The angular integral is taken over one period of the evaluator's
@@ -238,9 +265,18 @@ def _run_polar_pair(evaluator, pair_factory, spec: QuadratureSpec, what: str) ->
     independent of that frequency.  Frequency zero drops the angular
     axis entirely, leaving a plain two-radius integral.
 
-    ``pair_factory(ra, rb)`` returns the map log Q -> (logmass, factor)
-    for that radial grid, so grid-dependent reference densities (for
-    relative entropies) are computed once per level, not per angle.
+    Each distinct node is evaluated once.  Midpoints u and 2 pi - u share
+    cos u, so only the first half of the angles is evaluated, at weight
+    two; with an odd count the middle angle u = pi pairs with itself and
+    keeps weight one.  A "noon" density is symmetric under r_A <-> r_B, so
+    only the packed upper triangle of the radial square is evaluated, at
+    weight two off the diagonal.  The reference, a product of two radial
+    factors, need not be symmetric: it enters through the mean of its
+    clamped log at (r_A, r_B) and at (r_B, r_A), which is its clamped log
+    itself when it is symmetric.  Everything that depends on the radial
+    grid alone is built once per level.  Each worker owns its buffers and
+    a contiguous block of angles, and the per-slab sums are reduced in
+    angle order, so the value does not depend on the worker count.
     """
     freq = int(evaluator.angular_frequency)
     cutoff = spec.radial_cutoff
@@ -252,23 +288,51 @@ def _run_polar_pair(evaluator, pair_factory, spec: QuadratureSpec, what: str) ->
     def eval_at(level):
         nr, na = level
         r, w = _panel_nodes(0.0, cutoff, nr)
-        wr_a = (w * r)[:, None]
-        wr_b = (w * r)[None, :]
-        ra = r[:, None]
-        rb = r[None, :]
-        slab_log = evaluator.polar_slab_factory(ra, rb)
-        pair = pair_factory(ra, rb)
+        ia, ib = np.triu_indices(r.size)
+        wr = w * r
+        weight = wr[ia] * wr[ib]
+        weight[ia != ib] *= 2.0
+        slab_log = evaluator.polar_slab_factory(r[ia], r[ib])
+        logs, under = None, np.empty(0, dtype=np.intp)
+        if reference is not None:
+            log_a = reference.factor_a.log_q_radial(r)
+            log_b = reference.factor_b.log_q_radial(r)
+            logs_ab = log_a[ia] + log_b[ib]
+            logs_ba = log_a[ib] + log_b[ia]
+            under = np.flatnonzero((logs_ab < LOG_TINY) | (logs_ba < LOG_TINY))
+            logs = 0.5 * (np.maximum(logs_ab, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
 
-        def slab(cos_u):
-            logmass, factor = pair(slab_log(cos_u))
-            g = _masked_contrib(logmass, factor)
-            return float(np.sum(wr_a * wr_b * g))
+        def run_block(cosines):
+            dead = np.empty(weight.size, dtype=bool)
+            g = np.empty(weight.size)
+            sums = []
+            for cos_u in cosines:
+                logq = slab_log(cos_u)
+                if under.size and np.any(logq[under] > LOG_SUPPORT):
+                    violated.append(True)
+                # Nodes where Q underflows contribute exactly zero; setting
+                # their ln Q to 0 first keeps their factor finite.
+                np.less_equal(logq, LOG_TINY, out=dead)
+                np.copyto(logq, 0.0, where=dead)
+                np.exp(logq, out=g)
+                np.copyto(g, 0.0, where=dead)
+                factor = factor_of_log(logq, out=logq)
+                if logs is not None:
+                    factor = np.subtract(factor, logs, out=logq)
+                np.multiply(g, factor, out=g)
+                np.multiply(g, weight, out=g)
+                sums.append(float(g.sum()))
+            return sums
 
         if freq == 0:
-            return slab(1.0), r.size * r.size
-        u = (np.arange(na) + 0.5) * (2.0 * math.pi / na)
-        parts = _map_chunks(slab, np.cos(u), spec.parallelism)
-        return _pairwise(parts) / na, r.size * r.size * na
+            cosines, doubled, period = np.ones(1), 0, 1
+        else:
+            cosines = np.cos((np.arange((na + 1) // 2) + 0.5) * (2.0 * math.pi / na))
+            doubled, period = na // 2, na
+        blocks = np.array_split(cosines, min(spec.parallelism, cosines.size))
+        sums = [s for block in _map_chunks(run_block, blocks, spec.parallelism) for s in block]
+        value = _pairwise(2.0 * s if k < doubled else s for k, s in enumerate(sums)) / period
+        return value, weight.size * cosines.size
 
     base = (max(2 * _PANEL_NODES, spec.radial_nodes // 2), spec.angular_nodes)
     if freq == 0:
@@ -322,6 +386,8 @@ def _run_cartesian(dim, envelope, log_pair_of_points, spec: QuadratureSpec,
     # cap keeps the Hermite weight computation in its stable regime.
     eff_spec = spec
     if dim >= 4 and spec.max_escalations > 1:
+        _log.info("%s: %d dimensions, max_escalations lowered from %d to 1",
+                  what, dim, spec.max_escalations)
         eff_spec = replace(spec, max_escalations=1)
     grow = lambda n: min(2 * n, 384)
     return _escalated(eval_at, min(spec.cartesian_nodes_per_dim, 384), eff_spec, grow, what)
@@ -332,20 +398,27 @@ def _run_cartesian(dim, envelope, log_pair_of_points, spec: QuadratureSpec,
 # ---------------------------------------------------------------------------
 
 
-def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, integrand,
+def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, factor_of_log,
                spec: QuadratureSpec, what: str) -> IntegralResult:
-    """Integrate over phase space on the runner that fits the densities.
+    """Integral of Q (factor_of_log(ln Q) - ln S) over phase space.
 
-    ``integrand(logq, logs)`` maps log Q of ``evaluator`` and the log
-    density of ``reference`` on the same nodes (None without a
-    reference) to (logmass, factor).  Capabilities come from ``kind``
-    alone: "radial" promises ``log_q_radial``, ``radial_gamma_shape`` and
-    ``radial_rate``; "noon" promises ``polar_slab_factory``,
-    ``angular_frequency`` and the same two tail parameters.  The auto
-    rule is radial when every density is radial, polar when the
-    evaluator is "noon" and the reference is absent or a product of two
-    radial factors, cartesian otherwise.  A forced strategy that does not
-    fit raises UnsupportedState.
+    Q is the density of ``evaluator`` and S that of ``reference``; without
+    a reference the ln S term is dropped.  ``factor_of_log(logq, out=None)``
+    returns a scalar or an array; it may write into ``out`` (which the
+    polar runner sets to ``logq`` itself) or return ``logq`` unchanged.
+    ln S is clamped at twice the underflow log, and SupportViolation is
+    raised when some node carries appreciable Q mass (above 1e-12) while
+    S has underflowed (below 1e-300).
+
+    The runner is picked here, and only here.  Capabilities come from
+    ``kind`` alone: "radial" promises ``log_q_radial``,
+    ``radial_gamma_shape`` and ``radial_rate``; "noon" promises an
+    exchange-symmetric density with ``polar_slab_factory``,
+    ``angular_frequency`` and the same two tail parameters.  The auto rule
+    is radial when every density is radial, polar when the evaluator is
+    "noon" and the reference is absent or a product of two radial factors,
+    cartesian otherwise.  A forced strategy that does not fit raises
+    UnsupportedState.
     """
     densities = (evaluator,) if reference is None else (evaluator, reference)
     radial = all(d.kind == "radial" for d in densities)
@@ -358,6 +431,15 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, in
     if strategy == "auto":
         strategy = ("radial-1d" if radial
                     else "polar-reduced-3d" if polar else "tensor-cartesian")
+    violated: list = []
+
+    def pair(logq, logs):
+        factor = factor_of_log(logq)
+        if logs is None:
+            return logq, factor
+        if np.any((logq > LOG_SUPPORT) & (logs < LOG_TINY)):
+            violated.append(True)
+        return logq, factor - np.maximum(logs, _LOG_FLOOR)
 
     if strategy == "radial-1d":
         if not radial:
@@ -368,12 +450,11 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, in
 
         def pair_r(r):
             logq = evaluator.log_q_radial(r)
-            return integrand(logq, None if reference is None else reference.log_q_radial(r))
+            return pair(logq, None if reference is None else reference.log_q_radial(r))
 
-        return _run_1d(pair_r, max(d.radial_gamma_shape for d in densities),
-                       min(d.radial_rate for d in densities), spec, what, radial=True)
-
-    if strategy in ("polar-2d", "polar-reduced-3d"):
+        result = _run_1d(pair_r, max(d.radial_gamma_shape for d in densities),
+                         min(d.radial_rate for d in densities), spec, what, radial=True)
+    elif strategy in ("polar-2d", "polar-reduced-3d"):
         if not polar:
             raise UnsupportedState(
                 "polar strategies need an angular-difference density, alone "
@@ -383,32 +464,33 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, in
             raise UnsupportedState(
                 "polar-2d drops the angle; this density still depends on it"
             )
+        result = _run_polar_pair(evaluator, reference, factor_of_log, spec, what, violated)
+    else:
+        envelope = evaluator.gaussian_envelope()
 
-        def pair_factory(ra, rb):
-            if reference is None:
-                return lambda logq: integrand(logq, None)
-            # The reference factorizes over the two radii, so it is
-            # computed once per radial grid, not once per angle.
-            logs = reference.factor_a.log_q_radial(ra) + reference.factor_b.log_q_radial(rb)
-            return lambda logq: integrand(logq, np.broadcast_to(logs, logq.shape))
+        def pair_pts(pts):
+            logq = evaluator.log_q(pts)
+            return pair(logq, None if reference is None else reference.log_q(pts))
 
-        return _run_polar_pair(evaluator, pair_factory, spec, what)
-
-    envelope = evaluator.gaussian_envelope()
-
-    def pair_pts(pts):
-        logq = evaluator.log_q(pts)
-        return integrand(logq, None if reference is None else reference.log_q(pts))
-
-    return _run_cartesian(evaluator.dim, envelope, pair_pts, spec, what)
+        result = _run_cartesian(evaluator.dim, envelope, pair_pts, spec, what)
+    if violated:
+        raise SupportViolation(
+            "first density keeps mass where the second has none; "
+            "the relative entropy diverges at this resolution"
+        )
+    return result
 
 
-def _entropy_factor(logq):
-    return -np.asarray(logq, dtype=float)
+def _entropy_factor(logq, out=None):
+    return np.negative(logq, out=out)
 
 
-def _unit_factor(logq):
+def _unit_factor(logq, out=None):
     return 1.0
+
+
+def _log_factor(logq, out=None):
+    return logq
 
 
 def _add_entropies(a: IntegralResult, b: IntegralResult) -> IntegralResult:
@@ -431,7 +513,7 @@ def _one_density(evaluator: HusimiEvaluator, factor_of_log, join, spec: Quadratu
     if isinstance(evaluator, ProductHusimi) and spec.strategy == "auto":
         return join(_one_density(evaluator.factor_a, factor_of_log, join, spec, what),
                     _one_density(evaluator.factor_b, factor_of_log, join, spec, what))
-    return _integrate(evaluator, None, lambda logq, _: (logq, factor_of_log(logq)), spec, what)
+    return _integrate(evaluator, None, factor_of_log, spec, what)
 
 
 def entropy_functional(evaluator: HusimiEvaluator,
@@ -491,23 +573,7 @@ def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
         raise DimensionMismatch(
             f"densities live on {rho.dim} and {sigma.dim} coordinates"
         )
-    violated = {"flag": False}
-    floor = 2.0 * LOG_TINY
-
-    def integrand(logp, logs):
-        logp = np.asarray(logp, dtype=float)
-        logs = np.asarray(logs, dtype=float)
-        if np.any((logp > LOG_SUPPORT) & (logs < LOG_TINY)):
-            violated["flag"] = True
-        return logp, logp - np.maximum(logs, floor)
-
-    result = _integrate(rho, sigma, integrand, spec, "relative entropy")
-    if violated["flag"]:
-        raise SupportViolation(
-            "first density keeps mass where the second has none; "
-            "the relative entropy diverges at this resolution"
-        )
-    return result
+    return _integrate(rho, sigma, _log_factor, spec, "relative entropy")
 
 
 def _line(density: PositionDensity, factor_of_log, spec: QuadratureSpec | None,

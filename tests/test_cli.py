@@ -239,6 +239,8 @@ VACUUM_1_1 = json.dumps({"v": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
                  None, id="covariance-text-entry"),
     pytest.param("[[NaN, 0.0], [0.0, 0.5]]", ["gaussian", "--cov", "{file}"],
                  None, id="covariance-nan-entry"),
+    pytest.param(json.dumps({"v": json.loads(VACUUM_1_1)["v"], "modes_a": 1.9, "modes_b": True}),
+                 ["gaussian", "--cov", "{file}"], None, id="covariance-non-integer-mode-counts"),
     pytest.param(VACUUM_1_1, ["gaussian", "--cov", "{file}", "--partition", "a,b"],
                  None, id="partition-text"),
     pytest.param(VACUUM_1_1, ["gaussian", "--cov", "{file}", "--partition", "0,2"],

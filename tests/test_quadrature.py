@@ -1,11 +1,13 @@
 """Quadrature engine invariants: normalization, refinement, determinism."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from wehrlkit import (
+    EULER_GAMMA,
     ConvexCombinationHusimi,
     CovarianceModel,
     DimensionMismatch,
@@ -31,7 +33,8 @@ from wehrlkit import (
     tmss_covariance,
 )
 from wehrlkit.gaussian import ModePartition
-from wehrlkit.husimi import FockPositionDensity, ThermalPositionDensity, marginal_husimi
+from wehrlkit.husimi import LOG_TINY, FockPositionDensity, ThermalPositionDensity, marginal_husimi
+from wehrlkit.quadrature import _panel_nodes
 
 
 EVALUATORS = [
@@ -233,16 +236,82 @@ def test_gaussian_mixture_is_routed_by_kind_not_by_its_methods():
 
 
 def test_relative_entropy_noon_against_product_marginals():
+    # In the modes (a + b)/sqrt2 and (a - b)/sqrt2 the N = 1 state is
+    # |1>|0>, whose joint entropy is 2 + gamma_E, so the mutual information
+    # is 2 S(marginal) - (2 + gamma_E); the marginal entropy comes from the
+    # radial 1D runner, a route independent of the polar one.
     n = 1
     rho = NoonHusimi(n)
     marg = NoonMarginalHusimi(n)
     sigma = ProductHusimi(marg, marg)
     polar = relative_entropy(rho, sigma, QuadratureSpec(strategy="polar-reduced-3d", abs_tol=1e-7, rel_tol=1e-7))
-    cartesian = relative_entropy(
-        rho, sigma, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-3, rel_tol=1e-3, cartesian_nodes_per_dim=32)
-    )
-    assert abs(polar.value - cartesian.value) < 1e-3
+    s_marg = entropy_functional(marg, QuadratureSpec(strategy="radial-1d"))
+    closed = 2.0 * s_marg.value - (2.0 + EULER_GAMMA)
+    assert abs(polar.value - closed) < 1e-7
     assert polar.value > 0.2
+
+
+def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
+    """Polar rule on the full radial square and every angular midpoint.
+
+    Q comes from ``log_q`` at cartesian points, not from the slab; the
+    integrand is -Q ln Q without ``sigma``, Q (ln Q - ln S) with it.
+    """
+    r, w = _panel_nodes(0.0, cutoff, nr)
+    ra, rb = np.meshgrid(r, r, indexing="ij")
+    weight = np.outer(w * r, w * r)
+    if sigma is not None:
+        logs = sigma.factor_a.log_q_radial(ra) + sigma.factor_b.log_q_radial(rb)
+        logs = np.maximum(logs, 2.0 * LOG_TINY)
+    total = 0.0
+    for k in range(na):
+        dtheta = (k + 0.5) * (2.0 * math.pi / na) / rho.angular_frequency
+        pts = np.stack([ra, np.zeros_like(ra), rb * math.cos(dtheta), rb * math.sin(dtheta)], axis=-1)
+        logq = rho.log_q(pts)
+        factor = -logq if sigma is None else logq - logs
+        live = logq > LOG_TINY
+        total += np.sum(weight[live] * np.exp(logq[live]) * factor[live])
+    return total / na
+
+
+@pytest.mark.parametrize("angular_nodes", [16, 15])
+@pytest.mark.parametrize("rho, sigma", [
+    (NoonHusimi(1), None),
+    (NoonHusimi(3), None),
+    # the reference is not exchange symmetric, so folding it with the
+    # density alone would be wrong
+    (NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1))),
+], ids=["entropy-1", "entropy-3", "asymmetric-reference"])
+def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, angular_nodes):
+    cutoff = 9.0
+    spec = QuadratureSpec(strategy="polar-reduced-3d", radial_nodes=64, angular_nodes=angular_nodes,
+                          radial_cutoff=cutoff, abs_tol=1.0, rel_tol=1.0, max_escalations=0)
+    if sigma is None:
+        res = entropy_functional(rho, spec)
+    else:
+        res = relative_entropy(rho, sigma, spec)
+    # levels (32, angular_nodes) and (64, 2 angular_nodes); the estimate
+    # pins the coarse level, which holds the self-paired angle when odd
+    fine = _unfolded_polar_rule(rho, sigma, 64, 2 * angular_nodes, cutoff)
+    coarse = _unfolded_polar_rule(rho, sigma, 32, angular_nodes, cutoff)
+    assert abs(res.value - fine) < 1e-12
+    assert abs(res.error_estimate - abs(fine - coarse)) < 1e-12
+    # distinct nodes: the packed triangles times the distinct cosines
+    assert res.nodes_used == 32 * 33 // 2 * ((angular_nodes + 1) // 2) + 64 * 65 // 2 * angular_nodes
+
+
+@pytest.mark.parametrize("angular_nodes", [16, 15])
+def test_polar_results_do_not_depend_on_worker_count(angular_nodes):
+    marg = NoonMarginalHusimi(2)
+    cases = [(entropy_functional, (NoonHusimi(3),)),
+             (relative_entropy, (NoonHusimi(2), ProductHusimi(marg, marg)))]
+    for fn, args in cases:
+        results = [
+            fn(*args, QuadratureSpec(radial_nodes=64, angular_nodes=angular_nodes,
+                                     abs_tol=1e-6, rel_tol=1e-6, parallelism=k))
+            for k in (1, 2, 3)
+        ]
+        assert results[0] == results[1] == results[2]
 
 
 def test_relative_entropy_support_violation():
@@ -279,6 +348,22 @@ def test_integrate_second_moment_of_vacuum():
         envelope=(2.0 * np.eye(2), np.zeros(2)),
     )
     assert abs(res.value - 1.0) < 1e-10
+
+
+def test_levels_and_the_cartesian_cap_are_logged(caplog):
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        res = entropy_functional(NoonHusimi(2), QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6))
+    levels = [rec for rec in caplog.records if rec.levelno == logging.DEBUG]
+    assert len(levels) >= 2
+    assert sum(rec.args[2] for rec in levels) == res.nodes_used
+    assert levels[-1].args[3] == res.value
+
+    gaussian = lambda pts: np.exp(-0.5 * np.sum(pts * pts, axis=-1))
+    for escalations, capped in ((3, 1), (1, 0)):
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="wehrlkit"):
+            integrate(gaussian, QuadratureSpec(cartesian_nodes_per_dim=4, max_escalations=escalations), dim=4)
+        assert len([rec for rec in caplog.records if "max_escalations" in rec.getMessage()]) == capped
 
 
 def test_integrate_validates_dimension_and_shape():
