@@ -49,7 +49,7 @@ from .gaussian import (
     wehrl_gaussian_local,
 )
 from .husimi import NoonMarginalHusimi
-from .quadrature import QuadratureSpec, entropy_functional
+from .quadrature import _STRATEGIES, QuadratureSpec, entropy_functional
 from .states import NoonState, TwoModeSqueezedState, state_to_dict
 
 _EUR_COLUMNS = (
@@ -121,8 +121,7 @@ def _positive_float(text: str) -> float:
 _SETTINGS = {
     "format": (str, ("csv", "json")),
     "output": (str, None),
-    "strategy": (str, ("auto", "radial-1d", "polar-2d", "polar-reduced-3d",
-                       "tensor-cartesian")),
+    "strategy": (str, _STRATEGIES),
     "abs_tol": (_positive_float, None),
     "rel_tol": (_positive_float, None),
     "radial_nodes": (_bounded_int(16, 100_000), None),
@@ -439,7 +438,9 @@ def _load_covariance(path: str, partition_text) -> CovarianceModel:
         # JSON integers only: int() would read 1.9 as 1 and true as 1.
         if type(n_a) is not int or type(n_b) is not int:
             raise ToolkitError(f"{path}: modes_a and modes_b must be integers")
-        payload = payload.get("v")
+        if "v" not in payload:
+            raise ToolkitError(f'{path}: covariance object has no "v" key')
+        payload = payload["v"]
     try:
         matrix = np.asarray(payload, dtype=float)
     except (TypeError, ValueError):

@@ -214,7 +214,10 @@ def wehrl_relative_entropy(rho, sigma, spec: QuadratureSpec | None = None,
     """Relative entropy integral of Q_rho against Q_sigma.
 
     Where Q_rho keeps mass outside the numerical support of Q_sigma the
-    integral diverges; that case returns +inf, or raises when ``strict``.
+    integral diverges; that case returns +inf, or raises SupportViolation
+    when ``strict``.  The divergence is detected at the first refinement
+    level that sees it, so it returns +inf even when the tolerance could
+    not have been reached either.
     """
     try:
         return relative_entropy(_as_evaluator(rho), _as_evaluator(sigma), spec).value

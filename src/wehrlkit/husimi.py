@@ -13,12 +13,15 @@ and the quadrature engine routes on it without probing for methods:
   ``radial_rate``;
 * ``"noon"`` promises a two-mode density that depends on the mode phases
   only through their difference and is symmetric under the exchange
-  r_A <-> r_B of the two radii, with ``polar_slab_factory`` (whose slab
-  returns a fresh array that the caller may overwrite) and
+  r_A <-> r_B of the two radii, with ``polar_slab_factory`` and
   ``angular_frequency``, plus the same two tail parameters for the
   radial cutoff;
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.
+
+``log_q``, ``log_q_radial``, ``log_f`` and the slab that
+``polar_slab_factory`` returns must return fresh arrays: the engine
+overwrites them while it evaluates the integrand.
 """
 
 from __future__ import annotations

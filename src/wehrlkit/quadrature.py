@@ -10,13 +10,14 @@ estimate; if it misses the tolerance after the allowed escalations the
 engine raises instead of returning a number it cannot defend.
 
 Conventions: phase-space measure ``d^n x d^n p / (2 pi)^n``, line
-measure ``dx``.  Densities enter through log values; points where a
-density is below 1e-300 contribute exactly zero to entropy-type
-integrands.
+measure ``dx``.  Densities enter through log values, and one kernel,
+``_node_terms``, turns them into the integrand at every node of every
+runner: points where the mass is below 1e-300 contribute exactly zero.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -59,9 +60,11 @@ class QuadratureSpec:
     engine always computes one refinement (all counts doubled) to get an
     error estimate, then up to ``max_escalations`` further doublings.
     ``radial_cutoff`` of None means the cutoff is solved from the
-    integrand's Gamma-type tail.  ``parallelism`` > 1 maps independent
-    chunks over a thread pool; results are reduced pairwise in a fixed
-    order, so the value does not depend on the worker count.
+    integrand's Gamma-type tail; a given cutoff must be positive and
+    finite, and both tolerances positive and finite, or ValueError is
+    raised.  ``parallelism`` > 1 maps independent chunks over a thread
+    pool; results are reduced pairwise in a fixed order, so the value
+    does not depend on the worker count.
     """
 
     strategy: str = "auto"
@@ -83,8 +86,10 @@ class QuadratureSpec:
             raise ValueError("angular_nodes must be at least 4")
         if self.cartesian_nodes_per_dim < 2:
             raise ValueError("cartesian_nodes_per_dim must be at least 2")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
+        if self.radial_cutoff is not None and not 0 < self.radial_cutoff < math.inf:
+            raise ValueError("radial_cutoff must be None or positive and finite")
         if self.max_escalations < 0:
             raise ValueError("max_escalations must be nonnegative")
         if self.parallelism < 1:
@@ -211,33 +216,64 @@ def _escalated(eval_at, base, spec: QuadratureSpec, grow, what: str) -> Integral
         level, value_prev = level_next, value_cur
 
 
-def _masked_contrib(logmass, factor):
-    """exp(logmass) * factor with exact zeros wherever the mass underflows."""
-    logmass = np.asarray(logmass, dtype=float)
-    out = np.zeros(logmass.shape)
-    m = logmass > LOG_TINY
-    if np.any(m):
-        f = factor[m] if isinstance(factor, np.ndarray) else factor
-        out[m] = np.exp(logmass[m]) * f
-    return out
+def _node_terms(logq, factor_of_log, reference=None, log_weight=None, *, out=None, dead=None):
+    """Q (factor_of_log(ln Q) - ln S) at each node: the one integrand rule.
+
+    ``logq`` holds ln Q at the nodes and is overwritten.  ``reference`` is
+    None or the pair (ln S clamped at ``_LOG_FLOOR``, index of the nodes
+    where S underflows); SupportViolation is raised as soon as Q keeps
+    mass above 1e-12 at one of those nodes.  ``log_weight`` (cartesian
+    rule) joins ln Q before the exponential, so the mass Q * weight
+    decides the underflow; such nodes give exact zeros.  ``out`` (may be
+    ``log_weight`` itself) and ``dead`` buffer the result and the mask.
+    """
+    if reference is not None:
+        logs, under = reference
+        if under.size and np.any(logq[under] > LOG_SUPPORT):
+            raise SupportViolation(
+                "first density keeps mass where the second has none; "
+                "the relative entropy diverges at this resolution"
+            )
+    mass = logq if log_weight is None else np.add(logq, log_weight, out=out)
+    dead = np.less_equal(mass, LOG_TINY, out=dead)
+    terms = np.exp(mass, out=out)
+    np.copyto(terms, 0.0, where=dead)
+    # ln Q = 0 where the mass underflows keeps the factor finite there.
+    np.copyto(logq, 0.0, where=dead)
+    factor = factor_of_log(logq, out=logq)
+    if reference is not None:
+        factor = np.subtract(factor, logs, out=logq)
+    return np.multiply(terms, factor, out=terms)
+
+
+def _density_terms(log_q, log_s, factor_of_log, nodes, log_weight=None):
+    """``_node_terms`` of ``log_q`` against ``log_s`` (or None), ln Q evaluated first."""
+    logq = log_q(nodes)
+    reference = None
+    if log_s is not None:
+        logs = log_s(nodes)
+        under = np.flatnonzero(logs < LOG_TINY)
+        reference = np.maximum(logs, _LOG_FLOOR, out=logs), under
+    return _node_terms(logq, factor_of_log, reference, log_weight, out=log_weight)
 
 
 # ---------------------------------------------------------------------------
-# Coordinate-system runners.  Each integrates exp(logmass) * factor against
-# the phase-space measure (the line measure for line densities), where
-# (logmass, factor) come from a callback.
+# Coordinate-system runners.  Each lays out nodes and weights, gets the
+# integrand at the nodes from ``_node_terms`` and reduces against the
+# phase-space measure (the line measure for line densities).
 # ---------------------------------------------------------------------------
 
 
-def _run_1d(log_pair, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool,
+def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool,
             breakpoints=(), tail_log_margin: float = 0.0) -> IntegralResult:
     """Composite Gauss-Legendre rule on [0, cutoff].
 
     With ``radial`` the coordinate is a phase-space radius and carries
     the Jacobian r; otherwise it is the half line of an even line
-    density, whose integral is twice that over [0, cutoff].
-    ``tail_log_margin`` shrinks the cutoff's tail-mass target for tails
-    that outrun the plain Gamma envelope.
+    density, whose integral is twice that over [0, cutoff].  ``terms``
+    maps the nodes to the integrand there.  ``tail_log_margin`` shrinks
+    the cutoff's tail-mass target for tails that outrun the plain Gamma
+    envelope.
     """
     cutoff = spec.radial_cutoff
     if cutoff is None:
@@ -247,8 +283,7 @@ def _run_1d(log_pair, shape, rate, spec: QuadratureSpec, what: str, *, radial: b
 
     def eval_at(n):
         x, w = _panel_nodes(0.0, cutoff, n, breakpoints=pos_breaks)
-        logmass, factor = log_pair(x)
-        g = _masked_contrib(logmass, factor)
+        g = terms(x)
         if radial:
             return float(np.dot(w, g * x)), x.size
         return 2.0 * float(np.dot(w, g)), x.size
@@ -256,8 +291,8 @@ def _run_1d(log_pair, shape, rate, spec: QuadratureSpec, what: str, *, radial: b
     return _escalated(eval_at, spec.radial_nodes, spec, lambda n: 2 * n, what)
 
 
-def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec, what: str,
-                    violated: list) -> IntegralResult:
+def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec,
+                    what: str) -> IntegralResult:
     """Two radial coordinates plus one periodic angular difference.
 
     The angular integral is taken over one period of the evaluator's
@@ -274,9 +309,10 @@ def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec, w
     factors, need not be symmetric: it enters through the mean of its
     clamped log at (r_A, r_B) and at (r_B, r_A), which is its clamped log
     itself when it is symmetric.  Everything that depends on the radial
-    grid alone is built once per level.  Each worker owns its buffers and
-    a contiguous block of angles, and the per-slab sums are reduced in
-    angle order, so the value does not depend on the worker count.
+    grid alone is built once per level and handed to ``_node_terms`` with
+    each slab.  Each worker owns its buffers and a contiguous block of
+    angles, and the per-slab sums are reduced in angle order, so the
+    value does not depend on the worker count.
     """
     freq = int(evaluator.angular_frequency)
     cutoff = spec.radial_cutoff
@@ -293,7 +329,7 @@ def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec, w
         weight = wr[ia] * wr[ib]
         weight[ia != ib] *= 2.0
         slab_log = evaluator.polar_slab_factory(r[ia], r[ib])
-        logs, under = None, np.empty(0, dtype=np.intp)
+        reference_logs = None
         if reference is not None:
             log_a = reference.factor_a.log_q_radial(r)
             log_b = reference.factor_b.log_q_radial(r)
@@ -301,27 +337,16 @@ def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec, w
             logs_ba = log_a[ib] + log_b[ia]
             under = np.flatnonzero((logs_ab < LOG_TINY) | (logs_ba < LOG_TINY))
             logs = 0.5 * (np.maximum(logs_ab, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
+            reference_logs = logs, under
 
         def run_block(cosines):
             dead = np.empty(weight.size, dtype=bool)
             g = np.empty(weight.size)
             sums = []
             for cos_u in cosines:
-                logq = slab_log(cos_u)
-                if under.size and np.any(logq[under] > LOG_SUPPORT):
-                    violated.append(True)
-                # Nodes where Q underflows contribute exactly zero; setting
-                # their ln Q to 0 first keeps their factor finite.
-                np.less_equal(logq, LOG_TINY, out=dead)
-                np.copyto(logq, 0.0, where=dead)
-                np.exp(logq, out=g)
-                np.copyto(g, 0.0, where=dead)
-                factor = factor_of_log(logq, out=logq)
-                if logs is not None:
-                    factor = np.subtract(factor, logs, out=logq)
-                np.multiply(g, factor, out=g)
-                np.multiply(g, weight, out=g)
-                sums.append(float(g.sum()))
+                terms = _node_terms(slab_log(cos_u), factor_of_log, reference_logs,
+                                    out=g, dead=dead)
+                sums.append(float(np.multiply(terms, weight, out=terms).sum()))
             return sums
 
         if freq == 0:
@@ -335,20 +360,18 @@ def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec, w
         return value, weight.size * cosines.size
 
     base = (max(2 * _PANEL_NODES, spec.radial_nodes // 2), spec.angular_nodes)
-    if freq == 0:
-        grow = lambda lv: (2 * lv[0], lv[1])
-    else:
-        grow = lambda lv: (2 * lv[0], 2 * lv[1])
+    grow = lambda lv: (2 * lv[0], lv[1] if freq == 0 else 2 * lv[1])
     return _escalated(eval_at, base, spec, grow, what)
 
 
-def _run_cartesian(dim, envelope, log_pair_of_points, spec: QuadratureSpec,
-                   what: str) -> IntegralResult:
+def _run_cartesian(dim, envelope, terms, spec: QuadratureSpec, what: str) -> IntegralResult:
     """Gauss-Hermite rule whitened by a Gaussian envelope (sigma, mean).
 
     Per-dimension log-weights are carried as ln(w) + t^2, which stays
     bounded, so the reweighting never overflows.  Node counts are capped
-    where the weight computation itself stays stable.
+    where the weight computation itself stays stable.  ``terms(pts,
+    log_weight)`` maps the points and their summed log-weights to the
+    weighted integrand there.
     """
     sigma, mean = envelope
     sigma = np.asarray(sigma, dtype=float)
@@ -366,17 +389,12 @@ def _run_cartesian(dim, envelope, log_pair_of_points, spec: QuadratureSpec,
 
         def do_chunk(start):
             stop = min(start + chunk_len, m)
-            axes_t = [t[start:stop]] + [t] * (dim - 1)
-            axes_lw = [lw[start:stop]] + [lw] * (dim - 1)
-            grid_t = np.meshgrid(*axes_t, indexing="ij")
-            tpts = np.stack([g.reshape(-1) for g in grid_t], axis=-1)
-            lw_sum = np.zeros(tpts.shape[0])
-            grid_lw = np.meshgrid(*axes_lw, indexing="ij")
-            for g in grid_lw:
-                lw_sum += g.reshape(-1)
-            pts = tpts @ scale.T + mean
-            logmass, factor = log_pair_of_points(pts)
-            return float(np.sum(_masked_contrib(logmass + lw_sum, factor)))
+            grid = np.meshgrid(t[start:stop], *[t] * (dim - 1), indexing="ij")
+            pts = np.stack(grid, axis=-1).reshape(-1, dim) @ scale.T
+            pts += mean
+            # Summed from 0.0, first axis first, as a fresh array.
+            lw_sum = functools.reduce(np.add.outer, [lw[start:stop]] + [lw] * (dim - 1), 0.0)
+            return float(np.sum(terms(pts, lw_sum.reshape(-1))))
 
         parts = _map_chunks(do_chunk, starts, spec.parallelism)
         return math.exp(log_pref) * _pairwise(parts), m**dim
@@ -405,10 +423,12 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     Q is the density of ``evaluator`` and S that of ``reference``; without
     a reference the ln S term is dropped.  ``factor_of_log(logq, out=None)``
     returns a scalar or an array; it may write into ``out`` (which the
-    polar runner sets to ``logq`` itself) or return ``logq`` unchanged.
-    ln S is clamped at twice the underflow log, and SupportViolation is
-    raised when some node carries appreciable Q mass (above 1e-12) while
-    S has underflowed (below 1e-300).
+    kernel sets to ``logq`` itself) or return ``logq`` unchanged.  Every
+    runner hands its nodes to one kernel, ``_node_terms``: it clamps
+    ln S at twice the underflow log, and raises SupportViolation at the
+    first level where some node carries appreciable Q mass (above 1e-12)
+    while S has underflowed (below 1e-300), so a divergence is reported
+    even when the tolerance would not have been reached either.
 
     The runner is picked here, and only here.  Capabilities come from
     ``kind`` alone: "radial" promises ``log_q_radial``,
@@ -431,30 +451,18 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     if strategy == "auto":
         strategy = ("radial-1d" if radial
                     else "polar-reduced-3d" if polar else "tensor-cartesian")
-    violated: list = []
-
-    def pair(logq, logs):
-        factor = factor_of_log(logq)
-        if logs is None:
-            return logq, factor
-        if np.any((logq > LOG_SUPPORT) & (logs < LOG_TINY)):
-            violated.append(True)
-        return logq, factor - np.maximum(logs, _LOG_FLOOR)
-
     if strategy == "radial-1d":
         if not radial:
             raise UnsupportedState(
                 "radial-1d needs a radial profile on every density; "
                 "pick a different strategy"
             )
-
-        def pair_r(r):
-            logq = evaluator.log_q_radial(r)
-            return pair(logq, None if reference is None else reference.log_q_radial(r))
-
-        result = _run_1d(pair_r, max(d.radial_gamma_shape for d in densities),
-                         min(d.radial_rate for d in densities), spec, what, radial=True)
-    elif strategy in ("polar-2d", "polar-reduced-3d"):
+        terms = functools.partial(_density_terms, evaluator.log_q_radial,
+                                  None if reference is None else reference.log_q_radial,
+                                  factor_of_log)
+        return _run_1d(terms, max(d.radial_gamma_shape for d in densities),
+                       min(d.radial_rate for d in densities), spec, what, radial=True)
+    if strategy in ("polar-2d", "polar-reduced-3d"):
         if not polar:
             raise UnsupportedState(
                 "polar strategies need an angular-difference density, alone "
@@ -464,21 +472,11 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
             raise UnsupportedState(
                 "polar-2d drops the angle; this density still depends on it"
             )
-        result = _run_polar_pair(evaluator, reference, factor_of_log, spec, what, violated)
-    else:
-        envelope = evaluator.gaussian_envelope()
-
-        def pair_pts(pts):
-            logq = evaluator.log_q(pts)
-            return pair(logq, None if reference is None else reference.log_q(pts))
-
-        result = _run_cartesian(evaluator.dim, envelope, pair_pts, spec, what)
-    if violated:
-        raise SupportViolation(
-            "first density keeps mass where the second has none; "
-            "the relative entropy diverges at this resolution"
-        )
-    return result
+        return _run_polar_pair(evaluator, reference, factor_of_log, spec, what)
+    envelope = evaluator.gaussian_envelope()
+    terms = functools.partial(_density_terms, evaluator.log_q,
+                              None if reference is None else reference.log_q, factor_of_log)
+    return _run_cartesian(evaluator.dim, envelope, terms, spec, what)
 
 
 def _entropy_factor(logq, out=None):
@@ -548,15 +546,17 @@ def integrate(f, spec: QuadratureSpec | None = None, *, dim: int = 2,
     if envelope is None:
         envelope = (np.eye(dim), np.zeros(dim))
 
-    def pair_pts(pts):
+    def terms(pts, log_weight):
         vals = np.asarray(f(pts), dtype=float)
         if vals.shape != (pts.shape[0],):
             raise DimensionMismatch(
                 f"integrand returned shape {vals.shape} for {pts.shape[0]} points"
             )
-        return np.zeros(vals.shape), vals
+        # ln Q = 0 and factor f: the kernel weighs f and zeroes underflowed weights.
+        return _node_terms(np.zeros(vals.shape), lambda logq, out=None: vals,
+                           log_weight=log_weight, out=log_weight)
 
-    return _run_cartesian(dim, envelope, pair_pts, spec, "integral")
+    return _run_cartesian(dim, envelope, terms, spec, "integral")
 
 
 def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
@@ -566,7 +566,9 @@ def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
     Raises SupportViolation when some node carries appreciable Q_rho mass
     (above 1e-12) while Q_sigma has already underflowed (below 1e-300):
     there the integrand is effectively pinned to a cutoff and the finite
-    number returned would be meaningless.
+    number returned would be meaningless.  It is raised at the first
+    level that sees such a node, before that level is logged, and takes
+    precedence over ToleranceNotReached.
     """
     spec = spec or QuadratureSpec()
     if rho.dim != sigma.dim:
@@ -578,11 +580,8 @@ def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
 
 def _line(density: PositionDensity, factor_of_log, spec: QuadratureSpec | None,
           what: str) -> IntegralResult:
-    def pair_x(x):
-        logf = density.log_f(x)
-        return logf, factor_of_log(logf)
-
-    return _run_1d(pair_x, density.position_gamma_shape, density.position_rate,
+    terms = functools.partial(_density_terms, density.log_f, None, factor_of_log)
+    return _run_1d(terms, density.position_gamma_shape, density.position_rate,
                    spec or QuadratureSpec(), what, radial=False,
                    breakpoints=density.breakpoints,
                    tail_log_margin=density.position_tail_log_margin)

@@ -261,6 +261,14 @@ def test_malformed_input_exits_3_with_message(tmp_path, text, argv, env):
     assert "Traceback" not in proc.stderr
 
 
+def test_covariance_without_v_names_the_missing_key(tmp_path):
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps({"modes_a": 1, "modes_b": 1}))
+    proc = run_cli("gaussian", "--cov", str(path))
+    assert proc.returncode == 3
+    assert 'covariance object has no "v" key' in proc.stderr
+
+
 def test_out_of_range_flag_exits_3():
     proc = run_cli("bipartite-noon", "--n-max", "99")
     assert proc.returncode == 3

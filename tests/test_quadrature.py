@@ -31,6 +31,7 @@ from wehrlkit import (
     relative_entropy,
     random_admissible_covariance,
     tmss_covariance,
+    wehrl_relative_entropy,
 )
 from wehrlkit.gaussian import ModePartition
 from wehrlkit.husimi import LOG_TINY, FockPositionDensity, ThermalPositionDensity, marginal_husimi
@@ -63,6 +64,23 @@ def test_spec_validation():
         QuadratureSpec(parallelism=0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_escalations=-1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("radial_cutoff", 0.0),
+    ("radial_cutoff", -1.0),
+    ("radial_cutoff", math.nan),
+    ("radial_cutoff", math.inf),
+    ("abs_tol", math.nan),
+    ("abs_tol", math.inf),
+    ("rel_tol", math.nan),
+    ("rel_tol", math.inf),
+])
+def test_spec_rejects_unusable_cutoffs_and_tolerances(field, value):
+    # a cutoff of zero or below integrates nothing, a NaN or infinite one
+    # cannot place panels, and a NaN tolerance is never met
+    with pytest.raises(ValueError):
+        QuadratureSpec(**{field: value})
 
 
 @pytest.mark.parametrize("ev", EVALUATORS, ids=lambda e: type(e).__name__ + str(getattr(e, "excitation", getattr(e, "n", ""))))
@@ -314,14 +332,27 @@ def test_polar_results_do_not_depend_on_worker_count(angular_nodes):
         assert results[0] == results[1] == results[2]
 
 
-def test_relative_entropy_support_violation():
-    # a narrow squeezed reference loses support where the broad state lives
+def test_relative_entropy_support_violation(caplog):
+    # a narrow squeezed reference loses support where the broad state
+    # lives; the first level already sees it, so no level is logged
     from wehrlkit import squeezed_vacuum_covariance
 
     rho = ThermalHusimi(0.05)
     sigma = GaussianHusimi(squeezed_vacuum_covariance(1.5))
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        with pytest.raises(SupportViolation):
+            relative_entropy(rho, sigma)
+    assert not [rec for rec in caplog.records if "level" in rec.getMessage()]
+
+
+def test_divergence_wins_over_an_unreached_tolerance():
+    # the vacuum underflows where a hot thermal state still has mass; the
+    # tolerance is out of reach too, and the divergence must be reported
+    rho, sigma = ThermalHusimi(0.01), FockHusimi(0)
+    spec = QuadratureSpec(max_escalations=0, abs_tol=1e-12, rel_tol=1e-12)
     with pytest.raises(SupportViolation):
-        relative_entropy(rho, sigma)
+        relative_entropy(rho, sigma, spec)
+    assert wehrl_relative_entropy(rho, sigma, spec) == math.inf
 
 
 # ---------------------------------------------------------------------------
