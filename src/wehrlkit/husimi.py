@@ -16,6 +16,10 @@ and the quadrature engine routes on it without probing for methods:
   r_A <-> r_B of the two radii, with ``polar_slab_factory`` and
   ``angular_frequency``, plus the same two tail parameters for the
   radial cutoff;
+* ``"gaussian"`` promises that ln Q is exactly quadratic, with the
+  covariance and mean that ``gaussian_envelope`` returns; whitened by it,
+  an integral whose densities are all "gaussian" is exact on four
+  Gauss-Hermite nodes per axis, where it starts;
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.
 
@@ -313,6 +317,9 @@ class ProductHusimi(HusimiEvaluator):
     def __init__(self, factor_a: HusimiEvaluator, factor_b: HusimiEvaluator):
         self.factor_a = factor_a
         self.factor_b = factor_b
+        if factor_a.kind == factor_b.kind == "gaussian":
+            # Block-diagonal envelope; the log is the sum of two quadratics.
+            self.kind = "gaussian"
         self.partition = ModePartition(
             factor_a.partition.n_modes, factor_b.partition.n_modes
         )

@@ -22,7 +22,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -47,6 +47,17 @@ _LOG_FLOOR = 2.0 * LOG_TINY
 _PANEL_NODES = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_NODES)
 
+# Most nodes one refinement level may hold.  Every runner lays out a level
+# before it evaluates it, and a level over the budget is refused: with
+# eight-fold (polar) or 2^dim-fold (cartesian) growth per level, one more
+# level can cost minutes and gigabytes.
+_MAX_LEVEL_NODES = 10**8
+# Whitened by its own envelope, an all-"gaussian" integrand is the Hermite
+# weight times a quadratic, which two nodes per axis integrate exactly.
+# The base level uses four, with margin; the next, at eight, backs it with
+# the usual two-level estimate.
+_GAUSSIAN_NODES_PER_DIM = 4
+
 _STRATEGIES = ("auto", "radial-1d", "polar-2d", "polar-reduced-3d", "tensor-cartesian")
 
 
@@ -56,9 +67,12 @@ class QuadratureSpec:
 
     ``radial_nodes`` counts nodes along a radial or line coordinate,
     ``angular_nodes`` the midpoint samples of a periodic angle, and
-    ``cartesian_nodes_per_dim`` the Gauss-Hermite order per axis.  The
-    engine always computes one refinement (all counts doubled) to get an
-    error estimate, then up to ``max_escalations`` further doublings.
+    ``cartesian_nodes_per_dim`` the Gauss-Hermite order per axis, capped
+    at four when every density of the integral is "gaussian" (exact
+    there).  The engine always computes one refinement (all counts
+    doubled) to get an error estimate, then up to ``max_escalations``
+    further doublings; it stops early, with ToleranceNotReached, before a
+    level of more than 10^8 nodes.
     ``radial_cutoff`` of None means the cutoff is solved from the
     integrand's Gamma-type tail; a given cutoff must be positive and
     finite, and both tolerances positive and finite, or ValueError is
@@ -174,46 +188,56 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=()):
     return x, w
 
 
-def _escalated(eval_at, base, spec: QuadratureSpec, grow, what: str) -> IntegralResult:
-    """Run eval_at on doubling resolutions until two levels agree.
+def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralResult:
+    """Run doubling resolutions until two levels agree.
 
-    Each level is logged at DEBUG with its resolution, nodes, value and
-    seconds.
+    ``layout(level)`` returns the number of nodes of that level and a
+    callable that evaluates it.  A level is refused before it runs when it
+    holds more than ``_MAX_LEVEL_NODES`` nodes, or when ``grow`` returns
+    the level unchanged because the rule has no finer one; the refusal is
+    logged at INFO and raised as ToleranceNotReached ("node ceiling")
+    carrying the result of the last level run (None when the base level
+    is refused).  Each level that runs is logged at DEBUG with its
+    resolution, nodes, value and seconds.
     """
-
-    def timed(level):
-        start = time.perf_counter()
-        value, count = eval_at(level)
-        _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
-                   what, level, count, value, time.perf_counter() - start)
-        return value, count
-
+    result = None
+    refinements = 0
     level = base
-    value_prev, count = timed(level)
-    total_nodes = count
-    attempts = spec.max_escalations
-    err = math.inf
     while True:
+        nodes, run = layout(level)
+        if nodes > _MAX_LEVEL_NODES:
+            _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
+                      what, level, nodes, _MAX_LEVEL_NODES)
+            break
+        start = time.perf_counter()
+        value = float(run())
+        _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
+                   what, level, nodes, value, time.perf_counter() - start)
+        if result is None:
+            result = IntegralResult(value, math.inf, nodes)
+        else:
+            err = abs(value - result.value)
+            result = IntegralResult(value, err, result.nodes_used + nodes)
+            if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
+                return result
+            refinements += 1
+            if refinements > spec.max_escalations:
+                raise ToleranceNotReached(
+                    f"{what}: refinement stalled at error {err:.3e} "
+                    f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
+                    result=result,
+                )
         level_next = grow(level)
         if level_next == level:
-            raise ToleranceNotReached(
-                f"{what}: node ceiling reached at error {err:.3e} "
-                f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
-                result=IntegralResult(float(value_prev), float(err), int(total_nodes)),
-            )
-        value_cur, count = timed(level_next)
-        total_nodes += count
-        err = abs(value_cur - value_prev)
-        if err <= max(spec.abs_tol, spec.rel_tol * abs(value_cur)):
-            return IntegralResult(float(value_cur), float(err), int(total_nodes))
-        if attempts == 0:
-            raise ToleranceNotReached(
-                f"{what}: refinement stalled at error {err:.3e} "
-                f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
-                result=IntegralResult(float(value_cur), float(err), int(total_nodes)),
-            )
-        attempts -= 1
-        level, value_prev = level_next, value_cur
+            _log.info("%s: level %s is the finest this rule allows", what, level)
+            break
+        level = level_next
+    err = math.inf if result is None else result.error_estimate
+    raise ToleranceNotReached(
+        f"{what}: node ceiling reached at error {err:.3e} "
+        f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
+        result=result,
+    )
 
 
 def _node_terms(logq, factor_of_log, reference=None, log_weight=None, *, out=None, dead=None):
@@ -281,14 +305,13 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
         cutoff = gamma_tail_threshold(shape, rate, mass)
     pos_breaks = tuple(abs(b) for b in breakpoints if abs(b) > 0.0)
 
-    def eval_at(n):
+    def layout(n):
         x, w = _panel_nodes(0.0, cutoff, n, breakpoints=pos_breaks)
-        g = terms(x)
         if radial:
-            return float(np.dot(w, g * x)), x.size
-        return 2.0 * float(np.dot(w, g)), x.size
+            return x.size, lambda: np.dot(w, terms(x) * x)
+        return x.size, lambda: 2.0 * float(np.dot(w, terms(x)))
 
-    return _escalated(eval_at, spec.radial_nodes, spec, lambda n: 2 * n, what)
+    return _escalated(layout, spec.radial_nodes, lambda n: 2 * n, spec, what)
 
 
 def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec,
@@ -321,57 +344,64 @@ def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec,
             evaluator.radial_gamma_shape + 1.0, evaluator.radial_rate, _tail_mass(spec)
         )
 
-    def eval_at(level):
+    def layout(level):
         nr, na = level
         r, w = _panel_nodes(0.0, cutoff, nr)
-        ia, ib = np.triu_indices(r.size)
-        wr = w * r
-        weight = wr[ia] * wr[ib]
-        weight[ia != ib] *= 2.0
-        slab_log = evaluator.polar_slab_factory(r[ia], r[ib])
-        reference_logs = None
-        if reference is not None:
-            log_a = reference.factor_a.log_q_radial(r)
-            log_b = reference.factor_b.log_q_radial(r)
-            logs_ab = log_a[ia] + log_b[ib]
-            logs_ba = log_a[ib] + log_b[ia]
-            under = np.flatnonzero((logs_ab < LOG_TINY) | (logs_ba < LOG_TINY))
-            logs = 0.5 * (np.maximum(logs_ab, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
-            reference_logs = logs, under
-
-        def run_block(cosines):
-            dead = np.empty(weight.size, dtype=bool)
-            g = np.empty(weight.size)
-            sums = []
-            for cos_u in cosines:
-                terms = _node_terms(slab_log(cos_u), factor_of_log, reference_logs,
-                                    out=g, dead=dead)
-                sums.append(float(np.multiply(terms, weight, out=terms).sum()))
-            return sums
-
         if freq == 0:
             cosines, doubled, period = np.ones(1), 0, 1
         else:
             cosines = np.cos((np.arange((na + 1) // 2) + 0.5) * (2.0 * math.pi / na))
             doubled, period = na // 2, na
-        blocks = np.array_split(cosines, min(spec.parallelism, cosines.size))
-        sums = [s for block in _map_chunks(run_block, blocks, spec.parallelism) for s in block]
-        value = _pairwise(2.0 * s if k < doubled else s for k, s in enumerate(sums)) / period
-        return value, weight.size * cosines.size
+
+        def run():
+            ia, ib = np.triu_indices(r.size)
+            wr = w * r
+            weight = wr[ia] * wr[ib]
+            weight[ia != ib] *= 2.0
+            slab_log = evaluator.polar_slab_factory(r[ia], r[ib])
+            reference_logs = None
+            if reference is not None:
+                log_a = reference.factor_a.log_q_radial(r)
+                log_b = reference.factor_b.log_q_radial(r)
+                logs_ab = log_a[ia] + log_b[ib]
+                logs_ba = log_a[ib] + log_b[ia]
+                under = np.flatnonzero((logs_ab < LOG_TINY) | (logs_ba < LOG_TINY))
+                logs = 0.5 * (np.maximum(logs_ab, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
+                reference_logs = logs, under
+
+            def run_block(block):
+                dead = np.empty(weight.size, dtype=bool)
+                g = np.empty(weight.size)
+                sums = []
+                for cos_u in block:
+                    terms = _node_terms(slab_log(cos_u), factor_of_log, reference_logs,
+                                        out=g, dead=dead)
+                    sums.append(float(np.multiply(terms, weight, out=terms).sum()))
+                return sums
+
+            blocks = np.array_split(cosines, min(spec.parallelism, cosines.size))
+            sums = [s for block in _map_chunks(run_block, blocks, spec.parallelism) for s in block]
+            return _pairwise(2.0 * s if k < doubled else s for k, s in enumerate(sums)) / period
+
+        return r.size * (r.size + 1) // 2 * cosines.size, run
 
     base = (max(2 * _PANEL_NODES, spec.radial_nodes // 2), spec.angular_nodes)
     grow = lambda lv: (2 * lv[0], lv[1] if freq == 0 else 2 * lv[1])
-    return _escalated(eval_at, base, spec, grow, what)
+    return _escalated(layout, base, grow, spec, what)
 
 
-def _run_cartesian(dim, envelope, terms, spec: QuadratureSpec, what: str) -> IntegralResult:
+def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
+                   what: str) -> IntegralResult:
     """Gauss-Hermite rule whitened by a Gaussian envelope (sigma, mean).
 
-    Per-dimension log-weights are carried as ln(w) + t^2, which stays
-    bounded, so the reweighting never overflows.  Node counts are capped
-    where the weight computation itself stays stable.  ``terms(pts,
-    log_weight)`` maps the points and their summed log-weights to the
-    weighted integrand there.
+    The base level has ``nodes_per_dim`` nodes per axis:
+    ``spec.cartesian_nodes_per_dim``, capped at four for an all-"gaussian"
+    integral.  Per-dimension log-weights are carried as ln(w) + t^2, which
+    stays bounded, so the reweighting never overflows.  Node counts per
+    axis are capped at 384, where the weight computation itself stays
+    stable, and escalation also stops at the node budget of
+    ``_escalated``.  ``terms(pts, log_weight)`` maps the points and their
+    summed log-weights to the weighted integrand there.
     """
     sigma, mean = envelope
     sigma = np.asarray(sigma, dtype=float)
@@ -380,7 +410,7 @@ def _run_cartesian(dim, envelope, terms, spec: QuadratureSpec, what: str) -> Int
     log_pref = float(np.sum(np.log(np.diag(chol)))) - 0.5 * dim * math.log(math.pi)
     scale = math.sqrt(2.0) * chol
 
-    def eval_at(m):
+    def run(m):
         t, w = roots_hermite(m)
         lw = np.log(w) + t * t
         rest = m ** (dim - 1)
@@ -397,18 +427,11 @@ def _run_cartesian(dim, envelope, terms, spec: QuadratureSpec, what: str) -> Int
             return float(np.sum(terms(pts, lw_sum.reshape(-1))))
 
         parts = _map_chunks(do_chunk, starts, spec.parallelism)
-        return math.exp(log_pref) * _pairwise(parts), m**dim
+        return math.exp(log_pref) * _pairwise(parts)
 
-    # Beyond four dimensions each doubling is eight-fold work or worse;
-    # one extra refinement is the pragmatic ceiling there.  The per-axis
-    # cap keeps the Hermite weight computation in its stable regime.
-    eff_spec = spec
-    if dim >= 4 and spec.max_escalations > 1:
-        _log.info("%s: %d dimensions, max_escalations lowered from %d to 1",
-                  what, dim, spec.max_escalations)
-        eff_spec = replace(spec, max_escalations=1)
-    grow = lambda n: min(2 * n, 384)
-    return _escalated(eval_at, min(spec.cartesian_nodes_per_dim, 384), eff_spec, grow, what)
+    layout = lambda m: (m**dim, functools.partial(run, m))
+    grow = lambda m: min(2 * m, 384)
+    return _escalated(layout, min(nodes_per_dim, 384), grow, spec, what)
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +457,14 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     ``kind`` alone: "radial" promises ``log_q_radial``,
     ``radial_gamma_shape`` and ``radial_rate``; "noon" promises an
     exchange-symmetric density with ``polar_slab_factory``,
-    ``angular_frequency`` and the same two tail parameters.  The auto rule
-    is radial when every density is radial, polar when the evaluator is
-    "noon" and the reference is absent or a product of two radial factors,
-    cartesian otherwise.  A forced strategy that does not fit raises
-    UnsupportedState.
+    ``angular_frequency`` and the same two tail parameters; "gaussian"
+    promises that ln Q is exactly quadratic, with the covariance and mean
+    ``gaussian_envelope`` returns, so a cartesian integral whose densities
+    are all "gaussian" starts at no more than four nodes per axis.  The
+    auto rule is radial when every density is radial, polar when the
+    evaluator is "noon" and the reference is absent or a product of two
+    radial factors, cartesian otherwise.  A forced strategy that does not
+    fit raises UnsupportedState.
     """
     densities = (evaluator,) if reference is None else (evaluator, reference)
     radial = all(d.kind == "radial" for d in densities)
@@ -473,10 +499,13 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
                 "polar-2d drops the angle; this density still depends on it"
             )
         return _run_polar_pair(evaluator, reference, factor_of_log, spec, what)
+    nodes_per_dim = spec.cartesian_nodes_per_dim
+    if all(d.kind == "gaussian" for d in densities):
+        nodes_per_dim = min(nodes_per_dim, _GAUSSIAN_NODES_PER_DIM)
     envelope = evaluator.gaussian_envelope()
     terms = functools.partial(_density_terms, evaluator.log_q,
                               None if reference is None else reference.log_q, factor_of_log)
-    return _run_cartesian(evaluator.dim, envelope, terms, spec, what)
+    return _run_cartesian(evaluator.dim, envelope, terms, nodes_per_dim, spec, what)
 
 
 def _entropy_factor(logq, out=None):
@@ -556,7 +585,7 @@ def integrate(f, spec: QuadratureSpec | None = None, *, dim: int = 2,
         return _node_terms(np.zeros(vals.shape), lambda logq, out=None: vals,
                            log_weight=log_weight, out=log_weight)
 
-    return _run_cartesian(dim, envelope, terms, spec, "integral")
+    return _run_cartesian(dim, envelope, terms, spec.cartesian_nodes_per_dim, spec, "integral")
 
 
 def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,

@@ -250,6 +250,25 @@ def test_tmss_mutual_information_routes_agree():
     assert abs(chain.value - closed) < 1e-7
 
 
+def test_gaussian_mutual_information_is_exact_on_four_nodes_per_axis():
+    rng = np.random.default_rng(29)
+    covs = [tmss_covariance(lam) for lam in (0.0, 0.5, 0.9, 0.99)]
+    covs.append(random_admissible_covariance(rng, ModePartition(1, 1)))
+    for cov in covs:
+        res = wehrl_mutual_information(GaussianHusimi(cov))
+        assert abs(res.value - gaussian_witness(cov)[1]) < 1e-12
+        assert res.nodes_used == 4**4 + 8**4
+
+
+def test_three_mode_pure_gaussian_mutual_information():
+    # six dimensions: 4^6 + 8^6 nodes, where 24 per axis would be 191M
+    cov = random_admissible_covariance(np.random.default_rng(31), ModePartition(2, 1),
+                                       min_nu=0.5, max_nu=0.5)
+    res = wehrl_mutual_information(GaussianHusimi(cov))
+    assert abs(res.value - gaussian_witness(cov)[1]) < 1e-12
+    assert res.nodes_used == 4**6 + 8**6
+
+
 def test_conditional_entropy_routes_agree():
     lam = 0.6
     rel = wehrl_conditional_entropy(TwoModeSqueezedState(lam))

@@ -24,8 +24,10 @@ from wehrlkit import (
     density_entropy_1d,
     density_normalization_1d,
     entropy_functional,
+    conditional_husimi,
     evaluator_for,
     gamma_tail_threshold,
+    gaussian_witness,
     integrate,
     normalization,
     relative_entropy,
@@ -224,6 +226,34 @@ def test_relative_entropy_gaussian_pair_matches_closed_form():
     assert abs(res.value - closed) < 1e-8
 
 
+@pytest.mark.parametrize("partition", [ModePartition(1, 0), ModePartition(1, 1)], ids=["2d", "4d"])
+def test_gaussian_relative_entropy_is_exact_on_four_nodes_per_axis(partition):
+    rng = np.random.default_rng(17 + partition.dim)
+    rho = random_admissible_covariance(rng, partition)
+    sigma = random_admissible_covariance(rng, partition)
+    res = relative_entropy(GaussianHusimi(rho), GaussianHusimi(sigma))
+    d = partition.dim
+    closed = 0.5 * (np.trace(sigma.c @ np.linalg.inv(rho.c)) - d
+                    + np.linalg.slogdet(rho.c)[1] - np.linalg.slogdet(sigma.c)[1])
+    assert abs(res.value - closed) < 1e-12
+    assert res.nodes_used == 4**d + 8**d
+
+
+def test_gaussian_conditional_entropy_is_exact_on_four_nodes_per_axis():
+    cov = random_admissible_covariance(np.random.default_rng(23), ModePartition(1, 1))
+    cond = conditional_husimi(GaussianHusimi(cov), np.array([0.7, -0.4]))
+    res = entropy_functional(cond)
+    # Q(alpha | beta) has precision C_A whatever beta: n_A - ln det C_A / 2
+    assert abs(res.value - gaussian_witness(cov)[0]) < 1e-12
+    assert res.nodes_used == 4**2 + 8**2
+
+
+def test_product_of_gaussians_is_gaussian():
+    gauss = GaussianHusimi(tmss_covariance(0.0).reduced("a"))
+    assert ProductHusimi(gauss, gauss).kind == "gaussian"
+    assert ProductHusimi(gauss, FockHusimi(0)).kind != "gaussian"
+
+
 def test_relative_entropy_forced_strategy_mismatch():
     rho = GaussianHusimi(tmss_covariance(0.3))
     sigma = GaussianHusimi(tmss_covariance(0.0))
@@ -381,7 +411,7 @@ def test_integrate_second_moment_of_vacuum():
     assert abs(res.value - 1.0) < 1e-10
 
 
-def test_levels_and_the_cartesian_cap_are_logged(caplog):
+def test_levels_and_the_cartesian_cap_are_logged(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
         res = entropy_functional(NoonHusimi(2), QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6))
     levels = [rec for rec in caplog.records if rec.levelno == logging.DEBUG]
@@ -389,12 +419,46 @@ def test_levels_and_the_cartesian_cap_are_logged(caplog):
     assert sum(rec.args[2] for rec in levels) == res.nodes_used
     assert levels[-1].args[3] == res.value
 
-    gaussian = lambda pts: np.exp(-0.5 * np.sum(pts * pts, axis=-1))
-    for escalations, capped in ((3, 1), (1, 0)):
-        caplog.clear()
-        with caplog.at_level(logging.INFO, logger="wehrlkit"):
-            integrate(gaussian, QuadratureSpec(cartesian_nodes_per_dim=4, max_escalations=escalations), dim=4)
-        assert len([rec for rec in caplog.records if "max_escalations" in rec.getMessage()]) == capped
+    # the |x| cusp keeps the Hermite rule far from 1e-8, so only the node
+    # budget stops it: the 16^4 level is refused before it runs
+    budget = 10_000
+    monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", budget)
+    cusp = lambda pts: np.abs(pts[:, 0]) * np.exp(-0.5 * np.sum(pts * pts, axis=-1))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+            integrate(cusp, QuadratureSpec(cartesian_nodes_per_dim=4), dim=4)
+    nodes = [rec.args[2] for rec in caplog.records if rec.levelno == logging.DEBUG]
+    assert nodes == [4**4, 8**4]
+    assert err.value.result.nodes_used == sum(nodes)
+    capped = [rec for rec in caplog.records if rec.levelno == logging.INFO]
+    assert len(capped) == 1
+    assert str(budget) in capped[0].getMessage() and "16" in capped[0].getMessage()
+
+    # the base level is checked too: 24^4 nodes never run
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+            integrate(cusp, dim=4)
+    assert err.value.result is None
+    assert [rec.levelno for rec in caplog.records] == [logging.INFO]
+
+
+def test_the_per_axis_ceiling_stops_like_the_budget(caplog):
+    cusp = lambda pts: np.abs(pts[:, 0]) * np.exp(-0.5 * pts[:, 0] ** 2)
+    with caplog.at_level(logging.INFO, logger="wehrlkit"):
+        with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+            integrate(cusp, QuadratureSpec(cartesian_nodes_per_dim=192), dim=1)
+    assert err.value.result.nodes_used == 192 + 384
+    assert len(caplog.records) == 1
+
+
+def test_polar_runner_stops_at_the_node_budget():
+    # each polar level holds eight times the nodes of the last; at the
+    # default tolerance the fourth would hold 656M
+    with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+        relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)))
+    assert err.value.result.nodes_used < 1e8 + 2e7
 
 
 def test_integrate_validates_dimension_and_shape():
