@@ -179,7 +179,8 @@ def _add_common_args(sub):
     group = sub.add_argument_group("quadrature")
     for key in ("strategy", "abs_tol", "rel_tol", "radial_nodes", "angular_nodes",
                 "cartesian_nodes", "radial_cutoff", "max_escalations"):
-        flag(group, key)
+        flag(group, key, help="validated but no effect: no runner samples an angle"
+             if key == "angular_nodes" else None)
     flag(group, "parallelism",
          help="worker threads for independent chunks; results do not depend on this")
 

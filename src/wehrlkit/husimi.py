@@ -13,9 +13,9 @@ and the quadrature engine routes on it without probing for methods:
   ``radial_rate``;
 * ``"noon"`` promises a two-mode density that depends on the mode phases
   only through their difference and is symmetric under the exchange
-  r_A <-> r_B of the two radii, with ``polar_slab_factory`` and
-  ``angular_frequency``, plus the same two tail parameters for the
-  radial cutoff;
+  r_A <-> r_B of the two radii, with ``angle_averaged_logs`` (the
+  average over that difference, in closed form), plus the same two tail
+  parameters for the radial cutoff;
 * ``"gaussian"`` promises that ln Q is exactly quadratic, with the
   covariance and mean that ``gaussian_envelope`` returns; whitened by it,
   an integral whose densities are all "gaussian" is exact on four
@@ -23,9 +23,9 @@ and the quadrature engine routes on it without probing for methods:
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.
 
-``log_q``, ``log_q_radial``, ``log_f`` and the slab that
-``polar_slab_factory`` returns must return fresh arrays: the engine
-overwrites them while it evaluates the integrand.
+``log_q``, ``log_q_radial``, ``log_f`` and ``angle_averaged_logs`` must
+return fresh arrays: the engine overwrites them while it evaluates the
+integrand.
 """
 
 from __future__ import annotations
@@ -190,8 +190,6 @@ class NoonHusimi(HusimiEvaluator):
         n = self.excitation
         delta = 1.0 if n == 0 else 0.0
         self._log_norm = (n + 1) * math.log(2.0) + float(gammaln(n + 1)) + math.log1p(delta)
-        # Angular dependence enters only via cos(n * dtheta).
-        self.angular_frequency = n
         self.radial_gamma_shape = float(n)
         self.radial_rate = 1.0
 
@@ -206,29 +204,29 @@ class NoonHusimi(HusimiEvaluator):
         with np.errstate(divide="ignore"):
             return np.log(mag2) - 0.5 * rsq - self._log_norm
 
-    def polar_slab_factory(self, r_a, r_b):
-        """Closure over the radial nodes; only the cosine varies per angle.
+    def angle_averaged_logs(self, r_a, r_b):
+        """ln <Q> and <Q ln Q> / <Q> over the phase difference, at radii (r_a, r_b).
 
-        ``slab(cos_u)`` returns log Q on the broadcast nodes (r_a, r_b) as a
-        fresh array, its one allocation, which the caller may overwrite.
+        With x = r_A^n and y = r_B^n the angular factor is |x + y e^{iu}|^2,
+        whose averages over u are x^2 + y^2 and, for n >= 1,
+        (x^2 + y^2) ln max(x^2, y^2) + 2 min(x^2, y^2) (Jensen's formula and
+        the Fourier series of ln|1 + t e^{iu}|).  Written with the larger
+        radius r and t = (smaller / larger)^(2n) <= 1, both are the prefactor
+        log plus 2n ln r, plus log1p(t) and 2t / (1 + t) respectively.  At
+        n = 0 the factor is the constant 4 and both values are ln Q.
+        Returns two fresh arrays on the broadcast nodes.
         """
         n = self.excitation
         ra = np.asarray(r_a, dtype=float)
         rb = np.asarray(r_b, dtype=float)
         base = -0.5 * (ra * ra + rb * rb) - self._log_norm
-        pow_sum = ra ** (2 * n) + rb ** (2 * n)
-        cross = 2.0 * (ra * rb) ** n
-
-        def slab(cos_u):
-            out = cross * cos_u
-            out += pow_sum
-            np.maximum(out, 0.0, out=out)
-            with np.errstate(divide="ignore"):
-                np.log(out, out=out)
-            out += base
-            return out
-
-        return slab
+        if n == 0:
+            return base + 2.0 * math.log(2.0), base + 2.0 * math.log(2.0)
+        hi = np.maximum(ra, rb)
+        t = (np.minimum(ra, rb) / hi) ** (2 * n)
+        with np.errstate(divide="ignore"):
+            base += 2.0 * n * np.log(hi)
+        return base + np.log1p(t), base + 2.0 * t / (1.0 + t)
 
     def gaussian_envelope(self):
         width = 0.5 * (self.excitation + 2.0) + 0.5
@@ -363,14 +361,15 @@ class ConditionalHusimi(HusimiEvaluator):
         self.partition = ModePartition(parent.partition.n_a, 0)
         self._log_qb = log_qb
         self.kind = "generic"
-        if isinstance(parent, GaussianHusimi):
-            # Dividing two Gaussians leaves a Gaussian in alpha with the
-            # diagonal block as precision and a beta-dependent mean shift.
+        if parent.kind == "gaussian":
+            # A Gaussian conditioned on beta: the Schur complement of the
+            # B block is the covariance, the regression on beta the mean.
             self.kind = "gaussian"
-            c_a = parent.cov.c_a
-            c_m = parent.cov.c_m
-            self._envelope_mean = -np.linalg.solve(c_a, c_m @ beta)
-            self._envelope_sigma = np.linalg.solve(c_a, np.eye(c_a.shape[0]))
+            sigma, mean = parent.gaussian_envelope()
+            ka = 2 * parent.partition.n_a
+            gain = np.linalg.solve(sigma[ka:, ka:], sigma[ka:, :ka]).T
+            self._envelope_sigma = sigma[:ka, :ka] - gain @ sigma[ka:, :ka]
+            self._envelope_mean = mean[:ka] + gain @ (beta - mean[ka:])
 
     def log_q(self, points):
         pts = self._points(points)

@@ -2,7 +2,8 @@
 
 Every analytic value in the package can be cross-checked here.  One
 routing function picks a coordinate system from the ``kind`` each density
-declares (radial, polar with an angular difference, whitened cartesian),
+declares (radial, two radii with the angle averaged exactly, whitened
+cartesian),
 runs a deterministic composite rule, then doubles the resolution and
 compares.
 The difference between the two finest levels is the reported error
@@ -49,8 +50,8 @@ _GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_NODES)
 
 # Most nodes one refinement level may hold.  Every runner lays out a level
 # before it evaluates it, and a level over the budget is refused: with
-# eight-fold (polar) or 2^dim-fold (cartesian) growth per level, one more
-# level can cost minutes and gigabytes.
+# four-fold (triangle) or 2^dim-fold (cartesian) growth per level, one
+# more level can cost minutes and gigabytes.
 _MAX_LEVEL_NODES = 10**8
 # Whitened by its own envelope, an all-"gaussian" integrand is the Hermite
 # weight times a quadratic, which two nodes per axis integrate exactly.
@@ -65,20 +66,23 @@ _STRATEGIES = ("auto", "radial-1d", "polar-2d", "polar-reduced-3d", "tensor-cart
 class QuadratureSpec:
     """Resolution and tolerance knobs for the integration engine.
 
-    ``radial_nodes`` counts nodes along a radial or line coordinate,
-    ``angular_nodes`` the midpoint samples of a periodic angle, and
-    ``cartesian_nodes_per_dim`` the Gauss-Hermite order per axis, capped
-    at four when every density of the integral is "gaussian" (exact
-    there).  The engine always computes one refinement (all counts
+    ``radial_nodes`` counts nodes along a radial or line coordinate (the
+    "noon" triangle starts at half of them in r_A and a quarter in the
+    ratio r_B / r_A), and ``cartesian_nodes_per_dim`` the Gauss-Hermite
+    order per axis, capped at four when every density of the integral is
+    "gaussian" (exact there).  ``angular_nodes`` has no effect: the one
+    angle a runner meets, the phase difference of a "noon" density, is
+    averaged in closed form.  It is still validated, so old configs keep
+    working.  The engine always computes one refinement (all counts
     doubled) to get an error estimate, then up to ``max_escalations``
     further doublings; it stops early, with ToleranceNotReached, before a
     level of more than 10^8 nodes.
     ``radial_cutoff`` of None means the cutoff is solved from the
     integrand's Gamma-type tail; a given cutoff must be positive and
     finite, and both tolerances positive and finite, or ValueError is
-    raised.  ``parallelism`` > 1 maps independent chunks over a thread
-    pool; results are reduced pairwise in a fixed order, so the value
-    does not depend on the worker count.
+    raised.  ``parallelism`` > 1 maps the chunks of a cartesian level
+    over a thread pool; results are reduced pairwise in a fixed order, so
+    the value does not depend on the worker count.
     """
 
     strategy: str = "auto"
@@ -116,9 +120,9 @@ class IntegralResult:
 
     ``error_estimate`` is the difference between the two finest levels.
     It leaves out the truncation at the radial cutoff, so it can be
-    smaller than the true error.  ``nodes_used`` counts the distinct
-    nodes evaluated over all levels, after the symmetry folds of the
-    polar runner.
+    smaller than the true error.  ``nodes_used`` counts the nodes
+    evaluated over all levels; on the "noon" triangle a node is one pair
+    of radii, its angle averaged exactly.
     """
 
     value: float
@@ -240,33 +244,38 @@ def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralR
     )
 
 
-def _node_terms(logq, factor_of_log, reference=None, log_weight=None, *, out=None, dead=None):
+def _node_terms(log_mass, log_factor, factor_of_log, reference=None, log_weight=None, *,
+                out=None):
     """Q (factor_of_log(ln Q) - ln S) at each node: the one integrand rule.
 
-    ``logq`` holds ln Q at the nodes and is overwritten.  ``reference`` is
-    None or the pair (ln S clamped at ``_LOG_FLOOR``, index of the nodes
-    where S underflows); SupportViolation is raised as soon as Q keeps
-    mass above 1e-12 at one of those nodes.  ``log_weight`` (cartesian
-    rule) joins ln Q before the exponential, so the mass Q * weight
-    decides the underflow; such nodes give exact zeros.  ``out`` (may be
-    ``log_weight`` itself) and ``dead`` buffer the result and the mask.
+    ``log_mass`` holds the log of the mass Q at the nodes and
+    ``log_factor`` the log that enters the factor; they are the same
+    array (ln Q) except on the "noon" triangle, where they are ln <Q> and
+    <Q ln Q> / <Q> of the exact angle average.  ``log_factor`` is
+    overwritten, and so is ``log_mass`` when ``out`` is it.  ``reference``
+    is None or the pair (ln S clamped at ``_LOG_FLOOR``, index of the
+    nodes where S underflows); SupportViolation is raised as soon as Q
+    keeps mass above 1e-12 at one of those nodes.  ``log_weight``
+    (cartesian rule) joins the mass before the exponential, so the mass
+    Q * weight decides the underflow; such nodes give exact zeros.
+    ``out`` (may be ``log_weight`` itself) buffers the result.
     """
     if reference is not None:
         logs, under = reference
-        if under.size and np.any(logq[under] > LOG_SUPPORT):
+        if under.size and np.any(log_mass[under] > LOG_SUPPORT):
             raise SupportViolation(
                 "first density keeps mass where the second has none; "
                 "the relative entropy diverges at this resolution"
             )
-    mass = logq if log_weight is None else np.add(logq, log_weight, out=out)
-    dead = np.less_equal(mass, LOG_TINY, out=dead)
+    mass = log_mass if log_weight is None else np.add(log_mass, log_weight, out=out)
+    dead = mass <= LOG_TINY
     terms = np.exp(mass, out=out)
     np.copyto(terms, 0.0, where=dead)
-    # ln Q = 0 where the mass underflows keeps the factor finite there.
-    np.copyto(logq, 0.0, where=dead)
-    factor = factor_of_log(logq, out=logq)
+    # A zero log where the mass underflows keeps the factor finite there.
+    np.copyto(log_factor, 0.0, where=dead)
+    factor = factor_of_log(log_factor, out=log_factor)
     if reference is not None:
-        factor = np.subtract(factor, logs, out=logq)
+        factor = np.subtract(factor, logs, out=log_factor)
     return np.multiply(terms, factor, out=terms)
 
 
@@ -278,7 +287,7 @@ def _density_terms(log_q, log_s, factor_of_log, nodes, log_weight=None):
         logs = log_s(nodes)
         under = np.flatnonzero(logs < LOG_TINY)
         reference = np.maximum(logs, _LOG_FLOOR, out=logs), under
-    return _node_terms(logq, factor_of_log, reference, log_weight, out=log_weight)
+    return _node_terms(logq, logq, factor_of_log, reference, log_weight, out=log_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -314,30 +323,20 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     return _escalated(layout, spec.radial_nodes, lambda n: 2 * n, spec, what)
 
 
-def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec,
-                    what: str) -> IntegralResult:
-    """Two radial coordinates plus one periodic angular difference.
+def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
+                  what: str) -> IntegralResult:
+    """Two radii, with the phase difference of a "noon" density averaged exactly.
 
-    The angular integral is taken over one period of the evaluator's
-    angular frequency, which leaves the substituted variable's cost
-    independent of that frequency.  Frequency zero drops the angular
-    axis entirely, leaving a plain two-radius integral.
-
-    Each distinct node is evaluated once.  Midpoints u and 2 pi - u share
-    cos u, so only the first half of the angles is evaluated, at weight
-    two; with an odd count the middle angle u = pi pairs with itself and
-    keeps weight one.  A "noon" density is symmetric under r_A <-> r_B, so
-    only the packed upper triangle of the radial square is evaluated, at
-    weight two off the diagonal.  The reference, a product of two radial
-    factors, need not be symmetric: it enters through the mean of its
-    clamped log at (r_A, r_B) and at (r_B, r_A), which is its clamped log
-    itself when it is symmetric.  Everything that depends on the radial
-    grid alone is built once per level and handed to ``_node_terms`` with
-    each slab.  Each worker owns its buffers and a contiguous block of
-    angles, and the per-slab sums are reduced in angle order, so the
-    value does not depend on the worker count.
+    Every functional the engine integrates is affine in ln Q, so the
+    angle enters only through the evaluator's ``angle_averaged_logs``:
+    ln <Q> sets the mass and <Q ln Q> / <Q> enters the factor.  By the
+    exchange symmetry only the triangle r_B <= r_A is integrated, at
+    weight two, as r_B = s r_A with composite Gauss-Legendre rules in r_A
+    on [0, cutoff] and in s on [0, 1]; the Jacobian makes the weight
+    2 r_A^3 s.  The reference, a product of two radial factors, need not
+    be symmetric: it enters through the mean of its clamped log at
+    (r_A, r_B) and at (r_B, r_A).  Each level doubles both axes.
     """
-    freq = int(evaluator.angular_frequency)
     cutoff = spec.radial_cutoff
     if cutoff is None:
         cutoff = gamma_tail_threshold(
@@ -345,49 +344,30 @@ def _run_polar_pair(evaluator, reference, factor_of_log, spec: QuadratureSpec,
         )
 
     def layout(level):
-        nr, na = level
-        r, w = _panel_nodes(0.0, cutoff, nr)
-        if freq == 0:
-            cosines, doubled, period = np.ones(1), 0, 1
-        else:
-            cosines = np.cos((np.arange((na + 1) // 2) + 0.5) * (2.0 * math.pi / na))
-            doubled, period = na // 2, na
+        r, wr = _panel_nodes(0.0, cutoff, level[0])
+        s, ws = _panel_nodes(0.0, 1.0, level[1])
 
         def run():
-            ia, ib = np.triu_indices(r.size)
-            wr = w * r
-            weight = wr[ia] * wr[ib]
-            weight[ia != ib] *= 2.0
-            slab_log = evaluator.polar_slab_factory(r[ia], r[ib])
+            r_a = np.repeat(r, s.size)
+            r_b = np.outer(r, s).ravel()
+            weight = np.outer(2.0 * wr * r**3, ws * s).ravel()
+            log_mass, log_factor = evaluator.angle_averaged_logs(r_a, r_b)
             reference_logs = None
             if reference is not None:
-                log_a = reference.factor_a.log_q_radial(r)
-                log_b = reference.factor_b.log_q_radial(r)
-                logs_ab = log_a[ia] + log_b[ib]
-                logs_ba = log_a[ib] + log_b[ia]
+                log_a, log_b = reference.factor_a.log_q_radial, reference.factor_b.log_q_radial
+                logs_ab = np.repeat(log_a(r), s.size) + log_b(r_b)
+                logs_ba = log_a(r_b) + np.repeat(log_b(r), s.size)
                 under = np.flatnonzero((logs_ab < LOG_TINY) | (logs_ba < LOG_TINY))
                 logs = 0.5 * (np.maximum(logs_ab, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
                 reference_logs = logs, under
+            terms = _node_terms(log_mass, log_factor, factor_of_log, reference_logs)
+            return float(np.multiply(terms, weight, out=terms).sum())
 
-            def run_block(block):
-                dead = np.empty(weight.size, dtype=bool)
-                g = np.empty(weight.size)
-                sums = []
-                for cos_u in block:
-                    terms = _node_terms(slab_log(cos_u), factor_of_log, reference_logs,
-                                        out=g, dead=dead)
-                    sums.append(float(np.multiply(terms, weight, out=terms).sum()))
-                return sums
+        return r.size * s.size, run
 
-            blocks = np.array_split(cosines, min(spec.parallelism, cosines.size))
-            sums = [s for block in _map_chunks(run_block, blocks, spec.parallelism) for s in block]
-            return _pairwise(2.0 * s if k < doubled else s for k, s in enumerate(sums)) / period
-
-        return r.size * (r.size + 1) // 2 * cosines.size, run
-
-    base = (max(2 * _PANEL_NODES, spec.radial_nodes // 2), spec.angular_nodes)
-    grow = lambda lv: (2 * lv[0], lv[1] if freq == 0 else 2 * lv[1])
-    return _escalated(layout, base, grow, spec, what)
+    radial = max(2 * _PANEL_NODES, spec.radial_nodes // 2)
+    base = (radial, max(2 * _PANEL_NODES, radial // 2))
+    return _escalated(layout, base, lambda lv: (2 * lv[0], 2 * lv[1]), spec, what)
 
 
 def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
@@ -456,15 +436,16 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     The runner is picked here, and only here.  Capabilities come from
     ``kind`` alone: "radial" promises ``log_q_radial``,
     ``radial_gamma_shape`` and ``radial_rate``; "noon" promises an
-    exchange-symmetric density with ``polar_slab_factory``,
-    ``angular_frequency`` and the same two tail parameters; "gaussian"
+    exchange-symmetric density with ``angle_averaged_logs`` and the same
+    two tail parameters; "gaussian"
     promises that ln Q is exactly quadratic, with the covariance and mean
     ``gaussian_envelope`` returns, so a cartesian integral whose densities
     are all "gaussian" starts at no more than four nodes per axis.  The
-    auto rule is radial when every density is radial, polar when the
-    evaluator is "noon" and the reference is absent or a product of two
-    radial factors, cartesian otherwise.  A forced strategy that does not
-    fit raises UnsupportedState.
+    auto rule is radial when every density is radial, the "noon"
+    triangle when the evaluator is "noon" and the reference is absent or
+    a product of two radial factors, cartesian otherwise.  Both
+    ``polar-2d`` and ``polar-reduced-3d`` name the triangle runner.  A
+    forced strategy that does not fit raises UnsupportedState.
     """
     densities = (evaluator,) if reference is None else (evaluator, reference)
     radial = all(d.kind == "radial" for d in densities)
@@ -494,11 +475,7 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
                 "polar strategies need an angular-difference density, alone "
                 "or against a product of radial marginals"
             )
-        if strategy == "polar-2d" and int(evaluator.angular_frequency) != 0:
-            raise UnsupportedState(
-                "polar-2d drops the angle; this density still depends on it"
-            )
-        return _run_polar_pair(evaluator, reference, factor_of_log, spec, what)
+        return _run_triangle(evaluator, reference, factor_of_log, spec, what)
     nodes_per_dim = spec.cartesian_nodes_per_dim
     if all(d.kind == "gaussian" for d in densities):
         nodes_per_dim = min(nodes_per_dim, _GAUSSIAN_NODES_PER_DIM)
@@ -582,7 +559,8 @@ def integrate(f, spec: QuadratureSpec | None = None, *, dim: int = 2,
                 f"integrand returned shape {vals.shape} for {pts.shape[0]} points"
             )
         # ln Q = 0 and factor f: the kernel weighs f and zeroes underflowed weights.
-        return _node_terms(np.zeros(vals.shape), lambda logq, out=None: vals,
+        zeros = np.zeros(vals.shape)
+        return _node_terms(zeros, zeros, lambda logq, out=None: vals,
                            log_weight=log_weight, out=log_weight)
 
     return _run_cartesian(dim, envelope, terms, spec.cartesian_nodes_per_dim, spec, "integral")

@@ -104,7 +104,7 @@ def test_output_flag_writes_file(tmp_path):
 def test_config_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "settings.json"
     config.write_text(json.dumps({
-        "abs_tol": 1e-13, "rel_tol": 1e-13, "max_escalations": 0,
+        "abs_tol": 1e-15, "rel_tol": 1e-15, "max_escalations": 0,
         "format": "json",
     }))
     # the config alone demands an unreachable tolerance
@@ -197,9 +197,12 @@ def test_bipartite_noon_table():
     assert mutual[2] == pytest.approx(0.2044341906231108, abs=1e-6)
     flags = [r[-1] for r in rows]
     assert flags == ["false", "true", "true"]
+    # the identity holds to 1e-12 before the CSV rounds to 12 digits
+    rows = json.loads(run_cli("bipartite-noon", "--n-max", "2", "--format", "json").stdout)["rows"]
     for row in rows[1:]:
-        assert float(row[3]) == pytest.approx(float(row[1]) - float(row[2]), abs=1e-12)
-        assert float(row[5]) == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert row["conditional_entropy"] == pytest.approx(
+            row["marginal_entropy"] - row["mutual_information"], abs=1e-12)
+        assert row["quantum_mutual_information"] == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_forced_strategy_mismatch_exits_3():
@@ -211,7 +214,7 @@ def test_forced_strategy_mismatch_exits_3():
 
 def test_unreachable_tolerance_exits_2():
     proc = run_cli("bipartite-noon", "--n-max", "1",
-                   "--abs-tol", "1e-13", "--rel-tol", "1e-13",
+                   "--abs-tol", "1e-15", "--rel-tol", "1e-15",
                    "--max-escalations", "0")
     assert proc.returncode == 2
     assert "quadrature did not converge" in proc.stderr

@@ -213,14 +213,22 @@ def test_noon_density_interference_zeros():
     assert q_noon(n, pt) < 1e-30
 
 
-def test_noon_polar_slab_matches_cartesian():
-    n = 2
-    ev = NoonHusimi(n)
-    ra, rb = 1.1, 0.7
-    for dtheta in (0.0, 0.4, 2.0):
-        slab = ev.polar_slab_factory(np.array([ra]), np.array([rb]))
-        pt = np.array([ra, 0.0, rb * math.cos(dtheta), rb * math.sin(dtheta)])
-        assert np.allclose(slab(math.cos(n * dtheta))[0], ev.log_q(pt))
+def test_noon_angle_averaged_logs_match_a_brute_force_mean():
+    m = 4096
+    theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
+    for n in (0, 1, 3, 10):
+        ev = NoonHusimi(n)
+        for ra, rb in [(1.1, 0.7), (0.7, 1.1), (0.9, 0.9), (2.5, 2.5), (1.3, 0.05), (4.0, 3.9)]:
+            pts = np.stack([np.full(m, ra), np.zeros(m), rb * np.cos(theta), rb * np.sin(theta)],
+                           axis=-1)
+            logq = ev.log_q(pts)
+            q = np.exp(logq)
+            log_mean, q_log_q = ev.angle_averaged_logs(np.array([ra]), np.array([rb]))
+            assert abs(log_mean[0] - math.log(q.mean())) < 1e-12
+            # on the diagonal Q has a zero at one angle, where the midpoint
+            # rule for Q ln Q converges only as (m / n)^-3
+            tol = 1e-9 if ra == rb else 1e-12
+            assert abs(q_log_q[0] - (q * logq).mean() / q.mean()) < tol
 
 
 def test_noon_marginal_is_mixture_of_vacuum_and_fock():
@@ -273,6 +281,16 @@ def test_gaussian_conditional_pointwise_identity():
     pts = sample_points(2, 8, seed=23)
     joint_pts = np.concatenate([pts, np.broadcast_to(beta, pts.shape)], axis=-1)
     assert np.allclose(cond.q(pts) * float(marg_b.q(beta)), joint.q(joint_pts), atol=1e-13)
+
+
+def test_gaussian_conditional_envelope_is_the_precision_block():
+    # Schur complement of the covariance against the A block of the precision
+    for seed, partition in [(31, ModePartition(1, 1)), (37, ModePartition(2, 1))]:
+        cov = random_admissible_covariance(np.random.default_rng(seed), partition)
+        beta = np.linspace(-0.6, 0.9, 2 * partition.n_b)
+        sigma, mean = conditional_husimi(GaussianHusimi(cov), beta).gaussian_envelope()
+        assert np.allclose(sigma, np.linalg.inv(cov.c_a), rtol=0.0, atol=1e-12)
+        assert np.allclose(mean, -np.linalg.solve(cov.c_a, cov.c_m @ beta), rtol=0.0, atol=1e-12)
 
 
 def test_noon_conditional_pointwise_identity():

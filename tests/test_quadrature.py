@@ -1,5 +1,7 @@
 """Quadrature engine invariants: normalization, refinement, determinism."""
 
+import dataclasses
+import functools
 import logging
 import math
 
@@ -145,10 +147,11 @@ def test_forced_strategy_must_fit_the_evaluator():
         entropy_functional(GaussianHusimi(tmss_covariance(0.2)), QuadratureSpec(strategy="radial-1d"))
     with pytest.raises(UnsupportedState):
         entropy_functional(FockHusimi(1), QuadratureSpec(strategy="polar-reduced-3d"))
-    # polar-2d is the zero-frequency fast path; excited superpositions carry
-    # angular structure and must be rejected
     with pytest.raises(UnsupportedState):
-        entropy_functional(NoonHusimi(2), QuadratureSpec(strategy="polar-2d"))
+        entropy_functional(FockHusimi(1), QuadratureSpec(strategy="polar-2d"))
+    # both polar names run the one "noon" runner, the angle averaged exactly
+    ev = NoonHusimi(2)
+    assert entropy_functional(ev, QuadratureSpec(strategy="polar-2d")) == entropy_functional(ev)
 
 
 def test_polar_2d_handles_zero_frequency():
@@ -182,8 +185,9 @@ def test_tolerance_not_reached_carries_partial_result():
 
 
 def test_escalation_tightens_the_estimate():
+    # the "noon" triangle meets 1e-7 on its first two levels; 1e-12 needs a third
     loose = QuadratureSpec(radial_nodes=50, angular_nodes=16, abs_tol=1e-3, rel_tol=1e-3)
-    tight = QuadratureSpec(radial_nodes=50, angular_nodes=16, abs_tol=1e-7, rel_tol=1e-7)
+    tight = QuadratureSpec(radial_nodes=50, angular_nodes=16, abs_tol=1e-12, rel_tol=1e-12)
     a = entropy_functional(NoonHusimi(2), loose)
     b = entropy_functional(NoonHusimi(2), tight)
     assert b.error_estimate <= a.error_estimate
@@ -248,6 +252,19 @@ def test_gaussian_conditional_entropy_is_exact_on_four_nodes_per_axis():
     assert res.nodes_used == 4**2 + 8**2
 
 
+def test_conditional_of_a_gaussian_product_is_its_first_factor():
+    g = GaussianHusimi(random_admissible_covariance(np.random.default_rng(29), ModePartition(1, 0)))
+    cond = conditional_husimi(ProductHusimi(g, g), np.array([0.7, -0.4]))
+    res = entropy_functional(cond)
+    assert abs(res.value - (1.0 - 0.5 * np.linalg.slogdet(g.cov.c)[1])) < 1e-12
+    assert res.nodes_used == 4**2 + 8**2
+
+
+def test_noon_normalization_up_to_fifty_excitations():
+    for n in (0, 1, 2, 5, 10, 20, 30, 40, 50):
+        assert abs(normalization(NoonHusimi(n)).value - 1.0) < 1e-8
+
+
 def test_product_of_gaussians_is_gaussian():
     gauss = GaussianHusimi(tmss_covariance(0.0).reduced("a"))
     assert ProductHusimi(gauss, gauss).kind == "gaussian"
@@ -299,11 +316,14 @@ def test_relative_entropy_noon_against_product_marginals():
     assert polar.value > 0.2
 
 
+@functools.lru_cache(maxsize=None)
 def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
-    """Polar rule on the full radial square and every angular midpoint.
+    """3D polar rule on the full radial square and every angular midpoint.
 
-    Q comes from ``log_q`` at cartesian points, not from the slab; the
-    integrand is -Q ln Q without ``sigma``, Q (ln Q - ln S) with it.
+    The reference the "noon" triangle runner is checked against: it folds
+    nothing and averages nothing in closed form.  Q comes from ``log_q``
+    at cartesian points; the integrand is -Q ln Q without ``sigma``,
+    Q (ln Q - ln S) with it.
     """
     r, w = _panel_nodes(0.0, cutoff, nr)
     ra, rb = np.meshgrid(r, r, indexing="ij")
@@ -313,7 +333,7 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
         logs = np.maximum(logs, 2.0 * LOG_TINY)
     total = 0.0
     for k in range(na):
-        dtheta = (k + 0.5) * (2.0 * math.pi / na) / rho.angular_frequency
+        dtheta = (k + 0.5) * (2.0 * math.pi / na) / rho.excitation
         pts = np.stack([ra, np.zeros_like(ra), rb * math.cos(dtheta), rb * math.sin(dtheta)], axis=-1)
         logq = rho.log_q(pts)
         factor = -logq if sigma is None else logq - logs
@@ -331,21 +351,22 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     (NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1))),
 ], ids=["entropy-1", "entropy-3", "asymmetric-reference"])
 def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, angular_nodes):
+    # The triangle runner folds the exchange and averages the angle exactly;
+    # the unfolded 3D rule, at two resolutions, must agree with it within
+    # the sum of both two-level estimates.
     cutoff = 9.0
-    spec = QuadratureSpec(strategy="polar-reduced-3d", radial_nodes=64, angular_nodes=angular_nodes,
+    spec = QuadratureSpec(strategy="polar-reduced-3d", radial_nodes=512, angular_nodes=angular_nodes,
                           radial_cutoff=cutoff, abs_tol=1.0, rel_tol=1.0, max_escalations=0)
-    if sigma is None:
-        res = entropy_functional(rho, spec)
-    else:
-        res = relative_entropy(rho, sigma, spec)
-    # levels (32, angular_nodes) and (64, 2 angular_nodes); the estimate
-    # pins the coarse level, which holds the self-paired angle when odd
-    fine = _unfolded_polar_rule(rho, sigma, 64, 2 * angular_nodes, cutoff)
-    coarse = _unfolded_polar_rule(rho, sigma, 32, angular_nodes, cutoff)
-    assert abs(res.value - fine) < 1e-12
-    assert abs(res.error_estimate - abs(fine - coarse)) < 1e-12
-    # distinct nodes: the packed triangles times the distinct cosines
-    assert res.nodes_used == 32 * 33 // 2 * ((angular_nodes + 1) // 2) + 64 * 65 // 2 * angular_nodes
+    run = entropy_functional if sigma is None else functools.partial(relative_entropy, sigma=sigma)
+    res = run(rho, spec=spec)
+    # no runner reads angular_nodes
+    assert res == run(rho, spec=dataclasses.replace(spec, angular_nodes=128))
+    fine = _unfolded_polar_rule(rho, sigma, 256, 256, cutoff)
+    coarse = _unfolded_polar_rule(rho, sigma, 128, 128, cutoff)
+    # the 3D rule is converged: 2e-7 for the smooth entropies, 3.3e-6
+    # where ln S carries the ln r_B of the Fock(1) factor
+    assert abs(fine - coarse) < (1e-5 if sigma is not None else 1e-6)
+    assert abs(res.value - fine) <= abs(fine - coarse) + res.error_estimate
 
 
 @pytest.mark.parametrize("angular_nodes", [16, 15])
@@ -453,12 +474,18 @@ def test_the_per_axis_ceiling_stops_like_the_budget(caplog):
     assert len(caplog.records) == 1
 
 
-def test_polar_runner_stops_at_the_node_budget():
-    # each polar level holds eight times the nodes of the last; at the
-    # default tolerance the fourth would hold 656M
-    with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
-        relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)))
-    assert err.value.result.nodes_used < 1e8 + 2e7
+def test_polar_runner_stops_at_the_node_budget(caplog, monkeypatch):
+    # ln S carries ln r_B, so the triangle gains only a factor four a
+    # doubling; with the budget at 10^5 its third level (800 x 400) is
+    # refused after 192 x 96 and 400 x 192 nodes
+    budget = 100_000
+    monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", budget)
+    with caplog.at_level(logging.INFO, logger="wehrlkit"):
+        with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+            relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)))
+    assert err.value.result.nodes_used == 192 * 96 + 400 * 192
+    assert len(caplog.records) == 1
+    assert str(budget) in caplog.records[0].getMessage()
 
 
 def test_integrate_validates_dimension_and_shape():
