@@ -52,7 +52,6 @@ from .eur import (
     EurReport,
     bbm_lhs_asymptotic,
     eur_report,
-    eur_sweep,
     eur_sweep_fock,
     eur_sweep_mixture,
     eur_sweep_thermal,

@@ -69,8 +69,9 @@ _ASYMPTOTIC_COLUMNS = ("wl_lhs_asymptotic", "bbm_lhs_asymptotic")
 # Settings named differently on the command line and in QuadratureSpec.
 _SPEC_FIELD = {"cartesian_nodes": "cartesian_nodes_per_dim"}
 
-# The three-dimensional reduced grids converge more slowly; a looser
-# default keeps the excitation sweep responsive.
+# The NOON rows converge on the same two levels at the default 1e-8, but
+# the tolerance also places the radial cutoff (tail mass 1e-2 * tol), so
+# changing it would move the digits of the bipartite-noon table.
 _COMMAND_TOL = {"bipartite-noon": 1e-6}
 
 
@@ -125,7 +126,6 @@ _SETTINGS = {
     "abs_tol": (_positive_float, None),
     "rel_tol": (_positive_float, None),
     "radial_nodes": (_bounded_int(16, 100_000), None),
-    "angular_nodes": (_bounded_int(4, 8192), None),
     "cartesian_nodes": (_bounded_int(2, 256), None),
     "radial_cutoff": (_positive_float, None),
     "max_escalations": (_bounded_int(0, 8), None),
@@ -177,10 +177,9 @@ def _add_common_args(sub):
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="JSON file of default settings; explicit flags win")
     group = sub.add_argument_group("quadrature")
-    for key in ("strategy", "abs_tol", "rel_tol", "radial_nodes", "angular_nodes",
-                "cartesian_nodes", "radial_cutoff", "max_escalations"):
-        flag(group, key, help="validated but no effect: no runner samples an angle"
-             if key == "angular_nodes" else None)
+    for key in ("strategy", "abs_tol", "rel_tol", "radial_nodes", "cartesian_nodes",
+                "radial_cutoff", "max_escalations"):
+        flag(group, key)
     flag(group, "parallelism",
          help="worker threads for independent chunks; results do not depend on this")
 

@@ -189,22 +189,6 @@ def eur_sweep_thermal(beta_min: float = 0.05, beta_max: float = 20.0,
     return [_report_at(b, f"beta_omega={b:.6g}", ThermalState(b), spec) for b in grid]
 
 
-def eur_sweep(family: str, spec: QuadratureSpec | None = None, **kwargs):
-    """Dispatch on family name: 'fock', 'mixture01', or 'thermal'."""
-    if family == "fock":
-        return eur_sweep_fock(kwargs.pop("n_max", 10), spec)
-    if family == "mixture01":
-        return eur_sweep_mixture(kwargs.pop("steps", 51), spec)
-    if family == "thermal":
-        return eur_sweep_thermal(
-            kwargs.pop("beta_min", 0.05),
-            kwargs.pop("beta_max", 20.0),
-            kwargs.pop("points", 60),
-            spec,
-        )
-    raise UnsupportedState(f"no sweep family named {family!r}")
-
-
 def mixture_crossover(spec: QuadratureSpec | None = None,
                       bracket: tuple[float, float] = (1e-3, 0.5),
                       xtol: float = 1e-6) -> float | None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, logsumexp
 
 from .errors import (
@@ -382,13 +383,23 @@ class ConditionalHusimi(HusimiEvaluator):
         return self._envelope_sigma, self._envelope_mean
 
 
+# Fixed polar rule over the mode QuadratureMarginalHusimi traces out:
+# Gauss-Legendre in r on [0, cutoff] times midpoints in the angle.
+_TRACE_RADIAL_NODES = 160
+_TRACE_ANGULAR_NODES = 64
+_TRACE_CUTOFF = 12.0
+
+
 class QuadratureMarginalHusimi(HusimiEvaluator):
-    """Marginal obtained by numerically tracing out a one-mode subsystem."""
+    """Marginal obtained by numerically tracing out a one-mode subsystem.
+
+    It carries no error estimate; tests check the closed-form marginals
+    of ``marginal_husimi`` against it.
+    """
 
     kind = "generic"
 
-    def __init__(self, parent: HusimiEvaluator, keep: str, radial_nodes: int = 160,
-                 angular_nodes: int = 64, cutoff: float = 12.0):
+    def __init__(self, parent: HusimiEvaluator, keep: str):
         if not parent.partition.bipartite:
             raise NotBipartite("marginal needs a bipartite parent")
         traced_modes = parent.partition.n_a if keep == "b" else parent.partition.n_b
@@ -398,17 +409,15 @@ class QuadratureMarginalHusimi(HusimiEvaluator):
         self.keep = keep
         kept_modes = parent.partition.n_b if keep == "b" else parent.partition.n_a
         self.partition = ModePartition(kept_modes, 0)
-        # Fixed polar node set over the traced mode; measure dx dp / (2 pi).
-        from numpy.polynomial.legendre import leggauss
-
-        t, w = leggauss(radial_nodes)
-        r = 0.5 * cutoff * (t + 1.0)
-        wr = 0.5 * cutoff * w * r
-        theta = (np.arange(angular_nodes) + 0.5) * (2.0 * math.pi / angular_nodes)
+        # Measure dx dp / (2 pi).
+        t, w = leggauss(_TRACE_RADIAL_NODES)
+        r = 0.5 * _TRACE_CUTOFF * (t + 1.0)
+        wr = 0.5 * _TRACE_CUTOFF * w * r
+        theta = (np.arange(_TRACE_ANGULAR_NODES) + 0.5) * (2.0 * math.pi / _TRACE_ANGULAR_NODES)
         xs = np.outer(r, np.cos(theta)).ravel()
         ps = np.outer(r, np.sin(theta)).ravel()
         self._nodes = np.stack([xs, ps], axis=-1)
-        self._log_w = np.log(np.repeat(wr, angular_nodes) / angular_nodes)
+        self._log_w = np.log(np.repeat(wr, _TRACE_ANGULAR_NODES) / _TRACE_ANGULAR_NODES)
 
     def log_q(self, points):
         pts = self._points(points)
@@ -454,7 +463,11 @@ def evaluator_for(state: StateSpec) -> HusimiEvaluator:
 
 
 def marginal_husimi(evaluator: HusimiEvaluator, keep: str = "a") -> HusimiEvaluator:
-    """Reduced density of one subsystem; closed form where the family has one."""
+    """Reduced density of one subsystem, in closed form.
+
+    Raises UnsupportedState for a bipartite evaluator whose family has no
+    closed-form marginal here.
+    """
     if keep not in ("a", "b"):
         raise ValueError("keep must be 'a' or 'b'")
     if not evaluator.partition.bipartite:
@@ -470,7 +483,7 @@ def marginal_husimi(evaluator: HusimiEvaluator, keep: str = "a") -> HusimiEvalua
         return ConvexCombinationHusimi(
             [(w, marginal_husimi(ev, keep)) for w, ev in evaluator.components]
         )
-    return QuadratureMarginalHusimi(evaluator, keep)
+    raise UnsupportedState(f"no closed-form marginal for {type(evaluator).__name__}")
 
 
 def conditional_husimi(evaluator: HusimiEvaluator, beta) -> HusimiEvaluator:

@@ -29,12 +29,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainccinv, roots_hermite
 
-from .errors import (
-    DimensionMismatch,
-    SupportViolation,
-    ToleranceNotReached,
-    UnsupportedState,
-)
+from .errors import DimensionMismatch, SupportViolation, ToleranceNotReached
 from .husimi import LOG_TINY, HusimiEvaluator, PositionDensity, ProductHusimi
 
 _log = logging.getLogger(__name__)
@@ -59,21 +54,24 @@ _MAX_LEVEL_NODES = 10**8
 # the usual two-level estimate.
 _GAUSSIAN_NODES_PER_DIM = 4
 
-_STRATEGIES = ("auto", "radial-1d", "polar-2d", "polar-reduced-3d", "tensor-cartesian")
+_STRATEGIES = ("auto", "tensor-cartesian")
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Resolution and tolerance knobs for the integration engine.
 
+    ``strategy`` is "auto", which routes each integral by the ``kind`` of
+    its densities, or "tensor-cartesian", which puts every integral,
+    products unsplit, on the whitened Gauss-Hermite rule: an independent
+    cross-check of the radial and "noon" runners.
     ``radial_nodes`` counts nodes along a radial or line coordinate (the
     "noon" triangle starts at half of them in r_A and a quarter in the
     ratio r_B / r_A), and ``cartesian_nodes_per_dim`` the Gauss-Hermite
     order per axis, capped at four when every density of the integral is
-    "gaussian" (exact there).  ``angular_nodes`` has no effect: the one
-    angle a runner meets, the phase difference of a "noon" density, is
-    averaged in closed form.  It is still validated, so old configs keep
-    working.  The engine always computes one refinement (all counts
+    "gaussian" (exact there).  No runner samples an angle: the one angle
+    a runner meets, the phase difference of a "noon" density, is averaged
+    in closed form.  The engine always computes one refinement (all counts
     doubled) to get an error estimate, then up to ``max_escalations``
     further doublings; it stops early, with ToleranceNotReached, before a
     level of more than 10^8 nodes.
@@ -87,7 +85,6 @@ class QuadratureSpec:
 
     strategy: str = "auto"
     radial_nodes: int = 400
-    angular_nodes: int = 128
     cartesian_nodes_per_dim: int = 24
     radial_cutoff: float | None = None
     abs_tol: float = 1e-8
@@ -100,8 +97,6 @@ class QuadratureSpec:
             raise ValueError(f"unknown strategy {self.strategy!r}, pick from {_STRATEGIES}")
         if self.radial_nodes < _PANEL_NODES:
             raise ValueError(f"radial_nodes must be at least {_PANEL_NODES}")
-        if self.angular_nodes < 4:
-            raise ValueError("angular_nodes must be at least 4")
         if self.cartesian_nodes_per_dim < 2:
             raise ValueError("cartesian_nodes_per_dim must be at least 2")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
@@ -441,40 +436,24 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     promises that ln Q is exactly quadratic, with the covariance and mean
     ``gaussian_envelope`` returns, so a cartesian integral whose densities
     are all "gaussian" starts at no more than four nodes per axis.  The
-    auto rule is radial when every density is radial, the "noon"
+    "auto" strategy is radial when every density is radial, the "noon"
     triangle when the evaluator is "noon" and the reference is absent or
-    a product of two radial factors, cartesian otherwise.  Both
-    ``polar-2d`` and ``polar-reduced-3d`` name the triangle runner.  A
-    forced strategy that does not fit raises UnsupportedState.
+    a product of two radial factors, cartesian otherwise;
+    "tensor-cartesian" is always cartesian.
     """
     densities = (evaluator,) if reference is None else (evaluator, reference)
-    radial = all(d.kind == "radial" for d in densities)
-    polar = evaluator.kind == "noon" and (
-        reference is None
-        or (isinstance(reference, ProductHusimi)
-            and reference.factor_a.kind == reference.factor_b.kind == "radial")
-    )
-    strategy = spec.strategy
-    if strategy == "auto":
-        strategy = ("radial-1d" if radial
-                    else "polar-reduced-3d" if polar else "tensor-cartesian")
-    if strategy == "radial-1d":
-        if not radial:
-            raise UnsupportedState(
-                "radial-1d needs a radial profile on every density; "
-                "pick a different strategy"
-            )
+    auto = spec.strategy == "auto"
+    if auto and all(d.kind == "radial" for d in densities):
         terms = functools.partial(_density_terms, evaluator.log_q_radial,
                                   None if reference is None else reference.log_q_radial,
                                   factor_of_log)
         return _run_1d(terms, max(d.radial_gamma_shape for d in densities),
                        min(d.radial_rate for d in densities), spec, what, radial=True)
-    if strategy in ("polar-2d", "polar-reduced-3d"):
-        if not polar:
-            raise UnsupportedState(
-                "polar strategies need an angular-difference density, alone "
-                "or against a product of radial marginals"
-            )
+    if auto and evaluator.kind == "noon" and (
+        reference is None
+        or (isinstance(reference, ProductHusimi)
+            and reference.factor_a.kind == reference.factor_b.kind == "radial")
+    ):
         return _run_triangle(evaluator, reference, factor_of_log, spec, what)
     nodes_per_dim = spec.cartesian_nodes_per_dim
     if all(d.kind == "gaussian" for d in densities):

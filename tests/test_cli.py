@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via subprocess."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,6 +10,13 @@ import subprocess
 import sys
 
 import pytest
+
+import wehrlkit
+from wehrlkit import QuadratureSpec
+from wehrlkit.cli import _SETTINGS, _SPEC_FIELD
+
+# The CLI subprocesses import the same wehrlkit as the tests.
+_SRC = os.path.dirname(os.path.dirname(wehrlkit.__file__))
 
 BOUND = 1.0 + math.log(math.pi)
 
@@ -20,6 +28,7 @@ EUR_HEADER = [
 
 def run_cli(*argv, env_extra=None):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -85,7 +94,8 @@ def test_byte_identical_across_parallelism():
 
 
 def test_multi_d_path_byte_identical_across_parallelism():
-    # eur-fock never reaches the thread pool; the polar relative entropy does
+    # the "noon" triangle maps no chunks over the thread pool, so this pins
+    # only that the flag moves no byte; test_quadrature starts the pool
     serial = run_cli("bipartite-noon", "--n-max", "1", "--parallelism", "1")
     threaded = run_cli("bipartite-noon", "--n-max", "1", "--parallelism", "2")
     assert serial.returncode == threaded.returncode == 0
@@ -206,6 +216,8 @@ def test_bipartite_noon_table():
 
 
 def test_forced_strategy_mismatch_exits_3():
+    # radial-1d names no strategy ("auto" picks the radial runner wherever
+    # it fits), so the flag is rejected
     proc = run_cli("bipartite-tmss", "--lambda-grid", "0.3",
                    "--strategy", "radial-1d")
     assert proc.returncode == 3
@@ -254,14 +266,32 @@ VACUUM_1_1 = json.dumps({"v": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
                  None, id="config-parallelism-above-bound"),
     pytest.param('{"radial_nodes": 100001}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
                  None, id="config-radial-nodes-above-bound"),
+    # an unknown setting or strategy name is rejected, not ignored
+    pytest.param('{"angular_nodes": 16}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
+                 None, id="config-angular-nodes"),
+    pytest.param(None, ["eur-fock", "--n-max", "0", "--angular-nodes", "16"],
+                 None, id="flag-angular-nodes"),
+    pytest.param(None, ["eur-fock", "--n-max", "0", "--strategy", "polar-2d"],
+                 None, id="flag-strategy-polar-2d"),
 ])
 def test_malformed_input_exits_3_with_message(tmp_path, text, argv, env):
     path = tmp_path / "input.json"
-    path.write_text(text)
+    if text is not None:
+        path.write_text(text)
     proc = run_cli(*[str(path) if arg == "{file}" else arg for arg in argv], env_extra=env)
     assert proc.returncode == 3
-    assert proc.stderr.startswith("error: ")
+    # argparse names a bad flag after the usage line; an input read from a
+    # file or the environment fails with one "error: " line
+    assert proc.stderr.startswith("error: " if text is not None else "usage: ")
+    assert "error: " in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_quadrature_settings_match_the_spec_fields_one_to_one():
+    # every spec field can be set from the CLI, and every CLI quadrature
+    # setting reaches a spec field
+    quadrature = [_SPEC_FIELD.get(key, key) for key in _SETTINGS if key not in ("format", "output")]
+    assert sorted(quadrature) == sorted(f.name for f in dataclasses.fields(QuadratureSpec))
 
 
 def test_covariance_without_v_names_the_missing_key(tmp_path):

@@ -15,7 +15,9 @@ from wehrlkit import (
     UnsupportedState,
     bbm_lhs_asymptotic,
     eur_report,
-    eur_sweep,
+    eur_sweep_fock,
+    eur_sweep_mixture,
+    eur_sweep_thermal,
     eur_thermal_closed,
     mixture_crossover,
     wl_lhs_stirling,
@@ -165,7 +167,7 @@ def test_thermal_deficits_monotone_in_temperature():
 
 
 def test_eur_sweep_fock_rows():
-    rows = eur_sweep("fock", n_max=3)
+    rows = eur_sweep_fock(3)
     assert len(rows) == 4
     assert [grid for grid, _ in rows] == [0, 1, 2, 3]
     assert all(rep.state.n == grid for grid, rep in rows)
@@ -173,7 +175,7 @@ def test_eur_sweep_fock_rows():
 
 
 def test_eur_sweep_mixture_endpoints_match_fock():
-    rows = eur_sweep("mixture01", steps=3)
+    rows = eur_sweep_mixture(3)
     assert len(rows) == 3
     assert [grid for grid, _ in rows] == [0.0, 0.5, 1.0]
     pure1 = eur_report(FockState(1))
@@ -184,16 +186,11 @@ def test_eur_sweep_mixture_endpoints_match_fock():
 
 
 def test_eur_sweep_thermal_grid():
-    rows = eur_sweep("thermal", beta_min=0.1, beta_max=10.0, points=7)
+    rows = eur_sweep_thermal(0.1, 10.0, 7)
     assert len(rows) == 7
     assert rows[0][0] == pytest.approx(0.1)
     assert rows[-1][0] == pytest.approx(10.0)
     assert rows[0][1].state.beta_omega == pytest.approx(0.1)
-
-
-def test_eur_sweep_rejects_unknown_family():
-    with pytest.raises(UnsupportedState):
-        eur_sweep("squeezed")
 
 
 def test_mixture_crossover_location():

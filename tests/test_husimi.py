@@ -21,6 +21,7 @@ from wehrlkit import (
     FockPositionDensity,
     FockState,
     GaussianHusimi,
+    HusimiEvaluator,
     MixturePositionDensity,
     NoonHusimi,
     NoonMarginalHusimi,
@@ -256,6 +257,13 @@ def test_marginal_husimi_dispatch():
     assert marginal_husimi(prod, "b") is prod.factor_b
     with pytest.raises(NotBipartite):
         marginal_husimi(FockHusimi(1), "a")
+
+    class Custom(HusimiEvaluator):
+        partition = ModePartition(1, 1)
+
+    # no numeric fallback: a family without a closed-form marginal is refused
+    with pytest.raises(UnsupportedState):
+        marginal_husimi(Custom(), "a")
 
 
 def test_gaussian_marginal_matches_numeric_trace():

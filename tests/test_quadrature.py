@@ -1,9 +1,9 @@
 """Quadrature engine invariants: normalization, refinement, determinism."""
 
-import dataclasses
 import functools
 import logging
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +22,6 @@ from wehrlkit import (
     SupportViolation,
     ThermalHusimi,
     ToleranceNotReached,
-    UnsupportedState,
     density_entropy_1d,
     density_normalization_1d,
     entropy_functional,
@@ -35,6 +34,7 @@ from wehrlkit import (
     relative_entropy,
     random_admissible_covariance,
     tmss_covariance,
+    wehrl_fock_closed,
     wehrl_relative_entropy,
 )
 from wehrlkit.gaussian import ModePartition
@@ -60,6 +60,13 @@ EVALUATORS = [
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(strategy="simpson")
+    # "auto" already picks the radial or "noon" runner wherever it fits, so
+    # only the cartesian rule can be forced
+    for name in ("radial-1d", "polar-2d", "polar-reduced-3d"):
+        with pytest.raises(ValueError):
+            QuadratureSpec(strategy=name)
+    with pytest.raises(TypeError):
+        QuadratureSpec(angular_nodes=16)
     with pytest.raises(ValueError):
         QuadratureSpec(radial_nodes=0)
     with pytest.raises(ValueError):
@@ -99,8 +106,8 @@ def test_doubling_self_consistency():
     """Doubling node counts moves the value by at most the reported error."""
     cases = [FockHusimi(5), ThermalHusimi(0.2), NoonHusimi(2)]
     for ev in cases:
-        coarse_spec = QuadratureSpec(radial_nodes=200, angular_nodes=64)
-        fine_spec = QuadratureSpec(radial_nodes=400, angular_nodes=128)
+        coarse_spec = QuadratureSpec(radial_nodes=200)
+        fine_spec = QuadratureSpec(radial_nodes=400)
         coarse = entropy_functional(ev, coarse_spec)
         fine = entropy_functional(ev, fine_spec)
         assert abs(fine.value - coarse.value) <= coarse.error_estimate + 1e-12
@@ -128,36 +135,26 @@ def test_radial_and_cartesian_strategies_agree():
     # the entropy integrand has a log cusp, so the whitened Hermite rule
     # converges algebraically; 1e-5 is a reachable target for it
     ev = FockHusimi(3)
-    radial = entropy_functional(ev, QuadratureSpec(strategy="radial-1d"))
+    radial = entropy_functional(ev)
     cartesian = entropy_functional(ev, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-5, rel_tol=1e-5))
     assert abs(radial.value - cartesian.value) < 1e-6
 
 
 def test_noon_polar_and_cartesian_strategies_agree():
     ev = NoonHusimi(1)
-    polar = entropy_functional(ev, QuadratureSpec(strategy="polar-reduced-3d"))
+    polar = entropy_functional(ev)
     cartesian = entropy_functional(
         ev, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-3, rel_tol=1e-3, cartesian_nodes_per_dim=32)
     )
     assert abs(polar.value - cartesian.value) < 2e-3
 
 
-def test_forced_strategy_must_fit_the_evaluator():
-    with pytest.raises(UnsupportedState):
-        entropy_functional(GaussianHusimi(tmss_covariance(0.2)), QuadratureSpec(strategy="radial-1d"))
-    with pytest.raises(UnsupportedState):
-        entropy_functional(FockHusimi(1), QuadratureSpec(strategy="polar-reduced-3d"))
-    with pytest.raises(UnsupportedState):
-        entropy_functional(FockHusimi(1), QuadratureSpec(strategy="polar-2d"))
-    # both polar names run the one "noon" runner, the angle averaged exactly
-    ev = NoonHusimi(2)
-    assert entropy_functional(ev, QuadratureSpec(strategy="polar-2d")) == entropy_functional(ev)
-
-
 def test_polar_2d_handles_zero_frequency():
-    res = entropy_functional(NoonHusimi(0), QuadratureSpec(strategy="polar-2d"))
-    auto = entropy_functional(NoonHusimi(0))
-    assert abs(res.value - auto.value) < 1e-8
+    # N = 0 is the vacuum in both modes, whose entropy is 1 + 1; the phase
+    # difference carries no frequency, so the angle average is trivial
+    spec = QuadratureSpec()
+    res = entropy_functional(NoonHusimi(0), spec)
+    assert abs(res.value - 2.0) <= res.error_estimate + spec.abs_tol
 
 
 def test_parallelism_is_deterministic():
@@ -166,6 +163,32 @@ def test_parallelism_is_deterministic():
             entropy_functional(ev, QuadratureSpec(parallelism=k)).value for k in (1, 2, 4)
         ]
         assert values[0] == values[1] == values[2]
+
+
+def test_cartesian_thread_pool_gives_the_serial_bits():
+    # 80 and 160 nodes per axis in 3D lay out 2 and 9 chunks, so parallelism
+    # above one maps them over the pool; they are reduced pairwise in a
+    # fixed order whichever worker ran them
+    def run(parallelism):
+        threads = set()
+
+        def f(pts):
+            threads.add(threading.get_ident())
+            x, y, z = pts.T
+            return np.exp(-0.5 * (x * x + y * y + z * z)) * (1.0 + 0.3 * np.cos(x) * np.sin(y + z) ** 2)
+
+        spec = QuadratureSpec(cartesian_nodes_per_dim=80, abs_tol=1.0, rel_tol=1.0,
+                              parallelism=parallelism)
+        return integrate(f, spec, dim=3), threads
+
+    (serial, serial_threads), *threaded = [run(k) for k in (1, 2, 3)]
+    assert serial_threads == {threading.get_ident()}
+    for res, threads in threaded:
+        assert res == serial
+        assert threading.get_ident() not in threads
+    # <cos x> = e^(-1/2) and <sin^2(y + z)> = (1 - e^(-4)) / 2 under the vacuum
+    closed = 1.0 + 0.3 * math.exp(-0.5) * 0.5 * -math.expm1(-4.0)
+    assert abs(serial.value - closed) < 1e-12
 
 
 def test_product_entropy_splits_into_factor_sum():
@@ -177,7 +200,7 @@ def test_product_entropy_splits_into_factor_sum():
 
 def test_tolerance_not_reached_carries_partial_result():
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_escalations=0,
-                          radial_nodes=60, angular_nodes=24)
+                          radial_nodes=60)
     with pytest.raises(ToleranceNotReached) as err:
         entropy_functional(NoonHusimi(3), spec)
     assert err.value.result is not None
@@ -186,8 +209,8 @@ def test_tolerance_not_reached_carries_partial_result():
 
 def test_escalation_tightens_the_estimate():
     # the "noon" triangle meets 1e-7 on its first two levels; 1e-12 needs a third
-    loose = QuadratureSpec(radial_nodes=50, angular_nodes=16, abs_tol=1e-3, rel_tol=1e-3)
-    tight = QuadratureSpec(radial_nodes=50, angular_nodes=16, abs_tol=1e-12, rel_tol=1e-12)
+    loose = QuadratureSpec(radial_nodes=50, abs_tol=1e-3, rel_tol=1e-3)
+    tight = QuadratureSpec(radial_nodes=50, abs_tol=1e-12, rel_tol=1e-12)
     a = entropy_functional(NoonHusimi(2), loose)
     b = entropy_functional(NoonHusimi(2), tight)
     assert b.error_estimate <= a.error_estimate
@@ -204,9 +227,12 @@ def test_relative_entropy_radial_pair():
     rho = FockHusimi(1)
     sigma = ThermalHusimi(0.9)
     res = relative_entropy(rho, sigma)
+    # ln Q_sigma = ln c - c r^2 / 2 with c = 1 - exp(-0.9), and Q_rho has
+    # mean r^2 = 4, so the cross term is ln c - 2 c
+    c = -math.expm1(-0.9)
+    closed = -wehrl_fock_closed(1) - math.log(c) + 2.0 * c
     assert res.value > 0.0
-    forced = relative_entropy(rho, sigma, QuadratureSpec(strategy="radial-1d"))
-    assert abs(res.value - forced.value) < 1e-10
+    assert abs(res.value - closed) < 1e-10
 
 
 def test_relative_entropy_zero_for_identical_states():
@@ -271,15 +297,6 @@ def test_product_of_gaussians_is_gaussian():
     assert ProductHusimi(gauss, FockHusimi(0)).kind != "gaussian"
 
 
-def test_relative_entropy_forced_strategy_mismatch():
-    rho = GaussianHusimi(tmss_covariance(0.3))
-    sigma = GaussianHusimi(tmss_covariance(0.0))
-    with pytest.raises(UnsupportedState):
-        relative_entropy(rho, sigma, QuadratureSpec(strategy="radial-1d"))
-    with pytest.raises(UnsupportedState):
-        relative_entropy(FockHusimi(1), ThermalHusimi(1.0), QuadratureSpec(strategy="polar-reduced-3d"))
-
-
 def test_gaussian_mixture_is_routed_by_kind_not_by_its_methods():
     # a mixture can build a radial profile from radial components, but a
     # mixture of Gaussians is not radial and must reach the cartesian rule
@@ -287,17 +304,13 @@ def test_gaussian_mixture_is_routed_by_kind_not_by_its_methods():
     covs = [CovarianceModel.from_v(0.5 * np.eye(2), part),
             CovarianceModel.from_v(np.diag([0.8, 0.6]), part)]
     mix = ConvexCombinationHusimi([(0.5, GaussianHusimi(cov)) for cov in covs])
+    assert mix.kind != "radial"
     vacuum = FockHusimi(0)
     res = relative_entropy(mix, vacuum)
     # ln Q_vacuum = -|r|^2 / 2, and component i has second moments C_i^-1
     second_moment = sum(0.5 * np.trace(np.linalg.inv(cov.c)) for cov in covs)
     want = -entropy_functional(mix).value + 0.5 * second_moment
     assert abs(res.value - want) < 1e-8
-    forced = QuadratureSpec(strategy="radial-1d")
-    with pytest.raises(UnsupportedState):
-        relative_entropy(mix, vacuum, forced)
-    with pytest.raises(UnsupportedState):
-        entropy_functional(mix, forced)
 
 
 def test_relative_entropy_noon_against_product_marginals():
@@ -309,8 +322,8 @@ def test_relative_entropy_noon_against_product_marginals():
     rho = NoonHusimi(n)
     marg = NoonMarginalHusimi(n)
     sigma = ProductHusimi(marg, marg)
-    polar = relative_entropy(rho, sigma, QuadratureSpec(strategy="polar-reduced-3d", abs_tol=1e-7, rel_tol=1e-7))
-    s_marg = entropy_functional(marg, QuadratureSpec(strategy="radial-1d"))
+    polar = relative_entropy(rho, sigma, QuadratureSpec(abs_tol=1e-7, rel_tol=1e-7))
+    s_marg = entropy_functional(marg)
     closed = 2.0 * s_marg.value - (2.0 + EULER_GAMMA)
     assert abs(polar.value - closed) < 1e-7
     assert polar.value > 0.2
@@ -342,7 +355,6 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     return total / na
 
 
-@pytest.mark.parametrize("angular_nodes", [16, 15])
 @pytest.mark.parametrize("rho, sigma", [
     (NoonHusimi(1), None),
     (NoonHusimi(3), None),
@@ -350,17 +362,15 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     # density alone would be wrong
     (NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1))),
 ], ids=["entropy-1", "entropy-3", "asymmetric-reference"])
-def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, angular_nodes):
+def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma):
     # The triangle runner folds the exchange and averages the angle exactly;
     # the unfolded 3D rule, at two resolutions, must agree with it within
     # the sum of both two-level estimates.
     cutoff = 9.0
-    spec = QuadratureSpec(strategy="polar-reduced-3d", radial_nodes=512, angular_nodes=angular_nodes,
-                          radial_cutoff=cutoff, abs_tol=1.0, rel_tol=1.0, max_escalations=0)
+    spec = QuadratureSpec(radial_nodes=512, radial_cutoff=cutoff, abs_tol=1.0, rel_tol=1.0,
+                          max_escalations=0)
     run = entropy_functional if sigma is None else functools.partial(relative_entropy, sigma=sigma)
     res = run(rho, spec=spec)
-    # no runner reads angular_nodes
-    assert res == run(rho, spec=dataclasses.replace(spec, angular_nodes=128))
     fine = _unfolded_polar_rule(rho, sigma, 256, 256, cutoff)
     coarse = _unfolded_polar_rule(rho, sigma, 128, 128, cutoff)
     # the 3D rule is converged: 2e-7 for the smooth entropies, 3.3e-6
@@ -369,15 +379,13 @@ def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, angular_nodes):
     assert abs(res.value - fine) <= abs(fine - coarse) + res.error_estimate
 
 
-@pytest.mark.parametrize("angular_nodes", [16, 15])
-def test_polar_results_do_not_depend_on_worker_count(angular_nodes):
+def test_polar_results_do_not_depend_on_worker_count():
     marg = NoonMarginalHusimi(2)
     cases = [(entropy_functional, (NoonHusimi(3),)),
              (relative_entropy, (NoonHusimi(2), ProductHusimi(marg, marg)))]
     for fn, args in cases:
         results = [
-            fn(*args, QuadratureSpec(radial_nodes=64, angular_nodes=angular_nodes,
-                                     abs_tol=1e-6, rel_tol=1e-6, parallelism=k))
+            fn(*args, QuadratureSpec(radial_nodes=64, abs_tol=1e-6, rel_tol=1e-6, parallelism=k))
             for k in (1, 2, 3)
         ]
         assert results[0] == results[1] == results[2]
