@@ -35,11 +35,13 @@ from wehrlkit import (
     random_admissible_covariance,
     tmss_covariance,
     wehrl_fock_closed,
+    wehrl_gaussian_joint,
     wehrl_relative_entropy,
+    wehrl_thermal_closed,
 )
 from wehrlkit.gaussian import ModePartition
 from wehrlkit.husimi import LOG_TINY, FockPositionDensity, ThermalPositionDensity, marginal_husimi
-from wehrlkit.quadrature import _panel_nodes
+from wehrlkit.quadrature import _PANEL_NODES, _panel_nodes
 
 
 EVALUATORS = [
@@ -147,6 +149,21 @@ def test_noon_polar_and_cartesian_strategies_agree():
         ev, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-3, rel_tol=1e-3, cartesian_nodes_per_dim=32)
     )
     assert abs(polar.value - cartesian.value) < 2e-3
+
+
+def test_forced_strategy_must_fit_the_evaluator():
+    # "tensor-cartesian" is the one strategy that can be forced, so it must
+    # fit every evaluator: a two-mode Gaussian, and a product of two radial
+    # factors that "auto" splits into two 1D integrals but the forced rule
+    # integrates jointly in 4D
+    forced = QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-9, rel_tol=1e-9)
+    cov = tmss_covariance(0.2)
+    res = entropy_functional(GaussianHusimi(cov), forced)
+    assert abs(res.value - wehrl_gaussian_joint(cov)) <= res.error_estimate + 1e-9
+    prod = ProductHusimi(FockHusimi(0), ThermalHusimi(0.5))
+    res = entropy_functional(prod, forced)
+    assert abs(res.value - (1.0 + wehrl_thermal_closed(0.5))) <= res.error_estimate + 1e-9
+    assert res.nodes_used > entropy_functional(prod).nodes_used
 
 
 def test_polar_2d_handles_zero_frequency():
@@ -297,6 +314,22 @@ def test_product_of_gaussians_is_gaussian():
     assert ProductHusimi(gauss, FockHusimi(0)).kind != "gaussian"
 
 
+def test_relative_entropy_forced_strategy_mismatch():
+    # a forced strategy no longer has to match the pair: the cartesian rule
+    # takes a radial pair that "auto" sends to the 1D runner.  ln Q_sigma =
+    # ln c - c r^2 / 2 with c = 1 - exp(-1), and Fock(n) has mean r^2 =
+    # 2 (n + 1).  Q_rho ln Q_rho has a log cusp at the origin, so the
+    # Hermite rule converges algebraically and 1e-5 is the target, as for
+    # the Fock entropy in test_radial_and_cartesian_strategies_agree.
+    rho = FockHusimi(3)
+    sigma = ThermalHusimi(1.0)
+    c = -math.expm1(-1.0)
+    closed = -wehrl_fock_closed(3) - math.log(c) + 4.0 * c
+    forced = relative_entropy(rho, sigma, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-5, rel_tol=1e-5))
+    assert abs(forced.value - closed) < 1e-5
+    assert abs(relative_entropy(rho, sigma).value - closed) < 1e-10
+
+
 def test_gaussian_mixture_is_routed_by_kind_not_by_its_methods():
     # a mixture can build a radial profile from radial components, but a
     # mixture of Gaussians is not radial and must reach the cartesian rule
@@ -355,6 +388,7 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     return total / na
 
 
+@pytest.mark.parametrize("radial_panels", [16, 15])
 @pytest.mark.parametrize("rho, sigma", [
     (NoonHusimi(1), None),
     (NoonHusimi(3), None),
@@ -362,13 +396,15 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     # density alone would be wrong
     (NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1))),
 ], ids=["entropy-1", "entropy-3", "asymmetric-reference"])
-def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma):
+def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, radial_panels):
     # The triangle runner folds the exchange and averages the angle exactly;
     # the unfolded 3D rule, at two resolutions, must agree with it within
-    # the sum of both two-level estimates.
+    # the sum of both two-level estimates.  The runner's first level has
+    # radial_panels Gauss-Legendre panels in r_A and half as many, rounded
+    # down, in s: 16 and 8 or 15 and 7, an even and an odd layout.
     cutoff = 9.0
-    spec = QuadratureSpec(radial_nodes=512, radial_cutoff=cutoff, abs_tol=1.0, rel_tol=1.0,
-                          max_escalations=0)
+    spec = QuadratureSpec(radial_nodes=2 * _PANEL_NODES * radial_panels, radial_cutoff=cutoff,
+                          abs_tol=1.0, rel_tol=1.0, max_escalations=0)
     run = entropy_functional if sigma is None else functools.partial(relative_entropy, sigma=sigma)
     res = run(rho, spec=spec)
     fine = _unfolded_polar_rule(rho, sigma, 256, 256, cutoff)
@@ -379,13 +415,16 @@ def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma):
     assert abs(res.value - fine) <= abs(fine - coarse) + res.error_estimate
 
 
-def test_polar_results_do_not_depend_on_worker_count():
+@pytest.mark.parametrize("radial_panels", [16, 15])
+def test_polar_results_do_not_depend_on_worker_count(radial_panels):
+    # an even and an odd number of radial panels on the first level
     marg = NoonMarginalHusimi(2)
     cases = [(entropy_functional, (NoonHusimi(3),)),
              (relative_entropy, (NoonHusimi(2), ProductHusimi(marg, marg)))]
     for fn, args in cases:
         results = [
-            fn(*args, QuadratureSpec(radial_nodes=64, abs_tol=1e-6, rel_tol=1e-6, parallelism=k))
+            fn(*args, QuadratureSpec(radial_nodes=2 * _PANEL_NODES * radial_panels, abs_tol=1e-6,
+                                     rel_tol=1e-6, parallelism=k))
             for k in (1, 2, 3)
         ]
         assert results[0] == results[1] == results[2]
