@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .entropies import (
     LN_E_PI,
     LN_PI,
@@ -196,8 +194,10 @@ def mixture_crossover(spec: QuadratureSpec | None = None,
 
     On q |0><0| + (1-q) |1><1| the homodyne sum is the smaller of the
     two at q = 0 and the larger on most of the interval, so their
-    difference changes sign at a small q.  Returns that root, or None
-    if the sampled bracket never straddles zero.
+    difference changes sign at a small q.  The bracket is sampled at 25
+    points, in order, up to the first sign change, which is then bisected
+    to a width of ``xtol``.  Returns that root, or None if the samples
+    never straddle zero.
     """
 
     def gap(q: float) -> float:
@@ -206,10 +206,26 @@ def mixture_crossover(spec: QuadratureSpec | None = None,
 
     lo, hi = bracket
     grid = [lo + (hi - lo) * i / 24 for i in range(25)]
-    values = [gap(q) for q in grid]
-    for (q0, g0), (q1, g1) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+    q0, g0 = grid[0], gap(grid[0])
+    for q1 in grid[1:]:
         if g0 == 0.0:
             return q0
+        g1 = gap(q1)
         if g0 * g1 < 0.0:
-            return float(brentq(gap, q0, q1, xtol=xtol))
+            return _bisect(gap, q0, g0, q1, xtol)
+        q0, g0 = q1, g1
     return None
+
+
+def _bisect(f, lo: float, f_lo: float, hi: float, xtol: float) -> float:
+    """Midpoint of a bracket of a sign change of f, halved to width xtol."""
+    while hi - lo > xtol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -26,18 +26,22 @@ EUR_HEADER = [
 ]
 
 
-def run_cli(*argv, env_extra=None):
+def run_python(*argv, env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "wehrlkit.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
+
+
+def run_cli(*argv, env_extra=None):
+    return run_python("-m", "wehrlkit.cli", *argv, env_extra=env_extra)
 
 
 def parse_csv(text: str):
@@ -158,6 +162,14 @@ def test_eur_mixture_endpoints_and_crossover():
     assert payload["rows"][-1]["wl_lhs"] == pytest.approx(BOUND, abs=1e-7)
     assert payload["crossover_q"] == pytest.approx(0.023161669, abs=1e-6)
     assert "cross at q" in proc.stderr
+
+
+def test_cli_start_up_leaves_scipy_optimize_unloaded():
+    # the crossover is bisected in eur.py: scipy.optimize alone added about
+    # 0.15 s to every start-up
+    proc = run_python("-c", "import sys, wehrlkit.cli; print('scipy.optimize' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_eur_thermal_grid_and_closed_forms():

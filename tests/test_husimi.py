@@ -7,10 +7,11 @@ and the two-mode squeezed density from its Schmidt series.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy.special import gammaln, logsumexp
 
 from wehrlkit import (
     ConditionOnZeroDensity,
@@ -48,6 +49,7 @@ from wehrlkit import (
     tmss_covariance,
 )
 from wehrlkit.gaussian import ModePartition
+from wehrlkit.husimi import _hermite_function, _log_sum_exp
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +277,21 @@ def test_gaussian_marginal_matches_numeric_trace():
     assert np.allclose(numeric.q(pts), closed.q(pts), atol=1e-7)
 
 
+@pytest.mark.parametrize("keep", ["a", "b"])
+def test_numeric_trace_matches_one_sum_per_point(keep):
+    # the trace runs its points in chunks; one log-sum-exp per point is
+    # the reference, on a point count that leaves a partial chunk
+    parent = ProductHusimi(FockHusimi(1), ThermalHusimi(0.7))
+    traced = QuadratureMarginalHusimi(parent, keep=keep)
+    pts = sample_points(2, 11, seed=5)
+    want = []
+    for point in pts:
+        kept = np.broadcast_to(point, traced._nodes.shape)
+        parts = (traced._nodes, kept) if keep == "b" else (kept, traced._nodes)
+        want.append(logsumexp(parent.log_q(np.concatenate(parts, axis=-1)) + traced._log_w))
+    assert np.allclose(traced.log_q(pts), want, rtol=0.0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # Conditionals
 # ---------------------------------------------------------------------------
@@ -437,3 +454,39 @@ def test_position_density_dispatch():
         position_density_for(TwoModeSqueezedState(0.5))
     with pytest.raises(UnsupportedState):
         position_density_for(NoonState(1))
+
+
+def test_hermite_function_matches_the_allocating_recurrence():
+    # the recurrence runs in two reused buffers, in the same order of operations
+    x = np.linspace(-9.0, 9.0, 101)
+    for n in (0, 1, 7, 50):
+        psi_prev, psi = np.zeros_like(x), math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+        for k in range(n):
+            psi_prev, psi = psi, x * math.sqrt(2.0 / (k + 1)) * psi - math.sqrt(k / (k + 1.0)) * psi_prev
+        assert np.array_equal(_hermite_function(n, x), psi)
+    assert np.ndim(_hermite_function(3, 0.5)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Log-sum-exp
+# ---------------------------------------------------------------------------
+
+
+def test_log_sum_exp_matches_scipy():
+    rng = np.random.default_rng(41)
+    for shape in [(2, 800), (3, 4, 5)]:
+        stack = rng.normal(scale=30.0, size=shape)
+        stack[0, 0] = -np.inf
+        for axis in range(len(shape)):
+            got = _log_sum_exp(stack, axis=axis)
+            assert np.allclose(got, logsumexp(stack, axis=axis), rtol=1e-14, atol=1e-14)
+
+
+def test_log_sum_exp_all_minus_inf_column_is_silent():
+    stack = np.array([[-np.inf, 0.0, -2.0], [-np.inf, -np.inf, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sum_exp(stack)
+    assert got[0] == -np.inf
+    assert got[1] == 0.0
+    assert got[2] == pytest.approx(np.logaddexp(-2.0, -1.0), abs=1e-15)

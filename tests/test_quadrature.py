@@ -7,6 +7,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import eval_hermite, gammaln
 
 from wehrlkit import (
     EULER_GAMMA,
@@ -40,7 +41,13 @@ from wehrlkit import (
     wehrl_thermal_closed,
 )
 from wehrlkit.gaussian import ModePartition
-from wehrlkit.husimi import LOG_TINY, FockPositionDensity, ThermalPositionDensity, marginal_husimi
+from wehrlkit.husimi import (
+    LOG_TINY,
+    FockPositionDensity,
+    MixturePositionDensity,
+    ThermalPositionDensity,
+    marginal_husimi,
+)
 from wehrlkit.quadrature import _PANEL_NODES, _panel_nodes
 
 
@@ -560,6 +567,49 @@ def test_density_normalization_handles_breakpoints():
     for n in (1, 4, 9):
         res = density_normalization_1d(FockPositionDensity(n))
         assert abs(res.value - 1.0) < 1e-9
+
+
+def test_graded_panels_keep_polynomial_exactness():
+    # phi(u) = u^2 (3 - 2u) is cubic and phi' quadratic, so 16 Gauss-Legendre
+    # points still integrate x^k exactly for 3k + 2 <= 31
+    x, w = _panel_nodes(0.0, 5.0, 64, breakpoints=(1.3, 2.0), graded=True)
+    assert x.size == 4 * _PANEL_NODES
+    assert np.all((x > 0.0) & (x < 5.0)) and np.all(np.diff(x) > 0.0)
+    for k in range(10):
+        assert np.dot(w, x**k) == pytest.approx(5.0 ** (k + 1) / (k + 1), rel=1e-13)
+
+
+def _levels_run(caplog, fn):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        res = fn()
+    return res, [rec.args[2] for rec in caplog.records if rec.levelno == logging.DEBUG]
+
+
+@pytest.mark.parametrize("n", [1, 10, 30, 50])
+def test_fock_line_entropy_converges_in_two_levels(caplog, n):
+    """Graded panels absorb the ln singularity at every zero of psi_n."""
+    res, nodes = _levels_run(caplog, lambda: density_entropy_1d(FockPositionDensity(n)))
+    assert len(nodes) == 2
+    assert res.nodes_used == sum(nodes)
+
+    # -integral of psi_n^2 ln psi_n^2 by a dense trapezoid, psi_n from
+    # scipy's Hermite polynomials
+    half = math.sqrt(2.0 * n + 1.0) + 8.0
+    x = np.linspace(-half, half, 200_001)
+    log_norm = 0.5 * (n * math.log(2.0) + gammaln(n + 1.0) + 0.5 * math.log(math.pi))
+    f = (eval_hermite(n, x) * np.exp(-0.5 * x * x - log_norm)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = np.trapezoid(np.where(f > 0.0, -f * np.log(f), 0.0), x)
+    assert abs(res.value - want) < 1e-8
+
+
+def test_odd_fock_mixture_line_entropy_converges_in_two_levels(caplog):
+    # breakpoint 0 only, at the panel edge x = 0: the panels are graded all the same
+    odd = MixturePositionDensity([(0.5, FockPositionDensity(1)), (0.5, FockPositionDensity(3))])
+    res, nodes = _levels_run(caplog, lambda: density_entropy_1d(odd))
+    assert len(nodes) == 2
+    assert res.nodes_used == sum(nodes)
 
 
 def test_state_round_trip_through_evaluator_normalization():
