@@ -14,7 +14,6 @@ from .entropies import (
     LN_PI,
     EntropyReport,
     WitnessVerdict,
-    differential_entropy_marginal,
     entanglement_witness,
     entropy_report,
     harmonic_number,

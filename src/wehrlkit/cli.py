@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropies import (
+    entanglement_witness,
     quantum_mutual_information_noon,
     quantum_mutual_information_tmss,
     wehrl_mutual_information,
@@ -38,6 +39,7 @@ from .eur import (
     wl_lhs_stirling,
 )
 from .gaussian import (
+    PURITY_SLACK,
     CovarianceModel,
     ModePartition,
     gaussian_witness,
@@ -50,7 +52,7 @@ from .gaussian import (
 )
 from .husimi import NoonMarginalHusimi
 from .quadrature import _STRATEGIES, QuadratureSpec, entropy_functional
-from .states import NoonState, TwoModeSqueezedState, state_to_dict
+from .states import GaussianState, NoonState, TwoModeSqueezedState, state_to_dict
 
 _EUR_COLUMNS = (
     "grid_param",
@@ -184,14 +186,18 @@ def _add_common_args(sub):
          help="worker threads for independent chunks; results do not depend on this")
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise ToolkitError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ToolkitError(f"{path} is not valid JSON: {exc}")
+
+
+def _load_config(path: str) -> dict:
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ToolkitError(f"{path} must hold a JSON object")
     unknown = set(payload) - set(_SETTINGS)
@@ -367,13 +373,12 @@ def cmd_bipartite_tmss(args, run: RunConfig) -> int:
     )
     rows = []
     for lam in args.lambda_grid:
-        cov = tmss_covariance(lam)
-        conditional, mutual = gaussian_witness(cov)
+        conditional, mutual = gaussian_witness(tmss_covariance(lam))
+        verdict = entanglement_witness(TwoModeSqueezedState(lam))
         with grid_point(f"lambda={lam:.6g}"):
             cross = wehrl_mutual_information(TwoModeSqueezedState(lam), run.spec)
         qmi = quantum_mutual_information_tmss(lam)
-        tol = max(1e-9, 10.0 * cross.error_estimate)
-        if mutual > qmi + tol:
+        if mutual > qmi + verdict.tolerance:
             sys.stderr.write(
                 f"lambda={lam:.6g}: mutual information {mutual:.9g} exceeds "
                 f"the quantum mutual information {qmi:.9g}\n"
@@ -387,7 +392,7 @@ def cmd_bipartite_tmss(args, run: RunConfig) -> int:
             "quadrature_error": cross.error_estimate,
             "conditional_entropy": conditional,
             "quantum_mutual_information": qmi,
-            "entangled": bool(mutual > tol),
+            "entangled": verdict.entangled,
         })
     _emit(run, columns, rows)
     return 0
@@ -407,30 +412,22 @@ def cmd_bipartite_noon(args, run: RunConfig) -> int:
     for n in range(args.n_max + 1):
         with grid_point(f"n={n}"):
             marginal = entropy_functional(NoonMarginalHusimi(n), run.spec)
-            mutual = wehrl_mutual_information(NoonState(n), run.spec)
-        err = mutual.error_estimate + marginal.error_estimate
-        tol = max(1e-9, 10.0 * mutual.error_estimate)
+            verdict = entanglement_witness(NoonState(n), run.spec)
         rows.append({
             "n": n,
             "marginal_entropy": marginal.value,
-            "mutual_information": mutual.value,
-            "conditional_entropy": marginal.value - mutual.value,
-            "quadrature_error": err,
+            "mutual_information": verdict.mutual_information,
+            "conditional_entropy": marginal.value - verdict.mutual_information,
+            "quadrature_error": marginal.error_estimate + verdict.error_estimate,
             "quantum_mutual_information": quantum_mutual_information_noon(n),
-            "entangled": bool(mutual.value > tol),
+            "entangled": verdict.entangled,
         })
     _emit(run, columns, rows)
     return 0
 
 
 def _load_covariance(path: str, partition_text) -> CovarianceModel:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except OSError as exc:
-        raise ToolkitError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ToolkitError(f"{path} is not valid JSON: {exc}")
+    payload = _read_json(path)
     n_a, n_b = 0, 0
     if isinstance(payload, dict):
         n_a = payload.get("modes_a", 0)
@@ -472,7 +469,7 @@ def cmd_gaussian(args, run: RunConfig) -> int:
         "modes_a": cov.partition.n_a,
         "modes_b": cov.partition.n_b,
         "symplectic_eigenvalues": [float(v) for v in nus],
-        "pure": bool(np.all(nus <= 0.5 + 1e-7)),
+        "pure": bool(np.all(nus <= 0.5 + PURITY_SLACK)),
         "von_neumann_entropy": von_neumann_gaussian(cov),
         "wehrl_joint": wehrl_gaussian_joint(cov),
         "det_c": det_c,
@@ -486,7 +483,7 @@ def cmd_gaussian(args, run: RunConfig) -> int:
         report["conditional_entropy"] = conditional
         report["mutual_information"] = mutual
         if report["pure"]:
-            report["entangled"] = bool(mutual > 1e-9)
+            report["entangled"] = entanglement_witness(GaussianState(cov)).entangled
         if cov.partition.n_a == 1 and cov.partition.n_b == 1:
             reflected = ppt_reflect(cov.v, cov.partition)
             nu_min = float(np.min(symplectic_eigenvalues(reflected)))

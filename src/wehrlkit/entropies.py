@@ -18,6 +18,7 @@ from scipy.special import gammaln
 
 from .errors import NotPure, SupportViolation, UnsupportedState
 from .gaussian import (
+    PURITY_SLACK,
     CovarianceModel,
     gaussian_witness,
     tmss_covariance,
@@ -26,7 +27,6 @@ from .gaussian import (
 )
 from .husimi import (
     HusimiEvaluator,
-    PositionDensity,
     ProductHusimi,
     evaluator_for,
     marginal_husimi,
@@ -119,12 +119,12 @@ def wehrl_quadrature(obj, spec: QuadratureSpec | None = None) -> IntegralResult:
 class EntropyReport:
     """All entropies of one state, with the cross-check shown alongside.
 
-    ``wehrl_method`` records how ``wehrl`` was obtained: "closed-form",
-    "quadrature", or "both" when a closed form exists and the quadrature
-    engine confirmed it (then ``cross_check_delta`` is their absolute
-    difference).  ``differential_x``/``differential_p`` are the homodyne
-    marginal entropies, None for states without a supported line
-    density; ``von_neumann`` is None where no spectral rule applies.
+    ``wehrl_method`` is "both" when a closed form exists and quadrature
+    confirmed it (then ``wehrl`` is the closed form and
+    ``cross_check_delta`` their absolute difference), else "quadrature".
+    ``differential_x``/``differential_p`` are the homodyne marginal
+    entropies, None for states without a supported line density;
+    ``von_neumann`` is None where no spectral rule applies.
     """
 
     state: StateSpec
@@ -137,21 +137,25 @@ class EntropyReport:
 
 
 def entropy_report(state: StateSpec, spec: QuadratureSpec | None = None) -> EntropyReport:
-    """Entropy summary of a state; closed forms are always cross-checked."""
-    evaluator = _as_evaluator(state)
+    """Entropy summary of a state, closed-form wherever a closed form exists.
+
+    That covers the phase-space entropy of number, thermal and Gaussian
+    states (each cross-checked by quadrature), the homodyne entropy of
+    thermal states and every spectral entropy; the rest is quadrature.
+    """
+    quad = wehrl_quadrature(state, spec).value
     try:
         closed = wehrl_closed(state)
+        wehrl, method, delta = closed, "both", abs(closed - quad)
     except UnsupportedState:
-        closed = None
-    quad = entropy_functional(evaluator, spec)
-    if closed is None:
-        wehrl, method, delta = quad.value, "quadrature", None
-    else:
-        wehrl, method, delta = closed, "both", abs(closed - quad.value)
+        wehrl, method, delta = quad, "quadrature", None
     try:
         # Supported line densities are phase symmetric, so the x and p
-        # marginals coincide and one integral serves both entries.
-        marginal = density_entropy_1d(position_density_for(state), spec).value
+        # marginals coincide and one value serves both entries.
+        if isinstance(state, ThermalState):
+            marginal = homodyne_entropy_thermal_closed(state.beta_omega)
+        else:
+            marginal = density_entropy_1d(position_density_for(state), spec).value
     except UnsupportedState:
         marginal = None
     try:
@@ -168,19 +172,6 @@ def entropy_report(state: StateSpec, spec: QuadratureSpec | None = None) -> Entr
         von_neumann=spectral,
         cross_check_delta=delta,
     )
-
-
-def differential_entropy_marginal(density, spec: QuadratureSpec | None = None) -> IntegralResult:
-    """Differential entropy - integral f ln f dx of a homodyne marginal.
-
-    Accepts a line-density evaluator directly, or a state from which one
-    can be built.  Position and momentum marginals coincide for every
-    supported family (number states, their mixtures, thermal states), so
-    the value serves either quadrature.
-    """
-    if not isinstance(density, PositionDensity):
-        density = position_density_for(density)
-    return density_entropy_1d(density, spec)
 
 
 def homodyne_entropy_thermal_closed(beta_omega: float) -> float:
@@ -246,11 +237,7 @@ def wehrl_mutual_information(obj, spec: QuadratureSpec | None = None,
         s_a = entropy_functional(marg_a, spec)
         s_b = entropy_functional(marg_b, spec)
         s_ab = entropy_functional(evaluator, spec)
-        return IntegralResult(
-            s_a.value + s_b.value - s_ab.value,
-            s_a.error_estimate + s_b.error_estimate + s_ab.error_estimate,
-            s_a.nodes_used + s_b.nodes_used + s_ab.nodes_used,
-        )
+        return s_a + s_b - s_ab
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -266,20 +253,10 @@ def wehrl_conditional_entropy(obj, spec: QuadratureSpec | None = None,
     evaluator = _as_evaluator(obj)
     if method == "relative-entropy":
         s_a = entropy_functional(marginal_husimi(evaluator, "a"), spec)
-        mutual = wehrl_mutual_information(evaluator, spec)
-        return IntegralResult(
-            s_a.value - mutual.value,
-            s_a.error_estimate + mutual.error_estimate,
-            s_a.nodes_used + mutual.nodes_used,
-        )
+        return s_a - wehrl_mutual_information(evaluator, spec)
     if method == "chain":
         s_ab = entropy_functional(evaluator, spec)
-        s_b = entropy_functional(marginal_husimi(evaluator, "b"), spec)
-        return IntegralResult(
-            s_ab.value - s_b.value,
-            s_ab.error_estimate + s_b.error_estimate,
-            s_ab.nodes_used + s_b.nodes_used,
-        )
+        return s_ab - entropy_functional(marginal_husimi(evaluator, "b"), spec)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -318,7 +295,7 @@ class WitnessVerdict:
 
 def _gaussian_purity_check(cov: CovarianceModel):
     nus = cov.symplectic_eigenvalues()
-    if np.any(nus > 0.5 + 1e-7):
+    if np.any(nus > 0.5 + PURITY_SLACK):
         raise NotPure(
             "witness interprets mutual information for pure states only; "
             f"largest symplectic eigenvalue is {np.max(nus):.6f}"

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from .entropies import (
     LN_E_PI,
     LN_PI,
-    differential_entropy_marginal,
+    entropy_report,
     homodyne_entropy_thermal_closed,
     von_neumann,
-    wehrl_closed,
     wehrl_fock_stirling,
-    wehrl_quadrature,
     wehrl_thermal_closed,
 )
 from .errors import UnsupportedState, grid_point
@@ -84,26 +82,18 @@ def _assemble(state: StateSpec, wehrl: float, homodyne: float,
 def eur_report(state: StateSpec, spec: QuadratureSpec | None = None) -> EurReport:
     """Assemble the three uncertainty sums for a single-mode state.
 
-    Closed forms are used where they exist (number and thermal states)
-    and the quadrature engine confirms them; the absolute difference is
-    reported.  Mixtures have no closed form and are pure quadrature.
+    The sums are arithmetic on ``entropy_report``, which decides which
+    entropies are closed-form; its cross-check of the phase-space
+    entropy, None for mixtures, is passed on as ``cross_check_delta``.
     """
     validate(state)
     if not isinstance(state, (FockState, FockMixtureState, ThermalState)):
         raise UnsupportedState(
             f"uncertainty sums are single-mode; got {type(state).__name__}"
         )
-    quad = wehrl_quadrature(state, spec).value
-    if isinstance(state, (FockState, ThermalState)):
-        wehrl = wehrl_closed(state)
-        delta = abs(wehrl - quad)
-    else:
-        wehrl, delta = quad, None
-    if isinstance(state, ThermalState):
-        homodyne = homodyne_entropy_thermal_closed(state.beta_omega)
-    else:
-        homodyne = differential_entropy_marginal(state, spec).value
-    return _assemble(state, wehrl, homodyne, von_neumann(state), delta)
+    rep = entropy_report(state, spec)
+    return _assemble(state, rep.wehrl, rep.differential_x, rep.von_neumann,
+                     rep.cross_check_delta)
 
 
 def eur_thermal_closed(beta_omega: float) -> EurReport:
@@ -122,7 +112,7 @@ def eur_thermal_closed(beta_omega: float) -> EurReport:
         ThermalState(b),
         wehrl_thermal_closed(b),
         homodyne_entropy_thermal_closed(b),
-        b / math.expm1(b) - math.log(-math.expm1(-b)),
+        von_neumann(ThermalState(b)),
         None,
     )
 
@@ -195,9 +185,10 @@ def mixture_crossover(spec: QuadratureSpec | None = None,
     On q |0><0| + (1-q) |1><1| the homodyne sum is the smaller of the
     two at q = 0 and the larger on most of the interval, so their
     difference changes sign at a small q.  The bracket is sampled at 25
-    points, in order, up to the first sign change, which is then bisected
-    to a width of ``xtol``.  Returns that root, or None if the samples
-    never straddle zero.
+    points, in order, up to the first sign change, whose root is then
+    found by Illinois false position (see ``_illinois``) until two
+    iterates differ by ``xtol`` or less.  Returns that root, or None if
+    the samples never straddle zero.
     """
 
     def gap(q: float) -> float:
@@ -212,20 +203,31 @@ def mixture_crossover(spec: QuadratureSpec | None = None,
             return q0
         g1 = gap(q1)
         if g0 * g1 < 0.0:
-            return _bisect(gap, q0, g0, q1, xtol)
+            return _illinois(gap, q0, g0, q1, g1, xtol)
         q0, g0 = q1, g1
     return None
 
 
-def _bisect(f, lo: float, f_lo: float, hi: float, xtol: float) -> float:
-    """Midpoint of a bracket of a sign change of f, halved to width xtol."""
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
+def _illinois(f, q0: float, g0: float, q1: float, g1: float, xtol: float) -> float:
+    """Root of f between q0 and q1, where f takes the values g0 and g1 of opposite sign.
+
+    Illinois false position (Dowell and Jarratt, BIT 11, 1971): each
+    iterate, the secant root through the bracket ends, becomes the end q1.
+    The old q1 becomes q0 when the iterate changes sign; otherwise q0 is
+    kept and its value halved, so the bracket closes from both sides and
+    convergence stays superlinear.  Returns the first iterate within
+    ``xtol`` of the one before it.
+    """
+    previous = math.inf
+    while True:
+        q = (q0 * g1 - q1 * g0) / (g1 - g0)
+        if abs(q - previous) <= xtol:
+            return q
+        previous, g = q, f(q)
+        if g == 0.0:
+            return q
+        if (g < 0.0) == (g1 < 0.0):
+            g0 *= 0.5
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            q0, g0 = q1, g1
+        q1, g1 = q, g

@@ -38,6 +38,9 @@ from .errors import (
 
 # Slack below 1/2 tolerated when testing symplectic admissibility.
 SYMPLECTIC_SLACK = 1e-10
+# Slack above 1/2 tolerated when calling a state pure by its symplectic
+# eigenvalues.
+PURITY_SLACK = 1e-7
 # Conjugate symplectic eigenvalues must agree to this relative tolerance.
 _PAIR_TOL = 1e-9
 
@@ -203,11 +206,6 @@ class CovarianceModel:
     def v_b(self) -> np.ndarray:
         k = self._split()
         return self.v[k:, k:]
-
-    @property
-    def v_m(self) -> np.ndarray:
-        k = self._split()
-        return self.v[:k, k:]
 
     def reduced(self, keep: str) -> "CovarianceModel":
         """Covariance model of one subsystem after tracing out the other."""

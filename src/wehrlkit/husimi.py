@@ -299,7 +299,6 @@ class ConvexCombinationHusimi(HusimiEvaluator):
             self.kind = "radial"
             self.radial_gamma_shape = max(ev.radial_gamma_shape for _, ev in pairs)
             self.radial_rate = min(ev.radial_rate for _, ev in pairs)
-            self.axis_second_moment = sum(w * ev.axis_second_moment for w, ev in pairs)
 
     def log_q(self, points):
         stacked = np.stack([ev.log_q(points) for _, ev in self.components])

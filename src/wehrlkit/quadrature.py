@@ -23,7 +23,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 # roots_hermite imports scipy.linalg on its first call (about 45 ms on 2
@@ -83,8 +83,8 @@ class QuadratureSpec:
     integrand's Gamma-type tail; a given cutoff must be positive and
     finite, and both tolerances positive and finite, or ValueError is
     raised.  ``parallelism`` > 1 maps the chunks of a cartesian level
-    over a thread pool; results are reduced pairwise in a fixed order, so
-    the value does not depend on the worker count.
+    over a thread pool; ``math.fsum`` adds the chunk sums exactly rounded,
+    so the value does not depend on the worker count.
     """
 
     strategy: str = "auto"
@@ -121,27 +121,21 @@ class IntegralResult:
     It leaves out the truncation at the radial cutoff, so it can be
     smaller than the true error.  ``nodes_used`` counts the nodes
     evaluated over all levels; on the "noon" triangle a node is one pair
-    of radii, its angle averaged exactly.
+    of radii, its angle averaged exactly.  Results combine with ``+`` and
+    ``-``: values add or subtract, estimates and node counts always add.
     """
 
     value: float
     error_estimate: float
     nodes_used: int
 
+    def __add__(self, other: "IntegralResult") -> "IntegralResult":
+        return IntegralResult(self.value + other.value,
+                              self.error_estimate + other.error_estimate,
+                              self.nodes_used + other.nodes_used)
 
-def _pairwise(values) -> float:
-    """Deterministic pairwise reduction, independent of chunking order."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return vals[0]
+    def __sub__(self, other: "IntegralResult") -> "IntegralResult":
+        return self + replace(other, value=-other.value)
 
 
 def _map_chunks(fn, items, parallelism: int):
@@ -427,7 +421,7 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
             return float(np.sum(terms(pts, lw_sum.reshape(-1))))
 
         parts = _map_chunks(do_chunk, starts, spec.parallelism)
-        return math.exp(log_pref) * _pairwise(parts)
+        return math.exp(log_pref) * math.fsum(parts)
 
     layout = lambda m: (m**dim, functools.partial(run, m))
     grow = lambda m: min(2 * m, 384)
@@ -501,12 +495,6 @@ def _log_factor(logq, out=None):
     return logq
 
 
-def _add_entropies(a: IntegralResult, b: IntegralResult) -> IntegralResult:
-    # Entropy is additive over independent factors.
-    return IntegralResult(a.value + b.value, a.error_estimate + b.error_estimate,
-                          a.nodes_used + b.nodes_used)
-
-
 def _multiply_masses(a: IntegralResult, b: IntegralResult) -> IntegralResult:
     return IntegralResult(
         a.value * b.value,
@@ -527,7 +515,8 @@ def _one_density(evaluator: HusimiEvaluator, factor_of_log, join, spec: Quadratu
 def entropy_functional(evaluator: HusimiEvaluator,
                        spec: QuadratureSpec | None = None) -> IntegralResult:
     """- integral of Q ln Q over phase space."""
-    return _one_density(evaluator, _entropy_factor, _add_entropies,
+    # Entropy is additive over independent factors.
+    return _one_density(evaluator, _entropy_factor, IntegralResult.__add__,
                         spec or QuadratureSpec(), "entropy functional")
 
 

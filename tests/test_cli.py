@@ -165,7 +165,7 @@ def test_eur_mixture_endpoints_and_crossover():
 
 
 def test_cli_start_up_leaves_scipy_optimize_unloaded():
-    # the crossover is bisected in eur.py: scipy.optimize alone added about
+    # the crossover is solved in eur.py: scipy.optimize alone added about
     # 0.15 s to every start-up
     proc = run_python("-c", "import sys, wehrlkit.cli; print('scipy.optimize' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -225,6 +225,14 @@ def test_bipartite_noon_table():
         assert row["conditional_entropy"] == pytest.approx(
             row["marginal_entropy"] - row["mutual_information"], abs=1e-12)
         assert row["quantum_mutual_information"] == pytest.approx(2 * math.log(2), abs=1e-12)
+    # every column comes from the library calls, bit for bit
+    spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+    for row in rows:
+        state = wehrlkit.NoonState(row["n"])
+        conditional = wehrlkit.wehrl_conditional_entropy(state, spec)
+        assert row["conditional_entropy"] == conditional.value
+        assert row["quadrature_error"] == conditional.error_estimate
+        assert row["entangled"] == wehrlkit.entanglement_witness(state, spec).entangled
 
 
 def test_forced_strategy_mismatch_exits_3():
@@ -363,6 +371,9 @@ def test_gaussian_partition_override(tmp_path):
     assert report["modes_b"] == 1
     assert report["mutual_information"] == pytest.approx(0.0, abs=1e-12)
     assert report["ppt_verdict"] == "no-violation"
+    # a product of two thermal-like modes is mixed: no witness verdict
+    assert report["pure"] is False
+    assert "entangled" not in report
 
 
 def test_gaussian_inadmissible_matrix_exits_3(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wehrlkit.eur
 from wehrlkit import (
     FockMixtureState,
     FockState,
@@ -14,6 +15,7 @@ from wehrlkit import (
     TwoModeSqueezedState,
     UnsupportedState,
     bbm_lhs_asymptotic,
+    entropy_report,
     eur_report,
     eur_sweep_fock,
     eur_sweep_mixture,
@@ -127,6 +129,20 @@ def test_thermal_closed_matches_quadrature_report():
         assert abs(closed.fl_lhs - quad.fl_lhs) < 1e-7
 
 
+@pytest.mark.parametrize("state", [
+    FockState(3),
+    FockMixtureState(((0, 0.3), (1, 0.7))),
+    ThermalState(0.7),
+], ids=["fock-3", "mixture-0.3", "thermal-0.7"])
+def test_eur_report_is_arithmetic_on_the_entropy_report(state):
+    rep = entropy_report(state)
+    eur = eur_report(state)
+    assert eur.wl_lhs == rep.wehrl + math.log(math.pi)
+    assert eur.bbm_lhs == 2.0 * rep.differential_x
+    assert eur.fl_lhs == 2.0 * rep.differential_x - rep.von_neumann + (1.0 - math.log(2.0))
+    assert eur.cross_check_delta == rep.cross_check_delta
+
+
 def test_thermal_closed_formulas():
     b = 0.8
     rep = eur_thermal_closed(b)
@@ -193,20 +209,31 @@ def test_eur_sweep_thermal_grid():
     assert rows[0][1].state.beta_omega == pytest.approx(0.1)
 
 
-def test_mixture_crossover_location():
+def test_mixture_crossover_location(monkeypatch):
     """The two relations swap tightness at a small vacuum weight.
 
     The solver reports where the gap changes sign; the location is a
-    property of the family, not an input, so only bracket it.
+    property of the family, not an input, so bracket it, then check that
+    the gap changes sign within 1e-7 of it.  The gap is smooth there, so
+    false position needs far fewer reports than halving the bracket.
     """
+    calls = []
+
+    def counted(state, spec=None):
+        calls.append(state)
+        return eur_report(state, spec)
+
+    monkeypatch.setattr(wehrlkit.eur, "eur_report", counted)
     q = mixture_crossover()
     assert 0.0 < q < 0.2
+    assert len(calls) <= 8
     gap = lambda rep: rep.bbm_lhs - rep.wl_lhs
 
     def report(qq):
         return eur_report(FockMixtureState(((0, qq), (1, 1.0 - qq))))
 
     assert gap(report(q + 0.02)) * gap(report(max(q - 0.02, 1e-4))) < 0.0
+    assert gap(report(q + 1e-7)) * gap(report(q - 1e-7)) < 0.0
 
 
 def test_eur_report_rejects_unsupported_families():

@@ -16,6 +16,7 @@ from wehrlkit import (
     DimensionMismatch,
     FockHusimi,
     GaussianHusimi,
+    IntegralResult,
     NoonHusimi,
     NoonMarginalHusimi,
     ProductHusimi,
@@ -191,8 +192,8 @@ def test_parallelism_is_deterministic():
 
 def test_cartesian_thread_pool_gives_the_serial_bits():
     # 80 and 160 nodes per axis in 3D lay out 2 and 9 chunks, so parallelism
-    # above one maps them over the pool; they are reduced pairwise in a
-    # fixed order whichever worker ran them
+    # above one maps them over the pool; their sums come back in chunk order
+    # and math.fsum rounds their total exactly, whichever worker ran them
     def run(parallelism):
         threads = set()
 
@@ -220,6 +221,14 @@ def test_product_entropy_splits_into_factor_sum():
     joint = entropy_functional(prod)
     parts = entropy_functional(FockHusimi(1)).value + entropy_functional(ThermalHusimi(0.6)).value
     assert abs(joint.value - parts) < 1e-8
+
+
+def test_results_combine_values_and_add_errors_and_nodes():
+    a = IntegralResult(1.5, 0.25, 100)
+    b = IntegralResult(0.25, 0.125, 40)
+    assert a + b == IntegralResult(1.75, 0.375, 140)
+    assert a - b == IntegralResult(1.25, 0.375, 140)
+    assert b - a == IntegralResult(-1.25, 0.375, 140)
 
 
 def test_tolerance_not_reached_carries_partial_result():
