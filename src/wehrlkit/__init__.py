@@ -90,7 +90,6 @@ from .husimi import (
     NoonMarginalHusimi,
     PositionDensity,
     ProductHusimi,
-    QuadratureMarginalHusimi,
     ThermalHusimi,
     ThermalPositionDensity,
     conditional_husimi,

@@ -45,7 +45,6 @@ from .gaussian import (
     gaussian_witness,
     ppt_reflect,
     symplectic_eigenvalues,
-    tmss_covariance,
     von_neumann_gaussian,
     wehrl_gaussian_joint,
     wehrl_gaussian_local,
@@ -373,10 +372,11 @@ def cmd_bipartite_tmss(args, run: RunConfig) -> int:
     )
     rows = []
     for lam in args.lambda_grid:
-        conditional, mutual = gaussian_witness(tmss_covariance(lam))
-        verdict = entanglement_witness(TwoModeSqueezedState(lam))
+        state = TwoModeSqueezedState(lam)
+        conditional, mutual = gaussian_witness(state.cov)
+        verdict = entanglement_witness(state)
         with grid_point(f"lambda={lam:.6g}"):
-            cross = wehrl_mutual_information(TwoModeSqueezedState(lam), run.spec)
+            cross = wehrl_mutual_information(state, run.spec)
         qmi = quantum_mutual_information_tmss(lam)
         if mutual > qmi + verdict.tolerance:
             sys.stderr.write(

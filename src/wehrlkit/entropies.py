@@ -21,7 +21,6 @@ from .gaussian import (
     PURITY_SLACK,
     CovarianceModel,
     gaussian_witness,
-    tmss_covariance,
     von_neumann_gaussian,
     wehrl_gaussian_joint,
 )
@@ -98,7 +97,7 @@ def wehrl_closed(state: StateSpec) -> float:
     if isinstance(state, GaussianState):
         return wehrl_gaussian_joint(state.cov)
     if isinstance(state, TwoModeSqueezedState):
-        return wehrl_gaussian_joint(tmss_covariance(state.lam))
+        return wehrl_gaussian_joint(state.cov)
     raise UnsupportedState(
         f"{type(state).__name__} has no closed-form entropy here; integrate it"
     )
@@ -313,7 +312,7 @@ def entanglement_witness(state: StateSpec, spec: QuadratureSpec | None = None,
     """
     validate(state)
     if isinstance(state, TwoModeSqueezedState):
-        _, mutual = gaussian_witness(tmss_covariance(state.lam))
+        _, mutual = gaussian_witness(state.cov)
         value, err, method = mutual, 0.0, "closed-form"
     elif isinstance(state, GaussianState):
         if not state.cov.partition.bipartite:

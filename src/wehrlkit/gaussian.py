@@ -130,11 +130,16 @@ def minimum_symplectic_eigenvalue(v: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Validated covariance pair (V, C) with a fixed A/B mode split."""
+    """Validated covariance pair (V, C) with a fixed A/B mode split.
+
+    ``spectrum`` is the symplectic spectrum of V, ascending, computed once
+    by the admissibility check of ``from_v``.
+    """
 
     v: np.ndarray
     c: np.ndarray
     partition: ModePartition
+    spectrum: np.ndarray
 
     @classmethod
     def from_v(cls, v: np.ndarray, partition: ModePartition) -> "CovarianceModel":
@@ -144,7 +149,8 @@ class CovarianceModel:
                 f"covariance is {v.shape[0]}x{v.shape[0]} but the partition "
                 f"needs dimension {partition.dim}"
             )
-        nu_min = minimum_symplectic_eigenvalue(v)
+        spectrum = symplectic_eigenvalues(v)
+        nu_min = float(spectrum[0])
         if nu_min < 0.5 - SYMPLECTIC_SLACK:
             raise InadmissibleCovariance(
                 f"minimum symplectic eigenvalue {nu_min:.6g} is below 1/2",
@@ -156,9 +162,9 @@ class CovarianceModel:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - admissible V + 1/2 is PD
             raise SingularMatrix("V + 1/2 could not be inverted") from exc
         c = 0.5 * (c + c.T)
-        v.setflags(write=False)
-        c.setflags(write=False)
-        return cls(v=v, c=c, partition=partition)
+        for frozen in (v, c, spectrum):
+            frozen.setflags(write=False)
+        return cls(v=v, c=c, partition=partition, spectrum=spectrum)
 
     @classmethod
     def from_husimi_form(cls, c: np.ndarray, partition: ModePartition) -> "CovarianceModel":
@@ -218,7 +224,7 @@ class CovarianceModel:
         raise ValueError("keep must be 'a' or 'b'")
 
     def symplectic_eigenvalues(self) -> np.ndarray:
-        return symplectic_eigenvalues(self.v)
+        return self.spectrum
 
 
 def c_from_v(v: np.ndarray, partition: ModePartition) -> CovarianceModel:
@@ -283,7 +289,7 @@ def gaussian_witness(cov: CovarianceModel) -> tuple[float, float]:
 def von_neumann_gaussian(cov: CovarianceModel) -> float:
     """Von Neumann entropy from the symplectic spectrum of V."""
     total = 0.0
-    for nu in symplectic_eigenvalues(cov.v):
+    for nu in cov.symplectic_eigenvalues():
         if nu <= 0.5 + 1e-12:
             continue
         total += (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)

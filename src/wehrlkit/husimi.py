@@ -13,9 +13,10 @@ and the quadrature engine routes on it without probing for methods:
   ``radial_rate``;
 * ``"noon"`` promises a two-mode density that depends on the mode phases
   only through their difference and is symmetric under the exchange
-  r_A <-> r_B of the two radii, with ``angle_averaged_logs`` (the
-  average over that difference, in closed form), plus the same two tail
-  parameters for the radial cutoff;
+  r_A <-> r_B of the two radii, with ``angle_averaged_logs(r, s)`` (the
+  average over that difference, in closed form, on the triangle
+  r_A = r, r_B = s r with 0 <= s <= 1, as (len r, len s) arrays), plus
+  the same two tail parameters for the radial cutoff;
 * ``"gaussian"`` promises that ln Q is exactly quadratic, with the
   covariance and mean that ``gaussian_envelope`` returns; whitened by it,
   an integral whose densities are all "gaussian" is exact on four
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .errors import (
@@ -42,7 +42,7 @@ from .errors import (
     NotBipartite,
     UnsupportedState,
 )
-from .gaussian import CovarianceModel, ModePartition, tmss_covariance
+from .gaussian import CovarianceModel, ModePartition
 from .states import (
     FockMixtureState,
     FockState,
@@ -206,6 +206,7 @@ class NoonHusimi(HusimiEvaluator):
         self._log_norm = (n + 1) * math.log(2.0) + float(gammaln(n + 1)) + math.log1p(delta)
         self.radial_gamma_shape = float(n)
         self.radial_rate = 1.0
+        self.marginal = NoonMarginalHusimi(n)
 
     def log_q(self, points):
         pts = self._points(points)
@@ -218,29 +219,33 @@ class NoonHusimi(HusimiEvaluator):
         with np.errstate(divide="ignore"):
             return np.log(mag2) - 0.5 * rsq - self._log_norm
 
-    def angle_averaged_logs(self, r_a, r_b):
-        """ln <Q> and <Q ln Q> / <Q> over the phase difference, at radii (r_a, r_b).
+    def angle_averaged_logs(self, r, s):
+        """ln <Q> and <Q ln Q> / <Q> over the phase difference, on the triangle.
 
-        With x = r_A^n and y = r_B^n the angular factor is |x + y e^{iu}|^2,
+        The radii are r_A = r and r_B = s r with 0 <= s <= 1, given as two
+        1D arrays; both results are fresh (len r, len s) arrays.  With
+        x = r_A^n and y = r_B^n <= x the angular factor is |x + y e^{iu}|^2,
         whose averages over u are x^2 + y^2 and, for n >= 1,
-        (x^2 + y^2) ln max(x^2, y^2) + 2 min(x^2, y^2) (Jensen's formula and
-        the Fourier series of ln|1 + t e^{iu}|).  Written with the larger
-        radius r and t = (smaller / larger)^(2n) <= 1, both are the prefactor
-        log plus 2n ln r, plus log1p(t) and 2t / (1 + t) respectively.  At
-        n = 0 the factor is the constant 4 and both values are ln Q.
-        Returns two fresh arrays on the broadcast nodes.
+        (x^2 + y^2) ln x^2 + 2 y^2 (Jensen's formula and the Fourier series
+        of ln|1 + t e^{iu}|).  With t = s^(2n) <= 1 both are the prefactor
+        log plus 2n ln r, plus log1p(t) and 2t / (1 + t) respectively: the
+        t terms live on the s axis, 2n ln r on the r axis, and only the
+        Gaussian -r^2 (1 + s^2) / 2 is formed per node.  At n = 0 the factor
+        is the constant 4 and both values are ln Q.
         """
         n = self.excitation
-        ra = np.asarray(r_a, dtype=float)
-        rb = np.asarray(r_b, dtype=float)
-        base = -0.5 * (ra * ra + rb * rb) - self._log_norm
+        r = np.asarray(r, dtype=float)
+        s = np.asarray(s, dtype=float)
+        log_mean = np.outer(-0.5 * r * r, 1.0 + s * s)
         if n == 0:
-            return base + 2.0 * math.log(2.0), base + 2.0 * math.log(2.0)
-        hi = np.maximum(ra, rb)
-        t = (np.minimum(ra, rb) / hi) ** (2 * n)
+            log_mean += 2.0 * math.log(2.0) - self._log_norm
+            return log_mean, log_mean.copy()
         with np.errstate(divide="ignore"):
-            base += 2.0 * n * np.log(hi)
-        return base + np.log1p(t), base + 2.0 * t / (1.0 + t)
+            log_mean += (2.0 * n * np.log(r) - self._log_norm)[:, None]
+        t = s ** (2 * n)
+        q_log_q = log_mean + 2.0 * t / (1.0 + t)
+        log_mean += np.log1p(t)
+        return log_mean, q_log_q
 
     def gaussian_envelope(self):
         width = 0.5 * (self.excitation + 2.0) + 0.5
@@ -395,72 +400,6 @@ class ConditionalHusimi(HusimiEvaluator):
         return self._envelope_sigma, self._envelope_mean
 
 
-# Fixed polar rule over the mode QuadratureMarginalHusimi traces out:
-# Gauss-Legendre in r on [0, cutoff] times midpoints in the angle.
-_TRACE_RADIAL_NODES = 160
-_TRACE_ANGULAR_NODES = 64
-_TRACE_CUTOFF = 12.0
-# Kept points traced at once: 4 x 10,240 parent evaluations a chunk.  The
-# parent's log_q dominates the cost; larger chunks leave the cache and run
-# slower (64 points a chunk took about 1.6x as long on 2 cores).
-_TRACE_CHUNK_POINTS = 4
-
-
-class QuadratureMarginalHusimi(HusimiEvaluator):
-    """Marginal obtained by numerically tracing out a one-mode subsystem.
-
-    It carries no error estimate; tests check the closed-form marginals
-    of ``marginal_husimi`` against it.
-    """
-
-    kind = "generic"
-
-    def __init__(self, parent: HusimiEvaluator, keep: str):
-        if not parent.partition.bipartite:
-            raise NotBipartite("marginal needs a bipartite parent")
-        traced_modes = parent.partition.n_a if keep == "b" else parent.partition.n_b
-        if traced_modes != 1:
-            raise UnsupportedState("numeric marginal supports tracing one mode only")
-        self.parent = parent
-        self.keep = keep
-        kept_modes = parent.partition.n_b if keep == "b" else parent.partition.n_a
-        self.partition = ModePartition(kept_modes, 0)
-        # Measure dx dp / (2 pi).
-        t, w = leggauss(_TRACE_RADIAL_NODES)
-        r = 0.5 * _TRACE_CUTOFF * (t + 1.0)
-        wr = 0.5 * _TRACE_CUTOFF * w * r
-        theta = (np.arange(_TRACE_ANGULAR_NODES) + 0.5) * (2.0 * math.pi / _TRACE_ANGULAR_NODES)
-        xs = np.outer(r, np.cos(theta)).ravel()
-        ps = np.outer(r, np.sin(theta)).ravel()
-        self._nodes = np.stack([xs, ps], axis=-1)
-        self._log_w = np.log(np.repeat(wr, _TRACE_ANGULAR_NODES) / _TRACE_ANGULAR_NODES)
-
-    def log_q(self, points):
-        pts = self._points(points)
-        flat = pts.reshape(-1, self.dim)
-        out = np.empty(flat.shape[0])
-        # One joint buffer: the traced nodes stay, each chunk writes its
-        # kept coordinates over the rest.
-        joint = np.empty((_TRACE_CHUNK_POINTS, self._nodes.shape[0], 2 + self.dim))
-        traced = slice(0, 2) if self.keep == "b" else slice(self.dim, None)
-        kept = slice(2, None) if self.keep == "b" else slice(0, self.dim)
-        joint[..., traced] = self._nodes
-        for start in range(0, flat.shape[0], _TRACE_CHUNK_POINTS):
-            chunk = flat[start:start + _TRACE_CHUNK_POINTS]
-            m = chunk.shape[0]
-            joint[:m, :, kept] = chunk[:, None, :]
-            out[start:start + m] = _log_sum_exp(self.parent.log_q(joint[:m]) + self._log_w, axis=1)
-        return out.reshape(pts.shape[:-1])
-
-    def gaussian_envelope(self):
-        # The kept block of the parent's envelope dominates the marginal.
-        sigma, mean = self.parent.gaussian_envelope()
-        ka = 2 * self.parent.partition.n_a
-        if self.keep == "a":
-            return sigma[:ka, :ka], mean[:ka]
-        return sigma[ka:, ka:], mean[ka:]
-
-
 def evaluator_for(state: StateSpec) -> HusimiEvaluator:
     """Husimi evaluator of a validated state spec."""
     if isinstance(state, FockState):
@@ -475,7 +414,7 @@ def evaluator_for(state: StateSpec) -> HusimiEvaluator:
     if isinstance(state, GaussianState):
         return GaussianHusimi(state.cov)
     if isinstance(state, TwoModeSqueezedState):
-        return GaussianHusimi(tmss_covariance(state.lam))
+        return GaussianHusimi(state.cov)
     if isinstance(state, NoonState):
         return NoonHusimi(state.excitation)
     raise UnsupportedState(f"no evaluator for {type(state).__name__}")
@@ -494,8 +433,9 @@ def marginal_husimi(evaluator: HusimiEvaluator, keep: str = "a") -> HusimiEvalua
     if isinstance(evaluator, GaussianHusimi):
         return GaussianHusimi(evaluator.cov.reduced(keep))
     if isinstance(evaluator, NoonHusimi):
-        # Both reductions coincide by the exchange symmetry of the state.
-        return NoonMarginalHusimi(evaluator.excitation)
+        # Both reductions coincide by the exchange symmetry of the state, so
+        # both are one instance: a product of it with itself is evaluated once.
+        return evaluator.marginal
     if isinstance(evaluator, ProductHusimi):
         return evaluator.factor_a if keep == "a" else evaluator.factor_b
     if isinstance(evaluator, ConvexCombinationHusimi):

@@ -345,11 +345,16 @@ def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
     angle enters only through the evaluator's ``angle_averaged_logs``:
     ln <Q> sets the mass and <Q ln Q> / <Q> enters the factor.  By the
     exchange symmetry only the triangle r_B <= r_A is integrated, at
-    weight two, as r_B = s r_A with composite Gauss-Legendre rules in r_A
-    on [0, cutoff] and in s on [0, 1]; the Jacobian makes the weight
-    2 r_A^3 s.  The reference, a product of two radial factors, need not
-    be symmetric: it enters through the mean of its clamped log at
-    (r_A, r_B) and at (r_B, r_A).  Each level doubles both axes.
+    weight two, as r_A = r and r_B = s r with composite Gauss-Legendre
+    rules in r on [0, cutoff] and in s on [0, 1]; the Jacobian makes the
+    weight 2 r^3 s, an outer product of the two axes, and the evaluator
+    gets the axes, not the nodes.  The s panels are graded (see
+    ``_panel_nodes``): a reference factor vanishing at r = 0 puts
+    s ln s into ln S at s = 0.  The reference, a product of two radial
+    factors, need not be symmetric: it enters through the mean of its
+    clamped log at (r_A, r_B) and at (r_B, r_A); when both factors are
+    one evaluator the two orders coincide, and ln S is evaluated once.
+    Each level doubles both axes.
     """
     cutoff = spec.radial_cutoff
     if cutoff is None:
@@ -357,24 +362,28 @@ def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
             evaluator.radial_gamma_shape + 1.0, evaluator.radial_rate, _tail_mass(spec)
         )
 
+    def reference_logs(r, s):
+        r_b = np.outer(r, s)
+        log_a, log_b = reference.factor_a.log_q_radial, reference.factor_b.log_q_radial
+        logs = log_a(r)[:, None] + log_b(r_b)
+        if reference.factor_a is reference.factor_b:
+            under = np.flatnonzero(logs < LOG_TINY)
+            np.maximum(logs, _LOG_FLOOR, out=logs)
+        else:
+            logs_ba = log_a(r_b) + log_b(r)[:, None]
+            under = np.flatnonzero((logs < LOG_TINY) | (logs_ba < LOG_TINY))
+            logs = 0.5 * (np.maximum(logs, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
+        return logs.ravel(), under
+
     def layout(level):
         r, wr = _panel_nodes(0.0, cutoff, level[0])
-        s, ws = _panel_nodes(0.0, 1.0, level[1])
+        s, ws = _panel_nodes(0.0, 1.0, level[1], graded=True)
 
         def run():
-            r_a = np.repeat(r, s.size)
-            r_b = np.outer(r, s).ravel()
+            log_mass, log_factor = evaluator.angle_averaged_logs(r, s)
+            logs = None if reference is None else reference_logs(r, s)
+            terms = _node_terms(log_mass.ravel(), log_factor.ravel(), factor_of_log, logs)
             weight = np.outer(2.0 * wr * r**3, ws * s).ravel()
-            log_mass, log_factor = evaluator.angle_averaged_logs(r_a, r_b)
-            reference_logs = None
-            if reference is not None:
-                log_a, log_b = reference.factor_a.log_q_radial, reference.factor_b.log_q_radial
-                logs_ab = np.repeat(log_a(r), s.size) + log_b(r_b)
-                logs_ba = log_a(r_b) + np.repeat(log_b(r), s.size)
-                under = np.flatnonzero((logs_ab < LOG_TINY) | (logs_ba < LOG_TINY))
-                logs = 0.5 * (np.maximum(logs_ab, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
-                reference_logs = logs, under
-            terms = _node_terms(log_mass, log_factor, factor_of_log, reference_logs)
             return float(np.multiply(terms, weight, out=terms).sum())
 
         return r.size * s.size, run
@@ -450,11 +459,12 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     The runner is picked here, and only here.  Capabilities come from
     ``kind`` alone: "radial" promises ``log_q_radial``,
     ``radial_gamma_shape`` and ``radial_rate``; "noon" promises an
-    exchange-symmetric density with ``angle_averaged_logs`` and the same
-    two tail parameters; "gaussian"
-    promises that ln Q is exactly quadratic, with the covariance and mean
-    ``gaussian_envelope`` returns, so a cartesian integral whose densities
-    are all "gaussian" starts at no more than four nodes per axis.  The
+    exchange-symmetric density with ``angle_averaged_logs(r, s)`` on the
+    triangle axes r_A = r, r_B = s r and the same two tail parameters;
+    "gaussian" promises that ln Q is exactly quadratic, with the
+    covariance and mean ``gaussian_envelope`` returns, so a cartesian
+    integral whose densities are all "gaussian" starts at no more than
+    four nodes per axis.  The
     "auto" strategy is radial when every density is radial, the "noon"
     triangle when the evaluator is "noon" and the reference is absent or
     a product of two radial factors, cartesian otherwise;

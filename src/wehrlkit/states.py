@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import LambdaOutOfRange, NonNormalizedMixture, UnsupportedState
-from .gaussian import CovarianceModel, ModePartition
+from .gaussian import CovarianceModel, ModePartition, tmss_covariance
 
 MIXTURE_NORMALIZATION_TOL = 1e-12
 
@@ -99,6 +100,11 @@ class TwoModeSqueezedState:
         lam = float(self.lam)
         if not np.isfinite(lam) or not 0.0 <= lam < 1.0:
             raise LambdaOutOfRange(f"lam={lam!r} outside [0, 1)")
+
+    @functools.cached_property
+    def cov(self) -> CovarianceModel:
+        """Covariance model, built on first use and shared by every later one."""
+        return tmss_covariance(self.lam)
 
 
 @dataclass(frozen=True)

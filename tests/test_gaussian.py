@@ -13,6 +13,7 @@ from wehrlkit import (
     NonSymmetric,
     NormalFormParams,
     NotPure,
+    TwoModeSqueezedState,
     apply_local_squeeze,
     c_from_v,
     from_grouped_ordering,
@@ -78,6 +79,18 @@ def test_symplectic_eigenvalues_known_cases():
     assert symplectic_eigenvalues((nbar + 0.5) * np.eye(2))[0] == pytest.approx(nbar + 0.5)
     nus = tmss_covariance(0.8).symplectic_eigenvalues()
     assert np.allclose(nus, [0.5, 0.5], atol=1e-12)
+
+
+def test_the_model_keeps_the_spectrum_of_its_admissibility_check():
+    # one spectrum per covariance, with the bits of a fresh computation
+    cov = random_admissible_covariance(np.random.default_rng(5), ModePartition(2, 1))
+    nus = cov.symplectic_eigenvalues()
+    assert nus is cov.symplectic_eigenvalues()
+    assert not nus.flags.writeable
+    assert np.array_equal(nus, symplectic_eigenvalues(cov.v))
+    state = TwoModeSqueezedState(0.3)
+    assert state.cov is state.cov
+    assert np.array_equal(state.cov.c, tmss_covariance(0.3).c)
 
 
 def test_husimi_form_round_trip():

@@ -6,6 +6,7 @@ position representation, the thermal density from a Boltzmann series,
 and the two-mode squeezed density from its Schmidt series.
 """
 
+import itertools
 import math
 import warnings
 
@@ -29,7 +30,6 @@ from wehrlkit import (
     NoonState,
     NotBipartite,
     ProductHusimi,
-    QuadratureMarginalHusimi,
     ThermalHusimi,
     ThermalPositionDensity,
     ThermalState,
@@ -50,6 +50,8 @@ from wehrlkit import (
 )
 from wehrlkit.gaussian import ModePartition
 from wehrlkit.husimi import _hermite_function, _log_sum_exp
+
+from traced_marginal import QuadratureMarginalHusimi
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +219,39 @@ def test_noon_density_interference_zeros():
 
 
 def test_noon_angle_averaged_logs_match_a_brute_force_mean():
+    # The evaluator takes the triangle axes r = max(r_A, r_B) and
+    # s = min / max; pairs with r_B > r_A reach it through the exchange
+    # symmetry, and the diagonal pairs sit on the edge s = 1.  Entry
+    # (i, j) of the result belongs to the radii (r_i, s_j r_i); entry
+    # (k, k) is checked at the pair it came from.
     m = 4096
     theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
+    pairs = [(1.1, 0.7), (0.7, 1.1), (0.9, 0.9), (2.5, 2.5), (1.3, 0.05), (4.0, 3.9)]
+    r_axis = np.array([max(ra, rb) for ra, rb in pairs])
+    s_axis = np.array([min(ra, rb) / max(ra, rb) for ra, rb in pairs])
+    assert s_axis[2] == s_axis[3] == 1.0
     for n in (0, 1, 3, 10):
         ev = NoonHusimi(n)
-        for ra, rb in [(1.1, 0.7), (0.7, 1.1), (0.9, 0.9), (2.5, 2.5), (1.3, 0.05), (4.0, 3.9)]:
+        log_mean, q_log_q = ev.angle_averaged_logs(r_axis, s_axis)
+        assert log_mean.shape == q_log_q.shape == (len(pairs), len(pairs))
+        assert not np.shares_memory(log_mean, q_log_q)
+        for i, j in itertools.product(range(len(pairs)), repeat=2):
+            ra, rb = pairs[i] if i == j else (r_axis[i], s_axis[j] * r_axis[i])
             pts = np.stack([np.full(m, ra), np.zeros(m), rb * np.cos(theta), rb * np.sin(theta)],
                            axis=-1)
             logq = ev.log_q(pts)
             q = np.exp(logq)
-            log_mean, q_log_q = ev.angle_averaged_logs(np.array([ra]), np.array([rb]))
-            assert abs(log_mean[0] - math.log(q.mean())) < 1e-12
+            assert abs(log_mean[i, j] - math.log(q.mean())) < 1e-12
             # on the diagonal Q has a zero at one angle, where the midpoint
             # rule for Q ln Q converges only as (m / n)^-3
             tol = 1e-9 if ra == rb else 1e-12
-            assert abs(q_log_q[0] - (q * logq).mean() / q.mean()) < tol
+            assert abs(q_log_q[i, j] - (q * logq).mean() / q.mean()) < tol
+
+
+def test_noon_marginals_are_one_instance():
+    for n in (0, 1, 4):
+        ev = NoonHusimi(n)
+        assert marginal_husimi(ev, "a") is marginal_husimi(ev, "b")
 
 
 def test_noon_marginal_is_mixture_of_vacuum_and_fock():

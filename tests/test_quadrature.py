@@ -51,6 +51,8 @@ from wehrlkit.husimi import (
 )
 from wehrlkit.quadrature import _PANEL_NODES, _panel_nodes
 
+from traced_marginal import QuadratureMarginalHusimi
+
 
 EVALUATORS = [
     FockHusimi(0),
@@ -538,17 +540,40 @@ def test_the_per_axis_ceiling_stops_like_the_budget(caplog):
 
 
 def test_polar_runner_stops_at_the_node_budget(caplog, monkeypatch):
-    # ln S carries ln r_B, so the triangle gains only a factor four a
-    # doubling; with the budget at 10^5 its third level (800 x 400) is
+    # the second level is 5e-10 from the first, far from a tolerance of
+    # 1e-15; with the budget at 10^5 the third level (800 x 400) is
     # refused after 192 x 96 and 400 x 192 nodes
     budget = 100_000
     monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", budget)
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
     with caplog.at_level(logging.INFO, logger="wehrlkit"):
         with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
-            relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)))
+            relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)), spec)
     assert err.value.result.nodes_used == 192 * 96 + 400 * 192
     assert len(caplog.records) == 1
     assert str(budget) in caplog.records[0].getMessage()
+
+
+def test_graded_s_panels_resolve_a_reference_vanishing_at_the_origin():
+    # ln S = -r_A^2/2 - r_B^2/2 + ln(r_B^2 / 2) carries s ln s at s = 0.
+    # Under the N = 1 density <|alpha|^2> = <|beta|^2> = 3/2 and the B
+    # marginal is (Q_0 + Q_1) / 2, so <ln |beta|^2> = 1/2 - gamma_E, and
+    # with S(AB) = 2 + gamma_E the relative entropy is exactly 1/2.
+    res = relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)))
+    assert abs(res.value - 0.5) < 1e-8
+    assert res.nodes_used <= 192 * 96 + 400 * 192
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_same_density_reference_gives_the_two_order_mean(n):
+    # one marginal instance takes the single-evaluation path, two equal
+    # instances the mean of both orders; the floats must be the same
+    spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+    marg = NoonMarginalHusimi(n)
+    once = relative_entropy(NoonHusimi(n), ProductHusimi(marg, marg), spec)
+    twice = relative_entropy(NoonHusimi(n),
+                             ProductHusimi(NoonMarginalHusimi(n), NoonMarginalHusimi(n)), spec)
+    assert once == twice
 
 
 def test_integrate_validates_dimension_and_shape():
@@ -631,8 +656,6 @@ def test_state_round_trip_through_evaluator_normalization():
 def test_numeric_marginal_normalizes():
     numeric = marginal_husimi(ProductHusimi(FockHusimi(1), FockHusimi(2)), "a")
     # product marginals short-circuit; force the quadrature path via noon
-    from wehrlkit import QuadratureMarginalHusimi
-
     traced = QuadratureMarginalHusimi(NoonHusimi(1), keep="b")
     res = normalization(traced)
     assert abs(res.value - 1.0) < 1e-6
