@@ -15,6 +15,7 @@ additionally reads WEHRLKIT_PARALLELISM between config and default).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -229,7 +230,13 @@ def _run_config(args) -> RunConfig:
     return RunConfig(command=args.command, fmt=fmt, output=output, spec=spec)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: do not modify it.
+
+    Parsing leaves a parser unchanged, and building one costs about 2 ms,
+    mostly the terminal-size query argparse makes on every ``add_argument``.
+    """
     parser = _Parser(
         prog="wehrlkit",
         description="Phase-space entropy sweeps, uncertainty sums, and "

@@ -11,13 +11,13 @@ quadrature engine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NotPure, SupportViolation, UnsupportedState
 from .gaussian import (
+    MI_ROUNDING_SLACK,
     PURITY_SLACK,
     CovarianceModel,
     gaussian_witness,
@@ -70,7 +70,7 @@ def wehrl_fock_closed(n: int) -> float:
     """
     if n < 0:
         raise ValueError("number-state index must be nonnegative")
-    return float(gammaln(n + 1)) + n + 1.0 + n * (EULER_GAMMA - harmonic_number(n))
+    return math.lgamma(n + 1) + n + 1.0 + n * (EULER_GAMMA - harmonic_number(n))
 
 
 def wehrl_fock_stirling(n: int) -> float:
@@ -225,19 +225,24 @@ def wehrl_mutual_information(obj, spec: QuadratureSpec | None = None,
     against the product of its marginals in one pass, avoiding the
     cancellation of three large entropies; ``three-entropy`` computes
     S(A) + S(B) - S(AB) and serves as the cross-check.  Both are
-    nonnegative for any state and vanish on products.
+    nonnegative for any state and vanish on products; a value in
+    (-MI_ROUNDING_SLACK, 0) is returned as 0, its estimate kept.
     """
     evaluator = _as_evaluator(obj)
     marg_a = marginal_husimi(evaluator, "a")
     marg_b = marginal_husimi(evaluator, "b")
     if method == "relative-entropy":
-        return relative_entropy(evaluator, ProductHusimi(marg_a, marg_b), spec)
-    if method == "three-entropy":
+        result = relative_entropy(evaluator, ProductHusimi(marg_a, marg_b), spec)
+    elif method == "three-entropy":
         s_a = entropy_functional(marg_a, spec)
         s_b = entropy_functional(marg_b, spec)
         s_ab = entropy_functional(evaluator, spec)
-        return s_a + s_b - s_ab
-    raise ValueError(f"unknown method {method!r}")
+        result = s_a + s_b - s_ab
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    if -MI_ROUNDING_SLACK < result.value < 0.0:
+        result = replace(result, value=0.0)
+    return result
 
 
 def wehrl_conditional_entropy(obj, spec: QuadratureSpec | None = None,

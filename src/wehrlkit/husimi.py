@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     ConditionOnZeroDensity,
@@ -110,7 +109,7 @@ class FockHusimi(HusimiEvaluator):
     def __init__(self, n: int):
         self.n = int(n)
         self.partition = ModePartition(1, 0)
-        self._log_norm = self.n * math.log(2.0) + float(gammaln(self.n + 1))
+        self._log_norm = self.n * math.log(2.0) + math.lgamma(self.n + 1)
         self.radial_gamma_shape = float(self.n)
         self.radial_rate = 1.0
         self.axis_second_moment = self.n + 1.0
@@ -203,7 +202,7 @@ class NoonHusimi(HusimiEvaluator):
         self.partition = ModePartition(1, 1)
         n = self.excitation
         delta = 1.0 if n == 0 else 0.0
-        self._log_norm = (n + 1) * math.log(2.0) + float(gammaln(n + 1)) + math.log1p(delta)
+        self._log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1) + math.log1p(delta)
         self.radial_gamma_shape = float(n)
         self.radial_rate = 1.0
         self.marginal = NoonMarginalHusimi(n)
@@ -261,8 +260,8 @@ class NoonMarginalHusimi(HusimiEvaluator):
         self.excitation = int(excitation)
         self.partition = ModePartition(1, 0)
         n = self.excitation
-        self._log_norm = (n + 1) * math.log(2.0) + float(gammaln(n + 1))
-        self._log_const = n * math.log(2.0) + float(gammaln(n + 1))
+        self._log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1)
+        self._log_const = n * math.log(2.0) + math.lgamma(n + 1)
         self.radial_gamma_shape = float(n)
         self.radial_rate = 1.0
         self.axis_second_moment = 0.5 * (n + 2.0)

@@ -26,12 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-# roots_hermite imports scipy.linalg on its first call (about 45 ms on 2
-# cores); importing it with the engine keeps that cost in start-up instead
-# of in the first cartesian integral.
-import scipy.linalg  # noqa: F401
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammainccinv, roots_hermite
 
 from .errors import DimensionMismatch, SupportViolation, ToleranceNotReached
 from .husimi import LOG_TINY, HusimiEvaluator, PositionDensity, ProductHusimi
@@ -150,18 +145,87 @@ def _tail_mass(spec: QuadratureSpec) -> float:
     return max(1e-18, 1e-2 * min(spec.abs_tol, spec.rel_tol))
 
 
+@functools.lru_cache(maxsize=None)
+def _gamma_tail_inverse(a: int, tail_mass: float) -> float:
+    """x with Q(a, x) = e^-x sum_{k<a} x^k / k! equal to ``tail_mass``, a >= 1.
+
+    Newton steps on ln Q, which is concave and decreasing in x, so from a
+    start right of the root every step stays right of it and moves left.
+    The start 2 (a ln 2 - ln p) is right of the root by the Chernoff
+    bound Q(a, x) <= 2^a e^(-x/2).  The sum is taken relative to its last
+    term, x^(a-1) / (a-1)!, which keeps it finite for any a and makes
+    -1 / (that ratio) the derivative of ln Q.
+    """
+    log_p = math.log(tail_mass)
+    log_last = -math.lgamma(a)
+    x = 2.0 * (a * math.log(2.0) - log_p)
+    for _ in range(100):
+        ratio = term = 1.0
+        for k in range(a - 1, 0, -1):
+            term *= k / x
+            ratio += term
+        log_q = -x + (a - 1) * math.log(x) + log_last + math.log(ratio)
+        step = (log_q - log_p) * ratio
+        x += step
+        if abs(step) <= 1e-15 * x:
+            break
+    return x
+
+
 def gamma_tail_threshold(shape: float, rate: float, tail_mass: float) -> float:
     """Radius beyond which a Gamma-enveloped integrand is negligible.
 
     For integrands bounded by r^(2 shape) exp(-rate r^2 / 2) times slowly
     varying factors, returns R such that the mass beyond R is below
     ``tail_mass`` relative to the whole.  The shape is padded by two to
-    absorb the radial Jacobian and logarithmic entropy factors.
+    absorb the radial Jacobian and logarithmic entropy factors.  Every
+    density's shape is a whole number (a Fock or NOON index, 0 for a
+    thermal or Gaussian state, the largest of a mixture's), so the tail
+    is inverted in closed form there; a shape that is not a nonnegative
+    integer raises ValueError, as do a rate that is not positive and a
+    tail mass outside (0, 1).
     """
     if rate <= 0:
         raise ValueError("tail rate must be positive")
-    s = float(gammainccinv(shape + 2.0, tail_mass))
+    if not 0.0 < tail_mass < 1.0:
+        raise ValueError("tail mass must lie in (0, 1)")
+    if not float(shape).is_integer() or shape < 0:
+        raise ValueError(f"Gamma shape {shape!r} is not a nonnegative integer")
+    s = _gamma_tail_inverse(int(shape) + 2, float(tail_mass))
     return math.sqrt(2.0 * s / rate)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes t and log-weights ln(w) + t^2 of order m, read-only.
+
+    The nodes are the eigenvalues of the Jacobi matrix (Golub & Welsch,
+    Math. Comp. 23, 1969), polished by Newton steps on the orthonormal
+    polynomial p_m, whose derivative is sqrt(2m) p_(m-1), then made
+    symmetric.  The weights come from the Christoffel function,
+    1 / w = sum_{k<m} p_k(t)^2, carried through the Hermite functions
+    phi_k = p_k e^(-t^2 / 2): ln(w) + t^2 = -ln sum_{k<m} phi_k(t)^2,
+    which stays finite where w itself is subnormal.
+    """
+    t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, m)), -1))
+
+    def hermite_functions(t):
+        # phi_0 .. phi_m at t by the recurrence of _hermite_function.
+        phis = [np.zeros_like(t), math.pi ** -0.25 * np.exp(-0.5 * t * t)]
+        for k in range(m):
+            phis.append(math.sqrt(2.0 / (k + 1)) * t * phis[-1]
+                        - math.sqrt(k / (k + 1.0)) * phis[-2])
+        return phis[1:]
+
+    for _ in range(2):
+        phis = hermite_functions(t)
+        t = t - phis[m] / (math.sqrt(2.0 * m) * phis[m - 1])
+    t = 0.5 * (t - t[::-1])
+    phis = hermite_functions(t)
+    lw = -np.log(functools.reduce(np.add, (phi * phi for phi in phis[:m])))
+    t.flags.writeable = False
+    lw.flags.writeable = False
+    return t, lw
 
 
 def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool = False):
@@ -399,12 +463,12 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
 
     The base level has ``nodes_per_dim`` nodes per axis:
     ``spec.cartesian_nodes_per_dim``, capped at four for an all-"gaussian"
-    integral.  Per-dimension log-weights are carried as ln(w) + t^2, which
-    stays bounded, so the reweighting never overflows.  Node counts per
-    axis are capped at 384, where the weight computation itself stays
-    stable, and escalation also stops at the node budget of
-    ``_escalated``.  ``terms(pts, log_weight)`` maps the points and their
-    summed log-weights to the weighted integrand there.
+    integral.  Per-dimension log-weights are ln(w) + t^2, computed directly
+    by ``_hermite_rule`` and bounded, so the reweighting never overflows.
+    Node counts per axis are capped at 384, the finest level, and
+    escalation also stops at the node budget of ``_escalated``.
+    ``terms(pts, log_weight)`` maps the points and their summed
+    log-weights to the weighted integrand there.
     """
     sigma, mean = envelope
     sigma = np.asarray(sigma, dtype=float)
@@ -414,8 +478,7 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
     scale = math.sqrt(2.0) * chol
 
     def run(m):
-        t, w = roots_hermite(m)
-        lw = np.log(w) + t * t
+        t, lw = _hermite_rule(m)
         rest = m ** (dim - 1)
         chunk_len = max(1, 500_000 // rest)
         starts = range(0, m, chunk_len)

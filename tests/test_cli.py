@@ -172,6 +172,15 @@ def test_cli_start_up_leaves_scipy_optimize_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_start_up_loads_no_scipy():
+    # the library needs numpy only: scipy.special and scipy.linalg doubled
+    # the start-up time and peak memory of every command
+    proc = run_python("-c", "import sys, wehrlkit.cli; "
+                      "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_eur_thermal_grid_and_closed_forms():
     proc = run_cli("eur-thermal", "--beta-min", "0.5", "--beta-max", "2.0",
                    "--points", "3")

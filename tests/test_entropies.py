@@ -35,6 +35,7 @@ from wehrlkit import (
     quantum_mutual_information_noon,
     quantum_mutual_information_tmss,
     random_admissible_covariance,
+    relative_entropy,
     tmss_covariance,
     von_neumann,
     von_neumann_gaussian,
@@ -350,6 +351,18 @@ def test_mutual_information_below_quantum_value():
         assert mi <= quantum_mutual_information_tmss(lam) + 1e-12
     mi1 = wehrl_mutual_information(NoonState(1))
     assert mi1.value <= quantum_mutual_information_noon(1) + 1e-9
+
+
+def test_vacuum_noon_mutual_information_is_clamped_at_zero():
+    # the relative entropy of the vacuum against its own product of
+    # marginals comes out at -6.0e-18, rounding noise on a nonnegative value
+    ev = evaluator_for(NoonState(0))
+    m = marginal_husimi(ev, "a")
+    raw = relative_entropy(ev, ProductHusimi(m, m))
+    assert -1e-12 < raw.value < 0.0
+    mi = wehrl_mutual_information(ev)
+    assert mi.value == 0.0
+    assert (mi.error_estimate, mi.nodes_used) == (raw.error_estimate, raw.nodes_used)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.special import eval_hermite, gammaln
+from scipy.special import eval_hermite, gammainccinv, gammaln, roots_hermite
 
 from wehrlkit import (
     EULER_GAMMA,
@@ -49,7 +49,7 @@ from wehrlkit.husimi import (
     ThermalPositionDensity,
     marginal_husimi,
 )
-from wehrlkit.quadrature import _PANEL_NODES, _panel_nodes
+from wehrlkit.quadrature import _PANEL_NODES, _hermite_rule, _panel_nodes
 
 from traced_marginal import QuadratureMarginalHusimi
 
@@ -141,6 +141,42 @@ def test_gamma_tail_threshold_monotone():
     assert r2 > r1 > 0.0
     # heavier tails (smaller rate) push the cutoff out
     assert gamma_tail_threshold(2.0, 0.5, 1e-10) > r1
+
+
+def test_gamma_tail_threshold_matches_the_incomplete_gamma_inverse():
+    for shape in range(58):
+        for tail_mass in np.logspace(-2, -280, 140):
+            expected = math.sqrt(2.0 * gammainccinv(shape + 2.0, tail_mass) / 0.7)
+            got = gamma_tail_threshold(float(shape), 0.7, tail_mass)
+            assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (shape, tail_mass)
+
+
+def test_gamma_tail_threshold_rejects_a_non_integer_shape():
+    with pytest.raises(ValueError, match="not a nonnegative integer"):
+        gamma_tail_threshold(1.5, 1.0, 1e-10)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 24, 48, 96, 192])
+def test_hermite_rule_matches_scipy(m):
+    t, lw = _hermite_rule(m)
+    t_ref, w_ref = roots_hermite(m)
+    assert np.all(np.abs(t - t_ref) <= 1e-13 * np.maximum(1.0, np.abs(t_ref)))
+    normal = w_ref >= np.finfo(float).tiny
+    assert np.all(np.abs(lw - (np.log(w_ref) + t_ref**2))[normal] <= 1e-12)
+    assert not t.flags.writeable and not lw.flags.writeable
+    assert _hermite_rule(m)[0] is t
+
+
+def test_hermite_rule_at_the_finest_level_integrates_even_moments():
+    # at 384 nodes the outer weights underflow, so the rule is checked
+    # by what it integrates
+    t, lw = _hermite_rule(384)
+    assert np.array_equal(t, -t[::-1])
+    w = np.exp(lw - t * t)
+    assert math.fsum(w) == pytest.approx(math.sqrt(math.pi), rel=1e-14, abs=0.0)
+    for k in range(6):
+        assert math.fsum(w * t ** (2 * k)) == pytest.approx(math.gamma(k + 0.5), rel=1e-12,
+                                                           abs=0.0)
 
 
 def test_radial_and_cartesian_strategies_agree():
