@@ -41,6 +41,11 @@ _LOG_FLOOR = 2.0 * LOG_TINY
 
 _PANEL_NODES = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_NODES)
+# The graded panel map phi(u) = u^2 (3 - 2u) and its weights 6u(1 - u) w at
+# the Gauss-Legendre points u of [0, 1] (see ``_panel_nodes``).
+_GL_UNIT = 0.5 * (_GL_NODES + 1.0)
+_GRADED_NODES = _GL_UNIT * _GL_UNIT * (3.0 - 2.0 * _GL_UNIT)
+_GRADED_WEIGHTS = _GL_WEIGHTS * 6.0 * _GL_UNIT * (1.0 - _GL_UNIT)
 
 # Most nodes one refinement level may hold.  Every runner lays out a level
 # before it evaluates it, and a level over the budget is refused: with
@@ -65,8 +70,8 @@ class QuadratureSpec:
     products unsplit, on the whitened Gauss-Hermite rule: an independent
     cross-check of the radial and "noon" runners.
     ``radial_nodes`` counts nodes along a radial or line coordinate (the
-    "noon" triangle starts at half of them in r_A and a quarter in the
-    ratio r_B / r_A), and ``cartesian_nodes_per_dim`` the Gauss-Hermite
+    "noon" triangle starts at a quarter of them in r_A and an eighth in
+    the ratio r_B / r_A), and ``cartesian_nodes_per_dim`` the Gauss-Hermite
     order per axis, capped at four when every density of the integral is
     "gaussian" (exact there).  No runner samples an angle: the one angle
     a runner meets, the phase difference of a "noon" density, is averaged
@@ -247,17 +252,16 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool 
     lows, highs = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         k = max(1, round(n_panels * (hi - lo) / total))
-        step = (hi - lo) / k
-        for i in range(k):
-            lows.append(lo + i * step)
-            highs.append(lo + (i + 1) * step)
-    lows = np.asarray(lows)
-    highs = np.asarray(highs)
+        # Panel ends lo + i (hi - lo) / k, i = 0 .. k, shared by neighbours.
+        ends = lo + np.arange(k + 1) * ((hi - lo) / k)
+        lows.append(ends[:-1])
+        highs.append(ends[1:])
+    lows = np.concatenate(lows)
+    highs = np.concatenate(highs)
     if graded:
-        u = 0.5 * (_GL_NODES + 1.0)
         width = (highs - lows)[:, None]
-        x = (lows[:, None] + width * (u * u * (3.0 - 2.0 * u))[None, :]).ravel()
-        w = (0.5 * width * (_GL_WEIGHTS * 6.0 * u * (1.0 - u))[None, :]).ravel()
+        x = (lows[:, None] + width * _GRADED_NODES[None, :]).ravel()
+        w = (0.5 * width * _GRADED_WEIGHTS[None, :]).ravel()
         return x, w
     half = 0.5 * (highs - lows)
     mid = 0.5 * (highs + lows)
@@ -419,6 +423,12 @@ def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
     clamped log at (r_A, r_B) and at (r_B, r_A); when both factors are
     one evaluator the two orders coincide, and ln S is evaluated once.
     Each level doubles both axes.
+
+    The first level has a quarter of ``spec.radial_nodes`` in r and an
+    eighth in s (at least two panels each): 96 x 48, then 192 x 96, at the
+    default 400.  Every "noon" joint entropy and mutual information for
+    N <= 50 meets 1e-8 on those two levels, the largest estimates being
+    1.3e-9 and 2.0e-9; one doubling coarser misses 1e-8 there for N >= 5.
     """
     cutoff = spec.radial_cutoff
     if cutoff is None:
@@ -452,7 +462,7 @@ def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
 
         return r.size * s.size, run
 
-    radial = max(2 * _PANEL_NODES, spec.radial_nodes // 2)
+    radial = max(2 * _PANEL_NODES, spec.radial_nodes // 4)
     base = (radial, max(2 * _PANEL_NODES, radial // 2))
     return _escalated(layout, base, lambda lv: (2 * lv[0], 2 * lv[1]), spec, what)
 

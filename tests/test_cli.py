@@ -14,6 +14,7 @@ import pytest
 import wehrlkit
 from wehrlkit import QuadratureSpec
 from wehrlkit.cli import _SETTINGS, _SPEC_FIELD
+from wehrlkit.gaussian import MI_ROUNDING_SLACK
 
 # The CLI subprocesses import the same wehrlkit as the tests.
 _SRC = os.path.dirname(os.path.dirname(wehrlkit.__file__))
@@ -100,10 +101,16 @@ def test_byte_identical_across_parallelism():
 def test_multi_d_path_byte_identical_across_parallelism():
     # the "noon" triangle maps no chunks over the thread pool, so this pins
     # only that the flag moves no byte; test_quadrature starts the pool
-    serial = run_cli("bipartite-noon", "--n-max", "1", "--parallelism", "1")
-    threaded = run_cli("bipartite-noon", "--n-max", "1", "--parallelism", "2")
+    serial = run_cli("bipartite-noon", "--n-max", "10", "--parallelism", "1")
+    threaded = run_cli("bipartite-noon", "--n-max", "10", "--parallelism", "2")
     assert serial.returncode == threaded.returncode == 0
     assert serial.stdout == threaded.stdout
+    # only the product state N = 0 goes unflagged, and its mutual
+    # information is rounding noise
+    header, rows = parse_csv(serial.stdout)
+    mutual, flag = header.index("mutual_information"), header.index("entangled")
+    assert [r[flag] for r in rows] == ["false"] + ["true"] * 10
+    assert abs(float(rows[0][mutual])) < MI_ROUNDING_SLACK
 
 
 def test_output_flag_writes_file(tmp_path):

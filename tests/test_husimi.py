@@ -262,6 +262,22 @@ def test_noon_marginal_is_mixture_of_vacuum_and_fock():
         assert np.allclose(marg.q(pts), want, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 50, 100])
+def test_noon_marginal_radial_log_matches_logaddexp(n):
+    # the whole-array form of ln(r^2n + 2^n n!) against np.logaddexp, which
+    # evaluates the same formula one element at a time; same constants
+    marg = NoonMarginalHusimi(n)
+    r = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 2001)])
+    with np.errstate(divide="ignore"):
+        want = (np.logaddexp(2.0 * n * np.log(r), marg._log_const)
+                - 0.5 * r * r - marg._log_norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = marg.log_q_radial(r)
+    assert np.isfinite(got[0])
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
 def test_noon_marginal_agrees_with_numeric_trace():
     n = 2
     closed = NoonMarginalHusimi(n)

@@ -19,6 +19,7 @@ from wehrlkit import (
     IntegralResult,
     NoonHusimi,
     NoonMarginalHusimi,
+    NoonState,
     ProductHusimi,
     QuadratureSpec,
     SupportViolation,
@@ -38,6 +39,8 @@ from wehrlkit import (
     tmss_covariance,
     wehrl_fock_closed,
     wehrl_gaussian_joint,
+    wehrl_mutual_information,
+    wehrl_quadrature,
     wehrl_relative_entropy,
     wehrl_thermal_closed,
 )
@@ -454,10 +457,11 @@ def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, radial_panels):
     # The triangle runner folds the exchange and averages the angle exactly;
     # the unfolded 3D rule, at two resolutions, must agree with it within
     # the sum of both two-level estimates.  The runner's first level has
-    # radial_panels Gauss-Legendre panels in r_A and half as many, rounded
-    # down, in s: 16 and 8 or 15 and 7, an even and an odd layout.
+    # radial_panels Gauss-Legendre panels in r_A (a quarter of radial_nodes)
+    # and half as many, rounded down, in s: 16 and 8 or 15 and 7, an even
+    # and an odd layout.
     cutoff = 9.0
-    spec = QuadratureSpec(radial_nodes=2 * _PANEL_NODES * radial_panels, radial_cutoff=cutoff,
+    spec = QuadratureSpec(radial_nodes=4 * _PANEL_NODES * radial_panels, radial_cutoff=cutoff,
                           abs_tol=1.0, rel_tol=1.0, max_escalations=0)
     run = entropy_functional if sigma is None else functools.partial(relative_entropy, sigma=sigma)
     res = run(rho, spec=spec)
@@ -477,7 +481,7 @@ def test_polar_results_do_not_depend_on_worker_count(radial_panels):
              (relative_entropy, (NoonHusimi(2), ProductHusimi(marg, marg)))]
     for fn, args in cases:
         results = [
-            fn(*args, QuadratureSpec(radial_nodes=2 * _PANEL_NODES * radial_panels, abs_tol=1e-6,
+            fn(*args, QuadratureSpec(radial_nodes=4 * _PANEL_NODES * radial_panels, abs_tol=1e-6,
                                      rel_tol=1e-6, parallelism=k))
             for k in (1, 2, 3)
         ]
@@ -576,16 +580,16 @@ def test_the_per_axis_ceiling_stops_like_the_budget(caplog):
 
 
 def test_polar_runner_stops_at_the_node_budget(caplog, monkeypatch):
-    # the second level is 5e-10 from the first, far from a tolerance of
-    # 1e-15; with the budget at 10^5 the third level (800 x 400) is
-    # refused after 192 x 96 and 400 x 192 nodes
+    # the third level is 5e-10 from the second, far from a tolerance of
+    # 1e-15; with the budget at 10^5 the fourth level (800 x 400) is
+    # refused after 96 x 48, 192 x 96 and 400 x 192 nodes
     budget = 100_000
     monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", budget)
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
     with caplog.at_level(logging.INFO, logger="wehrlkit"):
         with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
             relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)), spec)
-    assert err.value.result.nodes_used == 192 * 96 + 400 * 192
+    assert err.value.result.nodes_used == 96 * 48 + 192 * 96 + 400 * 192
     assert len(caplog.records) == 1
     assert str(budget) in caplog.records[0].getMessage()
 
@@ -649,6 +653,44 @@ def test_graded_panels_keep_polynomial_exactness():
         assert np.dot(w, x**k) == pytest.approx(5.0 ** (k + 1) / (k + 1), rel=1e-13)
 
 
+def _panel_nodes_by_panel(a, b, n_nodes, breakpoints=(), graded=False):
+    """The composite rule of ``_panel_nodes``, laid out one panel at a time."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    edges = sorted({a, b, *(float(p) for p in breakpoints if a < float(p) < b)})
+    n_panels = max(1, int(n_nodes) // _PANEL_NODES)
+    xs, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        k = max(1, round(n_panels * (hi - lo) / (b - a)))
+        step = (hi - lo) / k
+        for i in range(k):
+            p_lo, p_hi = lo + i * step, lo + (i + 1) * step
+            if graded:
+                u = 0.5 * (gl_nodes + 1.0)
+                xs.append(p_lo + (p_hi - p_lo) * (u * u * (3.0 - 2.0 * u)))
+                ws.append(0.5 * (p_hi - p_lo) * (gl_weights * 6.0 * u * (1.0 - u)))
+            else:
+                half = 0.5 * (p_hi - p_lo)
+                xs.append(0.5 * (p_hi + p_lo) + half * gl_nodes)
+                ws.append(half * gl_weights)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def test_panel_layout_matches_the_panel_by_panel_loop():
+    # same float operations, so the same bits; breakpoints repeat, fall
+    # outside [0, b] or sit on the edge 0
+    rng = np.random.default_rng(2024)
+    for trial in range(400):
+        b = float(rng.uniform(0.5, 60.0))
+        n_nodes = int(rng.integers(_PANEL_NODES, 1700))
+        breaks = list(rng.uniform(-2.0, b + 2.0, size=rng.integers(0, 6)))
+        if trial % 2:
+            breaks += breaks[:1] + [0.0]
+        for graded in (False, True):
+            got = _panel_nodes(0.0, b, n_nodes, breakpoints=breaks, graded=graded)
+            want = _panel_nodes_by_panel(0.0, b, n_nodes, breakpoints=breaks, graded=graded)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def _levels_run(caplog, fn):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
@@ -682,9 +724,31 @@ def test_odd_fock_mixture_line_entropy_converges_in_two_levels(caplog):
     assert res.nodes_used == sum(nodes)
 
 
-def test_state_round_trip_through_evaluator_normalization():
-    from wehrlkit import NoonState
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 30, 50])
+def test_noon_rows_converge_on_the_first_two_triangle_levels(caplog, n, tol):
+    # the triangle starts at 96 x 48 and checks at 192 x 96; radial_nodes
+    # = 800 lays out 192 x 96 and 400 x 192, one doubling finer
+    state = NoonState(n)
+    for fn in (wehrl_quadrature, wehrl_mutual_information):
+        res, nodes = _levels_run(caplog, lambda: fn(state, QuadratureSpec(abs_tol=tol, rel_tol=tol)))
+        assert nodes == [96 * 48, 192 * 96]
+        assert res.nodes_used == 23_040
+        finer = fn(state, QuadratureSpec(radial_nodes=800, abs_tol=tol, rel_tol=tol))
+        assert abs(res.value - finer.value) <= res.error_estimate + finer.error_estimate
 
+
+def test_a_tight_noon_mutual_information_takes_a_third_level(caplog):
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    state = NoonState(10)
+    res, nodes = _levels_run(caplog, lambda: wehrl_mutual_information(state, spec))
+    assert nodes == [96 * 48, 192 * 96, 400 * 192]
+    assert res.nodes_used == 99_840
+    _, nodes = _levels_run(caplog, lambda: wehrl_quadrature(state, spec))
+    assert nodes == [96 * 48, 192 * 96]
+
+
+def test_state_round_trip_through_evaluator_normalization():
     res = normalization(evaluator_for(NoonState(5)))
     assert abs(res.value - 1.0) < 1e-7
 
