@@ -8,8 +8,9 @@ reach tolerance or a per-row bound check fails (the offending grid point
 is named on stderr), 3 on bad arguments or unreadable inputs.
 
 Settings resolve in three layers: an explicit flag wins, then the
---config JSON file, then the command's built-in default (parallelism
-additionally reads WEHRLKIT_PARALLELISM between config and default).
+--config JSON file, then the ``QuadratureSpec`` default, the same for
+every command (parallelism additionally reads WEHRLKIT_PARALLELISM
+between config and default).
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .gaussian import (
     wehrl_gaussian_local,
 )
 from .husimi import NoonMarginalHusimi
-from .quadrature import _STRATEGIES, QuadratureSpec, entropy_functional
+from .quadrature import QuadratureSpec, entropy_functional
 from .states import GaussianState, NoonState, TwoModeSqueezedState, state_to_dict
 
 _EUR_COLUMNS = (
@@ -70,11 +71,6 @@ _ASYMPTOTIC_COLUMNS = ("wl_lhs_asymptotic", "bbm_lhs_asymptotic")
 
 # Settings named differently on the command line and in QuadratureSpec.
 _SPEC_FIELD = {"cartesian_nodes": "cartesian_nodes_per_dim"}
-
-# The NOON rows converge on the same two levels at the default 1e-8, but
-# the tolerance also places the radial cutoff (tail mass 1e-2 * tol), so
-# changing it would move the digits of the bipartite-noon table.
-_COMMAND_TOL = {"bipartite-noon": 1e-6}
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,6 @@ def _positive_float(text: str) -> float:
 _SETTINGS = {
     "format": (str, ("csv", "json")),
     "output": (str, None),
-    "strategy": (str, _STRATEGIES),
     "abs_tol": (_positive_float, None),
     "rel_tol": (_positive_float, None),
     "radial_nodes": (_bounded_int(16, 100_000), None),
@@ -179,7 +174,7 @@ def _add_common_args(sub):
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="JSON file of default settings; explicit flags win")
     group = sub.add_argument_group("quadrature")
-    for key in ("strategy", "abs_tol", "rel_tol", "radial_nodes", "cartesian_nodes",
+    for key in ("abs_tol", "rel_tol", "radial_nodes", "cartesian_nodes",
                 "radial_cutoff", "max_escalations"):
         flag(group, key)
     flag(group, "parallelism",
@@ -209,16 +204,13 @@ def _load_config(path: str) -> dict:
 
 
 def _run_config(args) -> RunConfig:
-    # Later layers win: environment and per-command tolerance, then the
-    # config file, then explicit flags; QuadratureSpec fills in the rest.
+    # Later layers win: environment, then the config file, then explicit
+    # flags; QuadratureSpec fills in the rest.
     settings = {}
     env_par = os.environ.get("WEHRLKIT_PARALLELISM")
     if env_par:
         settings["parallelism"] = _parse_setting("parallelism", env_par,
                                                  "WEHRLKIT_PARALLELISM")
-    tol = _COMMAND_TOL.get(args.command)
-    if tol is not None:
-        settings.update(abs_tol=tol, rel_tol=tol)
     if args.config:
         settings.update(_load_config(args.config))
     settings.update((key, getattr(args, key)) for key in _SETTINGS

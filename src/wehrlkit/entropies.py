@@ -217,51 +217,32 @@ def wehrl_relative_entropy(rho, sigma, spec: QuadratureSpec | None = None,
         return math.inf
 
 
-def wehrl_mutual_information(obj, spec: QuadratureSpec | None = None,
-                             method: str = "relative-entropy") -> IntegralResult:
+def wehrl_mutual_information(obj, spec: QuadratureSpec | None = None) -> IntegralResult:
     """Mutual information of the heterodyne density across the bipartition.
 
-    The default ``relative-entropy`` method integrates the joint density
-    against the product of its marginals in one pass, avoiding the
-    cancellation of three large entropies; ``three-entropy`` computes
-    S(A) + S(B) - S(AB) and serves as the cross-check.  Both are
-    nonnegative for any state and vanish on products; a value in
-    (-MI_ROUNDING_SLACK, 0) is returned as 0, its estimate kept.
+    The joint density is integrated against the product of its marginals
+    in one pass, which avoids the cancellation of the three large
+    entropies in S(A) + S(B) - S(AB).  The value is nonnegative for any
+    state and vanishes on products; a value within MI_ROUNDING_SLACK of 0
+    is returned as 0, its estimate kept.
     """
     evaluator = _as_evaluator(obj)
-    marg_a = marginal_husimi(evaluator, "a")
-    marg_b = marginal_husimi(evaluator, "b")
-    if method == "relative-entropy":
-        result = relative_entropy(evaluator, ProductHusimi(marg_a, marg_b), spec)
-    elif method == "three-entropy":
-        s_a = entropy_functional(marg_a, spec)
-        s_b = entropy_functional(marg_b, spec)
-        s_ab = entropy_functional(evaluator, spec)
-        result = s_a + s_b - s_ab
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if -MI_ROUNDING_SLACK < result.value < 0.0:
+    product = ProductHusimi(marginal_husimi(evaluator, "a"), marginal_husimi(evaluator, "b"))
+    result = relative_entropy(evaluator, product, spec)
+    if abs(result.value) < MI_ROUNDING_SLACK:
         result = replace(result, value=0.0)
     return result
 
 
-def wehrl_conditional_entropy(obj, spec: QuadratureSpec | None = None,
-                              method: str = "relative-entropy") -> IntegralResult:
-    """Conditional entropy of subsystem A given B of the heterodyne density.
+def wehrl_conditional_entropy(obj, spec: QuadratureSpec | None = None) -> IntegralResult:
+    """Conditional entropy S(A) - I of subsystem A given B of the heterodyne density.
 
-    The default route evaluates S(A) minus the mutual-information
-    integral; ``chain`` evaluates S(AB) - S(B) directly.  The two agree
-    whenever both are finite, and the value is bounded below by the
-    number of A modes.
+    It equals S(AB) - S(B) whenever both are finite, and it is bounded
+    below by the number of A modes.
     """
     evaluator = _as_evaluator(obj)
-    if method == "relative-entropy":
-        s_a = entropy_functional(marginal_husimi(evaluator, "a"), spec)
-        return s_a - wehrl_mutual_information(evaluator, spec)
-    if method == "chain":
-        s_ab = entropy_functional(evaluator, spec)
-        return s_ab - entropy_functional(marginal_husimi(evaluator, "b"), spec)
-    raise ValueError(f"unknown method {method!r}")
+    s_a = entropy_functional(marginal_husimi(evaluator, "a"), spec)
+    return s_a - wehrl_mutual_information(evaluator, spec)
 
 
 def quantum_mutual_information_tmss(lam: float) -> float:

@@ -6,10 +6,11 @@ Three left-hand sides are tracked for single-mode states:
   bbm_lhs: h(x) + h(p), the homodyne differential entropies;
   fl_lhs:  h(x) + h(p) - S(rho) + 1 - ln 2, the mixedness-corrected sum.
 
-All three share the lower bound 1 + ln(pi).  The first two saturate
-only on coherent states; the third saturates on thermal states in the
-limit of vanishing beta omega.  Deficits are LHS minus bound, so every
-deficit is nonnegative.
+All three share the lower bound 1 + ln(pi).  The first saturates only
+on coherent states; the second on every pure Gaussian state whose x and
+p are uncorrelated, squeezed ones included; the third on thermal states
+in the limit of vanishing beta omega.  Deficits are LHS minus bound, so
+every deficit is nonnegative.
 """
 
 from __future__ import annotations

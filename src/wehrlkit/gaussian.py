@@ -41,8 +41,9 @@ SYMPLECTIC_SLACK = 1e-10
 # Slack above 1/2 tolerated when calling a state pure by its symplectic
 # eigenvalues.
 PURITY_SLACK = 1e-7
-# A mutual information in (-MI_ROUNDING_SLACK, 0) is rounding noise on a
-# nonnegative quantity and is reported as 0.
+# A mutual information within MI_ROUNDING_SLACK of 0, of either sign, is
+# rounding noise on a quantity that vanishes on products, and is reported
+# as 0.
 MI_ROUNDING_SLACK = 1e-12
 # Conjugate symplectic eigenvalues must agree to this relative tolerance.
 _PAIR_TOL = 1e-9
@@ -284,7 +285,7 @@ def gaussian_witness(cov: CovarianceModel) -> tuple[float, float]:
     ld_b = _logdet(cov.c_b, "C_B")
     conditional = cov.partition.n_a - 0.5 * ld_a
     mutual = 0.5 * (ld_a + ld_b - ld_c)
-    if -MI_ROUNDING_SLACK < mutual < 0.0:
+    if abs(mutual) < MI_ROUNDING_SLACK:
         mutual = 0.0
     return conditional, mutual
 

@@ -10,7 +10,7 @@ Evaluators declare how they can be integrated through ``kind`` alone,
 and the quadrature engine routes on it without probing for methods:
 
 * ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape`` and
-  ``radial_rate``;
+  ``radial_rate``; the one-mode radial densities share ``RadialHusimi``;
 * ``"noon"`` promises a two-mode density that depends on the mode phases
   only through their difference and is symmetric under the exchange
   r_A <-> r_B of the two radii, with ``angle_averaged_logs(r, s)`` (the
@@ -101,14 +101,35 @@ class HusimiEvaluator:
         return pts
 
 
-class FockHusimi(HusimiEvaluator):
-    """Q_n(x, p) = (x^2 + p^2)^n exp(-(x^2 + p^2)/2) / (2^n n!)."""
+class RadialHusimi(HusimiEvaluator):
+    """A one-mode density that depends on the radius r = |(x, p)| alone.
+
+    Subclasses define ``log_q_radial`` and set ``radial_gamma_shape``,
+    ``radial_rate`` and ``axis_second_moment``, the mean of x^2 (and of
+    p^2); ``log_q`` and ``gaussian_envelope`` follow from them.
+    """
 
     kind = "radial"
+    partition = ModePartition(1, 0)
+
+    def log_q_radial(self, r):
+        raise NotImplementedError
+
+    def log_q(self, points):
+        pts = self._points(points)
+        return self.log_q_radial(np.hypot(pts[..., 0], pts[..., 1]))
+
+    def gaussian_envelope(self):
+        # Slightly wider than the true second moment so the whitened
+        # integrand still decays under the Hermite reweighting.
+        return np.diag([self.axis_second_moment + 0.5] * 2), np.zeros(2)
+
+
+class FockHusimi(RadialHusimi):
+    """Q_n(x, p) = (x^2 + p^2)^n exp(-(x^2 + p^2)/2) / (2^n n!)."""
 
     def __init__(self, n: int):
         self.n = int(n)
-        self.partition = ModePartition(1, 0)
         self._log_norm = self.n * math.log(2.0) + math.lgamma(self.n + 1)
         self.radial_gamma_shape = float(self.n)
         self.radial_rate = 1.0
@@ -121,28 +142,12 @@ class FockHusimi(HusimiEvaluator):
         with np.errstate(divide="ignore"):
             return 2.0 * self.n * np.log(r) - 0.5 * r * r - self._log_norm
 
-    def log_q(self, points):
-        pts = self._points(points)
-        rsq = pts[..., 0] ** 2 + pts[..., 1] ** 2
-        if self.n == 0:
-            return -0.5 * rsq
-        with np.errstate(divide="ignore"):
-            return self.n * np.log(rsq) - 0.5 * rsq - self._log_norm
 
-    def gaussian_envelope(self):
-        # Slightly wider than the true second moment so the whitened
-        # integrand still decays under the Hermite reweighting.
-        return np.diag([self.axis_second_moment + 0.5] * 2), np.zeros(2)
-
-
-class ThermalHusimi(HusimiEvaluator):
+class ThermalHusimi(RadialHusimi):
     """Q(x, p) = (1 - e^-bw) exp(-(x^2 + p^2)(1 - e^-bw)/2)."""
-
-    kind = "radial"
 
     def __init__(self, beta_omega: float):
         self.beta_omega = float(beta_omega)
-        self.partition = ModePartition(1, 0)
         self._rate = -math.expm1(-self.beta_omega)
         self.radial_gamma_shape = 0.0
         self.radial_rate = self._rate
@@ -151,14 +156,6 @@ class ThermalHusimi(HusimiEvaluator):
     def log_q_radial(self, r):
         r = np.asarray(r, dtype=float)
         return math.log(self._rate) - 0.5 * self._rate * r * r
-
-    def log_q(self, points):
-        pts = self._points(points)
-        rsq = pts[..., 0] ** 2 + pts[..., 1] ** 2
-        return math.log(self._rate) - 0.5 * self._rate * rsq
-
-    def gaussian_envelope(self):
-        return np.diag([self.axis_second_moment + 0.5] * 2), np.zeros(2)
 
 
 class GaussianHusimi(HusimiEvaluator):
@@ -251,14 +248,11 @@ class NoonHusimi(HusimiEvaluator):
         return np.diag([width] * 4), np.zeros(4)
 
 
-class NoonMarginalHusimi(HusimiEvaluator):
+class NoonMarginalHusimi(RadialHusimi):
     """Single-mode reduction: Q(r) = e^{-r^2/2} (r^2n + 2^n n!) / (2^(n+1) n!)."""
-
-    kind = "radial"
 
     def __init__(self, excitation: int):
         self.excitation = int(excitation)
-        self.partition = ModePartition(1, 0)
         n = self.excitation
         self._log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1)
         self._log_const = n * math.log(2.0) + math.lgamma(n + 1)
@@ -279,13 +273,6 @@ class NoonMarginalHusimi(HusimiEvaluator):
         c = self._log_const
         log_sum = np.maximum(a, c) + np.log1p(np.exp(-np.abs(a - c)))
         return log_sum - 0.5 * r * r - self._log_norm
-
-    def log_q(self, points):
-        pts = self._points(points)
-        return self.log_q_radial(np.hypot(pts[..., 0], pts[..., 1]))
-
-    def gaussian_envelope(self):
-        return np.diag([self.axis_second_moment + 0.5] * 2), np.zeros(2)
 
 
 class ConvexCombinationHusimi(HusimiEvaluator):

@@ -58,22 +58,18 @@ _MAX_LEVEL_NODES = 10**8
 # the usual two-level estimate.
 _GAUSSIAN_NODES_PER_DIM = 4
 
-_STRATEGIES = ("auto", "tensor-cartesian")
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Resolution and tolerance knobs for the integration engine.
 
-    ``strategy`` is "auto", which routes each integral by the ``kind`` of
-    its densities, or "tensor-cartesian", which puts every integral,
-    products unsplit, on the whitened Gauss-Hermite rule: an independent
-    cross-check of the radial and "noon" runners.
-    ``radial_nodes`` counts nodes along a radial or line coordinate (the
-    "noon" triangle starts at a quarter of them in r_A and an eighth in
-    the ratio r_B / r_A), and ``cartesian_nodes_per_dim`` the Gauss-Hermite
-    order per axis, capped at four when every density of the integral is
-    "gaussian" (exact there).  No runner samples an angle: the one angle
+    No field picks a runner: the densities' ``kind`` does (see
+    ``_integrate``).  ``radial_nodes`` counts nodes along a radial or
+    line coordinate (the "noon" triangle starts at a quarter of them in
+    r_A and an eighth in the ratio r_B / r_A), and
+    ``cartesian_nodes_per_dim`` the Gauss-Hermite order per axis, capped
+    at four when every density of the integral is "gaussian" (exact
+    there).  No runner samples an angle: the one angle
     a runner meets, the phase difference of a "noon" density, is averaged
     in closed form.  The engine always computes one refinement (all counts
     doubled) to get an error estimate, then up to ``max_escalations``
@@ -87,7 +83,6 @@ class QuadratureSpec:
     so the value does not depend on the worker count.
     """
 
-    strategy: str = "auto"
     radial_nodes: int = 400
     cartesian_nodes_per_dim: int = 24
     radial_cutoff: float | None = None
@@ -97,8 +92,6 @@ class QuadratureSpec:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}, pick from {_STRATEGIES}")
         if self.radial_nodes < _PANEL_NODES:
             raise ValueError(f"radial_nodes must be at least {_PANEL_NODES}")
         if self.cartesian_nodes_per_dim < 2:
@@ -273,28 +266,30 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool 
 def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralResult:
     """Run doubling resolutions until two levels agree.
 
-    ``layout(level)`` returns the number of nodes of that level and a
-    callable that evaluates it.  A level is refused before it runs when it
-    holds more than ``_MAX_LEVEL_NODES`` nodes, or when ``grow`` returns
-    the level unchanged because the rule has no finer one; the refusal is
-    logged at INFO and raised as ToleranceNotReached ("node ceiling")
-    carrying the result of the last level run (None when the base level
-    is refused).  Each level that runs is logged at DEBUG with its
-    resolution, nodes, value and seconds.
+    ``layout(level)`` returns the resolution it lays out for that level
+    (nodes per axis, or a tuple of them), its number of nodes and a
+    callable that evaluates it; ``grow`` steps the requested level.  A
+    level is refused before it runs when it holds more than
+    ``_MAX_LEVEL_NODES`` nodes, or when ``grow`` returns the level
+    unchanged because the rule has no finer one; the refusal is logged at
+    INFO and raised as ToleranceNotReached ("node ceiling") carrying the
+    result of the last level run (None when the base level is refused).
+    Each level that runs is logged at DEBUG with its laid-out resolution,
+    nodes, value and seconds.
     """
     result = None
     refinements = 0
     level = base
     while True:
-        nodes, run = layout(level)
+        resolution, nodes, run = layout(level)
         if nodes > _MAX_LEVEL_NODES:
             _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
-                      what, level, nodes, _MAX_LEVEL_NODES)
+                      what, resolution, nodes, _MAX_LEVEL_NODES)
             break
         start = time.perf_counter()
         value = float(run())
         _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
-                   what, level, nodes, value, time.perf_counter() - start)
+                   what, resolution, nodes, value, time.perf_counter() - start)
         if result is None:
             result = IntegralResult(value, math.inf, nodes)
         else:
@@ -311,7 +306,7 @@ def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralR
                 )
         level_next = grow(level)
         if level_next == level:
-            _log.info("%s: level %s is the finest this rule allows", what, level)
+            _log.info("%s: level %s is the finest this rule allows", what, resolution)
             break
         level = level_next
     err = math.inf if result is None else result.error_estimate
@@ -399,8 +394,8 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     def layout(n):
         x, w = _panel_nodes(0.0, cutoff, n, breakpoints=pos_breaks, graded=graded)
         if radial:
-            return x.size, lambda: np.dot(w, terms(x) * x)
-        return x.size, lambda: 2.0 * float(np.dot(w, terms(x)))
+            return x.size, x.size, lambda: np.dot(w, terms(x) * x)
+        return x.size, x.size, lambda: 2.0 * float(np.dot(w, terms(x)))
 
     return _escalated(layout, spec.radial_nodes, lambda n: 2 * n, spec, what)
 
@@ -460,7 +455,7 @@ def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
             weight = np.outer(2.0 * wr * r**3, ws * s).ravel()
             return float(np.multiply(terms, weight, out=terms).sum())
 
-        return r.size * s.size, run
+        return (r.size, s.size), r.size * s.size, run
 
     radial = max(2 * _PANEL_NODES, spec.radial_nodes // 4)
     base = (radial, max(2 * _PANEL_NODES, radial // 2))
@@ -505,7 +500,7 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
         parts = _map_chunks(do_chunk, starts, spec.parallelism)
         return math.exp(log_pref) * math.fsum(parts)
 
-    layout = lambda m: (m**dim, functools.partial(run, m))
+    layout = lambda m: (m, m**dim, functools.partial(run, m))
     grow = lambda m: min(2 * m, 384)
     return _escalated(layout, min(nodes_per_dim, 384), grow, spec, what)
 
@@ -529,34 +524,44 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     while S has underflowed (below 1e-300), so a divergence is reported
     even when the tolerance would not have been reached either.
 
-    The runner is picked here, and only here.  Capabilities come from
-    ``kind`` alone: "radial" promises ``log_q_radial``,
-    ``radial_gamma_shape`` and ``radial_rate``; "noon" promises an
-    exchange-symmetric density with ``angle_averaged_logs(r, s)`` on the
-    triangle axes r_A = r, r_B = s r and the same two tail parameters;
-    "gaussian" promises that ln Q is exactly quadratic, with the
-    covariance and mean ``gaussian_envelope`` returns, so a cartesian
-    integral whose densities are all "gaussian" starts at no more than
-    four nodes per axis.  The
-    "auto" strategy is radial when every density is radial, the "noon"
-    triangle when the evaluator is "noon" and the reference is absent or
-    a product of two radial factors, cartesian otherwise;
-    "tensor-cartesian" is always cartesian.
+    The runner is picked here, and only here, by ``kind`` alone: radial
+    when every density is "radial", the "noon" triangle when the
+    evaluator is "noon" and the reference is absent or a product of two
+    radial factors, cartesian otherwise.  "radial" promises
+    ``log_q_radial``, ``radial_gamma_shape`` and ``radial_rate``; "noon"
+    promises an exchange-symmetric density with ``angle_averaged_logs(r,
+    s)`` on the triangle axes r_A = r, r_B = s r and the same two tail
+    parameters; "gaussian" promises that ln Q is exactly quadratic, with
+    the covariance and mean ``gaussian_envelope`` returns (see
+    ``_cartesian``).
     """
     densities = (evaluator,) if reference is None else (evaluator, reference)
-    auto = spec.strategy == "auto"
-    if auto and all(d.kind == "radial" for d in densities):
+    if all(d.kind == "radial" for d in densities):
         terms = functools.partial(_density_terms, evaluator.log_q_radial,
                                   None if reference is None else reference.log_q_radial,
                                   factor_of_log)
         return _run_1d(terms, max(d.radial_gamma_shape for d in densities),
                        min(d.radial_rate for d in densities), spec, what, radial=True)
-    if auto and evaluator.kind == "noon" and (
+    if evaluator.kind == "noon" and (
         reference is None
         or (isinstance(reference, ProductHusimi)
             and reference.factor_a.kind == reference.factor_b.kind == "radial")
     ):
         return _run_triangle(evaluator, reference, factor_of_log, spec, what)
+    return _cartesian(evaluator, reference, factor_of_log, spec, what)
+
+
+def _cartesian(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, factor_of_log,
+               spec: QuadratureSpec, what: str) -> IntegralResult:
+    """The cartesian branch of ``_integrate``: the whitened Gauss-Hermite rule.
+
+    It takes every integral that neither the radial nor the "noon" runner
+    fits.  Any density with a ``gaussian_envelope`` fits it, so the tests
+    also call it directly as an independent cross-check of those two
+    runners.  An integral whose densities are all "gaussian" starts at no
+    more than four nodes per axis.
+    """
+    densities = (evaluator,) if reference is None else (evaluator, reference)
     nodes_per_dim = spec.cartesian_nodes_per_dim
     if all(d.kind == "gaussian" for d in densities):
         nodes_per_dim = min(nodes_per_dim, _GAUSSIAN_NODES_PER_DIM)
@@ -588,8 +593,8 @@ def _multiply_masses(a: IntegralResult, b: IntegralResult) -> IntegralResult:
 
 def _one_density(evaluator: HusimiEvaluator, factor_of_log, join, spec: QuadratureSpec,
                  what: str) -> IntegralResult:
-    """Integral of Q * factor_of_log(ln Q); an auto-routed product splits into its factors."""
-    if isinstance(evaluator, ProductHusimi) and spec.strategy == "auto":
+    """Integral of Q * factor_of_log(ln Q); a product splits into its factors."""
+    if isinstance(evaluator, ProductHusimi):
         return join(_one_density(evaluator.factor_a, factor_of_log, join, spec, what),
                     _one_density(evaluator.factor_b, factor_of_log, join, spec, what))
     return _integrate(evaluator, None, factor_of_log, spec, what)

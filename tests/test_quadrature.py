@@ -52,7 +52,14 @@ from wehrlkit.husimi import (
     ThermalPositionDensity,
     marginal_husimi,
 )
-from wehrlkit.quadrature import _PANEL_NODES, _hermite_rule, _panel_nodes
+from wehrlkit.quadrature import (
+    _PANEL_NODES,
+    _cartesian,
+    _entropy_factor,
+    _hermite_rule,
+    _log_factor,
+    _panel_nodes,
+)
 
 from traced_marginal import QuadratureMarginalHusimi
 
@@ -73,13 +80,9 @@ EVALUATORS = [
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(strategy="simpson")
-    # "auto" already picks the radial or "noon" runner wherever it fits, so
-    # only the cartesian rule can be forced
-    for name in ("radial-1d", "polar-2d", "polar-reduced-3d"):
-        with pytest.raises(ValueError):
-            QuadratureSpec(strategy=name)
+    # the densities' kind picks the runner, so no field names one
+    with pytest.raises(TypeError):
+        QuadratureSpec(strategy="auto")
     with pytest.raises(TypeError):
         QuadratureSpec(angular_nodes=16)
     with pytest.raises(ValueError):
@@ -182,35 +185,38 @@ def test_hermite_rule_at_the_finest_level_integrates_even_moments():
                                                            abs=0.0)
 
 
+def _cartesian_entropy(ev, tol, **fields):
+    """The entropy on the whitened Gauss-Hermite rule alone, a product unsplit."""
+    spec = QuadratureSpec(abs_tol=tol, rel_tol=tol, **fields)
+    return _cartesian(ev, None, _entropy_factor, spec, "entropy functional")
+
+
 def test_radial_and_cartesian_strategies_agree():
     # the entropy integrand has a log cusp, so the whitened Hermite rule
     # converges algebraically; 1e-5 is a reachable target for it
     ev = FockHusimi(3)
     radial = entropy_functional(ev)
-    cartesian = entropy_functional(ev, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-5, rel_tol=1e-5))
+    cartesian = _cartesian_entropy(ev, 1e-5)
     assert abs(radial.value - cartesian.value) < 1e-6
 
 
 def test_noon_polar_and_cartesian_strategies_agree():
     ev = NoonHusimi(1)
     polar = entropy_functional(ev)
-    cartesian = entropy_functional(
-        ev, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-3, rel_tol=1e-3, cartesian_nodes_per_dim=32)
-    )
+    cartesian = _cartesian_entropy(ev, 1e-3, cartesian_nodes_per_dim=32)
     assert abs(polar.value - cartesian.value) < 2e-3
 
 
 def test_forced_strategy_must_fit_the_evaluator():
-    # "tensor-cartesian" is the one strategy that can be forced, so it must
-    # fit every evaluator: a two-mode Gaussian, and a product of two radial
-    # factors that "auto" splits into two 1D integrals but the forced rule
-    # integrates jointly in 4D
-    forced = QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-9, rel_tol=1e-9)
+    # the cartesian rule, the cross-check of the other runners, must fit
+    # every evaluator: a two-mode Gaussian, and a product of two radial
+    # factors that the router splits into two 1D integrals but the
+    # cartesian rule integrates jointly in 4D
     cov = tmss_covariance(0.2)
-    res = entropy_functional(GaussianHusimi(cov), forced)
+    res = _cartesian_entropy(GaussianHusimi(cov), 1e-9)
     assert abs(res.value - wehrl_gaussian_joint(cov)) <= res.error_estimate + 1e-9
     prod = ProductHusimi(FockHusimi(0), ThermalHusimi(0.5))
-    res = entropy_functional(prod, forced)
+    res = _cartesian_entropy(prod, 1e-9)
     assert abs(res.value - (1.0 + wehrl_thermal_closed(0.5))) <= res.error_estimate + 1e-9
     assert res.nodes_used > entropy_functional(prod).nodes_used
 
@@ -372,8 +378,8 @@ def test_product_of_gaussians_is_gaussian():
 
 
 def test_relative_entropy_forced_strategy_mismatch():
-    # a forced strategy no longer has to match the pair: the cartesian rule
-    # takes a radial pair that "auto" sends to the 1D runner.  ln Q_sigma =
+    # the cartesian rule takes a radial pair that the router sends to the
+    # 1D runner.  ln Q_sigma =
     # ln c - c r^2 / 2 with c = 1 - exp(-1), and Fock(n) has mean r^2 =
     # 2 (n + 1).  Q_rho ln Q_rho has a log cusp at the origin, so the
     # Hermite rule converges algebraically and 1e-5 is the target, as for
@@ -382,7 +388,8 @@ def test_relative_entropy_forced_strategy_mismatch():
     sigma = ThermalHusimi(1.0)
     c = -math.expm1(-1.0)
     closed = -wehrl_fock_closed(3) - math.log(c) + 4.0 * c
-    forced = relative_entropy(rho, sigma, QuadratureSpec(strategy="tensor-cartesian", abs_tol=1e-5, rel_tol=1e-5))
+    forced = _cartesian(rho, sigma, _log_factor, QuadratureSpec(abs_tol=1e-5, rel_tol=1e-5),
+                        "relative entropy")
     assert abs(forced.value - closed) < 1e-5
     assert abs(relative_entropy(rho, sigma).value - closed) < 1e-10
 
@@ -692,10 +699,15 @@ def test_panel_layout_matches_the_panel_by_panel_loop():
 
 
 def _levels_run(caplog, fn):
+    # a line or triangle level logs the resolution it lays out, whose
+    # axes multiply out to the level's node count
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
         res = fn()
-    return res, [rec.args[2] for rec in caplog.records if rec.levelno == logging.DEBUG]
+    levels = [rec.args[1:3] for rec in caplog.records if rec.levelno == logging.DEBUG]
+    for resolution, nodes in levels:
+        assert math.prod(np.atleast_1d(resolution)) == nodes
+    return res, [nodes for _, nodes in levels]
 
 
 @pytest.mark.parametrize("n", [1, 10, 30, 50])
