@@ -477,18 +477,26 @@ def q_noon(n: int, r):
 # ---------------------------------------------------------------------------
 
 
+# Steps of the Hermite recurrence whose factors x c1 are formed together.
+_HERMITE_BLOCK = 8
+
+
 def _hermite_function(n: int, x: np.ndarray) -> np.ndarray:
     """Orthonormal Hermite function psi_n(x) by the stable normalized recurrence."""
     x = np.asarray(x, dtype=float)
     psi_prev = np.zeros_like(x)
     psi = np.asarray(math.pi ** (-0.25) * np.exp(-0.5 * x * x))
-    scaled = np.empty_like(psi)
+    c1 = np.sqrt(2.0 / np.arange(1.0, n + 1.0))
     for k in range(n):
+        if k % _HERMITE_BLOCK == 0:
+            # x c1 of the next steps in one call; a block of them, not all
+            # n, keeps the memory a few times that of x.
+            scaled = np.multiply.outer(c1[k:k + _HERMITE_BLOCK], x)
         # psi_next = (x c1) psi - c2 psi_prev, written over psi_prev.
-        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=scaled)
-        scaled *= psi
+        step = scaled[k % _HERMITE_BLOCK, ...]
+        step *= psi
         psi_prev *= math.sqrt(k / (k + 1.0))
-        np.subtract(scaled, psi_prev, out=psi_prev)
+        np.subtract(step, psi_prev, out=psi_prev)
         psi_prev, psi = psi, psi_prev
     # A 0-d input gives a numpy scalar.
     return psi[()]
@@ -526,9 +534,11 @@ class FockPositionDensity(PositionDensity):
         # roughly 2^(n+1) (n+1); push the cutoff out accordingly.
         self.position_tail_log_margin = (self.n + 1) * math.log(2.0) + math.log(self.n + 1.0)
         if self.n > 0:
-            coeffs = np.zeros(self.n + 1)
-            coeffs[-1] = 1.0
-            self.breakpoints = tuple(np.polynomial.hermite.hermroots(coeffs))
+            # Zeros of H_n: the eigenvalues of its symmetric Jacobi matrix,
+            # mirrored so that each pair is exactly +-t (and the middle zero
+            # of an odd n exactly 0), which leaves one panel edge per |t|.
+            t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, self.n)), -1))
+            self.breakpoints = tuple(0.5 * (t - t[::-1]))
         else:
             self.breakpoints = ()
 

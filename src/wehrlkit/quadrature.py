@@ -226,40 +226,66 @@ def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     return t, lw
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_panels(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of k equal ``_PANEL_NODES``-point panels on [0, 1], read-only.
+
+    The panel ends are i / k; a plain panel is the Gauss-Legendre rule about
+    its midpoint, a graded one the rule mapped through phi (see
+    ``_panel_nodes``).  Every layout scales one of these, so the [0, 1]
+    layouts (the triangle's s axis) are these very values.
+    """
+    ends = np.arange(k + 1) * (1.0 / k)
+    lows, highs = ends[:-1, None], ends[1:, None]
+    if graded:
+        width = highs - lows
+        x = lows + width * _GRADED_NODES
+        w = 0.5 * width * _GRADED_WEIGHTS
+    else:
+        half = 0.5 * (highs - lows)
+        x = 0.5 * (highs + lows) + half * _GL_NODES
+        w = half * _GL_WEIGHTS
+    x, w = x.ravel(), w.ravel()
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool = False):
     """Composite Gauss-Legendre nodes on [a, b] with panel edges at breakpoints.
 
     About ``n_nodes`` nodes, ``_PANEL_NODES`` a panel, with panels shared
-    out between the breakpoint segments by length.  With ``graded`` every
-    panel [lo, lo + h] is mapped through phi(u) = u^2 (3 - 2u) on [0, 1]
-    (Sidi's sigmoidal transformation of degree one): the nodes are
-    lo + h phi(u) and the weights (h / 2) w 6u(1 - u) at the Gauss-Legendre
-    points u and weights w of [0, 1].  Nodes then cluster at both panel
-    ends, where the map turns a (x - x0)^2 ln|x - x0| singularity into
-    about u^5 ln u: the plain rule gains only about a factor eight a
-    doubling on such a panel, the graded one far more.
+    out between the breakpoint segments by length: a segment [lo, hi]
+    gets k = max(1, round(n_panels (hi - lo) / (b - a))) equal panels.
+    Its nodes are lo + (hi - lo) x and its weights (hi - lo) w, with x
+    and w the cached rule ``_unit_panels(k, graded)`` on [0, 1], so a
+    layout costs a few array operations and a [0, 1] layout is the unit
+    rule itself.  With ``graded`` every panel [lo, lo + h] is mapped
+    through phi(u) = u^2 (3 - 2u) on [0, 1] (Sidi's sigmoidal
+    transformation of degree one): the nodes are lo + h phi(u) and the
+    weights (h / 2) w 6u(1 - u) at the Gauss-Legendre points u and
+    weights w of [0, 1].  Nodes then cluster at both panel ends, where the
+    map turns a (x - x0)^2 ln|x - x0| singularity into about u^5 ln u: the
+    plain rule gains only about a factor eight a doubling on such a panel,
+    the graded one far more.
     """
     edges = sorted({a, b, *(float(p) for p in breakpoints if a < float(p) < b)})
     total = b - a
     n_panels = max(1, int(n_nodes) // _PANEL_NODES)
-    lows, highs = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        k = max(1, round(n_panels * (hi - lo) / total))
-        # Panel ends lo + i (hi - lo) / k, i = 0 .. k, shared by neighbours.
-        ends = lo + np.arange(k + 1) * ((hi - lo) / k)
-        lows.append(ends[:-1])
-        highs.append(ends[1:])
-    lows = np.concatenate(lows)
-    highs = np.concatenate(highs)
-    if graded:
-        width = (highs - lows)[:, None]
-        x = (lows[:, None] + width * _GRADED_NODES[None, :]).ravel()
-        w = (0.5 * width * _GRADED_WEIGHTS[None, :]).ravel()
-        return x, w
-    half = 0.5 * (highs - lows)
-    mid = 0.5 * (highs + lows)
-    x = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+    if len(edges) == 2:
+        x, w = _unit_panels(n_panels, graded)
+        return a + total * x, total * w
+    lows = edges[:-1]
+    spans = [hi - lo for lo, hi in zip(lows, edges[1:])]
+    counts = [max(1, round(n_panels * span / total)) for span in spans]
+    units = [_unit_panels(k, graded) for k in counts]
+    repeats = [k * _PANEL_NODES for k in counts]
+    span = np.repeat(spans, repeats)
+    x = np.concatenate([ux for ux, _ in units])
+    w = np.concatenate([uw for _, uw in units])
+    x *= span
+    x += np.repeat(lows, repeats)
+    w *= span
     return x, w
 
 
@@ -382,7 +408,8 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     and when there is any, every panel is graded (see ``_panel_nodes``),
     because ln f is singular at each zero.  ``tail_log_margin`` shrinks
     the cutoff's tail-mass target for tails that outrun the plain Gamma
-    envelope.
+    envelope.  Each level's layout is a scaled copy of cached unit rules
+    (see ``_panel_nodes``), not rebuilt panel by panel.
     """
     cutoff = spec.radial_cutoff
     if cutoff is None:

@@ -447,6 +447,16 @@ def test_fock_position_breakpoints_are_wavefunction_zeros():
     assert len(d.breakpoints) == 3
     for root in d.breakpoints:
         assert d.f(root) < 1e-20
+    for n in range(1, 51):
+        roots = np.array(FockPositionDensity(n).breakpoints)
+        assert np.all(np.abs(_hermite_function(n, roots)) <= 1e-12)
+        coeffs = np.zeros(n + 1)
+        coeffs[-1] = 1.0
+        assert np.allclose(roots, np.polynomial.hermite.hermroots(coeffs), rtol=0.0, atol=1e-13)
+        # mirror pairs are exact and the middle zero of an odd n is 0, so
+        # the line rule gets one panel edge per distinct |root|
+        assert np.array_equal(roots, -roots[::-1])
+        assert len({abs(r) for r in roots if r != 0.0}) == n // 2
 
 
 def test_thermal_position_density_variance():
@@ -492,15 +502,33 @@ def test_position_density_dispatch():
         position_density_for(NoonState(1))
 
 
+def _hermite_function_four_calls(n, x):
+    """The recurrence with x sqrt(2 / (k + 1)) formed at every step: four ufunc calls a step."""
+    psi_prev = np.zeros_like(x)
+    psi = np.asarray(math.pi ** (-0.25) * np.exp(-0.5 * x * x))
+    scaled = np.empty_like(psi)
+    for k in range(n):
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=scaled)
+        scaled *= psi
+        psi_prev *= math.sqrt(k / (k + 1.0))
+        np.subtract(scaled, psi_prev, out=psi_prev)
+        psi_prev, psi = psi, psi_prev
+    return psi
+
+
 def test_hermite_function_matches_the_allocating_recurrence():
-    # the recurrence runs in two reused buffers, in the same order of operations
+    # the recurrence runs in reused buffers with its factors x sqrt(2 / (k + 1))
+    # formed up front, in the same order of operations
     x = np.linspace(-9.0, 9.0, 101)
-    for n in (0, 1, 7, 50):
+    for n in range(61):
         psi_prev, psi = np.zeros_like(x), math.pi ** (-0.25) * np.exp(-0.5 * x * x)
         for k in range(n):
             psi_prev, psi = psi, x * math.sqrt(2.0 / (k + 1)) * psi - math.sqrt(k / (k + 1.0)) * psi_prev
-        assert np.array_equal(_hermite_function(n, x), psi)
+        got = _hermite_function(n, x)
+        assert np.array_equal(got, psi)
+        assert np.array_equal(got, _hermite_function_four_calls(n, x))
     assert np.ndim(_hermite_function(3, 0.5)) == 0
+    assert _hermite_function(3, 0.5) == _hermite_function(3, np.array([0.5]))[0]
 
 
 # ---------------------------------------------------------------------------

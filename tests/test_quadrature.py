@@ -59,6 +59,7 @@ from wehrlkit.quadrature import (
     _hermite_rule,
     _log_factor,
     _panel_nodes,
+    _unit_panels,
 )
 
 from traced_marginal import QuadratureMarginalHusimi
@@ -660,31 +661,52 @@ def test_graded_panels_keep_polynomial_exactness():
         assert np.dot(w, x**k) == pytest.approx(5.0 ** (k + 1) / (k + 1), rel=1e-13)
 
 
-def _panel_nodes_by_panel(a, b, n_nodes, breakpoints=(), graded=False):
-    """The composite rule of ``_panel_nodes``, laid out one panel at a time."""
+def _panels_by_loop(lo, hi, k, graded):
+    """k equal panels on [lo, hi], laid out one at a time about their midpoints."""
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    step = (hi - lo) / k
+    xs, ws = [], []
+    for i in range(k):
+        p_lo, p_hi = lo + i * step, lo + (i + 1) * step
+        if graded:
+            u = 0.5 * (gl_nodes + 1.0)
+            xs.append(p_lo + (p_hi - p_lo) * (u * u * (3.0 - 2.0 * u)))
+            ws.append(0.5 * (p_hi - p_lo) * (gl_weights * 6.0 * u * (1.0 - u)))
+        else:
+            half = 0.5 * (p_hi - p_lo)
+            xs.append(0.5 * (p_hi + p_lo) + half * gl_nodes)
+            ws.append(half * gl_weights)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def _panel_nodes_by_panel(a, b, n_nodes, breakpoints=(), graded=False, scaled=True):
+    """The composite rule of ``_panel_nodes``, one segment at a time.
+
+    With ``scaled`` a segment [lo, hi] is lo + (hi - lo) times its panels
+    laid out on [0, 1], the float operations of ``_panel_nodes``; without,
+    its panels are laid out on [lo, hi] directly, the mid/half formula
+    the unit rules were derived from.
+    """
     edges = sorted({a, b, *(float(p) for p in breakpoints if a < float(p) < b)})
     n_panels = max(1, int(n_nodes) // _PANEL_NODES)
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         k = max(1, round(n_panels * (hi - lo) / (b - a)))
-        step = (hi - lo) / k
-        for i in range(k):
-            p_lo, p_hi = lo + i * step, lo + (i + 1) * step
-            if graded:
-                u = 0.5 * (gl_nodes + 1.0)
-                xs.append(p_lo + (p_hi - p_lo) * (u * u * (3.0 - 2.0 * u)))
-                ws.append(0.5 * (p_hi - p_lo) * (gl_weights * 6.0 * u * (1.0 - u)))
-            else:
-                half = 0.5 * (p_hi - p_lo)
-                xs.append(0.5 * (p_hi + p_lo) + half * gl_nodes)
-                ws.append(half * gl_weights)
+        if scaled:
+            x, w = _panels_by_loop(0.0, 1.0, k, graded)
+            x, w = lo + (hi - lo) * x, (hi - lo) * w
+        else:
+            x, w = _panels_by_loop(lo, hi, k, graded)
+        xs.append(x)
+        ws.append(w)
     return np.concatenate(xs), np.concatenate(ws)
 
 
 def test_panel_layout_matches_the_panel_by_panel_loop():
     # same float operations, so the same bits; breakpoints repeat, fall
-    # outside [0, b] or sit on the edge 0
+    # outside [0, b] or sit on the edge 0.  Against the mid/half formula
+    # laid out on [lo, hi] itself, scaling moves a node or weight by at
+    # most 4 ulp of b.
     rng = np.random.default_rng(2024)
     for trial in range(400):
         b = float(rng.uniform(0.5, 60.0))
@@ -696,6 +718,42 @@ def test_panel_layout_matches_the_panel_by_panel_loop():
             got = _panel_nodes(0.0, b, n_nodes, breakpoints=breaks, graded=graded)
             want = _panel_nodes_by_panel(0.0, b, n_nodes, breakpoints=breaks, graded=graded)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            old = _panel_nodes_by_panel(0.0, b, n_nodes, breakpoints=breaks, graded=graded,
+                                        scaled=False)
+            ulp = np.finfo(float).eps * b
+            assert np.max(np.abs(got[0] - old[0])) <= 4.0 * ulp
+            assert np.max(np.abs(got[1] - old[1])) <= 4.0 * ulp
+
+
+def test_unit_layouts_keep_the_mid_half_bits():
+    # every [0, 1] layout, the triangle's s axis among them, is the cached
+    # unit rule itself, bit for bit the mid/half formula
+    for n_nodes in range(_PANEL_NODES, 1700, 7):
+        for graded in (False, True):
+            got = _panel_nodes(0.0, 1.0, n_nodes, graded=graded)
+            want = _panel_nodes_by_panel(0.0, 1.0, n_nodes, graded=graded, scaled=False)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_unit_panels_are_shared_and_read_only():
+    x, w = _unit_panels(5, True)
+    assert _unit_panels(5, True)[0] is x and _unit_panels(5, True)[1] is w
+    assert x.size == w.size == 5 * _PANEL_NODES
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    # a layout is a fresh array, never the cached rule
+    got, _ = _panel_nodes(0.0, 1.0, 5 * _PANEL_NODES, graded=True)
+    assert np.array_equal(got, x) and not np.shares_memory(got, x)
+
+
+def test_node_counts_are_pinned():
+    # a layout change must not shift these; one panel edge per distinct |zero|
+    # of psi_n on the line
+    line = sum(density_entropy_1d(FockPositionDensity(n)).nodes_used for n in range(51))
+    radial = sum(entropy_functional(FockHusimi(n)).nodes_used for n in range(51))
+    assert (line, radial) == (62_128, 61_200)
+    assert entropy_functional(ThermalHusimi(0.7)).nodes_used == 1_200
 
 
 def _levels_run(caplog, fn):
