@@ -31,7 +31,6 @@ from .entropies import (
     wehrl_thermal_closed,
 )
 from .errors import (
-    ConditionOnZeroDensity,
     DegenerateBlock,
     DimensionMismatch,
     InadmissibleCovariance,
@@ -64,7 +63,6 @@ from .gaussian import (
     NormalFormParams,
     SeparabilityVerdict,
     apply_local_squeeze,
-    c_from_v,
     from_grouped_ordering,
     gaussian_witness,
     minimum_symplectic_eigenvalue,
@@ -92,16 +90,9 @@ from .husimi import (
     ProductHusimi,
     ThermalHusimi,
     ThermalPositionDensity,
-    conditional_husimi,
     evaluator_for,
-    homodyne_marginal_fock,
-    homodyne_marginal_thermal,
     marginal_husimi,
     position_density_for,
-    q_fock,
-    q_gaussian,
-    q_noon,
-    q_thermal,
 )
 from .quadrature import (
     IntegralResult,

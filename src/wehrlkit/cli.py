@@ -292,8 +292,11 @@ def _write_out(run: RunConfig, text: str):
     if run.output is None:
         sys.stdout.write(text)
         return
-    with open(run.output, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    try:
+        with open(run.output, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ToolkitError(f"cannot write {run.output}: {exc}")
 
 
 def _emit(run: RunConfig, columns, rows, extras=None):

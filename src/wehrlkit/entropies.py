@@ -287,14 +287,15 @@ def _gaussian_purity_check(cov: CovarianceModel):
         )
 
 
-def entanglement_witness(state: StateSpec, spec: QuadratureSpec | None = None,
-                         tolerance: float | None = None) -> WitnessVerdict:
+def entanglement_witness(state: StateSpec,
+                         spec: QuadratureSpec | None = None) -> WitnessVerdict:
     """Flag entanglement of a pure bipartite state by its mutual information.
 
     For pure states the mutual information of the heterodyne density is
-    zero exactly on products, so any value above the numerical tolerance
-    witnesses entanglement.  Mixed inputs are rejected: classical
-    correlations would trip the same functional.
+    zero exactly on products, so any value above the numerical tolerance,
+    max(1e-9, ten times the quadrature error estimate), witnesses
+    entanglement.  Mixed inputs are rejected: classical correlations
+    would trip the same functional.
     """
     validate(state)
     if isinstance(state, TwoModeSqueezedState):
@@ -314,7 +315,7 @@ def entanglement_witness(state: StateSpec, spec: QuadratureSpec | None = None,
             f"no purity certificate for {type(state).__name__}; "
             "apply the mutual-information functional directly instead"
         )
-    tol = tolerance if tolerance is not None else max(1e-9, 10.0 * err)
+    tol = max(1e-9, 10.0 * err)
     return WitnessVerdict(
         mutual_information=value,
         error_estimate=err,

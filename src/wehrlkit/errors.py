@@ -38,10 +38,6 @@ class NotBipartite(ToolkitError):
     """Operation requires a state with a nontrivial A/B mode split."""
 
 
-class ConditionOnZeroDensity(ToolkitError):
-    """Conditioning point carries numerically zero marginal density."""
-
-
 class ToleranceNotReached(ToolkitError):
     """Quadrature escalation exhausted without meeting the tolerance.
 

@@ -231,11 +231,6 @@ class CovarianceModel:
         return self.spectrum
 
 
-def c_from_v(v: np.ndarray, partition: ModePartition) -> CovarianceModel:
-    """Validate a quadrature covariance and attach C = (V + 1/2)^-1."""
-    return CovarianceModel.from_v(v, partition)
-
-
 def _logdet(m: np.ndarray, label: str) -> float:
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0:

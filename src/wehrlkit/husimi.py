@@ -1,4 +1,4 @@
-"""Husimi densities and their marginal and conditional reductions.
+"""Husimi densities and their marginal reductions.
 
 Every evaluator maps phase-space points to values of the heterodyne
 outcome density Q, normalized so that integrating Q against
@@ -36,7 +36,6 @@ import math
 import numpy as np
 
 from .errors import (
-    ConditionOnZeroDensity,
     DimensionMismatch,
     NotBipartite,
     UnsupportedState,
@@ -51,9 +50,6 @@ from .states import (
     ThermalState,
     TwoModeSqueezedState,
 )
-
-# Densities below this are treated as exact zeros by entropy integrands.
-LOG_TINY = math.log(1e-300)
 
 
 def _log_sum_exp(terms: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -347,51 +343,6 @@ class ProductHusimi(HusimiEvaluator):
         return sigma, np.concatenate([ma, mb])
 
 
-class ConditionalHusimi(HusimiEvaluator):
-    """Density of subsystem A after a heterodyne outcome beta on subsystem B."""
-
-    def __init__(self, parent: HusimiEvaluator, beta, marginal_b: HusimiEvaluator | None = None):
-        if not parent.partition.bipartite:
-            raise NotBipartite("conditioning needs a bipartite parent")
-        beta = np.asarray(beta, dtype=float).reshape(-1)
-        if beta.shape[0] != 2 * parent.partition.n_b:
-            raise DimensionMismatch(
-                f"outcome has {beta.shape[0]} coordinates, subsystem B needs "
-                f"{2 * parent.partition.n_b}"
-            )
-        if marginal_b is None:
-            marginal_b = marginal_husimi(parent, keep="b")
-        log_qb = float(marginal_b.log_q(beta))
-        if log_qb < LOG_TINY:
-            raise ConditionOnZeroDensity(
-                "marginal density at the conditioning point is numerically zero"
-            )
-        self.parent = parent
-        self.beta = beta
-        self.partition = ModePartition(parent.partition.n_a, 0)
-        self._log_qb = log_qb
-        self.kind = "generic"
-        if parent.kind == "gaussian":
-            # A Gaussian conditioned on beta: the Schur complement of the
-            # B block is the covariance, the regression on beta the mean.
-            self.kind = "gaussian"
-            sigma, mean = parent.gaussian_envelope()
-            ka = 2 * parent.partition.n_a
-            gain = np.linalg.solve(sigma[ka:, ka:], sigma[ka:, :ka]).T
-            self._envelope_sigma = sigma[:ka, :ka] - gain @ sigma[ka:, :ka]
-            self._envelope_mean = mean[:ka] + gain @ (beta - mean[ka:])
-
-    def log_q(self, points):
-        pts = self._points(points)
-        joint = np.broadcast_to(self.beta, pts.shape[:-1] + self.beta.shape)
-        return self.parent.log_q(np.concatenate([pts, joint], axis=-1)) - self._log_qb
-
-    def gaussian_envelope(self):
-        if self.kind != "gaussian":
-            raise UnsupportedState("no Gaussian envelope for a non-Gaussian conditional")
-        return self._envelope_sigma, self._envelope_mean
-
-
 def evaluator_for(state: StateSpec) -> HusimiEvaluator:
     """Husimi evaluator of a validated state spec."""
     if isinstance(state, FockState):
@@ -435,41 +386,6 @@ def marginal_husimi(evaluator: HusimiEvaluator, keep: str = "a") -> HusimiEvalua
             [(w, marginal_husimi(ev, keep)) for w, ev in evaluator.components]
         )
     raise UnsupportedState(f"no closed-form marginal for {type(evaluator).__name__}")
-
-
-def conditional_husimi(evaluator: HusimiEvaluator, beta) -> HusimiEvaluator:
-    """Conditional density of A given heterodyne outcome beta on B."""
-    return ConditionalHusimi(evaluator, beta)
-
-
-def _scalar_or_array(values, *inputs):
-    if all(np.isscalar(v) or np.asarray(v).ndim == 0 for v in inputs):
-        return float(values)
-    return values
-
-
-def q_fock(n: int, x, p):
-    """Husimi density of the n-th number state at (x, p)."""
-    ev = FockHusimi(n)
-    pts = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float)), axis=-1)
-    return _scalar_or_array(ev.q(pts), x, p)
-
-
-def q_thermal(beta_omega: float, x, p):
-    """Husimi density of a thermal state at (x, p)."""
-    ev = ThermalHusimi(beta_omega)
-    pts = np.stack(np.broadcast_arrays(np.asarray(x, float), np.asarray(p, float)), axis=-1)
-    return _scalar_or_array(ev.q(pts), x, p)
-
-
-def q_gaussian(cov: CovarianceModel, r):
-    """Husimi density of a Gaussian state at phase-space point(s) r."""
-    return GaussianHusimi(cov).q(np.asarray(r, dtype=float))
-
-
-def q_noon(n: int, r):
-    """Husimi density of the two-mode excitation superposition at r."""
-    return NoonHusimi(n).q(np.asarray(r, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -588,18 +504,6 @@ class MixturePositionDensity(PositionDensity):
     def log_f(self, x):
         stacked = np.stack([d.log_f(x) for _, d in self.components])
         return _log_sum_exp(stacked + self._logw.reshape((-1,) + (1,) * (stacked.ndim - 1)))
-
-
-def homodyne_marginal_fock(n: int, x):
-    """Position density of the n-th number state."""
-    d = FockPositionDensity(n)
-    return _scalar_or_array(d.f(np.asarray(x, dtype=float)), x)
-
-
-def homodyne_marginal_thermal(beta_omega: float, x):
-    """Position density of a thermal state."""
-    d = ThermalPositionDensity(beta_omega)
-    return _scalar_or_array(d.f(np.asarray(x, dtype=float)), x)
 
 
 def position_density_for(state: StateSpec) -> PositionDensity:

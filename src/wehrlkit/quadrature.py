@@ -29,10 +29,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatch, SupportViolation, ToleranceNotReached
-from .husimi import LOG_TINY, HusimiEvaluator, PositionDensity, ProductHusimi
+from .husimi import HusimiEvaluator, PositionDensity, ProductHusimi
 
 _log = logging.getLogger(__name__)
 
+# Densities below this are treated as exact zeros by entropy integrands.
+LOG_TINY = math.log(1e-300)
 # Proxy threshold: a state "has mass" at a point when Q exceeds this.
 LOG_SUPPORT = math.log(1e-12)
 # A reference density's log is clamped here, so nodes where it has

@@ -121,6 +121,15 @@ def test_output_flag_writes_file(tmp_path):
     assert target.read_text() == direct.stdout
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_output_exits_3(tmp_path, where):
+    target = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+    proc = run_cli("bipartite-tmss", "--output", str(target))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_config_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "settings.json"
     config.write_text(json.dumps({

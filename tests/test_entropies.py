@@ -282,6 +282,15 @@ def test_conditional_entropy_routes_agree():
     chain = entropy_functional(joint) - entropy_functional(marginal_husimi(joint, "b"))
     assert abs(rel.value - 1.0) < 1e-7
     assert abs(chain.value - 1.0) < 1e-7
+    # Seeded mixed covariances against the closed form n_A - ln det C_A / 2;
+    # every density is "gaussian", so S(A) on 2 n_A axes and the mutual
+    # information on all of them each stop at 4 and 8 nodes per axis.
+    for seed, partition in [(23, ModePartition(1, 1)), (37, ModePartition(2, 1))]:
+        cov = random_admissible_covariance(np.random.default_rng(seed), partition)
+        res = wehrl_conditional_entropy(GaussianHusimi(cov))
+        assert abs(res.value - gaussian_witness(cov)[0]) < 1e-12
+        d_a, d = 2 * partition.n_a, partition.dim
+        assert res.nodes_used == 4**d_a + 8**d_a + 4**d + 8**d
 
 
 def test_mutual_information_rejects_single_mode():

@@ -15,7 +15,6 @@ from wehrlkit import (
     NotPure,
     TwoModeSqueezedState,
     apply_local_squeeze,
-    c_from_v,
     from_grouped_ordering,
     gaussian_witness,
     minimum_symplectic_eigenvalue,
@@ -99,7 +98,7 @@ def test_husimi_form_round_trip():
     cov = random_admissible_covariance(rng, part)
     back = CovarianceModel.from_husimi_form(cov.c, part)
     assert np.allclose(back.v, cov.v, atol=1e-10)
-    again = c_from_v(back.v, part)
+    again = CovarianceModel.from_v(back.v, part)
     assert np.allclose(again.c, cov.c, atol=1e-10)
 
 

@@ -15,7 +15,6 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from wehrlkit import (
-    ConditionOnZeroDensity,
     ConvexCombinationHusimi,
     DimensionMismatch,
     FockHusimi,
@@ -35,16 +34,9 @@ from wehrlkit import (
     ThermalState,
     TwoModeSqueezedState,
     UnsupportedState,
-    conditional_husimi,
     evaluator_for,
-    homodyne_marginal_fock,
-    homodyne_marginal_thermal,
     marginal_husimi,
     position_density_for,
-    q_fock,
-    q_gaussian,
-    q_noon,
-    q_thermal,
     random_admissible_covariance,
     tmss_covariance,
 )
@@ -132,7 +124,7 @@ def sample_points(dim: int, count: int, scale: float = 2.0, seed: int = 7) -> np
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
 def test_fock_density_matches_overlap_oracle(n):
     for x, p in [(0.0, 0.0), (1.0, 0.5), (-0.7, 1.3), (2.0, -2.0)]:
-        got = q_fock(n, x, p)
+        got = float(FockHusimi(n).q(np.array([x, p])))
         want = oracle_q_fock(n, x, p)
         assert abs(got - want) < 1e-10
 
@@ -156,7 +148,7 @@ def test_thermal_density_matches_boltzmann_series():
                 * math.exp(-b * k - rsq / 2.0 + k * math.log(rsq / 2.0) - math.lgamma(k + 1))
                 for k in range(1, 150)
             )
-        assert abs(q_thermal(b, x, p) - series) < 1e-12
+        assert abs(float(ThermalHusimi(b).q(np.array([x, p]))) - series) < 1e-12
 
 
 def test_thermal_density_radial_profile_consistent():
@@ -183,7 +175,7 @@ def test_tmss_density_matches_schmidt_series(lam):
 def test_gaussian_vacuum_is_standard_normal_times_norm():
     cov = random_admissible_covariance(np.random.default_rng(3), ModePartition(1, 0))
     pts = sample_points(2, 8)
-    vals = q_gaussian(cov, pts)
+    vals = GaussianHusimi(cov).q(pts)
     c = cov.c
     want = np.sqrt(np.linalg.det(c)) * np.exp(-0.5 * np.einsum("ni,ij,nj->n", pts, c, pts))
     assert np.allclose(vals, want, atol=1e-12)
@@ -203,7 +195,7 @@ def test_tmss_evaluator_from_state():
 @pytest.mark.parametrize("n", [0, 1, 2, 4])
 def test_noon_density_matches_overlap_oracle(n):
     for pt in sample_points(4, 6, scale=1.6, seed=11):
-        got = float(q_noon(n, pt))
+        got = float(NoonHusimi(n).q(pt))
         want = oracle_q_noon(n, pt)
         assert abs(got - want) < 1e-12
 
@@ -215,7 +207,7 @@ def test_noon_density_interference_zeros():
     r = 1.2
     dtheta = math.pi / n
     pt = np.array([r, 0.0, r * math.cos(dtheta), r * math.sin(dtheta)])
-    assert q_noon(n, pt) < 1e-30
+    assert NoonHusimi(n).q(pt) < 1e-30
 
 
 def test_noon_angle_averaged_logs_match_a_brute_force_mean():
@@ -258,7 +250,7 @@ def test_noon_marginal_is_mixture_of_vacuum_and_fock():
     for n in (1, 2, 5):
         marg = NoonMarginalHusimi(n)
         pts = sample_points(2, 10, seed=5)
-        want = 0.5 * (q_fock(n, pts[:, 0], pts[:, 1]) + q_fock(0, pts[:, 0], pts[:, 1]))
+        want = 0.5 * (FockHusimi(n).q(pts) + FockHusimi(0).q(pts))
         assert np.allclose(marg.q(pts), want, atol=1e-13)
 
 
@@ -329,53 +321,6 @@ def test_numeric_trace_matches_one_sum_per_point(keep):
 
 
 # ---------------------------------------------------------------------------
-# Conditionals
-# ---------------------------------------------------------------------------
-
-
-def test_gaussian_conditional_pointwise_identity():
-    cov = tmss_covariance(0.6)
-    joint = GaussianHusimi(cov)
-    marg_b = marginal_husimi(joint, "b")
-    beta = np.array([0.8, -0.3])
-    cond = conditional_husimi(joint, beta)
-    pts = sample_points(2, 8, seed=23)
-    joint_pts = np.concatenate([pts, np.broadcast_to(beta, pts.shape)], axis=-1)
-    assert np.allclose(cond.q(pts) * float(marg_b.q(beta)), joint.q(joint_pts), atol=1e-13)
-
-
-def test_gaussian_conditional_envelope_is_the_precision_block():
-    # Schur complement of the covariance against the A block of the precision
-    for seed, partition in [(31, ModePartition(1, 1)), (37, ModePartition(2, 1))]:
-        cov = random_admissible_covariance(np.random.default_rng(seed), partition)
-        beta = np.linspace(-0.6, 0.9, 2 * partition.n_b)
-        sigma, mean = conditional_husimi(GaussianHusimi(cov), beta).gaussian_envelope()
-        assert np.allclose(sigma, np.linalg.inv(cov.c_a), rtol=0.0, atol=1e-12)
-        assert np.allclose(mean, -np.linalg.solve(cov.c_a, cov.c_m @ beta), rtol=0.0, atol=1e-12)
-
-
-def test_noon_conditional_pointwise_identity():
-    joint = NoonHusimi(2)
-    beta = np.array([0.5, 0.2])
-    cond = conditional_husimi(joint, beta)
-    marg_b = marginal_husimi(joint, "b")
-    pts = sample_points(2, 6, seed=29)
-    joint_pts = np.concatenate([pts, np.broadcast_to(beta, pts.shape)], axis=-1)
-    assert np.allclose(cond.q(pts) * float(marg_b.q(beta)), joint.q(joint_pts), atol=1e-12)
-
-
-def test_conditional_rejects_zero_density_outcome():
-    joint = NoonHusimi(4)
-    with pytest.raises(ConditionOnZeroDensity):
-        conditional_husimi(joint, np.array([60.0, 0.0]))
-
-
-def test_conditional_rejects_wrong_outcome_dimension():
-    with pytest.raises(DimensionMismatch):
-        conditional_husimi(GaussianHusimi(tmss_covariance(0.2)), np.array([0.1, 0.2, 0.3]))
-
-
-# ---------------------------------------------------------------------------
 # Mixtures, products, bounds
 # ---------------------------------------------------------------------------
 
@@ -432,13 +377,13 @@ def test_evaluator_rejects_wrong_point_dimension():
 def test_fock_position_density_matches_hermite_oracle(n):
     x = np.linspace(-5.0, 5.0, 41)
     want = hermite_wavefunction(n, x) ** 2
-    assert np.allclose(homodyne_marginal_fock(n, x), want, atol=1e-12)
+    assert np.allclose(FockPositionDensity(n).f(x), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 8])
 def test_fock_position_density_normalized(n):
     x = np.linspace(-12.0, 12.0, 20001)
-    total = np.trapezoid(homodyne_marginal_fock(n, x), x)
+    total = np.trapezoid(FockPositionDensity(n).f(x), x)
     assert abs(total - 1.0) < 1e-9
 
 
@@ -463,7 +408,7 @@ def test_thermal_position_density_variance():
     b = 0.7
     d = ThermalPositionDensity(b)
     x = np.linspace(-30.0, 30.0, 40001)
-    f = homodyne_marginal_thermal(b, x)
+    f = d.f(x)
     assert abs(np.trapezoid(f, x) - 1.0) < 1e-9
     var = np.trapezoid(x * x * f, x)
     assert abs(var - 1.0 / (2.0 * math.tanh(b / 2.0))) < 1e-8

@@ -28,10 +28,8 @@ from wehrlkit import (
     density_entropy_1d,
     density_normalization_1d,
     entropy_functional,
-    conditional_husimi,
     evaluator_for,
     gamma_tail_threshold,
-    gaussian_witness,
     integrate,
     normalization,
     relative_entropy,
@@ -46,13 +44,13 @@ from wehrlkit import (
 )
 from wehrlkit.gaussian import ModePartition
 from wehrlkit.husimi import (
-    LOG_TINY,
     FockPositionDensity,
     MixturePositionDensity,
     ThermalPositionDensity,
     marginal_husimi,
 )
 from wehrlkit.quadrature import (
+    LOG_TINY,
     _PANEL_NODES,
     _cartesian,
     _entropy_factor,
@@ -348,23 +346,6 @@ def test_gaussian_relative_entropy_is_exact_on_four_nodes_per_axis(partition):
                     + np.linalg.slogdet(rho.c)[1] - np.linalg.slogdet(sigma.c)[1])
     assert abs(res.value - closed) < 1e-12
     assert res.nodes_used == 4**d + 8**d
-
-
-def test_gaussian_conditional_entropy_is_exact_on_four_nodes_per_axis():
-    cov = random_admissible_covariance(np.random.default_rng(23), ModePartition(1, 1))
-    cond = conditional_husimi(GaussianHusimi(cov), np.array([0.7, -0.4]))
-    res = entropy_functional(cond)
-    # Q(alpha | beta) has precision C_A whatever beta: n_A - ln det C_A / 2
-    assert abs(res.value - gaussian_witness(cov)[0]) < 1e-12
-    assert res.nodes_used == 4**2 + 8**2
-
-
-def test_conditional_of_a_gaussian_product_is_its_first_factor():
-    g = GaussianHusimi(random_admissible_covariance(np.random.default_rng(29), ModePartition(1, 0)))
-    cond = conditional_husimi(ProductHusimi(g, g), np.array([0.7, -0.4]))
-    res = entropy_functional(cond)
-    assert abs(res.value - (1.0 - 0.5 * np.linalg.slogdet(g.cov.c)[1])) < 1e-12
-    assert res.nodes_used == 4**2 + 8**2
 
 
 def test_noon_normalization_up_to_fifty_excitations():
