@@ -80,10 +80,11 @@ from .gaussian import (
 from .husimi import (
     ConvexCombinationHusimi,
     FockHusimi,
+    FockMixtureHusimi,
+    FockMixturePositionDensity,
     FockPositionDensity,
     GaussianHusimi,
     HusimiEvaluator,
-    MixturePositionDensity,
     NoonHusimi,
     NoonMarginalHusimi,
     PositionDensity,

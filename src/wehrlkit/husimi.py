@@ -139,6 +139,52 @@ class FockHusimi(RadialHusimi):
             return 2.0 * self.n * np.log(r) - 0.5 * r * r - self._log_norm
 
 
+def _occupied(weights) -> tuple[tuple[int, float], ...]:
+    """The (k, w_k) pairs of a number-state mixture with w_k > 0, by index."""
+    pairs = sorted((int(k), float(w)) for k, w in weights if float(w) > 0.0)
+    if not pairs:
+        raise ValueError("mixture needs at least one positive weight")
+    if len({k for k, _ in pairs}) < len(pairs):
+        raise ValueError("mixture indices must be distinct")
+    return tuple(pairs)
+
+
+class FockMixtureHusimi(RadialHusimi):
+    """Q(r) = sum_k w_k Q_k(r) over the occupied number states k, in one pass.
+
+    ln Q = -r^2/2 + ln sum_k exp(ln w_k - ln(2^k k!) + k ln r^2), the sum
+    shifted by its largest term, so no component is evaluated on its own.
+    ``weights`` are (k, w_k) pairs; those with w_k = 0 are dropped.  The
+    tail parameters are those of the largest index.
+    """
+
+    def __init__(self, weights):
+        self.weights = pairs = _occupied(weights)
+        self._twice_index = np.array([2.0 * k for k, _ in pairs])
+        self._log_coef = np.array([math.log(w) - k * math.log(2.0) - math.lgamma(k + 1)
+                                   for k, w in pairs])
+        self._vacuum = pairs[0][0] == 0
+        self.radial_gamma_shape = float(pairs[-1][0])
+        self.radial_rate = 1.0
+        self.axis_second_moment = sum(w * (k + 1.0) for k, w in pairs)
+
+    def log_q_radial(self, r):
+        r = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.multiply.outer(self._twice_index, np.log(r))
+        if self._vacuum:
+            # r^0 = 1, also at r = 0, where the product above is 0 * -inf.
+            terms[0] = 0.0
+        terms += self._log_coef.reshape((-1,) + (1,) * r.ndim)
+        # Every term is -inf at r = 0 when k = 0 is empty; a finite shift
+        # keeps the exponentials silent there and the log gives -inf.
+        shift = np.maximum(terms.max(axis=0), np.finfo(float).min)
+        terms -= shift
+        total = np.exp(terms, out=terms).sum(axis=0)
+        with np.errstate(divide="ignore"):
+            return np.log(total) + shift - 0.5 * r * r
+
+
 class ThermalHusimi(RadialHusimi):
     """Q(x, p) = (1 - e^-bw) exp(-(x^2 + p^2)(1 - e^-bw)/2)."""
 
@@ -272,7 +318,11 @@ class NoonMarginalHusimi(RadialHusimi):
 
 
 class ConvexCombinationHusimi(HusimiEvaluator):
-    """Pointwise mixture sum_i w_i Q_i of densities on the same mode layout."""
+    """Pointwise mixture sum_i w_i Q_i of densities on the same mode layout.
+
+    It is integrated on the cartesian grid whatever its components; a
+    mixture of number states is ``FockMixtureHusimi``, which is radial.
+    """
 
     def __init__(self, components):
         pairs = [(float(w), ev) for w, ev in components if float(w) > 0.0]
@@ -288,17 +338,9 @@ class ConvexCombinationHusimi(HusimiEvaluator):
         self.partition = first
         self.components = tuple(pairs)
         self._logw = np.array([math.log(w) for w, _ in pairs])
-        if all(ev.kind == "radial" for _, ev in pairs):
-            self.kind = "radial"
-            self.radial_gamma_shape = max(ev.radial_gamma_shape for _, ev in pairs)
-            self.radial_rate = min(ev.radial_rate for _, ev in pairs)
 
     def log_q(self, points):
         stacked = np.stack([ev.log_q(points) for _, ev in self.components])
-        return _log_sum_exp(stacked + self._logw.reshape((-1,) + (1,) * (stacked.ndim - 1)))
-
-    def log_q_radial(self, r):
-        stacked = np.stack([ev.log_q_radial(r) for _, ev in self.components])
         return _log_sum_exp(stacked + self._logw.reshape((-1,) + (1,) * (stacked.ndim - 1)))
 
     def gaussian_envelope(self):
@@ -348,10 +390,10 @@ def evaluator_for(state: StateSpec) -> HusimiEvaluator:
     if isinstance(state, FockState):
         return FockHusimi(state.n)
     if isinstance(state, FockMixtureState):
-        live = [(q, FockHusimi(n)) for n, q in state.weights if q > 0.0]
+        live = [(n, q) for n, q in state.weights if q > 0.0]
         if len(live) == 1:
-            return live[0][1]
-        return ConvexCombinationHusimi(live)
+            return FockHusimi(live[0][0])
+        return FockMixtureHusimi(live)
     if isinstance(state, ThermalState):
         return ThermalHusimi(state.beta_omega)
     if isinstance(state, GaussianState):
@@ -397,11 +439,15 @@ def marginal_husimi(evaluator: HusimiEvaluator, keep: str = "a") -> HusimiEvalua
 _HERMITE_BLOCK = 8
 
 
-def _hermite_function(n: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite function psi_n(x) by the stable normalized recurrence."""
-    x = np.asarray(x, dtype=float)
+def _hermite_steps(n: int, x: np.ndarray, psi: np.ndarray):
+    """Yield psi_0 .. psi_n at x by the stable normalized recurrence.
+
+    ``psi`` is psi_0 at x (scaled as the caller likes: the recurrence is
+    linear).  Each yielded array is a buffer that later steps overwrite,
+    so it must be used before the next one is requested.
+    """
     psi_prev = np.zeros_like(x)
-    psi = np.asarray(math.pi ** (-0.25) * np.exp(-0.5 * x * x))
+    yield psi
     c1 = np.sqrt(2.0 / np.arange(1.0, n + 1.0))
     for k in range(n):
         if k % _HERMITE_BLOCK == 0:
@@ -414,8 +460,23 @@ def _hermite_function(n: int, x: np.ndarray) -> np.ndarray:
         psi_prev *= math.sqrt(k / (k + 1.0))
         np.subtract(step, psi_prev, out=psi_prev)
         psi_prev, psi = psi, psi_prev
+        yield psi
+
+
+def _hermite_function(n: int, x: np.ndarray) -> np.ndarray:
+    """Orthonormal Hermite function psi_n(x) by the stable normalized recurrence."""
+    x = np.asarray(x, dtype=float)
+    for psi in _hermite_steps(n, x, np.asarray(math.pi ** (-0.25) * np.exp(-0.5 * x * x))):
+        pass
     # A 0-d input gives a numpy scalar.
     return psi[()]
+
+
+def _fock_tail_log_margin(n: int) -> float:
+    # H_n^2 carries a 4^n leading coefficient against the 2^n n!
+    # normalization, so the tail of psi_n^2 outruns the bare Gamma envelope
+    # by roughly 2^(n+1) (n+1); the cutoff is pushed out accordingly.
+    return (n + 1) * math.log(2.0) + math.log(n + 1.0)
 
 
 class PositionDensity:
@@ -445,10 +506,7 @@ class FockPositionDensity(PositionDensity):
         self.position_gamma_shape = float(self.n)
         # Decay exp(-x^2) means rate 2 in the exp(-rate x^2 / 2) convention.
         self.position_rate = 2.0
-        # H_n^2 carries a 4^n leading coefficient against the 2^n n!
-        # normalization, so the tail outruns the bare Gamma envelope by
-        # roughly 2^(n+1) (n+1); push the cutoff out accordingly.
-        self.position_tail_log_margin = (self.n + 1) * math.log(2.0) + math.log(self.n + 1.0)
+        self.position_tail_log_margin = _fock_tail_log_margin(self.n)
         if self.n > 0:
             # Zeros of H_n: the eigenvalues of its symmetric Jacobi matrix,
             # mirrored so that each pair is exactly +-t (and the middle zero
@@ -481,29 +539,40 @@ class ThermalPositionDensity(PositionDensity):
         return -0.5 * x * x / self.sigma_sq - 0.5 * math.log(2.0 * math.pi * self.sigma_sq)
 
 
-class MixturePositionDensity(PositionDensity):
-    """Weighted mixture of homodyne densities on the same axis."""
+class FockMixturePositionDensity(PositionDensity):
+    """f(x) = sum_k w_k psi_k(x)^2 over the occupied number states k.
 
-    def __init__(self, components):
-        pairs = [(float(w), d) for w, d in components if float(w) > 0.0]
-        if not pairs:
-            raise ValueError("mixture needs at least one positive weight")
-        self.components = tuple(pairs)
-        self._logw = np.array([math.log(w) for w, _ in pairs])
-        self.position_gamma_shape = max(d.position_gamma_shape for _, d in pairs)
-        self.position_rate = min(d.position_rate for _, d in pairs)
-        self.position_tail_log_margin = max(d.position_tail_log_margin for _, d in pairs)
-        # A mixture vanishes only where every component does; for number
-        # states that is x = 0 when all indices are odd.
-        fock = [d for _, d in pairs if isinstance(d, FockPositionDensity)]
-        if len(fock) == len(pairs) and all(d.n % 2 == 1 for d in fock):
-            self.breakpoints = (0.0,)
-        else:
-            self.breakpoints = ()
+    One Hermite recurrence up to the largest index visits every psi_k,
+    and the weighted squares are summed before the one log.  The
+    recurrence starts from psi_0 e^(x^2/4), so the squares carry
+    e^(x^2/2) and stay normal numbers where psi_k^2 alone would
+    underflow (|x| above about 26), up to |x| of about 37.  ``weights``
+    are (k, w_k) pairs; those with w_k = 0 are dropped.  The tail
+    parameters are those of the largest index.
+    """
+
+    def __init__(self, weights):
+        self.weights = pairs = _occupied(weights)
+        self._weight_of = dict(pairs)
+        self._top = pairs[-1][0]
+        self.position_gamma_shape = float(self._top)
+        self.position_rate = 2.0
+        self.position_tail_log_margin = _fock_tail_log_margin(self._top)
+        # The mixture vanishes only where every psi_k does: at x = 0 when
+        # every index is odd.
+        self.breakpoints = (0.0,) if all(k % 2 == 1 for k, _ in pairs) else ()
 
     def log_f(self, x):
-        stacked = np.stack([d.log_f(x) for _, d in self.components])
-        return _log_sum_exp(stacked + self._logw.reshape((-1,) + (1,) * (stacked.ndim - 1)))
+        x = np.asarray(x, dtype=float)
+        half = -0.25 * x * x
+        total = np.zeros_like(x)
+        psi_0 = np.asarray(math.pi ** (-0.25) * np.exp(half))
+        for k, psi in enumerate(_hermite_steps(self._top, x, psi_0)):
+            w = self._weight_of.get(k)
+            if w is not None:
+                total += w * psi * psi
+        with np.errstate(divide="ignore"):
+            return np.log(total) + 2.0 * half
 
 
 def position_density_for(state: StateSpec) -> PositionDensity:
@@ -515,10 +584,10 @@ def position_density_for(state: StateSpec) -> PositionDensity:
     if isinstance(state, FockState):
         return FockPositionDensity(state.n)
     if isinstance(state, FockMixtureState):
-        live = [(q, FockPositionDensity(n)) for n, q in state.weights if q > 0.0]
+        live = [(n, q) for n, q in state.weights if q > 0.0]
         if len(live) == 1:
-            return live[0][1]
-        return MixturePositionDensity(live)
+            return FockPositionDensity(live[0][0])
+        return FockMixturePositionDensity(live)
     if isinstance(state, ThermalState):
         return ThermalPositionDensity(state.beta_omega)
     raise UnsupportedState("homodyne marginals cover number, mixture, and thermal states")

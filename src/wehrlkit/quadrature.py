@@ -303,7 +303,10 @@ def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralR
     INFO and raised as ToleranceNotReached ("node ceiling") carrying the
     result of the last level run (None when the base level is refused).
     Each level that runs is logged at DEBUG with its laid-out resolution,
-    nodes, value and seconds.
+    nodes, value and seconds.  A run may also evaluate the next level
+    (the 1D runner evaluates its first two levels in one call): its
+    seconds then cover both, and the next level's run returns the stored
+    value, so its record keeps its own resolution, nodes and value.
     """
     result = None
     refinements = 0
@@ -412,6 +415,15 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     the cutoff's tail-mass target for tails that outrun the plain Gamma
     envelope.  Each level's layout is a scaled copy of cached unit rules
     (see ``_panel_nodes``), not rebuilt panel by panel.
+
+    Every integral runs the base level and its first doubling, so both
+    are laid out together and ``terms`` is called once on their joined
+    nodes; each level is then reduced with its own weights, to the bits
+    of a call per level.  That call happens in the base level's run, so
+    its DEBUG seconds cover both evaluations, and the doubled level logs
+    its stored value.  A doubled level over ``_MAX_LEVEL_NODES`` is never
+    evaluated: the base level then runs alone.  Later escalations make
+    one call per level.
     """
     cutoff = spec.radial_cutoff
     if cutoff is None:
@@ -420,13 +432,32 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     pos_breaks = tuple(abs(b) for b in breakpoints if abs(b) > 0.0)
     graded = len(breakpoints) > 0
 
-    def layout(n):
-        x, w = _panel_nodes(0.0, cutoff, n, breakpoints=pos_breaks, graded=graded)
-        if radial:
-            return x.size, x.size, lambda: np.dot(w, terms(x) * x)
-        return x.size, x.size, lambda: 2.0 * float(np.dot(w, terms(x)))
+    def nodes(n):
+        return _panel_nodes(0.0, cutoff, n, breakpoints=pos_breaks, graded=graded)
 
-    return _escalated(layout, spec.radial_nodes, lambda n: 2 * n, spec, what)
+    def reduce(x, w, t):
+        return np.dot(w, t * x) if radial else 2.0 * float(np.dot(w, t))
+
+    base = spec.radial_nodes
+    stored = {}
+
+    def layout(n):
+        if n in stored:
+            size, value = stored.pop(n)
+            return size, size, lambda: value
+        x, w = nodes(n)
+        x2, w2 = nodes(2 * n) if n == base else (None, None)
+        if x2 is None or x2.size > _MAX_LEVEL_NODES:
+            return x.size, x.size, lambda: reduce(x, w, terms(x))
+
+        def run_both():
+            both = terms(np.concatenate((x, x2)))
+            stored[2 * n] = x2.size, reduce(x2, w2, both[x.size:])
+            return reduce(x, w, both[:x.size])
+
+        return x.size, x.size, run_both
+
+    return _escalated(layout, base, lambda n: 2 * n, spec, what)
 
 
 def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,

@@ -10,7 +10,6 @@ from wehrlkit import (
     FockMixtureState,
     FockState,
     NoonState,
-    QuadratureSpec,
     ThermalState,
     TwoModeSqueezedState,
     UnsupportedState,

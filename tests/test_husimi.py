@@ -12,18 +12,19 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
 from wehrlkit import (
     ConvexCombinationHusimi,
     DimensionMismatch,
     FockHusimi,
+    FockMixtureHusimi,
+    FockMixturePositionDensity,
     FockMixtureState,
     FockPositionDensity,
     FockState,
     GaussianHusimi,
     HusimiEvaluator,
-    MixturePositionDensity,
     NoonHusimi,
     NoonMarginalHusimi,
     NoonState,
@@ -326,7 +327,7 @@ def test_numeric_trace_matches_one_sum_per_point(keep):
 
 
 def test_mixture_density_is_pointwise_convex_sum():
-    mix = ConvexCombinationHusimi([(0.3, FockHusimi(0)), (0.7, FockHusimi(2))])
+    mix = FockMixtureHusimi([(0, 0.3), (2, 0.7)])
     pts = sample_points(2, 12, seed=31)
     want = 0.3 * FockHusimi(0).q(pts) + 0.7 * FockHusimi(2).q(pts)
     assert np.allclose(mix.q(pts), want, atol=1e-13)
@@ -337,6 +338,76 @@ def test_mixture_weight_validation():
         ConvexCombinationHusimi([(0.4, FockHusimi(0)), (0.4, FockHusimi(1))])
     with pytest.raises(DimensionMismatch):
         ConvexCombinationHusimi([(0.5, FockHusimi(0)), (0.5, NoonHusimi(1))])
+
+
+FOCK_MIXTURES = [
+    ((0, 0.5), (1, 0.5)),
+    ((0, 1e-3), (50, 0.999)),
+    ((1, 0.3), (3, 0.7)),
+    ((2, 0.2), (7, 1e-3), (20, 0.799)),
+]
+
+
+@pytest.mark.parametrize("weights", FOCK_MIXTURES, ids=str)
+def test_fock_mixture_kernels_match_the_per_component_log_sum_exp(weights):
+    # one pass over the occupied indices against scipy's logsumexp of the
+    # pure-state logs, -inf where every component vanishes
+    r = np.linspace(0.0, 40.0, 801)
+    x = np.linspace(0.0, 30.0, 601)
+    log_w = np.log([w for _, w in weights])[:, None]
+    want_q = logsumexp([FockHusimi(k).log_q_radial(r) for k, _ in weights] + log_w, axis=0)
+    want_f = logsumexp([FockPositionDensity(k).log_f(x) for k, _ in weights] + log_w, axis=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_q = FockMixtureHusimi(weights).log_q_radial(r)
+        got_f = FockMixturePositionDensity(weights).log_f(x)
+    assert np.allclose(got_q, want_q, rtol=1e-13, atol=1e-13)
+    assert np.allclose(got_f, want_f, rtol=1e-13, atol=1e-13)
+    assert (got_q[0] == -np.inf) == (weights[0][0] > 0)
+
+
+def test_odd_fock_mixture_line_density_vanishes_at_zero_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = FockMixturePositionDensity([(1, 0.3), (3, 0.7)]).log_f(np.array([0.0, 0.5]))
+    assert got[0] == -np.inf
+    assert np.isfinite(got[1])
+
+
+@pytest.mark.parametrize("weights", FOCK_MIXTURES, ids=str)
+def test_fock_mixture_tail_parameters_are_the_component_rules(weights):
+    # the largest index sets the Gamma shape and the margin, the slowest
+    # component the rate; the line has a zero at 0 only when every index is odd
+    radial = [FockHusimi(k) for k, _ in weights]
+    line = [FockPositionDensity(k) for k, _ in weights]
+    mix = FockMixtureHusimi(weights)
+    assert mix.kind == "radial"
+    assert mix.radial_gamma_shape == max(d.radial_gamma_shape for d in radial)
+    assert mix.radial_rate == min(d.radial_rate for d in radial)
+    assert mix.axis_second_moment == pytest.approx(sum(w * (k + 1) for k, w in weights), rel=1e-15)
+    dens = FockMixturePositionDensity(weights)
+    assert dens.position_gamma_shape == max(d.position_gamma_shape for d in line)
+    assert dens.position_rate == min(d.position_rate for d in line)
+    assert dens.position_tail_log_margin == max(d.position_tail_log_margin for d in line)
+    all_odd = all(k % 2 == 1 for k, _ in weights)
+    assert dens.breakpoints == ((0.0,) if all_odd else ())
+
+
+def test_fock_mixture_evaluator_dispatch():
+    mix = evaluator_for(FockMixtureState(((0, 0.5), (1, 0.5))))
+    assert isinstance(mix, FockMixtureHusimi)
+    assert mix.weights == ((0, 0.5), (1, 0.5))
+    # a zero weight is dropped, and one live index is the pure state
+    single = evaluator_for(FockMixtureState(((0, 0.0), (3, 1.0))))
+    assert isinstance(single, FockHusimi) and single.n == 3
+    line = position_density_for(FockMixtureState(((0, 0.0), (3, 1.0))))
+    assert isinstance(line, FockPositionDensity) and line.n == 3
+    with pytest.raises(ValueError):
+        FockMixtureHusimi([(0, 0.0)])
+    with pytest.raises(ValueError):
+        FockMixturePositionDensity([])
+    with pytest.raises(ValueError):
+        FockMixturePositionDensity([(1, 0.5), (1, 0.5)])
 
 
 def test_product_density_factorizes():
@@ -354,7 +425,7 @@ def test_density_bounds_zero_to_one():
         GaussianHusimi(tmss_covariance(0.8)),
         NoonHusimi(3),
         NoonMarginalHusimi(3),
-        ConvexCombinationHusimi([(0.5, FockHusimi(0)), (0.5, FockHusimi(3))]),
+        FockMixtureHusimi([(0, 0.5), (3, 0.5)]),
     ]
     for ev in evaluators:
         pts = sample_points(ev.dim, 200, scale=4.0, seed=41)
@@ -421,16 +492,16 @@ def test_thermal_position_density_vacuum_limit():
 
 
 def test_mixture_position_density_linearity():
-    mix = MixturePositionDensity([(0.25, FockPositionDensity(0)), (0.75, FockPositionDensity(2))])
+    mix = FockMixturePositionDensity([(0, 0.25), (2, 0.75)])
     x = np.linspace(-4.0, 4.0, 17)
     want = 0.25 * FockPositionDensity(0).f(x) + 0.75 * FockPositionDensity(2).f(x)
     assert np.allclose(mix.f(x), want, atol=1e-13)
 
 
 def test_mixture_position_breakpoints_only_for_all_odd():
-    odd = MixturePositionDensity([(0.5, FockPositionDensity(1)), (0.5, FockPositionDensity(3))])
+    odd = FockMixturePositionDensity([(1, 0.5), (3, 0.5)])
     assert odd.breakpoints == (0.0,)
-    mixed = MixturePositionDensity([(0.5, FockPositionDensity(0)), (0.5, FockPositionDensity(1))])
+    mixed = FockMixturePositionDensity([(0, 0.5), (1, 0.5)])
     assert mixed.breakpoints == ()
 
 
@@ -438,7 +509,7 @@ def test_position_density_dispatch():
     assert isinstance(position_density_for(FockState(2)), FockPositionDensity)
     assert isinstance(position_density_for(ThermalState(1.0)), ThermalPositionDensity)
     mix = position_density_for(FockMixtureState(((0, 0.5), (1, 0.5))))
-    assert isinstance(mix, MixturePositionDensity)
+    assert isinstance(mix, FockMixturePositionDensity)
     single = position_density_for(FockMixtureState(((2, 1.0),)))
     assert isinstance(single, FockPositionDensity)
     with pytest.raises(UnsupportedState):

@@ -16,6 +16,7 @@ from wehrlkit import (
     DimensionMismatch,
     FockHusimi,
     GaussianHusimi,
+    HusimiEvaluator,
     IntegralResult,
     NoonHusimi,
     NoonMarginalHusimi,
@@ -44,8 +45,9 @@ from wehrlkit import (
 )
 from wehrlkit.gaussian import ModePartition
 from wehrlkit.husimi import (
+    FockMixtureHusimi,
+    FockMixturePositionDensity,
     FockPositionDensity,
-    MixturePositionDensity,
     ThermalPositionDensity,
     marginal_husimi,
 )
@@ -53,10 +55,12 @@ from wehrlkit.quadrature import (
     LOG_TINY,
     _PANEL_NODES,
     _cartesian,
+    _density_terms,
     _entropy_factor,
     _hermite_rule,
     _log_factor,
     _panel_nodes,
+    _tail_mass,
     _unit_panels,
 )
 
@@ -73,7 +77,7 @@ EVALUATORS = [
     NoonHusimi(1),
     NoonHusimi(4),
     NoonMarginalHusimi(3),
-    ConvexCombinationHusimi([(0.3, FockHusimi(0)), (0.7, FockHusimi(4))]),
+    FockMixtureHusimi([(0, 0.3), (4, 0.7)]),
     ProductHusimi(FockHusimi(2), ThermalHusimi(0.8)),
 ]
 
@@ -769,10 +773,86 @@ def test_fock_line_entropy_converges_in_two_levels(caplog, n):
 
 def test_odd_fock_mixture_line_entropy_converges_in_two_levels(caplog):
     # breakpoint 0 only, at the panel edge x = 0: the panels are graded all the same
-    odd = MixturePositionDensity([(0.5, FockPositionDensity(1)), (0.5, FockPositionDensity(3))])
+    odd = FockMixturePositionDensity([(1, 0.5), (3, 0.5)])
     res, nodes = _levels_run(caplog, lambda: density_entropy_1d(odd))
     assert len(nodes) == 2
     assert res.nodes_used == sum(nodes)
+
+
+ONE_D_DENSITIES = [
+    FockPositionDensity(0),
+    FockPositionDensity(7),
+    FockPositionDensity(50),
+    ThermalHusimi(0.4),
+    FockMixtureHusimi([(0, 0.3), (1, 0.7)]),
+    FockMixturePositionDensity([(0, 0.3), (1, 0.7)]),
+]
+
+
+def _counted_1d(monkeypatch, density):
+    # (the density's log method, the node arrays it is called on), with
+    # the method replaced on the instance by one that records its calls
+    name = "log_q_radial" if isinstance(density, HusimiEvaluator) else "log_f"
+    log, calls = getattr(density, name), []
+
+    def counted(x):
+        calls.append(np.array(x))
+        return log(x)
+
+    monkeypatch.setattr(density, name, counted)
+    return log, calls
+
+
+def _1d_integral(density, spec):
+    if isinstance(density, HusimiEvaluator):
+        return entropy_functional(density, spec)
+    return density_entropy_1d(density, spec)
+
+
+@pytest.mark.parametrize("density", ONE_D_DENSITIES, ids=lambda d: type(d).__name__ + str(getattr(d, "n", "")))
+def test_the_first_two_1d_levels_share_one_density_call(caplog, monkeypatch, density):
+    log, calls = _counted_1d(monkeypatch, density)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        _1d_integral(density, QuadratureSpec())
+    levels = [rec.args[2:4] for rec in caplog.records if rec.levelno == logging.DEBUG]
+    # one call for the first two levels, one for each later level
+    assert len(levels) >= 2
+    assert len(calls) == len(levels) - 1
+
+    # each level against a call of its own on the nodes of _panel_nodes
+    radial = isinstance(density, HusimiEvaluator)
+    if radial:
+        shape, rate, margin = density.radial_gamma_shape, density.radial_rate, 0.0
+    else:
+        shape, rate = density.position_gamma_shape, density.position_rate
+        margin = density.position_tail_log_margin
+    cutoff = gamma_tail_threshold(shape, rate, _tail_mass(QuadratureSpec()) * math.exp(-margin))
+    breaks = [b for b in getattr(density, "breakpoints", ()) if b > 0.0]
+    graded = len(getattr(density, "breakpoints", ())) > 0
+    layouts = [_panel_nodes(0.0, cutoff, 400 * 2**k, breakpoints=breaks, graded=graded)
+               for k in range(len(levels))]
+    assert np.array_equal(calls[0], np.concatenate([layouts[0][0], layouts[1][0]]))
+    for (x, w), (nodes, value) in zip(layouts, levels):
+        assert x.size == nodes
+        terms = _density_terms(log, None, _entropy_factor, x)
+        want = float(np.dot(w, terms * x)) if radial else 2.0 * float(np.dot(w, terms))
+        assert value == want
+
+
+@pytest.mark.parametrize("density", [ThermalHusimi(0.4), FockPositionDensity(7)],
+                         ids=lambda d: type(d).__name__)
+def test_a_doubled_level_over_the_budget_is_never_evaluated(caplog, monkeypatch, density):
+    # the base level (about 400 nodes) fits a budget of 600, its doubling does not
+    monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", 600)
+    _, calls = _counted_1d(monkeypatch, density)
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+            _1d_integral(density, QuadratureSpec())
+    levels = [rec.args[2] for rec in caplog.records if rec.levelno == logging.DEBUG]
+    assert len(levels) == 1
+    assert [c.size for c in calls] == levels
+    assert err.value.result.nodes_used == levels[0]
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
