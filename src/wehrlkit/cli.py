@@ -299,12 +299,20 @@ def _write_out(run: RunConfig, text: str):
         raise ToolkitError(f"cannot write {run.output}: {exc}")
 
 
+def _write_json(run: RunConfig, payload):
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ToolkitError(f"result has no JSON form: {exc}")
+    _write_out(run, text + "\n")
+
+
 def _emit(run: RunConfig, columns, rows, extras=None):
     if run.fmt == "json":
         payload = {"command": run.command, "rows": rows}
         if extras:
             payload.update(extras)
-        _write_out(run, json.dumps(payload, sort_keys=True) + "\n")
+        _write_json(run, payload)
         return
     lines = [",".join(columns)]
     for row in rows:
@@ -493,7 +501,7 @@ def cmd_gaussian(args, run: RunConfig) -> int:
             report["ppt_verdict"] = (
                 "entangled" if nu_min < 0.5 - 1e-9 else "no-violation"
             )
-    _write_out(run, json.dumps(report, sort_keys=True) + "\n")
+    _write_json(run, report)
     return 0
 
 

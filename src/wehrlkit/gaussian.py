@@ -106,7 +106,8 @@ def _check_symmetric(v: np.ndarray, label: str = "matrix") -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(v))))
     if np.max(np.abs(v - v.T)) > 1e-8 * scale:
         raise NonSymmetric(f"{label} is not symmetric")
-    return 0.5 * (v + v.T)
+    # Halved before the sum, which cannot then overflow.
+    return 0.5 * v + 0.5 * v.T
 
 
 def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:

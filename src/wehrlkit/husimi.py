@@ -27,6 +27,14 @@ and the quadrature engine routes on it without probing for methods:
 ``log_q``, ``log_q_radial``, ``log_f`` and ``angle_averaged_logs`` must
 return fresh arrays: the engine overwrites them while it evaluates the
 integrand.
+
+Every number-state density is a Fock mixture sum_k w_k |k><k|: a number
+state has one index and the NOON marginal (|0><0| + |n><n|) / 2 two.  So
+each coordinate has one number-state kernel, ``FockMixtureHusimi`` in
+the radius and ``FockMixturePositionDensity`` on the line;
+``FockHusimi``, ``NoonMarginalHusimi`` and ``FockPositionDensity`` only
+name their weights.  ``_hermite_steps`` is the one Hermite recurrence,
+of the line kernel and of the quadrature engine's Gauss-Hermite rule.
 """
 
 from __future__ import annotations
@@ -121,24 +129,6 @@ class RadialHusimi(HusimiEvaluator):
         return np.diag([self.axis_second_moment + 0.5] * 2), np.zeros(2)
 
 
-class FockHusimi(RadialHusimi):
-    """Q_n(x, p) = (x^2 + p^2)^n exp(-(x^2 + p^2)/2) / (2^n n!)."""
-
-    def __init__(self, n: int):
-        self.n = int(n)
-        self._log_norm = self.n * math.log(2.0) + math.lgamma(self.n + 1)
-        self.radial_gamma_shape = float(self.n)
-        self.radial_rate = 1.0
-        self.axis_second_moment = self.n + 1.0
-
-    def log_q_radial(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.n == 0:
-            return -0.5 * r * r
-        with np.errstate(divide="ignore"):
-            return 2.0 * self.n * np.log(r) - 0.5 * r * r - self._log_norm
-
-
 def _occupied(weights) -> tuple[tuple[int, float], ...]:
     """The (k, w_k) pairs of a number-state mixture with w_k > 0, by index."""
     pairs = sorted((int(k), float(w)) for k, w in weights if float(w) > 0.0)
@@ -152,37 +142,66 @@ def _occupied(weights) -> tuple[tuple[int, float], ...]:
 class FockMixtureHusimi(RadialHusimi):
     """Q(r) = sum_k w_k Q_k(r) over the occupied number states k, in one pass.
 
-    ln Q = -r^2/2 + ln sum_k exp(ln w_k - ln(2^k k!) + k ln r^2), the sum
-    shifted by its largest term, so no component is evaluated on its own.
+    Q_k(r) = r^2k e^(-r^2/2) / (2^k k!).  With k0 the smallest occupied
+    index and c_k = ln w_k - ln(2^k k!),
+
+        ln Q = 2 k0 ln r - r^2/2 + ln sum_k exp(c_k + 2 (k - k0) ln r),
+
+    and the sum is folded one index at a time from the constant c_k0.
     ``weights`` are (k, w_k) pairs; those with w_k = 0 are dropped.  The
     tail parameters are those of the largest index.
     """
 
     def __init__(self, weights):
         self.weights = pairs = _occupied(weights)
-        self._twice_index = np.array([2.0 * k for k, _ in pairs])
-        self._log_coef = np.array([math.log(w) - k * math.log(2.0) - math.lgamma(k + 1)
-                                   for k, w in pairs])
-        self._vacuum = pairs[0][0] == 0
+        self._k0 = k0 = pairs[0][0]
+        coefs = [(k, math.log(w) - k * math.log(2.0) - math.lgamma(k + 1)) for k, w in pairs]
+        self._c0 = coefs[0][1]
+        self._folds = tuple((2.0 * (k - k0), c) for k, c in coefs[1:])
         self.radial_gamma_shape = float(pairs[-1][0])
         self.radial_rate = 1.0
         self.axis_second_moment = sum(w * (k + 1.0) for k, w in pairs)
 
     def log_q_radial(self, r):
         r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.multiply.outer(self._twice_index, np.log(r))
-        if self._vacuum:
-            # r^0 = 1, also at r = 0, where the product above is 0 * -inf.
-            terms[0] = 0.0
-        terms += self._log_coef.reshape((-1,) + (1,) * r.ndim)
-        # Every term is -inf at r = 0 when k = 0 is empty; a finite shift
-        # keeps the exponentials silent there and the log gives -inf.
-        shift = np.maximum(terms.max(axis=0), np.finfo(float).min)
-        terms -= shift
-        total = np.exp(terms, out=terms).sum(axis=0)
-        with np.errstate(divide="ignore"):
-            return np.log(total) + shift - 0.5 * r * r
+        if r.ndim == 0:
+            return self.log_q_radial(r.reshape(1))[0]
+        if self._k0 or self._folds:
+            with np.errstate(divide="ignore"):
+                log_r = np.log(r)
+        # ln(e^acc + e^t) by the formula of np.logaddexp, in place on whole
+        # arrays: logaddexp applies it one element at a time, at 20-30 times
+        # the cost per element of np.exp.  acc starts as a constant, so it
+        # stays finite at r = 0, where every t is -inf.  Few buffers, each
+        # reused: every fresh one costs page faults on a large grid.
+        acc = self._c0
+        d = None
+        for gap, c in self._folds:
+            t = gap * log_r
+            t += c
+            d = np.subtract(acc, t, out=d)
+            np.abs(d, out=d)
+            np.negative(d, out=d)
+            np.log1p(np.exp(d, out=d), out=d)
+            acc = np.maximum(acc, t, out=t)
+            acc += d
+        log_q = np.multiply(r, r, out=d)
+        log_q *= -0.5
+        if self._k0:
+            # -inf at r = 0; with the vacuum occupied the term is absent,
+            # not 0 * -inf.
+            log_r *= 2.0 * self._k0
+            log_q += log_r
+        log_q += acc
+        return log_q
+
+
+class FockHusimi(FockMixtureHusimi):
+    """Q_n(x, p) = (x^2 + p^2)^n exp(-(x^2 + p^2)/2) / (2^n n!): one occupied index."""
+
+    def __init__(self, n: int):
+        self.n = int(n)
+        super().__init__(((self.n, 1.0),))
 
 
 class ThermalHusimi(RadialHusimi):
@@ -290,38 +309,21 @@ class NoonHusimi(HusimiEvaluator):
         return np.diag([width] * 4), np.zeros(4)
 
 
-class NoonMarginalHusimi(RadialHusimi):
-    """Single-mode reduction: Q(r) = e^{-r^2/2} (r^2n + 2^n n!) / (2^(n+1) n!)."""
+class NoonMarginalHusimi(FockMixtureHusimi):
+    """Single-mode reduction (|0><0| + |n><n|) / 2, the vacuum at n = 0:
+    Q(r) = e^{-r^2/2} (r^2n + 2^n n!) / (2^(n+1) n!)."""
 
     def __init__(self, excitation: int):
-        self.excitation = int(excitation)
-        n = self.excitation
-        self._log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1)
-        self._log_const = n * math.log(2.0) + math.lgamma(n + 1)
-        self.radial_gamma_shape = float(n)
-        self.radial_rate = 1.0
-        self.axis_second_moment = 0.5 * (n + 2.0)
-
-    def log_q_radial(self, r):
-        r = np.asarray(r, dtype=float)
-        n = self.excitation
-        if n == 0:
-            return -0.5 * r * r
-        with np.errstate(divide="ignore"):
-            a = 2.0 * n * np.log(r)
-        # ln(e^a + e^c) by the formula of np.logaddexp, on whole arrays:
-        # logaddexp applies it one element at a time, at 20-30 times the
-        # cost per element of np.exp.
-        c = self._log_const
-        log_sum = np.maximum(a, c) + np.log1p(np.exp(-np.abs(a - c)))
-        return log_sum - 0.5 * r * r - self._log_norm
+        self.excitation = n = int(excitation)
+        super().__init__(((0, 0.5), (n, 0.5)) if n else ((0, 1.0),))
 
 
 class ConvexCombinationHusimi(HusimiEvaluator):
     """Pointwise mixture sum_i w_i Q_i of densities on the same mode layout.
 
     It is integrated on the cartesian grid whatever its components; a
-    mixture of number states is ``FockMixtureHusimi``, which is radial.
+    mixture of number states, and the NOON marginal with it, is one
+    ``FockMixtureHusimi``, which is radial.
     """
 
     def __init__(self, components):
@@ -390,10 +392,7 @@ def evaluator_for(state: StateSpec) -> HusimiEvaluator:
     if isinstance(state, FockState):
         return FockHusimi(state.n)
     if isinstance(state, FockMixtureState):
-        live = [(n, q) for n, q in state.weights if q > 0.0]
-        if len(live) == 1:
-            return FockHusimi(live[0][0])
-        return FockMixtureHusimi(live)
+        return FockMixtureHusimi(state.weights)
     if isinstance(state, ThermalState):
         return ThermalHusimi(state.beta_omega)
     if isinstance(state, GaussianState):
@@ -463,20 +462,12 @@ def _hermite_steps(n: int, x: np.ndarray, psi: np.ndarray):
         yield psi
 
 
-def _hermite_function(n: int, x: np.ndarray) -> np.ndarray:
-    """Orthonormal Hermite function psi_n(x) by the stable normalized recurrence."""
-    x = np.asarray(x, dtype=float)
-    for psi in _hermite_steps(n, x, np.asarray(math.pi ** (-0.25) * np.exp(-0.5 * x * x))):
-        pass
-    # A 0-d input gives a numpy scalar.
-    return psi[()]
+def _hermite_zeros(n: int) -> np.ndarray:
+    """Zeros of H_n, n >= 1, ascending: the eigenvalues of its symmetric Jacobi matrix.
 
-
-def _fock_tail_log_margin(n: int) -> float:
-    # H_n^2 carries a 4^n leading coefficient against the 2^n n!
-    # normalization, so the tail of psi_n^2 outruns the bare Gamma envelope
-    # by roughly 2^(n+1) (n+1); the cutoff is pushed out accordingly.
-    return (n + 1) * math.log(2.0) + math.log(n + 1.0)
+    They are as the eigensolver returns them, neither polished nor mirrored.
+    """
+    return np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, n)), -1))
 
 
 class PositionDensity:
@@ -498,33 +489,6 @@ class PositionDensity:
         return np.exp(self.log_f(x))
 
 
-class FockPositionDensity(PositionDensity):
-    """f_n(x) = H_n(x)^2 e^{-x^2} / (sqrt(pi) 2^n n!), via Hermite functions."""
-
-    def __init__(self, n: int):
-        self.n = int(n)
-        self.position_gamma_shape = float(self.n)
-        # Decay exp(-x^2) means rate 2 in the exp(-rate x^2 / 2) convention.
-        self.position_rate = 2.0
-        self.position_tail_log_margin = _fock_tail_log_margin(self.n)
-        if self.n > 0:
-            # Zeros of H_n: the eigenvalues of its symmetric Jacobi matrix,
-            # mirrored so that each pair is exactly +-t (and the middle zero
-            # of an odd n exactly 0), which leaves one panel edge per |t|.
-            t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, self.n)), -1))
-            self.breakpoints = tuple(0.5 * (t - t[::-1]))
-        else:
-            self.breakpoints = ()
-
-    def log_f(self, x):
-        psi = _hermite_function(self.n, x)
-        with np.errstate(divide="ignore"):
-            return 2.0 * np.log(np.abs(psi))
-
-    def f(self, x):
-        return _hermite_function(self.n, x) ** 2
-
-
 class ThermalPositionDensity(PositionDensity):
     """Centered Gaussian with 1 / (2 sigma^2) = tanh(beta_omega / 2)."""
 
@@ -542,25 +506,36 @@ class ThermalPositionDensity(PositionDensity):
 class FockMixturePositionDensity(PositionDensity):
     """f(x) = sum_k w_k psi_k(x)^2 over the occupied number states k.
 
-    One Hermite recurrence up to the largest index visits every psi_k,
-    and the weighted squares are summed before the one log.  The
-    recurrence starts from psi_0 e^(x^2/4), so the squares carry
-    e^(x^2/2) and stay normal numbers where psi_k^2 alone would
-    underflow (|x| above about 26), up to |x| of about 37.  ``weights``
-    are (k, w_k) pairs; those with w_k = 0 are dropped.  The tail
-    parameters are those of the largest index.
+    psi_k(x) = H_k(x) e^(-x^2/2) / sqrt(sqrt(pi) 2^k k!).  One Hermite
+    recurrence up to the largest index visits every psi_k, and the
+    weighted squares are summed before the one log.  The recurrence
+    starts from psi_0 e^(x^2/4), so the squares carry e^(x^2/2) and stay
+    normal numbers where psi_k^2 alone would underflow (|x| above about
+    26), up to |x| of about 37.  ``weights`` are (k, w_k) pairs; those
+    with w_k = 0 are dropped.  The tail parameters are those of the
+    largest index.
     """
 
     def __init__(self, weights):
         self.weights = pairs = _occupied(weights)
         self._weight_of = dict(pairs)
-        self._top = pairs[-1][0]
-        self.position_gamma_shape = float(self._top)
+        self._top = top = pairs[-1][0]
+        self.position_gamma_shape = float(top)
+        # Decay exp(-x^2) means rate 2 in the exp(-rate x^2 / 2) convention.
         self.position_rate = 2.0
-        self.position_tail_log_margin = _fock_tail_log_margin(self._top)
-        # The mixture vanishes only where every psi_k does: at x = 0 when
-        # every index is odd.
-        self.breakpoints = (0.0,) if all(k % 2 == 1 for k, _ in pairs) else ()
+        # H_top^2 carries a 4^top leading coefficient against the 2^top top!
+        # normalization, so the tail outruns the bare Gamma envelope by
+        # roughly 2^(top+1) (top+1); the cutoff is pushed out accordingly.
+        self.position_tail_log_margin = (top + 1) * math.log(2.0) + math.log(top + 1.0)
+        if len(pairs) == 1 and top > 0:
+            # The zeros of H_top, mirrored so that each pair is exactly +-t
+            # (and the middle zero of an odd index exactly 0), which leaves
+            # one panel edge per |t|.
+            t = _hermite_zeros(top)
+            self.breakpoints = tuple(0.5 * (t - t[::-1]))
+        elif all(k % 2 == 1 for k, _ in pairs):
+            # A mixture vanishes only where every psi_k does: at x = 0.
+            self.breakpoints = (0.0,)
 
     def log_f(self, x):
         x = np.asarray(x, dtype=float)
@@ -572,7 +547,18 @@ class FockMixturePositionDensity(PositionDensity):
             if w is not None:
                 total += w * psi * psi
         with np.errstate(divide="ignore"):
-            return np.log(total) + 2.0 * half
+            log_f = np.log(total, out=total)
+        half *= 2.0
+        log_f += half
+        return log_f
+
+
+class FockPositionDensity(FockMixturePositionDensity):
+    """f_n(x) = H_n(x)^2 e^{-x^2} / (sqrt(pi) 2^n n!): one occupied index."""
+
+    def __init__(self, n: int):
+        self.n = int(n)
+        super().__init__(((self.n, 1.0),))
 
 
 def position_density_for(state: StateSpec) -> PositionDensity:
@@ -584,10 +570,7 @@ def position_density_for(state: StateSpec) -> PositionDensity:
     if isinstance(state, FockState):
         return FockPositionDensity(state.n)
     if isinstance(state, FockMixtureState):
-        live = [(n, q) for n, q in state.weights if q > 0.0]
-        if len(live) == 1:
-            return FockPositionDensity(live[0][0])
-        return FockMixturePositionDensity(live)
+        return FockMixturePositionDensity(state.weights)
     if isinstance(state, ThermalState):
         return ThermalPositionDensity(state.beta_omega)
     raise UnsupportedState("homodyne marginals cover number, mixture, and thermal states")

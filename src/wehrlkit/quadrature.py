@@ -29,7 +29,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatch, SupportViolation, ToleranceNotReached
-from .husimi import HusimiEvaluator, PositionDensity, ProductHusimi
+from .husimi import (HusimiEvaluator, PositionDensity, ProductHusimi, _hermite_steps,
+                     _hermite_zeros)
 
 _log = logging.getLogger(__name__)
 
@@ -207,15 +208,13 @@ def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     phi_k = p_k e^(-t^2 / 2): ln(w) + t^2 = -ln sum_{k<m} phi_k(t)^2,
     which stays finite where w itself is subnormal.
     """
-    t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, m)), -1))
+    # Newton starts from the raw eigenvalues: the mirrored ones would
+    # move the last bit of most rules.
+    t = _hermite_zeros(m)
 
     def hermite_functions(t):
-        # phi_0 .. phi_m at t by the recurrence of _hermite_function.
-        phis = [np.zeros_like(t), math.pi ** -0.25 * np.exp(-0.5 * t * t)]
-        for k in range(m):
-            phis.append(math.sqrt(2.0 / (k + 1)) * t * phis[-1]
-                        - math.sqrt(k / (k + 1.0)) * phis[-2])
-        return phis[1:]
+        # phi_0 .. phi_m at t, copied out of the recurrence's reused buffers.
+        return [phi.copy() for phi in _hermite_steps(m, t, math.pi ** -0.25 * np.exp(-0.5 * t * t))]
 
     for _ in range(2):
         phis = hermite_functions(t)

@@ -409,6 +409,23 @@ def test_gaussian_partition_override(tmp_path):
     assert "entangled" not in report
 
 
+@pytest.mark.parametrize("matrix", [
+    [[1e200, 0.0], [0.0, 1e200]],
+    [[1e308, 0.0], [0.0, 1e308]],
+    [[1e308, 1e308], [1e308, 1e308]],
+], ids=["diagonal-1e200", "diagonal-1e308", "full-1e308"])
+def test_gaussian_with_huge_finite_entries_exits_3(tmp_path, matrix):
+    # symmetrizing must not overflow, and a report that overflows has no
+    # JSON form (no Infinity or NaN tokens on stdout)
+    cov_file = tmp_path / "huge.json"
+    cov_file.write_text(json.dumps(matrix))
+    proc = run_cli("gaussian", "--cov", str(cov_file))
+    assert proc.returncode == 3
+    assert "error: " in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_gaussian_inadmissible_matrix_exits_3(tmp_path):
     cov_file = tmp_path / "bad.json"
     cov_file.write_text(json.dumps((0.1 * __import__("numpy").eye(4)).tolist()))

@@ -6,13 +6,14 @@ position representation, the thermal density from a Boltzmann series,
 and the two-mode squeezed density from its Schmidt series.
 """
 
+import decimal
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import eval_hermite, logsumexp
 
 from wehrlkit import (
     ConvexCombinationHusimi,
@@ -42,7 +43,7 @@ from wehrlkit import (
     tmss_covariance,
 )
 from wehrlkit.gaussian import ModePartition
-from wehrlkit.husimi import _hermite_function, _log_sum_exp
+from wehrlkit.husimi import _hermite_steps, _hermite_zeros, _log_sum_exp
 
 from traced_marginal import QuadratureMarginalHusimi
 
@@ -110,6 +111,29 @@ def oracle_q_noon(n: int, pt: np.ndarray) -> float:
     amp = ca[n] * cb[0] + ca[0] * cb[n]
     delta = 1.0 if n == 0 else 0.0
     return float(abs(amp) ** 2 / (2.0 * (1.0 + delta)))
+
+
+def log_q_fock_closed(k: int, r: np.ndarray) -> np.ndarray:
+    """ln Q_k(r) = 2k ln r - r^2/2 - ln(2^k k!), -inf at r = 0 for k >= 1."""
+    with np.errstate(divide="ignore"):
+        power = 2.0 * k * np.log(r) if k else np.zeros_like(r)
+    return power - 0.5 * r * r - (k * math.log(2.0) + math.lgamma(k + 1))
+
+
+def log_f_fock_closed(k: int, x: np.ndarray) -> np.ndarray:
+    """ln psi_k(x)^2 from scipy's H_k, -inf at its zeros."""
+    with np.errstate(divide="ignore"):
+        return (2.0 * np.log(np.abs(eval_hermite(k, x))) - x * x
+                - (0.5 * math.log(math.pi) + k * math.log(2.0) + math.lgamma(k + 1)))
+
+
+def log_q_mixture_truth(weights, r: float) -> float:
+    """ln sum_k w_k Q_k(r) for one radius, summed in 40-digit decimal arithmetic."""
+    with decimal.localcontext(decimal.Context(prec=40)):
+        rsq = decimal.Decimal(r) ** 2
+        total = sum(decimal.Decimal(w) * (rsq**k if k else 1) / (2**k * math.factorial(k))
+                    for k, w in weights)
+        return float(total.ln() - rsq / 2) if total else -math.inf
 
 
 def sample_points(dim: int, count: int, scale: float = 2.0, seed: int = 7) -> np.ndarray:
@@ -248,27 +272,41 @@ def test_noon_marginals_are_one_instance():
 
 
 def test_noon_marginal_is_mixture_of_vacuum_and_fock():
-    for n in (1, 2, 5):
+    for n in (0, 1, 2, 5):
         marg = NoonMarginalHusimi(n)
         pts = sample_points(2, 10, seed=5)
-        want = 0.5 * (FockHusimi(n).q(pts) + FockHusimi(0).q(pts))
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        want = 0.5 * (np.exp(log_q_fock_closed(n, r)) + np.exp(log_q_fock_closed(0, r)))
         assert np.allclose(marg.q(pts), want, atol=1e-13)
+    assert NoonMarginalHusimi(0).weights == ((0, 1.0),)
+
+
+# The error bounds are those of the kernels at the time they became one
+# logaddexp fold: 1.137e-13 is one unit in the last place of
+# ln Q = -r^2/2 = -800 at r = 40, and Fock n = 50 reaches two.
+_RADIAL_TRUTH_GRID = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 2001)])
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 50, 100])
 def test_noon_marginal_radial_log_matches_logaddexp(n):
-    # the whole-array form of ln(r^2n + 2^n n!) against np.logaddexp, which
-    # evaluates the same formula one element at a time; same constants
-    marg = NoonMarginalHusimi(n)
-    r = np.concatenate([[0.0], np.geomspace(1e-6, 40.0, 2001)])
-    with np.errstate(divide="ignore"):
-        want = (np.logaddexp(2.0 * n * np.log(r), marg._log_const)
-                - 0.5 * r * r - marg._log_norm)
+    # the logaddexp formula on whole arrays against a 40-digit truth;
+    # the vacuum term keeps ln Q finite at r = 0
+    r = _RADIAL_TRUTH_GRID
+    want = np.array([log_q_mixture_truth(((0, 0.5), (n, 0.5)), x) for x in r])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = marg.log_q_radial(r)
+        got = NoonMarginalHusimi(n).log_q_radial(r)
     assert np.isfinite(got[0])
-    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.max(np.abs(got - want)) <= 1.137e-13
+
+
+@pytest.mark.parametrize("n, bound", [(0, 0.0), (1, 1.137e-13), (7, 1.137e-13), (50, 2.274e-13)])
+def test_fock_radial_log_matches_decimal_truth(n, bound):
+    r = _RADIAL_TRUTH_GRID
+    want = np.array([log_q_mixture_truth(((n, 1.0),), x) for x in r])
+    got = FockHusimi(n).log_q_radial(r)
+    assert (got[0] == -np.inf) == (n > 0)
+    assert np.max(np.abs(got[1:] - want[1:])) <= bound
 
 
 def test_noon_marginal_agrees_with_numeric_trace():
@@ -351,12 +389,12 @@ FOCK_MIXTURES = [
 @pytest.mark.parametrize("weights", FOCK_MIXTURES, ids=str)
 def test_fock_mixture_kernels_match_the_per_component_log_sum_exp(weights):
     # one pass over the occupied indices against scipy's logsumexp of the
-    # pure-state logs, -inf where every component vanishes
+    # closed-form pure-state logs, -inf where every component vanishes
     r = np.linspace(0.0, 40.0, 801)
     x = np.linspace(0.0, 30.0, 601)
     log_w = np.log([w for _, w in weights])[:, None]
-    want_q = logsumexp([FockHusimi(k).log_q_radial(r) for k, _ in weights] + log_w, axis=0)
-    want_f = logsumexp([FockPositionDensity(k).log_f(x) for k, _ in weights] + log_w, axis=0)
+    want_q = logsumexp([log_q_fock_closed(k, r) for k, _ in weights] + log_w, axis=0)
+    want_f = logsumexp([log_f_fock_closed(k, x) for k, _ in weights] + log_w, axis=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got_q = FockMixtureHusimi(weights).log_q_radial(r)
@@ -364,6 +402,27 @@ def test_fock_mixture_kernels_match_the_per_component_log_sum_exp(weights):
     assert np.allclose(got_q, want_q, rtol=1e-13, atol=1e-13)
     assert np.allclose(got_f, want_f, rtol=1e-13, atol=1e-13)
     assert (got_q[0] == -np.inf) == (weights[0][0] > 0)
+
+
+def test_number_state_kernels_are_silent_at_their_edges():
+    # r = 0 (where 2 k0 ln r is -inf), x = 0 (a zero of every odd psi_k), and
+    # the far tails r <= 40, x <= 37, with warnings as errors
+    r = np.concatenate([[0.0], np.linspace(1e-3, 40.0, 400)])
+    x = np.concatenate([[0.0], np.linspace(1e-3, 37.0, 400)])
+    radial = [FockHusimi(n) for n in (0, 1, 7, 50)] + [NoonMarginalHusimi(n) for n in (0, 1, 10, 100)]
+    radial += [FockMixtureHusimi(w) for w in FOCK_MIXTURES]
+    line = [FockPositionDensity(n) for n in (0, 1, 7, 50)]
+    line += [FockMixturePositionDensity(w) for w in FOCK_MIXTURES]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ev in radial:
+            got = ev.log_q_radial(r)
+            assert (got[0] == -np.inf) == (ev.weights[0][0] > 0)
+            assert np.all(np.isfinite(got[1:]))
+        for dens in line:
+            got = dens.log_f(x)
+            assert (got[0] == -np.inf) == all(k % 2 == 1 for k, _ in dens.weights)
+            assert np.all(np.isfinite(got[1:]))
 
 
 def test_odd_fock_mixture_line_density_vanishes_at_zero_silently():
@@ -376,19 +435,19 @@ def test_odd_fock_mixture_line_density_vanishes_at_zero_silently():
 
 @pytest.mark.parametrize("weights", FOCK_MIXTURES, ids=str)
 def test_fock_mixture_tail_parameters_are_the_component_rules(weights):
-    # the largest index sets the Gamma shape and the margin, the slowest
-    # component the rate; the line has a zero at 0 only when every index is odd
-    radial = [FockHusimi(k) for k, _ in weights]
-    line = [FockPositionDensity(k) for k, _ in weights]
+    # index k has Gamma shape k, rate 1 in r and 2 in x, and line margin
+    # (k + 1) ln 2 + ln(k + 1): the largest index sets the shape and the
+    # margin; the line has a zero at 0 only when every index is odd
+    top = max(k for k, _ in weights)
     mix = FockMixtureHusimi(weights)
     assert mix.kind == "radial"
-    assert mix.radial_gamma_shape == max(d.radial_gamma_shape for d in radial)
-    assert mix.radial_rate == min(d.radial_rate for d in radial)
+    assert mix.radial_gamma_shape == top
+    assert mix.radial_rate == 1.0
     assert mix.axis_second_moment == pytest.approx(sum(w * (k + 1) for k, w in weights), rel=1e-15)
     dens = FockMixturePositionDensity(weights)
-    assert dens.position_gamma_shape == max(d.position_gamma_shape for d in line)
-    assert dens.position_rate == min(d.position_rate for d in line)
-    assert dens.position_tail_log_margin == max(d.position_tail_log_margin for d in line)
+    assert dens.position_gamma_shape == top
+    assert dens.position_rate == 2.0
+    assert dens.position_tail_log_margin == (top + 1) * math.log(2.0) + math.log(top + 1.0)
     all_odd = all(k % 2 == 1 for k, _ in weights)
     assert dens.breakpoints == ((0.0,) if all_odd else ())
 
@@ -399,9 +458,16 @@ def test_fock_mixture_evaluator_dispatch():
     assert mix.weights == ((0, 0.5), (1, 0.5))
     # a zero weight is dropped, and one live index is the pure state
     single = evaluator_for(FockMixtureState(((0, 0.0), (3, 1.0))))
-    assert isinstance(single, FockHusimi) and single.n == 3
+    assert single.weights == ((3, 1.0),)
+    r = np.linspace(0.0, 12.0, 97)
+    assert np.array_equal(single.log_q_radial(r), FockHusimi(3).log_q_radial(r))
     line = position_density_for(FockMixtureState(((0, 0.0), (3, 1.0))))
-    assert isinstance(line, FockPositionDensity) and line.n == 3
+    assert line.weights == ((3, 1.0),)
+    x = np.linspace(-9.0, 9.0, 97)
+    assert np.array_equal(line.log_f(x), FockPositionDensity(3).log_f(x))
+    # H_3(x) = 8x^3 - 12x vanishes at 0 and +-sqrt(3/2)
+    assert line.breakpoints[1] == 0.0 and line.breakpoints[0] == -line.breakpoints[2]
+    assert line.breakpoints[2] == pytest.approx(math.sqrt(1.5), abs=1e-15)
     with pytest.raises(ValueError):
         FockMixtureHusimi([(0, 0.0)])
     with pytest.raises(ValueError):
@@ -465,7 +531,11 @@ def test_fock_position_breakpoints_are_wavefunction_zeros():
         assert d.f(root) < 1e-20
     for n in range(1, 51):
         roots = np.array(FockPositionDensity(n).breakpoints)
-        assert np.all(np.abs(_hermite_function(n, roots)) <= 1e-12)
+        *_, psi_n = _hermite_steps(n, roots, math.pi ** (-0.25) * np.exp(-0.5 * roots * roots))
+        assert np.all(np.abs(psi_n) <= 1e-12)
+        # the breakpoints are the raw Jacobi eigenvalues, mirrored
+        raw = _hermite_zeros(n)
+        assert np.array_equal(roots, 0.5 * (raw - raw[::-1]))
         coeffs = np.zeros(n + 1)
         coeffs[-1] = 1.0
         assert np.allclose(roots, np.polynomial.hermite.hermroots(coeffs), rtol=0.0, atol=1e-13)
@@ -511,7 +581,12 @@ def test_position_density_dispatch():
     mix = position_density_for(FockMixtureState(((0, 0.5), (1, 0.5))))
     assert isinstance(mix, FockMixturePositionDensity)
     single = position_density_for(FockMixtureState(((2, 1.0),)))
-    assert isinstance(single, FockPositionDensity)
+    assert single.weights == ((2, 1.0),)
+    x = np.linspace(-9.0, 9.0, 97)
+    assert np.array_equal(single.log_f(x), FockPositionDensity(2).log_f(x))
+    # H_2(x) = 4x^2 - 2 vanishes at +-1 / sqrt(2)
+    assert single.breakpoints[0] == -single.breakpoints[1]
+    assert single.breakpoints[1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
     with pytest.raises(UnsupportedState):
         position_density_for(TwoModeSqueezedState(0.5))
     with pytest.raises(UnsupportedState):
@@ -534,17 +609,18 @@ def _hermite_function_four_calls(n, x):
 
 def test_hermite_function_matches_the_allocating_recurrence():
     # the recurrence runs in reused buffers with its factors x sqrt(2 / (k + 1))
-    # formed up front, in the same order of operations
+    # formed up front, in the same order of operations; every step it yields
+    # is the allocating recurrence's, on a 1D and on a 2D grid
     x = np.linspace(-9.0, 9.0, 101)
+    for grid in (x, x.reshape(-1, 1) * np.array([1.0, 0.5, -0.25])):
+        steps = _hermite_steps(60, grid, math.pi ** (-0.25) * np.exp(-0.5 * grid * grid))
+        psi_prev, psi = np.zeros_like(grid), math.pi ** (-0.25) * np.exp(-0.5 * grid * grid)
+        for k, got in enumerate(steps):
+            assert np.array_equal(got, psi)
+            psi_prev, psi = psi, grid * math.sqrt(2.0 / (k + 1)) * psi - math.sqrt(k / (k + 1.0)) * psi_prev
     for n in range(61):
-        psi_prev, psi = np.zeros_like(x), math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-        for k in range(n):
-            psi_prev, psi = psi, x * math.sqrt(2.0 / (k + 1)) * psi - math.sqrt(k / (k + 1.0)) * psi_prev
-        got = _hermite_function(n, x)
-        assert np.array_equal(got, psi)
+        *_, got = _hermite_steps(n, x, math.pi ** (-0.25) * np.exp(-0.5 * x * x))
         assert np.array_equal(got, _hermite_function_four_calls(n, x))
-    assert np.ndim(_hermite_function(3, 0.5)) == 0
-    assert _hermite_function(3, 0.5) == _hermite_function(3, np.array([0.5]))[0]
 
 
 # ---------------------------------------------------------------------------
