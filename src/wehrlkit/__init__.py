@@ -65,7 +65,7 @@ from .gaussian import (
     apply_local_squeeze,
     from_grouped_ordering,
     gaussian_witness,
-    minimum_symplectic_eigenvalue,
+    ppt_minimum,
     ppt_reflect,
     random_admissible_covariance,
     simon_pure_separability,

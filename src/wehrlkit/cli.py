@@ -31,7 +31,7 @@ from .entropies import (
     quantum_mutual_information_tmss,
     wehrl_mutual_information,
 )
-from .errors import ToleranceNotReached, ToolkitError, grid_point
+from .errors import LambdaOutOfRange, ToleranceNotReached, ToolkitError, grid_point
 from .eur import (
     bbm_lhs_asymptotic,
     eur_sweep_fock,
@@ -41,12 +41,11 @@ from .eur import (
     wl_lhs_stirling,
 )
 from .gaussian import (
-    PURITY_SLACK,
     CovarianceModel,
     ModePartition,
+    check_squeezing,
     gaussian_witness,
-    ppt_reflect,
-    symplectic_eigenvalues,
+    ppt_minimum,
     von_neumann_gaussian,
     wehrl_gaussian_joint,
     wehrl_gaussian_local,
@@ -151,12 +150,11 @@ def _lambda_grid(text: str):
         if not piece:
             continue
         try:
-            value = float(piece)
+            out.append(check_squeezing(piece))
         except ValueError:
             raise argparse.ArgumentTypeError(f"{piece!r} is not a number")
-        if not 0.0 <= value < 1.0:
-            raise argparse.ArgumentTypeError("each lambda must lie in [0, 1)")
-        out.append(value)
+        except LambdaOutOfRange as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     if not out:
         raise argparse.ArgumentTypeError("grid is empty")
     return out
@@ -473,17 +471,19 @@ def _load_covariance(path: str, partition_text) -> CovarianceModel:
 
 def cmd_gaussian(args, run: RunConfig) -> int:
     cov = _load_covariance(args.cov, args.partition)
-    nus = cov.symplectic_eigenvalues()
     det_c = float(np.linalg.det(cov.c))
+    # An overflow to inf is refused by _write_json; it needs no warning first.
+    with np.errstate(over="ignore"):
+        det_v_plus_half = float(np.linalg.det(cov.v + 0.5 * np.eye(cov.dim)))
     report = {
         "modes_a": cov.partition.n_a,
         "modes_b": cov.partition.n_b,
-        "symplectic_eigenvalues": [float(v) for v in nus],
-        "pure": bool(np.all(nus <= 0.5 + PURITY_SLACK)),
+        "symplectic_eigenvalues": [float(v) for v in cov.spectrum],
+        "pure": cov.pure,
         "von_neumann_entropy": von_neumann_gaussian(cov),
         "wehrl_joint": wehrl_gaussian_joint(cov),
         "det_c": det_c,
-        "det_v_plus_half": float(np.linalg.det(cov.v + 0.5 * np.eye(cov.dim))),
+        "det_v_plus_half": det_v_plus_half,
         "det_c_at_most_one": bool(det_c <= 1.0 + 1e-10),
     }
     if cov.partition.bipartite:
@@ -495,12 +495,9 @@ def cmd_gaussian(args, run: RunConfig) -> int:
         if report["pure"]:
             report["entangled"] = entanglement_witness(GaussianState(cov)).entangled
         if cov.partition.n_a == 1 and cov.partition.n_b == 1:
-            reflected = ppt_reflect(cov.v, cov.partition)
-            nu_min = float(np.min(symplectic_eigenvalues(reflected)))
+            nu_min, ppt_holds = ppt_minimum(cov.v, cov.partition)
             report["ppt_min_symplectic"] = nu_min
-            report["ppt_verdict"] = (
-                "entangled" if nu_min < 0.5 - 1e-9 else "no-violation"
-            )
+            report["ppt_verdict"] = "no-violation" if ppt_holds else "entangled"
     _write_json(run, report)
     return 0
 

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import NotPure, SupportViolation, UnsupportedState
 from .gaussian import (
     MI_ROUNDING_SLACK,
-    PURITY_SLACK,
-    CovarianceModel,
+    _thermal_mode_entropy,
+    check_squeezing,
     gaussian_witness,
     von_neumann_gaussian,
     wehrl_gaussian_joint,
@@ -94,9 +94,7 @@ def wehrl_closed(state: StateSpec) -> float:
         return wehrl_fock_closed(state.n)
     if isinstance(state, ThermalState):
         return wehrl_thermal_closed(state.beta_omega)
-    if isinstance(state, GaussianState):
-        return wehrl_gaussian_joint(state.cov)
-    if isinstance(state, TwoModeSqueezedState):
+    if isinstance(state, (GaussianState, TwoModeSqueezedState)):
         return wehrl_gaussian_joint(state.cov)
     raise UnsupportedState(
         f"{type(state).__name__} has no closed-form entropy here; integrate it"
@@ -123,7 +121,7 @@ class EntropyReport:
     ``cross_check_delta`` their absolute difference), else "quadrature".
     ``differential_x``/``differential_p`` are the homodyne marginal
     entropies, None for states without a supported line density;
-    ``von_neumann`` is None where no spectral rule applies.
+    ``von_neumann`` is the spectral entropy, which every family has.
     """
 
     state: StateSpec
@@ -131,7 +129,7 @@ class EntropyReport:
     wehrl_method: str
     differential_x: float | None
     differential_p: float | None
-    von_neumann: float | None
+    von_neumann: float
     cross_check_delta: float | None
 
 
@@ -157,18 +155,13 @@ def entropy_report(state: StateSpec, spec: QuadratureSpec | None = None) -> Entr
             marginal = density_entropy_1d(position_density_for(state), spec).value
     except UnsupportedState:
         marginal = None
-    try:
-        spectral = von_neumann(state)
-    except UnsupportedState:
-        spectral = (von_neumann_gaussian(state.cov)
-                    if isinstance(state, GaussianState) else None)
     return EntropyReport(
         state=state,
         wehrl=wehrl,
         wehrl_method=method,
         differential_x=marginal,
         differential_p=marginal,
-        von_neumann=spectral,
+        von_neumann=von_neumann(state),
         cross_check_delta=delta,
     )
 
@@ -182,7 +175,10 @@ def homodyne_entropy_thermal_closed(beta_omega: float) -> float:
 
 
 def von_neumann(state: StateSpec) -> float:
-    """Spectral entropy - tr rho ln rho of a supported state."""
+    """Spectral entropy - tr rho ln rho, defined for every state family.
+
+    Thermal and Gaussian states sum g(nbar) over their modes (``von_neumann_gaussian``).
+    """
     validate(state)
     if isinstance(state, (FockState, TwoModeSqueezedState, NoonState)):
         return 0.0
@@ -190,13 +186,8 @@ def von_neumann(state: StateSpec) -> float:
         qs = np.array([q for _, q in state.weights if q > 0.0])
         return float(-np.dot(qs, np.log(qs)))
     if isinstance(state, ThermalState):
-        b = state.beta_omega
-        nbar = 1.0 / math.expm1(b)
-        return b * nbar - math.log(-math.expm1(-b))
-    # Mixed Gaussian states go through the symplectic-eigenvalue route
-    # only (von_neumann_gaussian); this module never substitutes the
-    # phase-space entropy for the spectral one.
-    raise UnsupportedState(f"no spectral entropy rule for {type(state).__name__}")
+        return _thermal_mode_entropy(1.0 / math.expm1(state.beta_omega))
+    return von_neumann_gaussian(state.cov)
 
 
 def wehrl_relative_entropy(rho, sigma, spec: QuadratureSpec | None = None,
@@ -246,13 +237,9 @@ def wehrl_conditional_entropy(obj, spec: QuadratureSpec | None = None) -> Integr
 
 
 def quantum_mutual_information_tmss(lam: float) -> float:
-    """I = 2 [(nbar+1) ln(nbar+1) - nbar ln nbar], nbar = lam^2/(1-lam^2)."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("lambda must lie in [0, 1)")
-    if lam == 0.0:
-        return 0.0
-    nbar = lam * lam / (1.0 - lam * lam)
-    return 2.0 * ((nbar + 1.0) * math.log(nbar + 1.0) - nbar * math.log(nbar))
+    """I = 2 g(nbar) with nbar = lam^2/(1-lam^2): twice the entropy of either mode."""
+    lam = check_squeezing(lam)
+    return 2.0 * _thermal_mode_entropy(lam * lam / (1.0 - lam * lam))
 
 
 def quantum_mutual_information_noon(n: int) -> float:
@@ -278,15 +265,6 @@ class WitnessVerdict:
     method: str
 
 
-def _gaussian_purity_check(cov: CovarianceModel):
-    nus = cov.symplectic_eigenvalues()
-    if np.any(nus > 0.5 + PURITY_SLACK):
-        raise NotPure(
-            "witness interprets mutual information for pure states only; "
-            f"largest symplectic eigenvalue is {np.max(nus):.6f}"
-        )
-
-
 def entanglement_witness(state: StateSpec,
                          spec: QuadratureSpec | None = None) -> WitnessVerdict:
     """Flag entanglement of a pure bipartite state by its mutual information.
@@ -304,7 +282,11 @@ def entanglement_witness(state: StateSpec,
     elif isinstance(state, GaussianState):
         if not state.cov.partition.bipartite:
             raise UnsupportedState("witness needs a bipartite state")
-        _gaussian_purity_check(state.cov)
+        if not state.cov.pure:
+            raise NotPure(
+                "witness interprets mutual information for pure states only; "
+                f"largest symplectic eigenvalue is {state.cov.spectrum[-1]:.6f}"
+            )
         _, mutual = gaussian_witness(state.cov)
         value, err, method = mutual, 0.0, "closed-form"
     elif isinstance(state, NoonState):

@@ -12,7 +12,7 @@ class NonNormalizedMixture(ToolkitError):
 
 
 class LambdaOutOfRange(ToolkitError):
-    """Two-mode squeezing parameter must lie in [0, 1)."""
+    """Two-mode squeezing parameter outside [0, gaussian.LAMBDA_MAX] = [0, 0.998]."""
 
 
 class InadmissibleCovariance(ToolkitError):

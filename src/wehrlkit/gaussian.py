@@ -30,6 +30,7 @@ from .errors import (
     DegenerateBlock,
     DimensionMismatch,
     InadmissibleCovariance,
+    LambdaOutOfRange,
     NonSymmetric,
     NotBipartite,
     NotPure,
@@ -47,6 +48,10 @@ PURITY_SLACK = 1e-7
 MI_ROUNDING_SLACK = 1e-12
 # Conjugate symplectic eigenvalues must agree to this relative tolerance.
 _PAIR_TOL = 1e-9
+# Largest two-mode squeezing parameter accepted.  The rounding error of the
+# spectrum of the covariance grows like eps * cond(V) ~ eps / (1 - lam)^2;
+# up to this bound the pure spectrum stays within SYMPLECTIC_SLACK of 1/2.
+LAMBDA_MAX = 0.998
 
 
 @dataclass(frozen=True)
@@ -126,11 +131,8 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
         # Genuinely unpaired spectra do not occur for symmetric input; a
         # large mismatch signals severe rounding, so refuse to guess.
         raise SingularMatrix("could not pair symplectic eigenvalues")
-    return np.sort(0.5 * (lo + hi))
-
-
-def minimum_symplectic_eigenvalue(v: np.ndarray) -> float:
-    return float(symplectic_eigenvalues(v)[0])
+    # Halved before the sum, which cannot then overflow.
+    return np.sort(0.5 * lo + 0.5 * hi)
 
 
 @dataclass(frozen=True)
@@ -190,6 +192,11 @@ class CovarianceModel:
     def n_modes(self) -> int:
         return self.partition.n_modes
 
+    @property
+    def pure(self) -> bool:
+        """Every symplectic eigenvalue is 1/2, up to PURITY_SLACK."""
+        return bool(np.all(self.spectrum <= 0.5 + PURITY_SLACK))
+
     def _split(self) -> int:
         return 2 * self.partition.n_a
 
@@ -227,9 +234,6 @@ class CovarianceModel:
         if keep == "b":
             return CovarianceModel.from_v(self.v_b, ModePartition(self.partition.n_b, 0))
         raise ValueError("keep must be 'a' or 'b'")
-
-    def symplectic_eigenvalues(self) -> np.ndarray:
-        return self.spectrum
 
 
 def _logdet(m: np.ndarray, label: str) -> float:
@@ -286,14 +290,20 @@ def gaussian_witness(cov: CovarianceModel) -> tuple[float, float]:
     return conditional, mutual
 
 
+def _thermal_mode_entropy(nbar: float) -> float:
+    """g(nbar) = (nbar + 1) ln(nbar + 1) - nbar ln nbar, the entropy of a thermal mode.
+
+    Written as ln(1 + nbar) + nbar ln(1 + 1/nbar), which does not cancel at large nbar.
+    """
+    if nbar == 0.0:
+        return 0.0
+    return math.log1p(nbar) + nbar * math.log1p(1.0 / nbar)
+
+
 def von_neumann_gaussian(cov: CovarianceModel) -> float:
-    """Von Neumann entropy from the symplectic spectrum of V."""
-    total = 0.0
-    for nu in cov.symplectic_eigenvalues():
-        if nu <= 0.5 + 1e-12:
-            continue
-        total += (nu + 0.5) * math.log(nu + 0.5) - (nu - 0.5) * math.log(nu - 0.5)
-    return total
+    """Von Neumann entropy, the sum of g(nu - 1/2) over the symplectic spectrum of V."""
+    return sum((_thermal_mode_entropy(float(nu) - 0.5)
+                for nu in cov.spectrum if nu > 0.5 + 1e-12), 0.0)
 
 
 def ppt_reflect(v: np.ndarray, partition: ModePartition) -> np.ndarray:
@@ -308,14 +318,32 @@ def ppt_reflect(v: np.ndarray, partition: ModePartition) -> np.ndarray:
     return (signs[:, None] * v) * signs[None, :]
 
 
+def ppt_minimum(v: np.ndarray, partition: ModePartition) -> tuple[float, bool]:
+    """Smallest symplectic eigenvalue of the momentum-reflected V, and whether PPT holds.
+
+    PPT holds when the reflected matrix passes the admissibility check of
+    ``CovarianceModel.from_v``: nu_min >= 1/2 - SYMPLECTIC_SLACK.  Its
+    failure witnesses entanglement (Simon, PRL 84, 2726 (2000)).
+    """
+    nu_min = float(symplectic_eigenvalues(ppt_reflect(v, partition))[0])
+    return nu_min, nu_min >= 0.5 - SYMPLECTIC_SLACK
+
+
+def check_squeezing(lam: float) -> float:
+    """Return lam as a float, or raise LambdaOutOfRange outside [0, LAMBDA_MAX]."""
+    lam = float(lam)
+    if not 0.0 <= lam <= LAMBDA_MAX:
+        raise LambdaOutOfRange(f"two-mode squeezing parameter {lam!r} outside [0, {LAMBDA_MAX}]")
+    return lam
+
+
 def tmss_covariance(lam: float) -> CovarianceModel:
     """Covariance model of the two-mode squeezed state with parameter lam.
 
     The Husimi precision matrix has identity diagonal blocks and
     off-diagonal block diag(lam, -lam).
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("two-mode squeezing parameter must lie in [0, 1)")
+    lam = check_squeezing(lam)
     c = np.eye(4)
     c[0, 2] = c[2, 0] = lam
     c[1, 3] = c[3, 1] = -lam
@@ -436,9 +464,7 @@ def simon_pure_separability(params: NormalFormParams, tol: float = 1e-9) -> Sepa
         raise NotPure(
             f"purity residuals ({r1:.3g}, {r2:.3g}) exceed tolerance {tol:.3g}"
         )
-    reflected = ppt_reflect(params.to_matrix(), ModePartition(1, 1))
-    nu_min = minimum_symplectic_eigenvalue(reflected)
-    ppt_holds = nu_min >= 0.5 - SYMPLECTIC_SLACK
+    nu_min, ppt_holds = ppt_minimum(params.to_matrix(), ModePartition(1, 1))
     return SeparabilityVerdict(
         separable=ppt_holds,
         ppt_holds=ppt_holds,

@@ -48,7 +48,7 @@ from .errors import (
     NotBipartite,
     UnsupportedState,
 )
-from .gaussian import CovarianceModel, ModePartition
+from .gaussian import CovarianceModel, ModePartition, _logdet
 from .states import (
     FockMixtureState,
     FockState,
@@ -227,10 +227,7 @@ class GaussianHusimi(HusimiEvaluator):
     def __init__(self, cov: CovarianceModel):
         self.cov = cov
         self.partition = cov.partition
-        sign, logdet = np.linalg.slogdet(cov.c)
-        if sign <= 0:  # pragma: no cover - C of an admissible V is PD
-            raise ValueError("husimi form must be positive definite")
-        self._log_norm = 0.5 * logdet
+        self._log_norm = 0.5 * _logdet(cov.c, "C")
         self._c = np.asarray(cov.c)
 
     def log_q(self, points):
@@ -395,9 +392,7 @@ def evaluator_for(state: StateSpec) -> HusimiEvaluator:
         return FockMixtureHusimi(state.weights)
     if isinstance(state, ThermalState):
         return ThermalHusimi(state.beta_omega)
-    if isinstance(state, GaussianState):
-        return GaussianHusimi(state.cov)
-    if isinstance(state, TwoModeSqueezedState):
+    if isinstance(state, (GaussianState, TwoModeSqueezedState)):
         return GaussianHusimi(state.cov)
     if isinstance(state, NoonState):
         return NoonHusimi(state.excitation)

@@ -8,8 +8,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import LambdaOutOfRange, NonNormalizedMixture, UnsupportedState
-from .gaussian import CovarianceModel, ModePartition, tmss_covariance
+from .errors import NonNormalizedMixture, UnsupportedState
+from .gaussian import CovarianceModel, ModePartition, check_squeezing, tmss_covariance
 
 MIXTURE_NORMALIZATION_TOL = 1e-12
 
@@ -92,14 +92,12 @@ class GaussianState:
 
 @dataclass(frozen=True)
 class TwoModeSqueezedState:
-    """Two-mode squeezed vacuum with squeezing parameter lam = tanh(r)."""
+    """Two-mode squeezed vacuum, lam = tanh(r) in [0, gaussian.LAMBDA_MAX] = [0, 0.998]."""
 
     lam: float
 
     def __post_init__(self):
-        lam = float(self.lam)
-        if not np.isfinite(lam) or not 0.0 <= lam < 1.0:
-            raise LambdaOutOfRange(f"lam={lam!r} outside [0, 1)")
+        check_squeezing(self.lam)
 
     @functools.cached_property
     def cov(self) -> CovarianceModel:

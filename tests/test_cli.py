@@ -1,4 +1,4 @@
-"""End-to-end checks of the command-line interface via subprocess."""
+"""End-to-end checks of the command-line interface, via subprocess or ``main``."""
 
 import csv
 import dataclasses
@@ -9,11 +9,21 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wehrlkit
-from wehrlkit import QuadratureSpec
-from wehrlkit.cli import _SETTINGS, _SPEC_FIELD, _run_config, build_parser
+from wehrlkit import (
+    GaussianState,
+    ModePartition,
+    NormalFormParams,
+    NotPure,
+    QuadratureSpec,
+    entanglement_witness,
+    random_admissible_covariance,
+    simon_pure_separability,
+)
+from wehrlkit.cli import _SETTINGS, _SPEC_FIELD, _run_config, build_parser, main
 
 # The CLI subprocesses import the same wehrlkit as the tests.
 _SRC = os.path.dirname(os.path.dirname(wehrlkit.__file__))
@@ -360,6 +370,13 @@ def test_out_of_range_flag_exits_3():
     assert proc.returncode == 3
 
 
+def test_squeezing_beyond_the_bound_exits_3_naming_it():
+    proc = run_cli("bipartite-tmss", "--lambda-grid", "0.9999")
+    assert proc.returncode == 3
+    assert "0.9999 outside [0, 0.998]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_gaussian_report_for_two_mode_squeezing(tmp_path):
     lam = 0.6
     from wehrlkit import tmss_covariance
@@ -421,9 +438,57 @@ def test_gaussian_with_huge_finite_entries_exits_3(tmp_path, matrix):
     cov_file.write_text(json.dumps(matrix))
     proc = run_cli("gaussian", "--cov", str(cov_file))
     assert proc.returncode == 3
-    assert "error: " in proc.stderr
+    # one line, and no RuntimeWarning from the overflow before it
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_gaussian_von_neumann_entropy_of_a_huge_thermal_mode(tmp_path):
+    cov_file = tmp_path / "hot.json"
+    cov_file.write_text(json.dumps([[1e16, 0.0], [0.0, 1e16]]))
+    proc = run_cli("gaussian", "--cov", str(cov_file))
+    assert proc.returncode == 0
+    # ln(nu) + 1 at nu = 1e16, where the two-logarithm form cancels to 0
+    assert json.loads(proc.stdout)["von_neumann_entropy"] == pytest.approx(
+        37.841361487904734, abs=1e-12)
+
+
+@pytest.mark.parametrize("partition", [ModePartition(1, 1), ModePartition(2, 1)])
+def test_gaussian_pure_flag_agrees_with_the_witness(tmp_path, capsys, partition):
+    # spectra at 1/2, inside and outside the purity slack, and well mixed
+    for seed, nu in enumerate((0.5, 0.5, 0.5 + 5e-8, 0.5 + 2e-7, 0.7, 1.5)):
+        cov = random_admissible_covariance(np.random.default_rng(seed), partition,
+                                           min_nu=nu, max_nu=nu)
+        path = tmp_path / f"cov-{seed}.json"
+        path.write_text(json.dumps({"v": cov.v.tolist(), "modes_a": partition.n_a,
+                                    "modes_b": partition.n_b}))
+        assert main(["gaussian", "--cov", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        try:
+            entanglement_witness(GaussianState(cov))
+            accepted = True
+        except NotPure:
+            accepted = False
+        assert report["pure"] is accepted is (nu <= 0.5 + 1e-7), (seed, nu)
+        assert ("entangled" in report) is accepted
+
+
+@pytest.mark.parametrize("c", [5e-10, 5e-12])
+def test_ppt_verdict_of_the_cli_matches_the_simon_test(tmp_path, capsys, c):
+    # a barely squeezed pure normal form: the reflected minimum 1/2 - c
+    # lies below the admissibility slack for c = 5e-10 and above it for 5e-12
+    params = NormalFormParams(0.5, 0.5, c, -c)
+    verdict = simon_pure_separability(params)
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps({"v": params.to_matrix().tolist(), "modes_a": 1, "modes_b": 1}))
+    assert main(["gaussian", "--cov", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ppt_min_symplectic"] == verdict.min_reflected_symplectic
+    assert report["ppt_min_symplectic"] == pytest.approx(0.5 - c, abs=1e-15)
+    assert report["ppt_verdict"] == ("no-violation" if verdict.ppt_holds else "entangled")
+    assert verdict.ppt_holds is (c < 1e-10)
 
 
 def test_gaussian_inadmissible_matrix_exits_3(tmp_path):

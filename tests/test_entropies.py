@@ -198,8 +198,8 @@ def test_von_neumann_rules():
     assert von_neumann(TwoModeSqueezedState(0.9)) == 0.0
     assert abs(von_neumann(FockMixtureState(((0, 0.25), (1, 0.75))))
                - (-(0.25 * math.log(0.25) + 0.75 * math.log(0.75)))) < 1e-14
-    with pytest.raises(UnsupportedState):
-        von_neumann(GaussianState(tmss_covariance(0.2)))
+    mixed = random_admissible_covariance(np.random.default_rng(3), ModePartition(1, 1))
+    assert von_neumann(GaussianState(mixed)) == von_neumann_gaussian(mixed) > 0.0
 
 
 def test_von_neumann_gaussian_matches_thermal():

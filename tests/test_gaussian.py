@@ -9,6 +9,7 @@ from wehrlkit import (
     CovarianceModel,
     DimensionMismatch,
     InadmissibleCovariance,
+    LambdaOutOfRange,
     ModePartition,
     NonSymmetric,
     NormalFormParams,
@@ -17,8 +18,9 @@ from wehrlkit import (
     apply_local_squeeze,
     from_grouped_ordering,
     gaussian_witness,
-    minimum_symplectic_eigenvalue,
+    ppt_minimum,
     ppt_reflect,
+    quantum_mutual_information_tmss,
     random_admissible_covariance,
     simon_pure_separability,
     squeezed_vacuum_covariance,
@@ -29,6 +31,7 @@ from wehrlkit import (
     wehrl_gaussian_joint,
     wehrl_gaussian_local,
 )
+from wehrlkit.gaussian import LAMBDA_MAX
 
 
 def test_symplectic_form_blocks():
@@ -72,19 +75,28 @@ def test_tmss_covariance_blocks():
     assert np.linalg.det(cov.c) == pytest.approx((1 - lam * lam) ** 2)
 
 
+def test_every_squeezing_parameter_in_range_gives_a_pure_covariance():
+    for lam in np.linspace(0.0, LAMBDA_MAX, 10_000):
+        assert tmss_covariance(lam).pure, lam
+    for lam in (0.999, 0.9999):
+        with pytest.raises(LambdaOutOfRange):
+            tmss_covariance(lam)
+        with pytest.raises(LambdaOutOfRange):
+            quantum_mutual_information_tmss(lam)
+
+
 def test_symplectic_eigenvalues_known_cases():
     assert symplectic_eigenvalues(0.5 * np.eye(2))[0] == pytest.approx(0.5)
     nbar = 1.7
     assert symplectic_eigenvalues((nbar + 0.5) * np.eye(2))[0] == pytest.approx(nbar + 0.5)
-    nus = tmss_covariance(0.8).symplectic_eigenvalues()
+    nus = tmss_covariance(0.8).spectrum
     assert np.allclose(nus, [0.5, 0.5], atol=1e-12)
 
 
 def test_the_model_keeps_the_spectrum_of_its_admissibility_check():
     # one spectrum per covariance, with the bits of a fresh computation
     cov = random_admissible_covariance(np.random.default_rng(5), ModePartition(2, 1))
-    nus = cov.symplectic_eigenvalues()
-    assert nus is cov.symplectic_eigenvalues()
+    nus = cov.spectrum
     assert not nus.flags.writeable
     assert np.array_equal(nus, symplectic_eigenvalues(cov.v))
     state = TwoModeSqueezedState(0.3)
@@ -165,6 +177,14 @@ def test_von_neumann_gaussian_values():
     assert von_neumann_gaussian(th) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("nu", [1e6, 1e8, 1e12, 1e16, 1e200])
+def test_von_neumann_gaussian_follows_the_large_nu_asymptote(nu):
+    # (nu + 1/2) ln(nu + 1/2) - (nu - 1/2) ln(nu - 1/2) = ln nu + 1 - 1/(24 nu^2) + ...
+    cov = CovarianceModel.from_v(nu * np.eye(2), ModePartition(1, 0))
+    want = math.log(nu) + 1.0 - 1.0 / (24.0 * nu * nu)
+    assert von_neumann_gaussian(cov) == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Momentum reflection and separability
 # ---------------------------------------------------------------------------
@@ -182,16 +202,17 @@ def test_ppt_reflect_preserves_determinant_and_flips_b_momenta():
 def test_ppt_detects_tmss_entanglement():
     lam = 0.9
     cov = tmss_covariance(lam)
-    nu = minimum_symplectic_eigenvalue(ppt_reflect(cov.v, cov.partition))
+    nu, ppt_holds = ppt_minimum(cov.v, cov.partition)
     assert nu == pytest.approx(0.5 * (1 - lam) / (1 + lam), abs=1e-10)
-    assert nu < 0.5
+    assert not ppt_holds
 
 
 def test_ppt_ignores_product_states():
     v = np.diag([0.9, 0.9, 0.6, 0.6])
     part = ModePartition(1, 1)
-    nu = minimum_symplectic_eigenvalue(ppt_reflect(v, part))
+    nu, ppt_holds = ppt_minimum(v, part)
     assert nu >= 0.5 - 1e-12
+    assert ppt_holds
 
 
 def test_simon_separability_vacuum():
@@ -280,7 +301,7 @@ def test_from_grouped_ordering_permutation():
 def test_random_admissible_covariance_spectrum():
     rng = np.random.default_rng(5)
     cov = random_admissible_covariance(rng, ModePartition(2, 1), min_nu=0.6, max_nu=1.4)
-    nus = cov.symplectic_eigenvalues()
+    nus = cov.spectrum
     assert len(nus) == 3
     assert np.all(nus >= 0.6 - 1e-9)
     assert np.all(nus <= 1.4 + 1e-9)

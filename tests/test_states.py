@@ -60,9 +60,10 @@ def test_thermal_requires_positive_beta():
 
 def test_tmss_parameter_range():
     TwoModeSqueezedState(0.0)
-    TwoModeSqueezedState(0.999)
-    with pytest.raises(LambdaOutOfRange):
-        TwoModeSqueezedState(1.0)
+    TwoModeSqueezedState(0.998)
+    for lam in (0.999, 0.9999, 1.0, float("nan")):
+        with pytest.raises(LambdaOutOfRange, match=r"\[0, 0\.998\]"):
+            TwoModeSqueezedState(lam)
     with pytest.raises(LambdaOutOfRange):
         TwoModeSqueezedState(-0.2)
 
