@@ -12,10 +12,8 @@ from .entropies import (
     EULER_GAMMA,
     LN_E_PI,
     LN_PI,
-    EntropyReport,
     WitnessVerdict,
     entanglement_witness,
-    entropy_report,
     harmonic_number,
     homodyne_entropy_thermal_closed,
     quantum_mutual_information_noon,
@@ -53,7 +51,6 @@ from .eur import (
     eur_sweep_fock,
     eur_sweep_mixture,
     eur_sweep_thermal,
-    eur_thermal_closed,
     mixture_crossover,
     wl_lhs_stirling,
 )

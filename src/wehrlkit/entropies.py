@@ -20,7 +20,6 @@ from .gaussian import (
     MI_ROUNDING_SLACK,
     _thermal_mode_entropy,
     check_squeezing,
-    gaussian_witness,
     von_neumann_gaussian,
     wehrl_gaussian_joint,
 )
@@ -29,12 +28,10 @@ from .husimi import (
     ProductHusimi,
     evaluator_for,
     marginal_husimi,
-    position_density_for,
 )
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
-    density_entropy_1d,
     entropy_functional,
     relative_entropy,
 )
@@ -112,60 +109,6 @@ def wehrl_quadrature(obj, spec: QuadratureSpec | None = None) -> IntegralResult:
     return entropy_functional(_as_evaluator(obj), spec)
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    """All entropies of one state, with the cross-check shown alongside.
-
-    ``wehrl_method`` is "both" when a closed form exists and quadrature
-    confirmed it (then ``wehrl`` is the closed form and
-    ``cross_check_delta`` their absolute difference), else "quadrature".
-    ``differential_x``/``differential_p`` are the homodyne marginal
-    entropies, None for states without a supported line density;
-    ``von_neumann`` is the spectral entropy, which every family has.
-    """
-
-    state: StateSpec
-    wehrl: float
-    wehrl_method: str
-    differential_x: float | None
-    differential_p: float | None
-    von_neumann: float
-    cross_check_delta: float | None
-
-
-def entropy_report(state: StateSpec, spec: QuadratureSpec | None = None) -> EntropyReport:
-    """Entropy summary of a state, closed-form wherever a closed form exists.
-
-    That covers the phase-space entropy of number, thermal and Gaussian
-    states (each cross-checked by quadrature), the homodyne entropy of
-    thermal states and every spectral entropy; the rest is quadrature.
-    """
-    quad = wehrl_quadrature(state, spec).value
-    try:
-        closed = wehrl_closed(state)
-        wehrl, method, delta = closed, "both", abs(closed - quad)
-    except UnsupportedState:
-        wehrl, method, delta = quad, "quadrature", None
-    try:
-        # Supported line densities are phase symmetric, so the x and p
-        # marginals coincide and one value serves both entries.
-        if isinstance(state, ThermalState):
-            marginal = homodyne_entropy_thermal_closed(state.beta_omega)
-        else:
-            marginal = density_entropy_1d(position_density_for(state), spec).value
-    except UnsupportedState:
-        marginal = None
-    return EntropyReport(
-        state=state,
-        wehrl=wehrl,
-        wehrl_method=method,
-        differential_x=marginal,
-        differential_p=marginal,
-        von_neumann=von_neumann(state),
-        cross_check_delta=delta,
-    )
-
-
 def homodyne_entropy_thermal_closed(beta_omega: float) -> float:
     """h = ln(2 pi e sigma^2) / 2 with sigma^2 = 1 / (2 tanh(beta omega / 2))."""
     if beta_omega <= 0:
@@ -186,25 +129,27 @@ def von_neumann(state: StateSpec) -> float:
         qs = np.array([q for _, q in state.weights if q > 0.0])
         return float(-np.dot(qs, np.log(qs)))
     if isinstance(state, ThermalState):
-        return _thermal_mode_entropy(1.0 / math.expm1(state.beta_omega))
+        try:
+            nbar = 1.0 / math.expm1(state.beta_omega)
+        except OverflowError:
+            # beta omega above ln(max float) ~ 709.78, where g(nbar) < 1e-305
+            nbar = 0.0
+        return _thermal_mode_entropy(nbar)
     return von_neumann_gaussian(state.cov)
 
 
-def wehrl_relative_entropy(rho, sigma, spec: QuadratureSpec | None = None,
-                           strict: bool = False) -> float:
+def wehrl_relative_entropy(rho, sigma, spec: QuadratureSpec | None = None) -> float:
     """Relative entropy integral of Q_rho against Q_sigma.
 
     Where Q_rho keeps mass outside the numerical support of Q_sigma the
-    integral diverges; that case returns +inf, or raises SupportViolation
-    when ``strict``.  The divergence is detected at the first refinement
-    level that sees it, so it returns +inf even when the tolerance could
-    not have been reached either.
+    integral diverges; that case returns +inf (``relative_entropy`` raises
+    SupportViolation instead).  The divergence is detected at the first
+    refinement level that sees it, so it returns +inf even when the
+    tolerance could not have been reached either.
     """
     try:
         return relative_entropy(_as_evaluator(rho), _as_evaluator(sigma), spec).value
     except SupportViolation:
-        if strict:
-            raise
         return math.inf
 
 
@@ -276,10 +221,7 @@ def entanglement_witness(state: StateSpec,
     would trip the same functional.
     """
     validate(state)
-    if isinstance(state, TwoModeSqueezedState):
-        _, mutual = gaussian_witness(state.cov)
-        value, err, method = mutual, 0.0, "closed-form"
-    elif isinstance(state, GaussianState):
+    if isinstance(state, GaussianState):
         if not state.cov.partition.bipartite:
             raise UnsupportedState("witness needs a bipartite state")
         if not state.cov.pure:
@@ -287,7 +229,9 @@ def entanglement_witness(state: StateSpec,
                 "witness interprets mutual information for pure states only; "
                 f"largest symplectic eigenvalue is {state.cov.spectrum[-1]:.6f}"
             )
-        _, mutual = gaussian_witness(state.cov)
+    if isinstance(state, (TwoModeSqueezedState, GaussianState)):
+        # gaussian_witness's pair, shared with a caller that computed it first
+        _, mutual = state.cov._witness
         value, err, method = mutual, 0.0, "closed-form"
     elif isinstance(state, NoonState):
         res = wehrl_mutual_information(state, spec)

@@ -1,9 +1,11 @@
 """Entropic uncertainty sums compared against the shared bound 1 + ln(pi).
 
-Three left-hand sides are tracked for single-mode states:
+An ``EurReport`` keeps three entropies of a single-mode state: the
+phase-space entropy S_Q, the homodyne differential entropy h(x) = h(p)
+and the spectral entropy S(rho).  Three left-hand sides follow from them:
 
-  wl_lhs:  S_Q + ln(pi), with S_Q the phase-space entropy;
-  bbm_lhs: h(x) + h(p), the homodyne differential entropies;
+  wl_lhs:  S_Q + ln(pi);
+  bbm_lhs: h(x) + h(p), the homodyne sum;
   fl_lhs:  h(x) + h(p) - S(rho) + 1 - ln 2, the mixedness-corrected sum.
 
 All three share the lower bound 1 + ln(pi).  The first saturates only
@@ -17,18 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .entropies import (
     LN_E_PI,
     LN_PI,
-    entropy_report,
     homodyne_entropy_thermal_closed,
     von_neumann,
+    wehrl_closed,
     wehrl_fock_stirling,
-    wehrl_thermal_closed,
+    wehrl_quadrature,
 )
 from .errors import UnsupportedState, grid_point
-from .quadrature import QuadratureSpec
+from .husimi import position_density_for
+from .quadrature import QuadratureSpec, density_entropy_1d
 from .states import (
     FockMixtureState,
     FockState,
@@ -43,18 +47,35 @@ _FL_SHIFT = 1.0 - math.log(2.0)
 
 @dataclass(frozen=True)
 class EurReport:
-    """The three uncertainty sums of one state against their common bound.
+    """The entropies of one single-mode state and its three uncertainty sums.
 
-    ``cross_check_delta`` is |closed form - quadrature| of the
-    phase-space entropy when a closed form exists, else None.
+    ``wehrl`` is the phase-space entropy, closed-form wherever a closed
+    form exists; ``cross_check_delta`` is then |closed form - quadrature|,
+    else None.  ``homodyne`` is the differential entropy of the x
+    marginal, which equals that of p for every accepted family, and
+    ``von_neumann`` the spectral entropy.  The sums, and their deficits
+    against ``bound``, are arithmetic on those three.
     """
 
+    bound: ClassVar[float] = BOUND
+
     state: StateSpec
-    wl_lhs: float
-    bbm_lhs: float
-    fl_lhs: float
-    bound: float = BOUND
+    wehrl: float
+    homodyne: float
+    von_neumann: float
     cross_check_delta: float | None = None
+
+    @property
+    def wl_lhs(self) -> float:
+        return self.wehrl + LN_PI
+
+    @property
+    def bbm_lhs(self) -> float:
+        return 2.0 * self.homodyne
+
+    @property
+    def fl_lhs(self) -> float:
+        return 2.0 * self.homodyne - self.von_neumann + _FL_SHIFT
 
     @property
     def wl_deficit(self) -> float:
@@ -69,53 +90,31 @@ class EurReport:
         return self.fl_lhs - self.bound
 
 
-def _assemble(state: StateSpec, wehrl: float, homodyne: float,
-              spectral: float, delta: float | None) -> EurReport:
-    return EurReport(
-        state=state,
-        wl_lhs=wehrl + LN_PI,
-        bbm_lhs=2.0 * homodyne,
-        fl_lhs=2.0 * homodyne - spectral + _FL_SHIFT,
-        cross_check_delta=delta,
-    )
-
-
 def eur_report(state: StateSpec, spec: QuadratureSpec | None = None) -> EurReport:
-    """Assemble the three uncertainty sums for a single-mode state.
+    """Entropies and uncertainty sums of a single-mode state.
 
-    The sums are arithmetic on ``entropy_report``, which decides which
-    entropies are closed-form; its cross-check of the phase-space
-    entropy, None for mixtures, is passed on as ``cross_check_delta``.
+    The phase-space entropy is integrated and, where ``wehrl_closed`` has
+    a closed form, replaced by it with the difference kept as the
+    cross-check.  The homodyne entropy is closed-form for thermal states
+    and integrated otherwise; the spectral entropy is always closed-form.
     """
     validate(state)
     if not isinstance(state, (FockState, FockMixtureState, ThermalState)):
         raise UnsupportedState(
             f"uncertainty sums are single-mode; got {type(state).__name__}"
         )
-    rep = entropy_report(state, spec)
-    return _assemble(state, rep.wehrl, rep.differential_x, rep.von_neumann,
-                     rep.cross_check_delta)
-
-
-def eur_thermal_closed(beta_omega: float) -> EurReport:
-    """Fully closed-form report for a thermal state.
-
-    The three sums reduce to
-      bbm_lhs = 1 + ln(pi) - ln tanh(b/2),
-      fl_lhs  = 2 + ln((pi/2)(1 - e^-b) / tanh(b/2)) - b/(e^b - 1),
-      wl_lhs  = 1 + b/2 + ln((pi/2) csch(b/2)),
-    with b = beta omega.
-    """
-    b = float(beta_omega)
-    if b <= 0:
-        raise ValueError("beta omega must be positive")
-    return _assemble(
-        ThermalState(b),
-        wehrl_thermal_closed(b),
-        homodyne_entropy_thermal_closed(b),
-        von_neumann(ThermalState(b)),
-        None,
-    )
+    quad = wehrl_quadrature(state, spec).value
+    try:
+        closed = wehrl_closed(state)
+    except UnsupportedState:
+        wehrl, delta = quad, None
+    else:
+        wehrl, delta = closed, abs(closed - quad)
+    if isinstance(state, ThermalState):
+        homodyne = homodyne_entropy_thermal_closed(state.beta_omega)
+    else:
+        homodyne = density_entropy_1d(position_density_for(state), spec).value
+    return EurReport(state, wehrl, homodyne, von_neumann(state), delta)
 
 
 def wl_lhs_stirling(n: int) -> float:
@@ -168,7 +167,14 @@ def eur_sweep_mixture(steps: int = 51, spec: QuadratureSpec | None = None):
 
 def eur_sweep_thermal(beta_min: float = 0.05, beta_max: float = 20.0,
                       points: int = 60, spec: QuadratureSpec | None = None):
-    """Closed-form reports on a geometric beta-omega grid, cross-checked."""
+    """Reports on a geometric beta-omega grid, each phase-space entropy cross-checked.
+
+    Every entropy of a thermal state has a closed form, so with
+    b = beta omega the three sums are
+      wl_lhs  = 1 + b/2 + ln((pi/2) csch(b/2)),
+      bbm_lhs = 1 + ln(pi) - ln tanh(b/2),
+      fl_lhs  = 2 + ln((pi/2)(1 - e^-b) / tanh(b/2)) - b/(e^b - 1).
+    """
     if not 0.0 < beta_min < beta_max:
         raise ValueError("need 0 < beta_min < beta_max")
     if points < 2:

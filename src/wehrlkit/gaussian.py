@@ -21,6 +21,7 @@ covariances have every symplectic eigenvalue >= 1/2; pure states attain
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,6 +198,20 @@ class CovarianceModel:
         """Every symplectic eigenvalue is 1/2, up to PURITY_SLACK."""
         return bool(np.all(self.spectrum <= 0.5 + PURITY_SLACK))
 
+    @functools.cached_property
+    def _witness(self) -> tuple[float, float]:
+        """The pair of ``gaussian_witness``, computed on first use."""
+        if not self.partition.bipartite:
+            raise NotBipartite("witness quantities need a bipartite state")
+        ld_c = _logdet(self.c, "C")
+        ld_a = _logdet(self.c_a, "C_A")
+        ld_b = _logdet(self.c_b, "C_B")
+        conditional = self.partition.n_a - 0.5 * ld_a
+        mutual = 0.5 * (ld_a + ld_b - ld_c)
+        if abs(mutual) < MI_ROUNDING_SLACK:
+            mutual = 0.0
+        return conditional, mutual
+
     def _split(self) -> int:
         return 2 * self.partition.n_a
 
@@ -276,18 +291,10 @@ def gaussian_witness(cov: CovarianceModel) -> tuple[float, float]:
 
     The mutual term vanishes exactly when the off-diagonal block of C is
     zero, and exceeding zero witnesses correlations; for pure states it
-    witnesses entanglement.
+    witnesses entanglement.  The pair is computed once per covariance
+    model and kept on it, where ``entanglement_witness`` reads it too.
     """
-    if not cov.partition.bipartite:
-        raise NotBipartite("witness quantities need a bipartite state")
-    ld_c = _logdet(cov.c, "C")
-    ld_a = _logdet(cov.c_a, "C_A")
-    ld_b = _logdet(cov.c_b, "C_B")
-    conditional = cov.partition.n_a - 0.5 * ld_a
-    mutual = 0.5 * (ld_a + ld_b - ld_c)
-    if abs(mutual) < MI_ROUNDING_SLACK:
-        mutual = 0.0
-    return conditional, mutual
+    return cov._witness
 
 
 def _thermal_mode_entropy(nbar: float) -> float:
@@ -433,14 +440,10 @@ class NormalFormParams:
 
 @dataclass(frozen=True)
 class SeparabilityVerdict:
-    """Outcome of the pure-state separability test, with intermediates."""
+    """Outcome of the pure-state separability test and its PPT eigenvalue."""
 
     separable: bool
-    ppt_holds: bool
     min_reflected_symplectic: float
-    det_v_m: float
-    f_of_a: float
-    purity_residuals: tuple[float, float]
 
 
 def simon_pure_separability(params: NormalFormParams, tol: float = 1e-9) -> SeparabilityVerdict:
@@ -464,12 +467,5 @@ def simon_pure_separability(params: NormalFormParams, tol: float = 1e-9) -> Sepa
         raise NotPure(
             f"purity residuals ({r1:.3g}, {r2:.3g}) exceed tolerance {tol:.3g}"
         )
-    nu_min, ppt_holds = ppt_minimum(params.to_matrix(), ModePartition(1, 1))
-    return SeparabilityVerdict(
-        separable=ppt_holds,
-        ppt_holds=ppt_holds,
-        min_reflected_symplectic=nu_min,
-        det_v_m=c1 * c2,
-        f_of_a=a * a * (0.5 - a * a),
-        purity_residuals=(r1, r2),
-    )
+    nu_min, separable = ppt_minimum(params.to_matrix(), ModePartition(1, 1))
+    return SeparabilityVerdict(separable=separable, min_reflected_symplectic=nu_min)

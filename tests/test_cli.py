@@ -20,8 +20,10 @@ from wehrlkit import (
     NotPure,
     QuadratureSpec,
     entanglement_witness,
+    gaussian_witness,
     random_admissible_covariance,
     simon_pure_separability,
+    tmss_covariance,
 )
 from wehrlkit.cli import _SETTINGS, _SPEC_FIELD, _run_config, build_parser, main
 
@@ -221,6 +223,14 @@ def test_eur_thermal_grid_and_closed_forms():
     assert float(rows[1][2]) == pytest.approx(bbm_want, abs=1e-8)
 
 
+def test_eur_thermal_far_past_the_expm1_overflow(capsys):
+    # e^b - 1 overflows a float above beta omega ~ 709.78
+    assert main(["eur-thermal", "--beta-min", "1", "--beta-max", "800", "--points", "3"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert len(rows) == 3
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
 def test_eur_thermal_rejects_inverted_range():
     proc = run_cli("eur-thermal", "--beta-min", "2.0", "--beta-max", "1.0")
     assert proc.returncode == 3
@@ -240,6 +250,40 @@ def test_bipartite_tmss_table():
     assert float(squeezed[5]) == pytest.approx(1.0, abs=1e-10)
     assert float(squeezed[1]) < float(squeezed[6])  # below the quantum MI
     assert squeezed[-1] == "true"
+
+
+def test_closed_form_witness_is_computed_once_per_row(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = gaussian_witness
+
+    def counting(cov):
+        calls.append(cov)
+        return real(cov)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("wehrlkit")
+                and getattr(module, "gaussian_witness", None) is real):
+            monkeypatch.setattr(module, "gaussian_witness", counting)
+    assert main(["bipartite-tmss", "--lambda-grid", "0,0.5"]) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
+    path = tmp_path / "cov.json"
+    path.write_text(json.dumps({"v": tmss_covariance(0.5).v.tolist(),
+                                "modes_a": 1, "modes_b": 1}))
+    assert main(["gaussian", "--cov", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["entangled"] is True
+    assert len(calls) == 3
+
+
+def test_the_witness_shares_the_closed_form_log_determinants(monkeypatch):
+    logdets = []
+    real = wehrlkit.gaussian._logdet
+    monkeypatch.setattr(wehrlkit.gaussian, "_logdet",
+                        lambda m, label: logdets.append(label) or real(m, label))
+    cov = tmss_covariance(0.5)
+    _, mutual = gaussian_witness(cov)
+    assert entanglement_witness(GaussianState(cov)).mutual_information == mutual
+    assert sorted(logdets) == ["C", "C_A", "C_B"]
 
 
 def test_bipartite_noon_table():
@@ -487,8 +531,8 @@ def test_ppt_verdict_of_the_cli_matches_the_simon_test(tmp_path, capsys, c):
     report = json.loads(capsys.readouterr().out)
     assert report["ppt_min_symplectic"] == verdict.min_reflected_symplectic
     assert report["ppt_min_symplectic"] == pytest.approx(0.5 - c, abs=1e-15)
-    assert report["ppt_verdict"] == ("no-violation" if verdict.ppt_holds else "entangled")
-    assert verdict.ppt_holds is (c < 1e-10)
+    assert report["ppt_verdict"] == ("no-violation" if verdict.separable else "entangled")
+    assert verdict.separable is (c < 1e-10)
 
 
 def test_gaussian_inadmissible_matrix_exits_3(tmp_path):

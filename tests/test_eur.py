@@ -14,12 +14,10 @@ from wehrlkit import (
     TwoModeSqueezedState,
     UnsupportedState,
     bbm_lhs_asymptotic,
-    entropy_report,
     eur_report,
     eur_sweep_fock,
     eur_sweep_mixture,
     eur_sweep_thermal,
-    eur_thermal_closed,
     mixture_crossover,
     wl_lhs_stirling,
 )
@@ -119,43 +117,34 @@ def test_lhs_slopes_in_log_n():
 # ---------------------------------------------------------------------------
 
 
-def test_thermal_closed_matches_quadrature_report():
-    for b in (0.2, 1.0, 5.0):
-        closed = eur_thermal_closed(b)
-        quad = eur_report(ThermalState(b))
-        assert abs(closed.wl_lhs - quad.wl_lhs) < 1e-7
-        assert abs(closed.bbm_lhs - quad.bbm_lhs) < 1e-7
-        assert abs(closed.fl_lhs - quad.fl_lhs) < 1e-7
-
-
 @pytest.mark.parametrize("state", [
     FockState(3),
     FockMixtureState(((0, 0.3), (1, 0.7))),
     ThermalState(0.7),
 ], ids=["fock-3", "mixture-0.3", "thermal-0.7"])
-def test_eur_report_is_arithmetic_on_the_entropy_report(state):
-    rep = entropy_report(state)
-    eur = eur_report(state)
-    assert eur.wl_lhs == rep.wehrl + math.log(math.pi)
-    assert eur.bbm_lhs == 2.0 * rep.differential_x
-    assert eur.fl_lhs == 2.0 * rep.differential_x - rep.von_neumann + (1.0 - math.log(2.0))
-    assert eur.cross_check_delta == rep.cross_check_delta
+def test_eur_report_sums_are_arithmetic_on_its_entropies(state):
+    rep = eur_report(state)
+    assert rep.wl_lhs == rep.wehrl + math.log(math.pi)
+    assert rep.bbm_lhs == 2.0 * rep.homodyne
+    assert rep.fl_lhs == 2.0 * rep.homodyne - rep.von_neumann + (1.0 - math.log(2.0))
+    # only the mixture lacks a closed-form phase-space entropy to cross-check
+    assert (rep.cross_check_delta is None) is isinstance(state, FockMixtureState)
 
 
 def test_thermal_closed_formulas():
     b = 0.8
-    rep = eur_thermal_closed(b)
+    rep = eur_report(ThermalState(b))
     want_wl = 1.0 + 0.5 * b + math.log(0.5 * math.pi / math.sinh(0.5 * b))
     want_bbm = 1.0 + math.log(math.pi) - math.log(math.tanh(0.5 * b))
     assert abs(rep.wl_lhs - want_wl) < 1e-12
     assert abs(rep.bbm_lhs - want_bbm) < 1e-12
     with pytest.raises(ValueError):
-        eur_thermal_closed(0.0)
+        eur_report(ThermalState(0.0))
 
 
 def test_thermal_ground_state_limit():
     # large beta_omega approaches the vacuum, where both deficits vanish
-    rep = eur_thermal_closed(20.0)
+    rep = eur_report(ThermalState(20.0))
     assert rep.bbm_deficit < 1e-6
     assert rep.wl_deficit < 1e-6
 
@@ -163,14 +152,14 @@ def test_thermal_ground_state_limit():
 def test_thermal_high_temperature_strengthened_relation():
     # the purity-corrected deficit shrinks like (beta omega)^2 / 24
     b = 0.05
-    rep = eur_thermal_closed(b)
+    rep = eur_report(ThermalState(b))
     assert rep.fl_deficit == pytest.approx(b * b / 24.0, rel=0.01)
 
 
 def test_thermal_deficits_monotone_in_temperature():
     bs = np.geomspace(0.05, 20.0, 25)
-    wl = [eur_thermal_closed(float(b)).wl_deficit for b in bs]
-    bbm = [eur_thermal_closed(float(b)).bbm_deficit for b in bs]
+    wl = [eur_report(ThermalState(float(b))).wl_deficit for b in bs]
+    bbm = [eur_report(ThermalState(float(b))).bbm_deficit for b in bs]
     # hotter states are further from saturation
     assert all(x >= y - 1e-12 for x, y in zip(wl, wl[1:]))
     assert all(x >= y - 1e-12 for x, y in zip(bbm, bbm[1:]))

@@ -218,7 +218,6 @@ def test_ppt_ignores_product_states():
 def test_simon_separability_vacuum():
     verdict = simon_pure_separability(NormalFormParams(0.5, 0.5, 0.0, 0.0))
     assert verdict.separable
-    assert verdict.ppt_holds
     assert verdict.min_reflected_symplectic == pytest.approx(0.5)
 
 
