@@ -10,7 +10,6 @@ import logging
 
 from .entropies import (
     EULER_GAMMA,
-    LN_E_PI,
     LN_PI,
     WitnessVerdict,
     entanglement_witness,

@@ -123,7 +123,6 @@ _SETTINGS = {
     "rel_tol": (_positive_float, None),
     "radial_nodes": (_bounded_int(16, 100_000), None),
     "cartesian_nodes": (_bounded_int(2, 256), None),
-    "radial_cutoff": (_positive_float, None),
     "max_escalations": (_bounded_int(0, 8), None),
     "parallelism": (_bounded_int(1, 64), None),
 }
@@ -172,8 +171,7 @@ def _add_common_args(sub):
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="JSON file of default settings; explicit flags win")
     group = sub.add_argument_group("quadrature")
-    for key in ("abs_tol", "rel_tol", "radial_nodes", "cartesian_nodes",
-                "radial_cutoff", "max_escalations"):
+    for key in ("abs_tol", "rel_tol", "radial_nodes", "cartesian_nodes", "max_escalations"):
         flag(group, key)
     flag(group, "parallelism",
          help="worker threads for independent chunks; results do not depend on this")
@@ -458,7 +456,7 @@ def _load_covariance(path: str, partition_text) -> CovarianceModel:
             n_a, n_b = (int(piece) for piece in partition_text.split(","))
         except ValueError:
             raise ToolkitError("--partition expects two integers NA,NB")
-    if n_a == 0 and n_b == 0:
+    elif n_a == 0 and n_b == 0:
         if matrix.ndim != 2 or matrix.shape[0] % 2:
             raise ToolkitError("covariance must be square with even size")
         n_a, n_b = matrix.shape[0] // 2, 0

@@ -48,8 +48,6 @@ from .states import (
 
 EULER_GAMMA = float(np.euler_gamma)
 LN_PI = math.log(math.pi)
-# The sharp lower bound 1 + ln(pi) shared by all three uncertainty sums.
-LN_E_PI = 1.0 + LN_PI
 
 
 def harmonic_number(n: int) -> float:
@@ -207,7 +205,6 @@ class WitnessVerdict:
     error_estimate: float
     tolerance: float
     entangled: bool
-    method: str
 
 
 def entanglement_witness(state: StateSpec,
@@ -232,10 +229,10 @@ def entanglement_witness(state: StateSpec,
     if isinstance(state, (TwoModeSqueezedState, GaussianState)):
         # gaussian_witness's pair, shared with a caller that computed it first
         _, mutual = state.cov._witness
-        value, err, method = mutual, 0.0, "closed-form"
+        value, err = mutual, 0.0
     elif isinstance(state, NoonState):
         res = wehrl_mutual_information(state, spec)
-        value, err, method = res.value, res.error_estimate, "relative-entropy"
+        value, err = res.value, res.error_estimate
     else:
         raise UnsupportedState(
             f"no purity certificate for {type(state).__name__}; "
@@ -247,5 +244,4 @@ def entanglement_witness(state: StateSpec,
         error_estimate=err,
         tolerance=tol,
         entangled=bool(value > tol),
-        method=method,
     )

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 from .entropies import (
-    LN_E_PI,
     LN_PI,
     homodyne_entropy_thermal_closed,
     von_neumann,
@@ -41,7 +40,8 @@ from .states import (
     validate,
 )
 
-BOUND = LN_E_PI
+# The sharp lower bound 1 + ln(pi) shared by all three uncertainty sums.
+BOUND = 1.0 + LN_PI
 _FL_SHIFT = 1.0 - math.log(2.0)
 
 
@@ -184,25 +184,23 @@ def eur_sweep_thermal(beta_min: float = 0.05, beta_max: float = 20.0,
     return [_report_at(b, f"beta_omega={b:.6g}", ThermalState(b), spec) for b in grid]
 
 
-def mixture_crossover(spec: QuadratureSpec | None = None,
-                      bracket: tuple[float, float] = (1e-3, 0.5),
-                      xtol: float = 1e-6) -> float | None:
+def mixture_crossover(spec: QuadratureSpec | None = None) -> float | None:
     """Weight q where the homodyne and phase-space sums change order.
 
     On q |0><0| + (1-q) |1><1| the homodyne sum is the smaller of the
     two at q = 0 and the larger on most of the interval, so their
-    difference changes sign at a small q.  The bracket is sampled at 25
-    points, in order, up to the first sign change, whose root is then
-    found by Illinois false position (see ``_illinois``) until two
-    iterates differ by ``xtol`` or less.  Returns that root, or None if
-    the samples never straddle zero.
+    difference changes sign at a small q.  The bracket [1e-3, 0.5] is
+    sampled at 25 points, in order, up to the first sign change, whose
+    root is then found by Illinois false position (see ``_illinois``)
+    until two iterates differ by 1e-6 or less.  Returns that root, or
+    None if the samples never straddle zero.
     """
 
     def gap(q: float) -> float:
         report = eur_report(_mixture_state(q), spec)
         return report.bbm_lhs - report.wl_lhs
 
-    lo, hi = bracket
+    lo, hi = 1e-3, 0.5
     grid = [lo + (hi - lo) * i / 24 for i in range(25)]
     q0, g0 = grid[0], gap(grid[0])
     for q1 in grid[1:]:
@@ -210,7 +208,7 @@ def mixture_crossover(spec: QuadratureSpec | None = None,
             return q0
         g1 = gap(q1)
         if g0 * g1 < 0.0:
-            return _illinois(gap, q0, g0, q1, g1, xtol)
+            return _illinois(gap, q0, g0, q1, g1, 1e-6)
         q0, g0 = q1, g1
     return None
 

@@ -394,18 +394,17 @@ def random_admissible_covariance(
     partition: ModePartition,
     min_nu: float = 0.55,
     max_nu: float = 2.0,
-    max_squeeze: float = 0.5,
 ) -> CovarianceModel:
     """Random physical covariance via V = S^T diag(nu_i, nu_i) S.
 
     S is a random symplectic built from two orthogonal symplectic factors
-    and a diagonal squeezer, so the symplectic spectrum of V is exactly
-    the drawn nu values.
+    and a diagonal squeezer with log-gains uniform in [-0.5, 0.5], so the
+    symplectic spectrum of V is exactly the drawn nu values.
     """
     n = partition.n_modes
     nus = rng.uniform(min_nu, max_nu, size=n)
     d = np.repeat(nus, 2)
-    kappas = rng.uniform(-max_squeeze, max_squeeze, size=n)
+    kappas = rng.uniform(-0.5, 0.5, size=n)
     z = np.repeat(np.exp(kappas), 2)
     z[1::2] = 1.0 / z[1::2]
     s = _random_orthogonal_symplectic(rng, n) @ np.diag(z) @ _random_orthogonal_symplectic(rng, n)
@@ -446,14 +445,14 @@ class SeparabilityVerdict:
     min_reflected_symplectic: float
 
 
-def simon_pure_separability(params: NormalFormParams, tol: float = 1e-9) -> SeparabilityVerdict:
+def simon_pure_separability(params: NormalFormParams) -> SeparabilityVerdict:
     """Decide separability of a pure 1+1 mode Gaussian state in normal form.
 
     The two purity conditions
 
         (a b - c1^2)(a b - c2^2) = 1/16      a^2 + b^2 + 2 c1 c2 = 1/2
 
-    are required up to ``tol``.  Separability is equivalent to the
+    are required up to 1e-9.  Separability is equivalent to the
     momentum-reflected covariance remaining admissible, and for pure
     states that forces c1 = c2 = 0 and a = b = 1/2: the reflected state
     must also be pure, which pins c1 c2 = 0, and then
@@ -463,9 +462,7 @@ def simon_pure_separability(params: NormalFormParams, tol: float = 1e-9) -> Sepa
     a, b, c1, c2 = params.a, params.b, params.c1, params.c2
     r1 = (a * b - c1 * c1) * (a * b - c2 * c2) - 1.0 / 16.0
     r2 = a * a + b * b + 2.0 * c1 * c2 - 0.5
-    if abs(r1) > tol or abs(r2) > tol:
-        raise NotPure(
-            f"purity residuals ({r1:.3g}, {r2:.3g}) exceed tolerance {tol:.3g}"
-        )
+    if abs(r1) > 1e-9 or abs(r2) > 1e-9:
+        raise NotPure(f"purity residuals ({r1:.3g}, {r2:.3g}) exceed tolerance 1e-09")
     nu_min, separable = ppt_minimum(params.to_matrix(), ModePartition(1, 1))
     return SeparabilityVerdict(separable=separable, min_reflected_symplectic=nu_min)

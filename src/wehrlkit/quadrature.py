@@ -78,17 +78,17 @@ class QuadratureSpec:
     doubled) to get an error estimate, then up to ``max_escalations``
     further doublings; it stops early, with ToleranceNotReached, before a
     level of more than 10^8 nodes.
-    ``radial_cutoff`` of None means the cutoff is solved from the
-    integrand's Gamma-type tail; a given cutoff must be positive and
-    finite, and both tolerances positive and finite, or ValueError is
-    raised.  ``parallelism`` > 1 maps the chunks of a cartesian level
-    over a thread pool; ``math.fsum`` adds the chunk sums exactly rounded,
-    so the value does not depend on the worker count.
+    No field sets a cutoff either: each runner solves its own from the
+    integrand's Gamma-type tail, at a tail mass of 1e-2 times the smaller
+    tolerance (at least 1e-18), so a tighter tolerance widens the cutoff.
+    Both tolerances must be positive and finite, or ValueError is raised.
+    ``parallelism`` > 1 maps the chunks of a cartesian level over a
+    thread pool; ``math.fsum`` adds the chunk sums exactly rounded, so the
+    value does not depend on the worker count.
     """
 
     radial_nodes: int = 400
     cartesian_nodes_per_dim: int = 24
-    radial_cutoff: float | None = None
     abs_tol: float = 1e-8
     rel_tol: float = 1e-8
     max_escalations: int = 3
@@ -101,8 +101,6 @@ class QuadratureSpec:
             raise ValueError("cartesian_nodes_per_dim must be at least 2")
         if not (0 < self.abs_tol < math.inf and 0 < self.rel_tol < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.radial_cutoff is not None and not 0 < self.radial_cutoff < math.inf:
-            raise ValueError("radial_cutoff must be None or positive and finite")
         if self.max_escalations < 0:
             raise ValueError("max_escalations must be nonnegative")
         if self.parallelism < 1:
@@ -406,14 +404,16 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
 
     With ``radial`` the coordinate is a phase-space radius and carries
     the Jacobian r; otherwise it is the half line of an even line
-    density, whose integral is twice that over [0, cutoff].  ``terms``
-    maps the nodes to the integrand there.  ``breakpoints`` are the zeros
-    of a line density: they become panel edges (x = 0 already is one),
-    and when there is any, every panel is graded (see ``_panel_nodes``),
-    because ln f is singular at each zero.  ``tail_log_margin`` shrinks
-    the cutoff's tail-mass target for tails that outrun the plain Gamma
-    envelope.  Each level's layout is a scaled copy of cached unit rules
-    (see ``_panel_nodes``), not rebuilt panel by panel.
+    density, whose integral is twice that over [0, cutoff].  The cutoff
+    is solved from the Gamma tail of ``shape`` and ``rate`` (see
+    ``gamma_tail_threshold``) at the spec's tail mass, which
+    ``tail_log_margin`` shrinks for tails that outrun the plain Gamma
+    envelope.  ``terms`` maps the nodes to the integrand there.
+    ``breakpoints`` are the zeros of a line density: they become panel
+    edges (x = 0 already is one), and when there is any, every panel is
+    graded (see ``_panel_nodes``), because ln f is singular at each zero.
+    Each level's layout is a scaled copy of cached unit rules (see
+    ``_panel_nodes``), not rebuilt panel by panel.
 
     Every integral runs the base level and its first doubling, so both
     are laid out together and ``terms`` is called once on their joined
@@ -424,10 +424,8 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     evaluated: the base level then runs alone.  Later escalations make
     one call per level.
     """
-    cutoff = spec.radial_cutoff
-    if cutoff is None:
-        mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
-        cutoff = gamma_tail_threshold(shape, rate, mass)
+    mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
+    cutoff = gamma_tail_threshold(shape, rate, mass)
     pos_breaks = tuple(abs(b) for b in breakpoints if abs(b) > 0.0)
     graded = len(breakpoints) > 0
 
@@ -484,11 +482,8 @@ def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
     N <= 50 meets 1e-8 on those two levels, the largest estimates being
     1.3e-9 and 2.0e-9; one doubling coarser misses 1e-8 there for N >= 5.
     """
-    cutoff = spec.radial_cutoff
-    if cutoff is None:
-        cutoff = gamma_tail_threshold(
-            evaluator.radial_gamma_shape + 1.0, evaluator.radial_rate, _tail_mass(spec)
-        )
+    cutoff = gamma_tail_threshold(evaluator.radial_gamma_shape + 1.0, evaluator.radial_rate,
+                                  _tail_mass(spec))
 
     def reference_logs(r, s):
         r_b = np.outer(r, s)

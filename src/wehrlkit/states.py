@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
+from typing import Union, get_args
 
 import numpy as np
 
@@ -124,14 +124,7 @@ StateSpec = Union[
     NoonState,
 ]
 
-_VARIANTS = (
-    FockState,
-    FockMixtureState,
-    ThermalState,
-    GaussianState,
-    TwoModeSqueezedState,
-    NoonState,
-)
+_VARIANTS = get_args(StateSpec)
 
 
 def validate(spec: StateSpec) -> StateSpec:

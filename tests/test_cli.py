@@ -25,7 +25,7 @@ from wehrlkit import (
     simon_pure_separability,
     tmss_covariance,
 )
-from wehrlkit.cli import _SETTINGS, _SPEC_FIELD, _run_config, build_parser, main
+from wehrlkit.cli import _SETTINGS, _SPEC_FIELD, _load_config, _run_config, build_parser, main
 
 # The CLI subprocesses import the same wehrlkit as the tests.
 _SRC = os.path.dirname(os.path.dirname(wehrlkit.__file__))
@@ -349,6 +349,9 @@ VACUUM_1_1 = json.dumps({"v": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
                  None, id="partition-text"),
     pytest.param(VACUUM_1_1, ["gaussian", "--cov", "{file}", "--partition", "0,2"],
                  None, id="partition-empty-a"),
+    # an explicit split is always checked, even one that reads like "none given"
+    pytest.param(VACUUM_1_1, ["gaussian", "--cov", "{file}", "--partition", "0,0"],
+                 None, id="partition-zero-zero"),
     # config values keep the bounds of their flags; eur-fock's 1D runners
     # never start a thread pool, so the parallelism case starts none
     pytest.param('{"parallelism": 65}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
@@ -362,6 +365,11 @@ VACUUM_1_1 = json.dumps({"v": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
                  None, id="config-angular-nodes"),
     pytest.param(None, ["eur-fock", "--n-max", "0", "--angular-nodes", "16"],
                  None, id="flag-angular-nodes"),
+    # each runner solves its cutoff from the integrand's tail: none can be set
+    pytest.param('{"radial_cutoff": 9.0}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
+                 None, id="config-radial-cutoff"),
+    pytest.param(None, ["eur-fock", "--n-max", "0", "--radial-cutoff", "9"],
+                 None, id="flag-radial-cutoff"),
     pytest.param(None, ["eur-fock", "--n-max", "0", "--strategy", "polar-2d"],
                  None, id="flag-strategy-polar-2d"),
     pytest.param(None, ["bipartite-tmss", "--lambda-grid", "0.3", "--strategy", "radial-1d"],
@@ -389,6 +397,20 @@ def test_quadrature_settings_match_the_spec_fields_one_to_one():
     # setting reaches a spec field
     quadrature = [_SPEC_FIELD.get(key, key) for key in _SETTINGS if key not in ("format", "output")]
     assert sorted(quadrature) == sorted(f.name for f in dataclasses.fields(QuadratureSpec))
+
+
+def test_readme_config_example_names_every_setting(tmp_path):
+    # the JSON block under "Config file and precedence" lists each setting
+    # once, and the loader accepts it
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md"),
+              encoding="utf-8") as handle:
+        readme = handle.read()
+    section = readme.split("### Config file and precedence", 1)[1]
+    example = json.loads(section.split("```", 2)[1])
+    assert set(example) == set(_SETTINGS)
+    path = tmp_path / "settings.json"
+    path.write_text(json.dumps(example))
+    _load_config(str(path))  # raises ToolkitError on a key or value it rejects
 
 
 @pytest.mark.parametrize("argv", [

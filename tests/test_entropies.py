@@ -407,9 +407,12 @@ def test_witness_requires_pure_gaussian():
 
 
 def test_witness_accepts_pure_gaussian_state():
-    verdict = entanglement_witness(GaussianState(tmss_covariance(0.4)))
+    cov = tmss_covariance(0.4)
+    verdict = entanglement_witness(GaussianState(cov))
     assert verdict.entangled
-    assert verdict.method == "closed-form"
+    # closed form: no quadrature error, the mutual information of gaussian_witness
+    assert verdict.error_estimate == 0.0
+    assert verdict.mutual_information == gaussian_witness(cov)[1]
 
 
 def test_witness_rejects_single_mode():

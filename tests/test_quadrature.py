@@ -88,6 +88,9 @@ def test_spec_validation():
         QuadratureSpec(strategy="auto")
     with pytest.raises(TypeError):
         QuadratureSpec(angular_nodes=16)
+    # every runner solves its own cutoff from the integrand's tail
+    with pytest.raises(TypeError):
+        QuadratureSpec(radial_cutoff=9.0)
     with pytest.raises(ValueError):
         QuadratureSpec(radial_nodes=0)
     with pytest.raises(ValueError):
@@ -99,18 +102,13 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("radial_cutoff", 0.0),
-    ("radial_cutoff", -1.0),
-    ("radial_cutoff", math.nan),
-    ("radial_cutoff", math.inf),
     ("abs_tol", math.nan),
     ("abs_tol", math.inf),
     ("rel_tol", math.nan),
     ("rel_tol", math.inf),
 ])
-def test_spec_rejects_unusable_cutoffs_and_tolerances(field, value):
-    # a cutoff of zero or below integrates nothing, a NaN or infinite one
-    # cannot place panels, and a NaN tolerance is never met
+def test_spec_rejects_unusable_tolerances(field, value):
+    # a NaN tolerance is never met, and an infinite one accepts anything
     with pytest.raises(ValueError):
         QuadratureSpec(**{field: value})
 
@@ -134,14 +132,22 @@ def test_doubling_self_consistency():
         assert abs(fine.value - coarse.value) <= coarse.error_estimate + 1e-12
 
 
-def test_cutoff_insensitivity():
-    """Widening the radial cutoff by 25 percent shifts results below abs_tol."""
+def test_cutoff_insensitivity(monkeypatch):
+    """Widening the solved radial cutoff by 25 percent shifts results below abs_tol."""
     spec = QuadratureSpec()
-    for ev in (FockHusimi(6), ThermalHusimi(0.3)):
-        base_cut = gamma_tail_threshold(ev.radial_gamma_shape + 2.0, ev.radial_rate, 1e-14)
-        a = entropy_functional(ev, QuadratureSpec(radial_cutoff=base_cut))
-        b = entropy_functional(ev, QuadratureSpec(radial_cutoff=1.25 * base_cut))
+    cases = (FockHusimi(6), ThermalHusimi(0.3))
+    default = [entropy_functional(ev, spec) for ev in cases]
+    widened = []
+
+    def wider(*args):
+        widened.append(1.25 * gamma_tail_threshold(*args))
+        return widened[-1]
+
+    monkeypatch.setattr("wehrlkit.quadrature.gamma_tail_threshold", wider)
+    for ev, a in zip(cases, default):
+        b = entropy_functional(ev, spec)
         assert abs(a.value - b.value) < spec.abs_tol
+    assert len(widened) == len(cases)
 
 
 def test_gamma_tail_threshold_monotone():
@@ -474,7 +480,7 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     # density alone would be wrong
     (NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1))),
 ], ids=["entropy-1", "entropy-3", "asymmetric-reference"])
-def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, radial_panels):
+def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, radial_panels, monkeypatch):
     # The triangle runner folds the exchange and averages the angle exactly;
     # the unfolded 3D rule, at two resolutions, must agree with it within
     # the sum of both two-level estimates.  The runner's first level has
@@ -482,7 +488,8 @@ def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, radial_panels):
     # and half as many, rounded down, in s: 16 and 8 or 15 and 7, an even
     # and an odd layout.
     cutoff = 9.0
-    spec = QuadratureSpec(radial_nodes=4 * _PANEL_NODES * radial_panels, radial_cutoff=cutoff,
+    monkeypatch.setattr("wehrlkit.quadrature.gamma_tail_threshold", lambda *args: cutoff)
+    spec = QuadratureSpec(radial_nodes=4 * _PANEL_NODES * radial_panels,
                           abs_tol=1.0, rel_tol=1.0, max_escalations=0)
     run = entropy_functional if sigma is None else functools.partial(relative_entropy, sigma=sigma)
     res = run(rho, spec=spec)
