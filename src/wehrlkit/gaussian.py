@@ -83,10 +83,20 @@ class ModePartition:
         return self.n_b > 0
 
 
+@functools.lru_cache(maxsize=None)
+def _symplectic_form(n_modes: int) -> np.ndarray:
+    form = np.kron(np.eye(n_modes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    form.setflags(write=False)
+    return form
+
+
 def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode."""
-    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), j)
+    """Block-diagonal symplectic form, one [[0, 1], [-1, 0]] block per mode.
+
+    The array is built once per mode count, cached and read-only: every
+    call returns the same object, so a caller copies it before writing.
+    """
+    return _symplectic_form(n_modes)
 
 
 def from_grouped_ordering(matrix: np.ndarray) -> np.ndarray:
@@ -123,7 +133,11 @@ def symplectic_eigenvalues(v: np.ndarray) -> np.ndarray:
     holds one modulus per pair, obtained by pairing the sorted moduli and
     averaging within each pair.
     """
-    v = _check_symmetric(v, "covariance")
+    return _symplectic_spectrum(_check_symmetric(v, "covariance"))
+
+
+def _symplectic_spectrum(v: np.ndarray) -> np.ndarray:
+    """``symplectic_eigenvalues`` of a V that ``_check_symmetric`` already returned."""
     n = v.shape[0] // 2
     moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(n) @ v)))
     lo, hi = moduli[0::2], moduli[1::2]
@@ -157,7 +171,7 @@ class CovarianceModel:
                 f"covariance is {v.shape[0]}x{v.shape[0]} but the partition "
                 f"needs dimension {partition.dim}"
             )
-        spectrum = symplectic_eigenvalues(v)
+        spectrum = _symplectic_spectrum(v)
         nu_min = float(spectrum[0])
         if nu_min < 0.5 - SYMPLECTIC_SLACK:
             raise InadmissibleCovariance(

@@ -250,16 +250,20 @@ def _unit_panels(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool = False):
+def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool = False,
+                 doublings: int = 0):
     """Composite Gauss-Legendre nodes on [a, b] with panel edges at breakpoints.
 
     About ``n_nodes`` nodes, ``_PANEL_NODES`` a panel, with panels shared
     out between the breakpoint segments by length: a segment [lo, hi]
-    gets k = max(1, round(n_panels (hi - lo) / (b - a))) equal panels.
-    Its nodes are lo + (hi - lo) x and its weights (hi - lo) w, with x
-    and w the cached rule ``_unit_panels(k, graded)`` on [0, 1], so a
-    layout costs a few array operations and a [0, 1] layout is the unit
-    rule itself.  With ``graded`` every panel [lo, lo + h] is mapped
+    gets k = max(1, round(n_panels (hi - lo) / (b - a))) equal panels,
+    times 2^``doublings``.  So each doubling of a level halves every
+    panel: sharing out twice the nodes instead would leave a short
+    segment at its one panel, and two levels that agree there would hide
+    its error from the estimate.  A segment's nodes are lo + (hi - lo) x
+    and its weights (hi - lo) w, with x and w the cached rule
+    ``_unit_panels(k, graded)`` on [0, 1], so a layout costs a few array
+    operations and a [0, 1] layout is the unit rule itself.  With ``graded`` every panel [lo, lo + h] is mapped
     through phi(u) = u^2 (3 - 2u) on [0, 1] (Sidi's sigmoidal
     transformation of degree one): the nodes are lo + h phi(u) and the
     weights (h / 2) w 6u(1 - u) at the Gauss-Legendre points u and
@@ -272,11 +276,11 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool 
     total = b - a
     n_panels = max(1, int(n_nodes) // _PANEL_NODES)
     if len(edges) == 2:
-        x, w = _unit_panels(n_panels, graded)
+        x, w = _unit_panels(n_panels << doublings, graded)
         return a + total * x, total * w
     lows = edges[:-1]
     spans = [hi - lo for lo, hi in zip(lows, edges[1:])]
-    counts = [max(1, round(n_panels * span / total)) for span in spans]
+    counts = [max(1, round(n_panels * span / total)) << doublings for span in spans]
     units = [_unit_panels(k, graded) for k in counts]
     repeats = [k * _PANEL_NODES for k in counts]
     span = np.repeat(spans, repeats)
@@ -413,7 +417,9 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     edges (x = 0 already is one), and when there is any, every panel is
     graded (see ``_panel_nodes``), because ln f is singular at each zero.
     Each level's layout is a scaled copy of cached unit rules (see
-    ``_panel_nodes``), not rebuilt panel by panel.
+    ``_panel_nodes``), not rebuilt panel by panel.  Level j lays out
+    ``spec.radial_nodes`` with every panel of the base level halved j
+    times.
 
     Every integral runs the base level and its first doubling, so both
     are laid out together and ``terms`` is called once on their joined
@@ -429,32 +435,32 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     pos_breaks = tuple(abs(b) for b in breakpoints if abs(b) > 0.0)
     graded = len(breakpoints) > 0
 
-    def nodes(n):
-        return _panel_nodes(0.0, cutoff, n, breakpoints=pos_breaks, graded=graded)
+    def nodes(doublings):
+        return _panel_nodes(0.0, cutoff, spec.radial_nodes, breakpoints=pos_breaks,
+                            graded=graded, doublings=doublings)
 
     def reduce(x, w, t):
         return np.dot(w, t * x) if radial else 2.0 * float(np.dot(w, t))
 
-    base = spec.radial_nodes
     stored = {}
 
-    def layout(n):
-        if n in stored:
-            size, value = stored.pop(n)
+    def layout(level):
+        if level in stored:
+            size, value = stored.pop(level)
             return size, size, lambda: value
-        x, w = nodes(n)
-        x2, w2 = nodes(2 * n) if n == base else (None, None)
+        x, w = nodes(level)
+        x2, w2 = nodes(1) if level == 0 else (None, None)
         if x2 is None or x2.size > _MAX_LEVEL_NODES:
             return x.size, x.size, lambda: reduce(x, w, terms(x))
 
         def run_both():
             both = terms(np.concatenate((x, x2)))
-            stored[2 * n] = x2.size, reduce(x2, w2, both[x.size:])
+            stored[1] = x2.size, reduce(x2, w2, both[x.size:])
             return reduce(x, w, both[:x.size])
 
         return x.size, x.size, run_both
 
-    return _escalated(layout, base, lambda n: 2 * n, spec, what)
+    return _escalated(layout, 0, lambda level: level + 1, spec, what)
 
 
 def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,

@@ -41,6 +41,15 @@ def test_symplectic_form_blocks():
     assert j[0, 1] == 1.0 and j[1, 0] == -1.0
 
 
+def test_symplectic_form_is_one_shared_read_only_array():
+    for n in (1, 2, 3):
+        j = symplectic_form(n)
+        assert symplectic_form(n) is j
+        with pytest.raises(ValueError):
+            j[0, 1] = 2.0
+    assert symplectic_form(2)[0, 1] == 1.0
+
+
 def test_vacuum_covariance_is_identity_precision():
     cov = CovarianceModel.from_v(0.5 * np.eye(2), ModePartition(1, 0))
     assert np.allclose(cov.c, np.eye(2), atol=1e-14)
@@ -102,6 +111,33 @@ def test_the_model_keeps_the_spectrum_of_its_admissibility_check():
     state = TwoModeSqueezedState(0.3)
     assert state.cov is state.cov
     assert np.array_equal(state.cov.c, tmss_covariance(0.3).c)
+
+
+@pytest.mark.parametrize("partition", [ModePartition(1, 1), ModePartition(2, 1), ModePartition(2, 2)],
+                         ids=lambda p: f"{p.n_a}+{p.n_b}")
+def test_from_v_keeps_the_bits_of_the_public_spectrum(partition):
+    # from_v symmetrizes once and skips the second check; a V that is
+    # symmetric only to rounding must still give the public function's bits
+    rng = np.random.default_rng(partition.dim)
+    for _ in range(10):
+        v = np.array(random_admissible_covariance(rng, partition).v)
+        v[0, 1] += 1e-13
+        assert np.array_equal(CovarianceModel.from_v(v, partition).spectrum,
+                              symplectic_eigenvalues(v))
+
+
+@pytest.mark.parametrize("v, partition, error", [
+    (0.5 * np.eye(4) + np.eye(4, k=2) * 0.2, ModePartition(1, 1), NonSymmetric),
+    (0.5 * np.eye(3), ModePartition(1, 0), DimensionMismatch),
+    (np.full((2, 4), 0.5), ModePartition(1, 1), DimensionMismatch),
+    (np.full(4, 0.5), ModePartition(1, 1), DimensionMismatch),
+    (0.5 * np.eye(2), ModePartition(1, 1), DimensionMismatch),
+    (0.1 * np.eye(4), ModePartition(1, 1), InadmissibleCovariance),
+    (np.diag([2.0, 0.1, 0.5, 0.5]), ModePartition(1, 1), InadmissibleCovariance),
+])
+def test_from_v_rejects_malformed_covariances(v, partition, error):
+    with pytest.raises(error):
+        CovarianceModel.from_v(v, partition)
 
 
 def test_husimi_form_round_trip():

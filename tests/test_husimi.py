@@ -14,9 +14,11 @@ import warnings
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, logsumexp
+from scipy.stats import multivariate_normal
 
 from wehrlkit import (
     ConvexCombinationHusimi,
+    CovarianceModel,
     DimensionMismatch,
     FockHusimi,
     FockMixtureHusimi,
@@ -210,6 +212,47 @@ def test_tmss_evaluator_from_state():
     ev = evaluator_for(TwoModeSqueezedState(0.5))
     assert isinstance(ev, GaussianHusimi)
     assert ev.partition.bipartite
+
+
+def _gaussian_oracle_log_q(cov, pts):
+    """ln Q from scipy's normal density with covariance V + 1/2, rescaled to d^dim r / (2 pi)^(dim/2)."""
+    sigma = cov.v + 0.5 * np.eye(cov.dim)
+    return multivariate_normal(cov=sigma).logpdf(pts) + 0.5 * cov.dim * math.log(2.0 * math.pi)
+
+
+@pytest.mark.parametrize("partition", [ModePartition(1, 0), ModePartition(1, 1), ModePartition(2, 1)],
+                         ids=lambda p: f"dim{p.dim}")
+def test_gaussian_kernel_matches_scipy_on_every_point_shape(partition):
+    rng = np.random.default_rng(partition.dim)
+    dim = partition.dim
+    for _ in range(5):
+        cov = random_admissible_covariance(rng, partition)
+        ev = GaussianHusimi(cov)
+        wide = rng.uniform(-2.5, 2.5, size=(60, 2 * dim))
+        batches = [
+            wide[0, :dim],                       # one point
+            wide[:, :dim],                       # (n, dim), rows strided
+            wide[:, ::2],                        # (n, dim), columns strided
+            wide[:, :dim].reshape(6, 10, dim),   # (a, b, dim)
+        ]
+        for pts in batches:
+            got = ev.log_q(pts)
+            want = _gaussian_oracle_log_q(cov, pts)
+            assert np.shape(got) == pts.shape[:-1]
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_product_of_gaussian_marginals_is_the_block_diagonal_gaussian():
+    rng = np.random.default_rng(19)
+    cov_a = random_admissible_covariance(rng, ModePartition(1, 0))
+    cov_b = random_admissible_covariance(rng, ModePartition(2, 0))
+    v = np.zeros((6, 6))
+    v[:2, :2] = cov_a.v
+    v[2:, 2:] = cov_b.v
+    joint = GaussianHusimi(CovarianceModel.from_v(v, ModePartition(1, 2)))
+    product = ProductHusimi(GaussianHusimi(cov_a), GaussianHusimi(cov_b))
+    pts = rng.uniform(-2.5, 2.5, size=(4, 5, 6))
+    assert np.max(np.abs(product.log_q(pts) - joint.log_q(pts))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -699,7 +699,8 @@ def _panels_by_loop(lo, hi, k, graded):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _panel_nodes_by_panel(a, b, n_nodes, breakpoints=(), graded=False, scaled=True):
+def _panel_nodes_by_panel(a, b, n_nodes, breakpoints=(), graded=False, scaled=True,
+                          doublings=0):
     """The composite rule of ``_panel_nodes``, one segment at a time.
 
     With ``scaled`` a segment [lo, hi] is lo + (hi - lo) times its panels
@@ -711,7 +712,7 @@ def _panel_nodes_by_panel(a, b, n_nodes, breakpoints=(), graded=False, scaled=Tr
     n_panels = max(1, int(n_nodes) // _PANEL_NODES)
     xs, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        k = max(1, round(n_panels * (hi - lo) / (b - a)))
+        k = max(1, round(n_panels * (hi - lo) / (b - a))) * 2**doublings
         if scaled:
             x, w = _panels_by_loop(0.0, 1.0, k, graded)
             x, w = lo + (hi - lo) * x, (hi - lo) * w
@@ -726,7 +727,7 @@ def test_panel_layout_matches_the_panel_by_panel_loop():
     # same float operations, so the same bits; breakpoints repeat, fall
     # outside [0, b] or sit on the edge 0.  Against the mid/half formula
     # laid out on [lo, hi] itself, scaling moves a node or weight by at
-    # most 4 ulp of b.
+    # most 4 ulp of b.  A doubling doubles every segment's panel count.
     rng = np.random.default_rng(2024)
     for trial in range(400):
         b = float(rng.uniform(0.5, 60.0))
@@ -734,12 +735,15 @@ def test_panel_layout_matches_the_panel_by_panel_loop():
         breaks = list(rng.uniform(-2.0, b + 2.0, size=rng.integers(0, 6)))
         if trial % 2:
             breaks += breaks[:1] + [0.0]
+        doublings = (trial // 2) % 2
         for graded in (False, True):
-            got = _panel_nodes(0.0, b, n_nodes, breakpoints=breaks, graded=graded)
-            want = _panel_nodes_by_panel(0.0, b, n_nodes, breakpoints=breaks, graded=graded)
+            got = _panel_nodes(0.0, b, n_nodes, breakpoints=breaks, graded=graded,
+                               doublings=doublings)
+            want = _panel_nodes_by_panel(0.0, b, n_nodes, breakpoints=breaks, graded=graded,
+                                         doublings=doublings)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             old = _panel_nodes_by_panel(0.0, b, n_nodes, breakpoints=breaks, graded=graded,
-                                        scaled=False)
+                                        scaled=False, doublings=doublings)
             ulp = np.finfo(float).eps * b
             assert np.max(np.abs(got[0] - old[0])) <= 4.0 * ulp
             assert np.max(np.abs(got[1] - old[1])) <= 4.0 * ulp
@@ -772,8 +776,19 @@ def test_node_counts_are_pinned():
     # of psi_n on the line
     line = sum(density_entropy_1d(FockPositionDensity(n)).nodes_used for n in range(51))
     radial = sum(entropy_functional(FockHusimi(n)).nodes_used for n in range(51))
-    assert (line, radial) == (62_128, 61_200)
+    assert (line, radial) == (64_320, 61_200)
     assert entropy_functional(ThermalHusimi(0.7)).nodes_used == 1_200
+
+
+@pytest.mark.parametrize("n", [20, 30, 40, 50])
+def test_the_line_estimate_covers_the_error_of_every_segment(n):
+    # a doubling halves every panel, the short segments between close zeros
+    # of psi_n among them, so the two-level estimate sees their error too;
+    # sharing out twice the nodes by length left most of them at one panel
+    # on both levels (n = 50: estimate 2.1e-10 against a true error of 3.3e-10)
+    res = density_entropy_1d(FockPositionDensity(n))
+    fine = density_entropy_1d(FockPositionDensity(n), QuadratureSpec(radial_nodes=6400))
+    assert res.error_estimate >= abs(res.value - fine.value)
 
 
 def _levels_run(caplog, fn):
@@ -865,7 +880,7 @@ def test_the_first_two_1d_levels_share_one_density_call(caplog, monkeypatch, den
     cutoff = gamma_tail_threshold(shape, rate, _tail_mass(QuadratureSpec()) * math.exp(-margin))
     breaks = [b for b in getattr(density, "breakpoints", ()) if b > 0.0]
     graded = len(getattr(density, "breakpoints", ())) > 0
-    layouts = [_panel_nodes(0.0, cutoff, 400 * 2**k, breakpoints=breaks, graded=graded)
+    layouts = [_panel_nodes(0.0, cutoff, 400, breakpoints=breaks, graded=graded, doublings=k)
                for k in range(len(levels))]
     assert np.array_equal(calls[0], np.concatenate([layouts[0][0], layouts[1][0]]))
     for (x, w), (nodes, value) in zip(layouts, levels):
