@@ -263,8 +263,9 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool 
     its error from the estimate.  A segment's nodes are lo + (hi - lo) x
     and its weights (hi - lo) w, with x and w the cached rule
     ``_unit_panels(k, graded)`` on [0, 1], so a layout costs a few array
-    operations and a [0, 1] layout is the unit rule itself.  With ``graded`` every panel [lo, lo + h] is mapped
-    through phi(u) = u^2 (3 - 2u) on [0, 1] (Sidi's sigmoidal
+    operations and a [0, 1] layout is the unit rule itself.  With
+    ``graded`` every panel [lo, lo + h] is mapped through
+    phi(u) = u^2 (3 - 2u) on [0, 1] (Sidi's sigmoidal
     transformation of degree one): the nodes are lo + h phi(u) and the
     weights (h / 2) w 6u(1 - u) at the Gauss-Legendre points u and
     weights w of [0, 1].  Nodes then cluster at both panel ends, where the

@@ -113,7 +113,8 @@ def test_the_model_keeps_the_spectrum_of_its_admissibility_check():
     assert np.array_equal(state.cov.c, tmss_covariance(0.3).c)
 
 
-@pytest.mark.parametrize("partition", [ModePartition(1, 1), ModePartition(2, 1), ModePartition(2, 2)],
+@pytest.mark.parametrize("partition",
+                         [ModePartition(1, 1), ModePartition(2, 1), ModePartition(2, 2)],
                          ids=lambda p: f"{p.n_a}+{p.n_b}")
 def test_from_v_keeps_the_bits_of_the_public_spectrum(partition):
     # from_v symmetrizes once and skips the second check; a V that is

@@ -215,12 +215,13 @@ def test_tmss_evaluator_from_state():
 
 
 def _gaussian_oracle_log_q(cov, pts):
-    """ln Q from scipy's normal density with covariance V + 1/2, rescaled to d^dim r / (2 pi)^(dim/2)."""
+    """ln Q from scipy's normal density of covariance V + 1/2, against d^dim r / (2 pi)^(dim/2)."""
     sigma = cov.v + 0.5 * np.eye(cov.dim)
     return multivariate_normal(cov=sigma).logpdf(pts) + 0.5 * cov.dim * math.log(2.0 * math.pi)
 
 
-@pytest.mark.parametrize("partition", [ModePartition(1, 0), ModePartition(1, 1), ModePartition(2, 1)],
+@pytest.mark.parametrize("partition",
+                         [ModePartition(1, 0), ModePartition(1, 1), ModePartition(2, 1)],
                          ids=lambda p: f"dim{p.dim}")
 def test_gaussian_kernel_matches_scipy_on_every_point_shape(partition):
     rng = np.random.default_rng(partition.dim)
