@@ -53,6 +53,15 @@ _PAIR_TOL = 1e-9
 # spectrum of the covariance grows like eps * cond(V) ~ eps / (1 - lam)^2;
 # up to this bound the pure spectrum stays within SYMPLECTIC_SLACK of 1/2.
 LAMBDA_MAX = 0.998
+# ``from_v`` refuses a V whose smallest symplectic eigenvalue is at most
+# _SPECTRUM_ROUNDING * dim * max|V|: such a value cannot be told from 0.
+# ``eigvals`` is backward stable, so the spectrum it returns is that of
+# Omega V + E with ||E|| of order eps * ||V|| <= eps * dim * max|V|.  The
+# exactly singular s [[1, 1], [1, 1]] comes out at about 0.4 eps * dim * s
+# for every s; four eps keeps a factor ten above that, and the floor stays
+# far below 1/2 wherever the spectrum is trusted: about 9e-13 for the
+# two-mode squeezed state at LAMBDA_MAX, whose largest entry is about 250.
+_SPECTRUM_ROUNDING = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -154,14 +163,21 @@ def _symplectic_spectrum(v: np.ndarray) -> np.ndarray:
 class CovarianceModel:
     """Validated covariance pair (V, C) with a fixed A/B mode split.
 
-    ``spectrum`` is the symplectic spectrum of V, ascending, computed once
-    by the admissibility check of ``from_v``.
+    ``spectrum`` is the symplectic spectrum of V, ascending.  ``from_v``
+    computes it for its admissibility check and keeps it; a model built
+    by ``reduced`` computes it only when it is first read.
+
+    ``reduced`` does not re-check the block it keeps.  A principal block
+    of V + i Omega / 2 >= 0 is again >= 0 (Simon, Mukunda & Dutta, PRA 49,
+    1567 (1994)), and by symplectic interlacing (Bhatia & Jain, J. Math.
+    Phys. 56, 112201 (2015)) the smallest symplectic eigenvalue of the
+    block is no smaller than that of V, while its largest entry is no
+    larger: the block passes every check its parent passed.
     """
 
     v: np.ndarray
     c: np.ndarray
     partition: ModePartition
-    spectrum: np.ndarray
 
     @classmethod
     def from_v(cls, v: np.ndarray, partition: ModePartition) -> "CovarianceModel":
@@ -178,26 +194,38 @@ class CovarianceModel:
                 f"minimum symplectic eigenvalue {nu_min:.6g} is below 1/2",
                 min_symplectic=nu_min,
             )
+        floor = _SPECTRUM_ROUNDING * v.shape[0] * float(np.max(np.abs(v)))
+        if nu_min <= floor:
+            raise InadmissibleCovariance(
+                f"minimum symplectic eigenvalue {nu_min:.6g} is within the rounding "
+                f"floor {floor:.3g} of this covariance and cannot be told from 0",
+                min_symplectic=nu_min,
+            )
+        model = cls._from_symmetric(v, partition)
+        spectrum.setflags(write=False)
+        # Stored where the cached property keeps its value: never computed twice.
+        model.__dict__["spectrum"] = spectrum
+        return model
+
+    @classmethod
+    def _from_symmetric(cls, v: np.ndarray, partition: ModePartition) -> "CovarianceModel":
+        """Model of an exactly symmetric, admissible V, which it freezes; no check."""
         m = v + 0.5 * np.eye(v.shape[0])
         try:
             c = np.linalg.solve(m, np.eye(v.shape[0]))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - admissible V + 1/2 is PD
             raise SingularMatrix("V + 1/2 could not be inverted") from exc
         c = 0.5 * (c + c.T)
-        for frozen in (v, c, spectrum):
+        for frozen in (v, c):
             frozen.setflags(write=False)
-        return cls(v=v, c=c, partition=partition, spectrum=spectrum)
+        return cls(v=v, c=c, partition=partition)
 
-    @classmethod
-    def from_husimi_form(cls, c: np.ndarray, partition: ModePartition) -> "CovarianceModel":
-        """Build from the Husimi precision matrix C instead of V."""
-        c = _check_symmetric(c, "husimi form")
-        try:
-            np.linalg.cholesky(c)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix("husimi form is not positive definite") from exc
-        v = np.linalg.solve(c, np.eye(c.shape[0])) - 0.5 * np.eye(c.shape[0])
-        return cls.from_v(v, partition)
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Symplectic spectrum of V, ascending and read-only."""
+        spectrum = _symplectic_spectrum(self.v)
+        spectrum.setflags(write=False)
+        return spectrum
 
     @property
     def dim(self) -> int:
@@ -259,10 +287,13 @@ class CovarianceModel:
         if not self.partition.bipartite:
             raise NotBipartite("state has no subsystem B to trace out")
         if keep == "a":
-            return CovarianceModel.from_v(self.v_a, ModePartition(self.partition.n_a, 0))
-        if keep == "b":
-            return CovarianceModel.from_v(self.v_b, ModePartition(self.partition.n_b, 0))
-        raise ValueError("keep must be 'a' or 'b'")
+            block, n_modes = self.v_a, self.partition.n_a
+        elif keep == "b":
+            block, n_modes = self.v_b, self.partition.n_b
+        else:
+            raise ValueError("keep must be 'a' or 'b'")
+        # The block passes every check of ``from_v`` (see the class docstring).
+        return CovarianceModel._from_symmetric(block.copy(), ModePartition(n_modes, 0))
 
 
 def _logdet(m: np.ndarray, label: str) -> float:
@@ -361,14 +392,18 @@ def check_squeezing(lam: float) -> float:
 def tmss_covariance(lam: float) -> CovarianceModel:
     """Covariance model of the two-mode squeezed state with parameter lam.
 
-    The Husimi precision matrix has identity diagonal blocks and
-    off-diagonal block diag(lam, -lam).
+    The Husimi precision matrix C has identity diagonal blocks and
+    off-diagonal block diag(lam, -lam).  Its inverse is g times the same
+    matrix with -lam in place of lam, g = 1 / (1 - lam^2), so V = C^-1 - 1/2
+    is written in closed form: diagonal g - 1/2, off-diagonal block
+    diag(-lam g, lam g).  ``from_v`` then validates it and computes C.
     """
     lam = check_squeezing(lam)
-    c = np.eye(4)
-    c[0, 2] = c[2, 0] = lam
-    c[1, 3] = c[3, 1] = -lam
-    return CovarianceModel.from_husimi_form(c, ModePartition(1, 1))
+    g = 1.0 / (1.0 - lam * lam)
+    v = np.diag(np.full(4, g - 0.5))
+    v[0, 2] = v[2, 0] = -lam * g
+    v[1, 3] = v[3, 1] = lam * g
+    return CovarianceModel.from_v(v, ModePartition(1, 1))
 
 
 def squeezed_vacuum_covariance(kappa: float) -> CovarianceModel:

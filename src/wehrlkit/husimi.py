@@ -19,7 +19,7 @@ and the quadrature engine routes on it without probing for methods:
   the same two tail parameters for the radial cutoff;
 * ``"gaussian"`` promises that ln Q is exactly quadratic, with the
   covariance and mean that ``gaussian_envelope`` returns; whitened by it,
-  an integral whose densities are all "gaussian" is exact on four
+  an integral whose densities are all "gaussian" is exact on two
   Gauss-Hermite nodes per axis, where it starts;
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.

@@ -56,10 +56,10 @@ _GRADED_WEIGHTS = _GL_WEIGHTS * 6.0 * _GL_UNIT * (1.0 - _GL_UNIT)
 # more level can cost minutes and gigabytes.
 _MAX_LEVEL_NODES = 10**8
 # Whitened by its own envelope, an all-"gaussian" integrand is the Hermite
-# weight times a quadratic, which two nodes per axis integrate exactly.
-# The base level uses four, with margin; the next, at eight, backs it with
-# the usual two-level estimate.
-_GAUSSIAN_NODES_PER_DIM = 4
+# weight times a quadratic, which m-point Gauss-Hermite integrates exactly
+# for 2m - 1 >= 2.  The base level uses two nodes per axis; the next, at
+# four, is exact too and backs it with the usual two-level estimate.
+_GAUSSIAN_NODES_PER_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,7 @@ class QuadratureSpec:
     line coordinate (the "noon" triangle starts at a quarter of them in
     r_A and an eighth in the ratio r_B / r_A), and
     ``cartesian_nodes_per_dim`` the Gauss-Hermite order per axis, capped
-    at four when every density of the integral is "gaussian" (exact
+    at two when every density of the integral is "gaussian" (exact
     there).  No runner samples an angle: the one angle
     a runner meets, the phase difference of a "noon" density, is averaged
     in closed form.  The engine always computes one refinement (all counts
@@ -528,7 +528,7 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
     """Gauss-Hermite rule whitened by a Gaussian envelope (sigma, mean).
 
     The base level has ``nodes_per_dim`` nodes per axis:
-    ``spec.cartesian_nodes_per_dim``, capped at four for an all-"gaussian"
+    ``spec.cartesian_nodes_per_dim``, capped at two for an all-"gaussian"
     integral.  Per-dimension log-weights are ln(w) + t^2, computed directly
     by ``_hermite_rule`` and bounded, so the reweighting never overflows.
     Node counts per axis are capped at 384, the finest level, and
@@ -551,8 +551,11 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
 
         def do_chunk(start):
             stop = min(start + chunk_len, m)
-            grid = np.meshgrid(t[start:stop], *[t] * (dim - 1), indexing="ij")
-            pts = np.stack(grid, axis=-1).reshape(-1, dim) @ scale.T
+            # One (k, m, .., m, dim) array, one broadcast assignment an axis.
+            grid = np.empty((stop - start,) + (m,) * (dim - 1) + (dim,))
+            for axis, nodes in enumerate([t[start:stop]] + [t] * (dim - 1)):
+                grid[..., axis] = nodes.reshape((-1,) + (1,) * (dim - 1 - axis))
+            pts = grid.reshape(-1, dim) @ scale.T
             pts += mean
             # Summed from 0.0, first axis first, as a fresh array.
             lw_sum = functools.reduce(np.add.outer, [lw[start:stop]] + [lw] * (dim - 1), 0.0)
@@ -620,7 +623,7 @@ def _cartesian(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     fits.  Any density with a ``gaussian_envelope`` fits it, so the tests
     also call it directly as an independent cross-check of those two
     runners.  An integral whose densities are all "gaussian" starts at no
-    more than four nodes per axis.
+    more than two nodes per axis.
     """
     densities = (evaluator,) if reference is None else (evaluator, reference)
     nodes_per_dim = spec.cartesian_nodes_per_dim

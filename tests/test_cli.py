@@ -511,6 +511,17 @@ def test_gaussian_with_huge_finite_entries_exits_3(tmp_path, matrix):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("scale", [1e16, 1e300, 1e308])
+def test_gaussian_singular_matrix_at_any_scale_exits_3(tmp_path, capsys, scale):
+    cov_file = tmp_path / "singular.json"
+    cov_file.write_text(json.dumps([[scale, scale], [scale, scale]]))
+    assert main(["gaussian", "--cov", str(cov_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "rounding floor" in captured.err
+    assert captured.out == ""
+
+
 def test_gaussian_von_neumann_entropy_of_a_huge_thermal_mode(tmp_path):
     cov_file = tmp_path / "hot.json"
     cov_file.write_text(json.dumps([[1e16, 0.0], [0.0, 1e16]]))

@@ -49,6 +49,7 @@ from wehrlkit import (
     wehrl_relative_entropy,
     wehrl_thermal_closed,
 )
+import wehrlkit.gaussian as gaussian_module
 from wehrlkit.gaussian import ModePartition
 
 
@@ -250,23 +251,44 @@ def test_tmss_mutual_information_routes_agree():
     assert abs(chain.value - closed) < 1e-7
 
 
-def test_gaussian_mutual_information_is_exact_on_four_nodes_per_axis():
+def test_gaussian_mutual_information_is_exact_on_two_nodes_per_axis():
     rng = np.random.default_rng(29)
     covs = [tmss_covariance(lam) for lam in (0.0, 0.5, 0.9, 0.99)]
     covs.append(random_admissible_covariance(rng, ModePartition(1, 1)))
     for cov in covs:
         res = wehrl_mutual_information(GaussianHusimi(cov))
         assert abs(res.value - gaussian_witness(cov)[1]) < 1e-12
-        assert res.nodes_used == 4**4 + 8**4
+        assert res.nodes_used == 2**4 + 4**4
+
+
+def test_gaussian_mutual_information_computes_no_marginal_spectrum(monkeypatch):
+    calls = []
+    spectrum = gaussian_module._symplectic_spectrum
+
+    def counted(v):
+        calls.append(v.shape[0])
+        return spectrum(v)
+
+    monkeypatch.setattr(gaussian_module, "_symplectic_spectrum", counted)
+    cov = random_admissible_covariance(np.random.default_rng(5), ModePartition(1, 1))
+    calls.clear()
+    wehrl_mutual_information(GaussianState(cov))
+    assert calls == []
+    # a TMSS row of the benchmark validates two models, one here and one
+    # for the state; its two marginals compute no spectrum
+    lam = 0.6
+    gaussian_witness(tmss_covariance(lam))
+    wehrl_mutual_information(TwoModeSqueezedState(lam))
+    assert calls == [4, 4]
 
 
 def test_three_mode_pure_gaussian_mutual_information():
-    # six dimensions: 4^6 + 8^6 nodes, where 24 per axis would be 191M
+    # six dimensions: 2^6 + 4^6 nodes, where 24 per axis would be 191M
     cov = random_admissible_covariance(np.random.default_rng(31), ModePartition(2, 1),
                                        min_nu=0.5, max_nu=0.5)
     res = wehrl_mutual_information(GaussianHusimi(cov))
     assert abs(res.value - gaussian_witness(cov)[1]) < 1e-12
-    assert res.nodes_used == 4**6 + 8**6
+    assert res.nodes_used == 2**6 + 4**6
 
 
 def test_conditional_entropy_routes_agree():
@@ -279,13 +301,13 @@ def test_conditional_entropy_routes_agree():
     assert abs(chain.value - 1.0) < 1e-7
     # Seeded mixed covariances against the closed form n_A - ln det C_A / 2;
     # every density is "gaussian", so S(A) on 2 n_A axes and the mutual
-    # information on all of them each stop at 4 and 8 nodes per axis.
+    # information on all of them each stop at 2 and 4 nodes per axis.
     for seed, partition in [(23, ModePartition(1, 1)), (37, ModePartition(2, 1))]:
         cov = random_admissible_covariance(np.random.default_rng(seed), partition)
         res = wehrl_conditional_entropy(GaussianHusimi(cov))
         assert abs(res.value - gaussian_witness(cov)[0]) < 1e-12
         d_a, d = 2 * partition.n_a, partition.dim
-        assert res.nodes_used == 4**d_a + 8**d_a + 4**d + 8**d
+        assert res.nodes_used == 2**d_a + 4**d_a + 2**d + 4**d
 
 
 def test_mutual_information_rejects_single_mode():
@@ -306,7 +328,8 @@ def test_conditional_entropy_is_concave_in_the_state():
     prod_c[2, 2] = prod_c[3, 3] = 1.0 - lam * lam
     from wehrlkit import CovarianceModel, ConvexCombinationHusimi
 
-    rho2 = GaussianHusimi(CovarianceModel.from_husimi_form(prod_c, ModePartition(1, 1)))
+    rho2 = GaussianHusimi(CovarianceModel.from_v(np.linalg.inv(prod_c) - 0.5 * np.eye(4),
+                                                 ModePartition(1, 1)))
     spec = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-7)
 
     def cond_of(ev):

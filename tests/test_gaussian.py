@@ -76,12 +76,19 @@ def test_partition_dimension_must_match_matrix():
 
 
 def test_tmss_covariance_blocks():
-    lam = 0.45
-    cov = tmss_covariance(lam)
-    assert np.allclose(cov.c_a, np.eye(2))
-    assert np.allclose(cov.c_b, np.eye(2))
-    assert np.allclose(cov.c_m, np.diag([lam, -lam]))
-    assert np.linalg.det(cov.c) == pytest.approx((1 - lam * lam) ** 2)
+    # V is written in closed form; C = (V + 1/2)^-1 is the Husimi form
+    for lam in (0.0, 0.45, 0.6, 0.9, LAMBDA_MAX):
+        cov = tmss_covariance(lam)
+        assert np.allclose(cov.c_a, np.eye(2))
+        assert np.allclose(cov.c_b, np.eye(2))
+        assert np.allclose(cov.c_m, np.diag([lam, -lam]))
+        assert np.linalg.det(cov.c) == pytest.approx((1 - lam * lam) ** 2)
+        np.testing.assert_allclose(cov.v, np.linalg.inv(cov.c) - 0.5 * np.eye(4),
+                                   rtol=0, atol=1e-14 / (1 - lam * lam) ** 2)
+    c = np.eye(4)
+    c[0, 2] = c[2, 0] = 0.6
+    c[1, 3] = c[3, 1] = -0.6
+    assert np.array_equal(tmss_covariance(0.6).c, c)
 
 
 def test_every_squeezing_parameter_in_range_gives_a_pure_covariance():
@@ -141,14 +148,13 @@ def test_from_v_rejects_malformed_covariances(v, partition, error):
         CovarianceModel.from_v(v, partition)
 
 
-def test_husimi_form_round_trip():
-    rng = np.random.default_rng(11)
-    part = ModePartition(1, 1)
-    cov = random_admissible_covariance(rng, part)
-    back = CovarianceModel.from_husimi_form(cov.c, part)
-    assert np.allclose(back.v, cov.v, atol=1e-10)
-    again = CovarianceModel.from_v(back.v, part)
-    assert np.allclose(again.c, cov.c, atol=1e-10)
+@pytest.mark.parametrize("scale", [1e16, 1e300, 1e308])
+def test_from_v_refuses_a_singular_covariance_at_any_scale(scale):
+    # s [[1, 1], [1, 1]] has nu = 0, but rounding puts its computed nu_min
+    # near 0.7 eps s: above 1/2 from s ~ 1e16 on, inside the rounding floor
+    with pytest.raises(InadmissibleCovariance, match="rounding floor") as err:
+        CovarianceModel.from_v(np.full((2, 2), scale), ModePartition(1))
+    assert err.value.min_symplectic > 0.5
 
 
 def test_determinant_identity_on_random_covariances():

@@ -136,3 +136,23 @@ def test_symplectic_image_of_the_vacuum_is_pure(partition, data):
     cov = CovarianceModel.from_v(0.5 * (v + v.T), partition)
     np.testing.assert_allclose(cov.spectrum, 0.5, atol=1e-9)
     assert von_neumann_gaussian(cov) < 1e-8
+
+
+@PROPERTY
+@given(partition=st.sampled_from([ModePartition(1, 1), ModePartition(2, 1), ModePartition(1, 2),
+                                  ModePartition(2, 2)]),
+       seed=SEEDS, pure=st.booleans())
+def test_a_reduced_model_is_the_validated_model_of_its_block(partition, seed, pure):
+    # ``reduced`` skips the checks of ``from_v``; they would pass and change no bit
+    nus = (0.5, 0.5) if pure else (0.55, 2.0)
+    cov = random_admissible_covariance(np.random.default_rng(seed), partition, *nus)
+    k = 2 * partition.n_a
+    for keep, block, n_modes in (("a", cov.v[:k, :k], partition.n_a),
+                                 ("b", cov.v[k:, k:], partition.n_b)):
+        got = cov.reduced(keep)
+        want = CovarianceModel.from_v(block, ModePartition(n_modes))
+        assert got.partition == want.partition
+        assert np.array_equal(got.v, want.v)
+        assert np.array_equal(got.c, want.c)
+        assert not (got.v.flags.writeable or got.c.flags.writeable)
+        assert np.array_equal(got.spectrum, want.spectrum)
