@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("bipartite-noon",
                         help="mutual-information witness for two-mode "
                         "excitation superpositions")
-    p.add_argument("--n-max", type=_bounded_int(0, 10), default=5)
+    p.add_argument("--n-max", type=_bounded_int(0, 50), default=5)
     _add_common_args(p)
 
     p = subs.add_parser("gaussian",

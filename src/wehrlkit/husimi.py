@@ -10,13 +10,16 @@ Evaluators declare how they can be integrated through ``kind`` alone,
 and the quadrature engine routes on it without probing for methods:
 
 * ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape`` and
-  ``radial_rate``; the one-mode radial densities share ``RadialHusimi``;
+  ``radial_rate``; the one-mode radial densities share ``RadialHusimi``,
+  which also gives ``log_q_remainder``, ln Q + rho^2 / 2 on the outer
+  product of two axes;
 * ``"noon"`` promises a two-mode density that depends on the mode phases
   only through their difference and is symmetric under the exchange
   r_A <-> r_B of the two radii, with ``angle_averaged_logs(r, s)`` (the
   average over that difference, in closed form, on the triangle
-  r_A = r, r_B = s r with 0 <= s <= 1, as (len r, len s) arrays), plus
-  the same two tail parameters for the radial cutoff;
+  r_A = r, r_B = s r with 0 <= s <= 1, as 1D factors on the two axes
+  that the Gaussian -r_B^2 / 2 alone couples), plus the same two tail
+  parameters for the radial cutoff;
 * ``"gaussian"`` promises that ln Q is exactly quadratic, with the
   covariance and mean that ``gaussian_envelope`` returns; whitened by it,
   an integral whose densities are all "gaussian" is exact on two
@@ -24,9 +27,9 @@ and the quadrature engine routes on it without probing for methods:
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.
 
-``log_q``, ``log_q_radial``, ``log_f`` and ``angle_averaged_logs`` must
-return fresh arrays: the engine overwrites them while it evaluates the
-integrand.
+``log_q``, ``log_q_radial``, ``log_q_remainder``, ``log_f`` and
+``angle_averaged_logs`` must return fresh arrays: the engine overwrites
+them while it evaluates the integrand.
 
 Every number-state density is a Fock mixture sum_k w_k |k><k|: a number
 state has one index and the NOON marginal (|0><0| + |n><n|) / 2 two.  So
@@ -71,6 +74,31 @@ def _log_sum_exp(terms: np.ndarray, axis: int = 0) -> np.ndarray:
     total = np.exp(scaled, out=scaled).sum(axis=axis)
     with np.errstate(divide="ignore"):
         return np.log(total) + np.squeeze(shift, axis=axis)
+
+
+# Largest log of a term that ``FockMixtureHusimi.log_q_remainder`` takes
+# out of log space: sums of a few such terms stay finite.
+_LOG_SEPARABLE_MAX = 700.0
+
+
+def _outer_sum(pairs, shape) -> np.ndarray:
+    """sum over the (x, y) pairs of x_i y_j, a fresh array of ``shape``, by one matmul.
+
+    Each x is a row vector or a scalar, each y a column vector or a
+    scalar; a lone pair is padded by a zero one.  One pair gives
+    x_i y_j + 0 * 0 and the pairs (x, 1), (1, y) give x_i * 1 + 1 * y_j,
+    the very numbers of ``np.multiply.outer`` and ``np.add.outer``, at a
+    third to a half of their cost on the "noon" triangle's grids: the
+    ufuncs' outer loops, like a matmul with an inner dimension of one,
+    take one numpy call a row.
+    """
+    pairs = list(pairs) + [(0.0, 0.0)] * (len(pairs) == 1)
+    left = np.empty((shape[0], len(pairs)))
+    right = np.empty((len(pairs), shape[1]))
+    for k, (x, y) in enumerate(pairs):
+        left[:, k] = x
+        right[k] = y
+    return left @ right
 
 
 class HusimiEvaluator:
@@ -118,6 +146,21 @@ class RadialHusimi(HusimiEvaluator):
 
     def log_q_radial(self, r):
         raise NotImplementedError
+
+    def log_q_remainder(self, r, s):
+        """ln Q(rho) + rho^2 / 2 at rho = r_i s_j, a fresh (len r, len s) array.
+
+        The "noon" triangle reads a reference factor at r_B = s r through
+        this remainder, its vacuum Gaussian -rho^2 / 2 cancelling the
+        density's cross term.  This default forms rho and its square;
+        ``FockMixtureHusimi`` works from the axes' logs instead.
+        """
+        rho = np.multiply.outer(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
+        remainder = self.log_q_radial(rho)
+        rho *= rho
+        rho *= 0.5
+        remainder += rho
+        return remainder
 
     def log_q(self, points):
         pts = self._points(points)
@@ -194,6 +237,31 @@ class FockMixtureHusimi(RadialHusimi):
             log_q += log_r
         log_q += acc
         return log_q
+
+    def log_q_remainder(self, r, s):
+        # rho = r s splits every term of Q e^(rho^2 / 2) = sum_k e^(c_k) rho^2k
+        # into axis factors.  Past c_k0 + 2 k0 ln rho, the fold of
+        # ``log_q_radial`` is log1p(sum_k X_k(r_i) Y_k(s_j)), one matmul, with
+        # X_k = e^(c_k - c_k0) r^(2 (k - k0)) and Y_k = s^(2 (k - k0)) <= 1: no
+        # log or square of a 2D array.  Where some X_k could overflow, the
+        # default forms rho instead.
+        with np.errstate(divide="ignore"):
+            log_r, log_s = np.log(r), np.log(s)
+        shape = (log_r.size, log_s.size)
+        lead = self._c0
+        if self._k0:
+            twice = 2.0 * self._k0
+            lead = _outer_sum([(twice * log_r + self._c0, 1.0), (1.0, twice * log_s)], shape)
+        if not self._folds:
+            return lead if self._k0 else np.full(shape, lead)
+        rows = [gap * log_r + (c - self._c0) for gap, c in self._folds]
+        if max(x.max() for x in rows) > _LOG_SEPARABLE_MAX:
+            return super().log_q_remainder(r, s)
+        remainder = _outer_sum([(np.exp(x), np.exp(gap * log_s))
+                                for x, (gap, _) in zip(rows, self._folds)], shape)
+        np.log1p(remainder, out=remainder)
+        remainder += lead
+        return remainder
 
 
 class FockHusimi(FockMixtureHusimi):
@@ -279,32 +347,35 @@ class NoonHusimi(HusimiEvaluator):
             return np.log(mag2) - 0.5 * rsq - self._log_norm
 
     def angle_averaged_logs(self, r, s):
-        """ln <Q> and <Q ln Q> / <Q> over the phase difference, on the triangle.
+        """Axis factors of ln <Q> and <Q ln Q> / <Q> over the phase difference.
 
         The radii are r_A = r and r_B = s r with 0 <= s <= 1, given as two
-        1D arrays; both results are fresh (len r, len s) arrays.  With
-        x = r_A^n and y = r_B^n <= x the angular factor is |x + y e^{iu}|^2,
-        whose averages over u are x^2 + y^2 and, for n >= 1,
-        (x^2 + y^2) ln x^2 + 2 y^2 (Jensen's formula and the Fourier series
-        of ln|1 + t e^{iu}|).  With t = s^(2n) <= 1 both are the prefactor
-        log plus 2n ln r, plus log1p(t) and 2t / (1 + t) respectively: the
-        t terms live on the s axis, 2n ln r on the r axis, and only the
-        Gaussian -r^2 (1 + s^2) / 2 is formed per node.  At n = 0 the factor
-        is the constant 4 and both values are ln Q.
+        1D arrays.  The result is three fresh 1D arrays, a on r and b, c on
+        s, with, exactly,
+
+            ln <Q>         = a_i + b_j - r_i^2 s_j^2 / 2,
+            <Q ln Q> / <Q> = a_i + c_j - r_i^2 s_j^2 / 2:
+
+        the vacuum Gaussian -r_B^2 / 2 is the one term that couples the
+        axes.  With x = r_A^n and y = r_B^n <= x the angular factor is
+        |x + y e^{iu}|^2, whose averages over u are x^2 + y^2 and, for
+        n >= 1, (x^2 + y^2) ln x^2 + 2 y^2 (Jensen's formula and the Fourier
+        series of ln|1 + t e^{iu}|).  With t = s^(2n) <= 1 that makes a the
+        prefactor log plus 2n ln r - r^2 / 2, b = log1p(t) and
+        c = 2t / (1 + t).  At n = 0 the factor is the constant 4, both
+        values are ln Q, and b = c = 0.
         """
         n = self.excitation
         r = np.asarray(r, dtype=float)
         s = np.asarray(s, dtype=float)
-        log_mean = np.outer(-0.5 * r * r, 1.0 + s * s)
+        a = -0.5 * r * r
         if n == 0:
-            log_mean += 2.0 * math.log(2.0) - self._log_norm
-            return log_mean, log_mean.copy()
+            a += 2.0 * math.log(2.0) - self._log_norm
+            return a, np.zeros_like(s), np.zeros_like(s)
         with np.errstate(divide="ignore"):
-            log_mean += (2.0 * n * np.log(r) - self._log_norm)[:, None]
+            a += 2.0 * n * np.log(r) - self._log_norm
         t = s ** (2 * n)
-        q_log_q = log_mean + 2.0 * t / (1.0 + t)
-        log_mean += np.log1p(t)
-        return log_mean, q_log_q
+        return a, np.log1p(t), 2.0 * t / (1.0 + t)
 
     def gaussian_envelope(self):
         width = 0.5 * (self.excitation + 2.0) + 0.5

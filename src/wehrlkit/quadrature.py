@@ -11,9 +11,13 @@ estimate; if it misses the tolerance after the allowed escalations the
 engine raises instead of returning a number it cannot defend.
 
 Conventions: phase-space measure ``d^n x d^n p / (2 pi)^n``, line
-measure ``dx``.  Densities enter through log values, and one kernel,
-``_node_terms``, turns them into the integrand at every node of every
-runner: points where the mass is below 1e-300 contribute exactly zero.
+measure ``dx``.  Densities enter through log values.  Every functional
+is affine in ln Q, and every runner keeps one set of rules: points where
+the mass is below 1e-300 contribute exactly zero, a reference's log is
+clamped where it underflows, and mass where it underflows is a
+divergence.  The 1D and cartesian runners apply them node by node
+through one kernel, ``_node_terms``; the "noon" triangle applies them to
+axis factors, bounding each rule on the axes first.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatch, SupportViolation, ToleranceNotReached
 from .husimi import (HusimiEvaluator, PositionDensity, ProductHusimi, _hermite_steps,
-                     _hermite_zeros)
+                     _hermite_zeros, _outer_sum)
 
 _log = logging.getLogger(__name__)
 
@@ -306,9 +310,10 @@ def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralR
     result of the last level run (None when the base level is refused).
     Each level that runs is logged at DEBUG with its laid-out resolution,
     nodes, value and seconds.  A run may also evaluate the next level
-    (the 1D runner evaluates its first two levels in one call): its
-    seconds then cover both, and the next level's run returns the stored
-    value, so its record keeps its own resolution, nodes and value.
+    (the 1D runner and the triangle evaluate their first two levels in
+    one call, see ``_pair_first_levels``): its seconds then cover both,
+    and the next level's run returns the stored value, so its record
+    keeps its own resolution, nodes and value.
     """
     result = None
     refinements = 0
@@ -350,38 +355,77 @@ def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralR
     )
 
 
-def _node_terms(log_mass, log_factor, factor_of_log, reference=None, log_weight=None, *,
-                out=None):
-    """Q (factor_of_log(ln Q) - ln S) at each node: the one integrand rule.
+def _pair_first_levels(axes, evaluate, base, grow):
+    """An ``_escalated`` layout whose base level also evaluates its first doubling.
 
-    ``log_mass`` holds the log of the mass Q at the nodes and
-    ``log_factor`` the log that enters the factor; they are the same
-    array (ln Q) except on the "noon" triangle, where they are ln <Q> and
-    <Q ln Q> / <Q> of the exact angle average.  ``log_factor`` is
-    overwritten, and so is ``log_mass`` when ``out`` is it.  ``reference``
-    is None or the pair (ln S clamped at ``_LOG_FLOOR``, index of the
-    nodes where S underflows); SupportViolation is raised as soon as Q
-    keeps mass above 1e-12 at one of those nodes.  ``log_weight``
-    (cartesian rule) joins the mass before the exponential, so the mass
-    Q * weight decides the underflow; such nodes give exact zeros.
-    ``out`` (may be ``log_weight`` itself) buffers the result.
+    Every integral runs the base level and its first doubling, so both are
+    laid out together and evaluated by one call: ``axes(level)`` returns
+    the laid-out resolution, the node count and the level's grid, and
+    ``evaluate(grids)`` the value of each grid it is given.  That call
+    happens in the base level's run, so its DEBUG seconds cover both
+    levels, and the doubled level logs its stored value.  A doubled level
+    over ``_MAX_LEVEL_NODES`` is never evaluated: the base level then runs
+    alone.  Later escalations make one call per level.
+    """
+    stored = {}
+
+    def layout(level):
+        if level in stored:
+            resolution, nodes, value = stored.pop(level)
+            return resolution, nodes, lambda: value
+        resolution, nodes, grid = axes(level)
+        if level == base:
+            doubled = grow(level)
+            resolution_2, nodes_2, grid_2 = axes(doubled)
+            if nodes_2 <= _MAX_LEVEL_NODES:
+                def run_both():
+                    value, stored_value = evaluate([grid, grid_2])
+                    stored[doubled] = resolution_2, nodes_2, stored_value
+                    return value
+
+                return resolution, nodes, run_both
+        return resolution, nodes, lambda: evaluate([grid])[0]
+
+    return layout
+
+
+def _check_support(log_mass):
+    """Raise SupportViolation if Q keeps mass above 1e-12 at a node where S underflows.
+
+    ``log_mass`` holds ln Q at the nodes where S is below 1e-300.
+    """
+    if np.any(log_mass > LOG_SUPPORT):
+        raise SupportViolation(
+            "first density keeps mass where the second has none; "
+            "the relative entropy diverges at this resolution"
+        )
+
+
+def _node_terms(log_q, factor_of_log, reference=None, log_weight=None, *, out=None):
+    """Q (factor_of_log(ln Q) - ln S) at each node: the 1D and cartesian integrand rule.
+
+    ``log_q`` holds ln Q at the nodes and is overwritten, and so is
+    ``log_weight`` when ``out`` is it.  ``reference`` is None or the pair
+    (ln S clamped at ``_LOG_FLOOR``, index of the nodes where S
+    underflows); SupportViolation is raised as soon as Q keeps mass above
+    1e-12 at one of those nodes.  ``log_weight`` (cartesian rule) joins
+    the mass before the exponential, so the mass Q * weight decides the
+    underflow; such nodes give exact zeros.  ``out`` (may be
+    ``log_weight`` itself) buffers the result.
     """
     if reference is not None:
         logs, under = reference
-        if under.size and np.any(log_mass[under] > LOG_SUPPORT):
-            raise SupportViolation(
-                "first density keeps mass where the second has none; "
-                "the relative entropy diverges at this resolution"
-            )
-    mass = log_mass if log_weight is None else np.add(log_mass, log_weight, out=out)
+        if under.size:
+            _check_support(log_q[under])
+    mass = log_q if log_weight is None else np.add(log_q, log_weight, out=out)
     dead = mass <= LOG_TINY
     terms = np.exp(mass, out=out)
     np.copyto(terms, 0.0, where=dead)
     # A zero log where the mass underflows keeps the factor finite there.
-    np.copyto(log_factor, 0.0, where=dead)
-    factor = factor_of_log(log_factor, out=log_factor)
+    np.copyto(log_q, 0.0, where=dead)
+    factor = factor_of_log(log_q, out=log_q)
     if reference is not None:
-        factor = np.subtract(factor, logs, out=log_factor)
+        factor = np.subtract(factor, logs, out=log_q)
     return np.multiply(terms, factor, out=terms)
 
 
@@ -393,13 +437,14 @@ def _density_terms(log_q, log_s, factor_of_log, nodes, log_weight=None):
         logs = log_s(nodes)
         under = np.flatnonzero(logs < LOG_TINY)
         reference = np.maximum(logs, _LOG_FLOOR, out=logs), under
-    return _node_terms(logq, logq, factor_of_log, reference, log_weight, out=log_weight)
+    return _node_terms(logq, factor_of_log, reference, log_weight, out=log_weight)
 
 
 # ---------------------------------------------------------------------------
-# Coordinate-system runners.  Each lays out nodes and weights, gets the
-# integrand at the nodes from ``_node_terms`` and reduces against the
-# phase-space measure (the line measure for line densities).
+# Coordinate-system runners.  Each lays out nodes and weights and reduces
+# the integrand against the phase-space measure (the line measure for line
+# densities): the 1D and cartesian runners get it at the nodes from
+# ``_node_terms``, the "noon" triangle forms it from axis factors.
 # ---------------------------------------------------------------------------
 
 
@@ -422,66 +467,66 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     ``spec.radial_nodes`` with every panel of the base level halved j
     times.
 
-    Every integral runs the base level and its first doubling, so both
-    are laid out together and ``terms`` is called once on their joined
-    nodes; each level is then reduced with its own weights, to the bits
-    of a call per level.  That call happens in the base level's run, so
-    its DEBUG seconds cover both evaluations, and the doubled level logs
-    its stored value.  A doubled level over ``_MAX_LEVEL_NODES`` is never
-    evaluated: the base level then runs alone.  Later escalations make
-    one call per level.
+    The base level and its first doubling are evaluated together (see
+    ``_pair_first_levels``): ``terms`` is called once on their joined
+    nodes, and each level is then reduced with its own weights, to the
+    bits of a call per level.
     """
     mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
     cutoff = gamma_tail_threshold(shape, rate, mass)
     pos_breaks = tuple(abs(b) for b in breakpoints if abs(b) > 0.0)
     graded = len(breakpoints) > 0
 
-    def nodes(doublings):
-        return _panel_nodes(0.0, cutoff, spec.radial_nodes, breakpoints=pos_breaks,
+    def axes(doublings):
+        x, w = _panel_nodes(0.0, cutoff, spec.radial_nodes, breakpoints=pos_breaks,
                             graded=graded, doublings=doublings)
+        return x.size, x.size, (x, w)
 
-    def reduce(x, w, t):
-        return np.dot(w, t * x) if radial else 2.0 * float(np.dot(w, t))
+    def evaluate(grids):
+        t = terms(np.concatenate([x for x, _ in grids]))
+        values = []
+        for x, w in grids:
+            level_t, t = t[:x.size], t[x.size:]
+            values.append(np.dot(w, level_t * x) if radial else 2.0 * float(np.dot(w, level_t)))
+        return values
 
-    stored = {}
-
-    def layout(level):
-        if level in stored:
-            size, value = stored.pop(level)
-            return size, size, lambda: value
-        x, w = nodes(level)
-        x2, w2 = nodes(1) if level == 0 else (None, None)
-        if x2 is None or x2.size > _MAX_LEVEL_NODES:
-            return x.size, x.size, lambda: reduce(x, w, terms(x))
-
-        def run_both():
-            both = terms(np.concatenate((x, x2)))
-            stored[1] = x2.size, reduce(x2, w2, both[x.size:])
-            return reduce(x, w, both[:x.size])
-
-        return x.size, x.size, run_both
-
+    layout = _pair_first_levels(axes, evaluate, 0, lambda level: level + 1)
     return _escalated(layout, 0, lambda level: level + 1, spec, what)
 
 
-def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
+def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
                   what: str) -> IntegralResult:
     """Two radii, with the phase difference of a "noon" density averaged exactly.
 
-    Every functional the engine integrates is affine in ln Q, so the
-    angle enters only through the evaluator's ``angle_averaged_logs``:
-    ln <Q> sets the mass and <Q ln Q> / <Q> enters the factor.  By the
-    exchange symmetry only the triangle r_B <= r_A is integrated, at
-    weight two, as r_A = r and r_B = s r with composite Gauss-Legendre
+    By the exchange symmetry only the triangle r_B <= r_A is integrated,
+    at weight two, as r_A = r and r_B = s r with composite Gauss-Legendre
     rules in r on [0, cutoff] and in s on [0, 1]; the Jacobian makes the
-    weight 2 r^3 s, an outer product of the two axes, and the evaluator
-    gets the axes, not the nodes.  The s panels are graded (see
-    ``_panel_nodes``): a reference factor vanishing at r = 0 puts
-    s ln s into ln S at s = 0.  The reference, a product of two radial
-    factors, need not be symmetric: it enters through the mean of its
-    clamped log at (r_A, r_B) and at (r_B, r_A); when both factors are
-    one evaluator the two orders coincide, and ln S is evaluated once.
-    Each level doubles both axes.
+    weight 2 r^3 s, an outer product of the two axes.  The s panels are
+    graded (see ``_panel_nodes``): a reference factor vanishing at r = 0
+    puts s ln s into ln S at s = 0.  Each level doubles both axes.
+
+    The functional is affine in ln Q, ``factor`` = offset + slope ln Q (an
+    ``_AffineFactor``), so the angle enters only through the evaluator's
+    ``angle_averaged_logs``: ln <Q> sets the mass and <Q ln Q> / <Q>
+    enters the factor, both axis factors coupled by the Gaussian
+    -r_i^2 s_j^2 / 2 alone.  A level forms one (len r, len s) array,
+    E = exp(-r_i^2 s_j^2 / 2), and reduces the integral with one product
+    of E against three s-axis columns, contracted with r-axis vectors.
+    The reference, a product of two radial factors, need not be
+    symmetric: it enters through the mean of its clamped log at
+    (r_A, r_B) and at (r_B, r_A).  Its Gaussian -r_B^2 / 2 cancels the
+    density's, so only its ``log_q_remainder`` at r_i s_j is a second
+    (len r, len s) array.  When both factors are one evaluator the two
+    orders coincide and each is evaluated once.  The base level and its
+    first doubling share one pass over the joined axes (see
+    ``_pair_first_levels``); only the 2D work is done per level.
+
+    The rules of ``_node_terms`` hold: a node whose mass ln <Q> is at or
+    below ln 1e-300 contributes exactly 0, ln S is clamped at
+    ``_LOG_FLOOR``, and SupportViolation is raised where Q keeps mass
+    above 1e-12 while S is below 1e-300.  Each is first bounded on the
+    axes; ln <Q> and ln S are formed only on the rows where a bound could
+    fail.
 
     The first level has a quarter of ``spec.radial_nodes`` in r and an
     eighth in s (at least two panels each): 96 x 48, then 192 x 96, at the
@@ -491,36 +536,114 @@ def _run_triangle(evaluator, reference, factor_of_log, spec: QuadratureSpec,
     """
     cutoff = gamma_tail_threshold(evaluator.radial_gamma_shape + 1.0, evaluator.radial_rate,
                                   _tail_mass(spec))
+    slope = factor.slope
+    # The coefficient of -r_i^2 s_j^2 / 2 in the factor: the slope's share
+    # of <Q ln Q> / <Q>, cancelled by -ln S when there is a reference.
+    cross_slope = slope - (reference is not None)
+    if reference is not None:
+        fa, fb = reference.factor_a, reference.factor_b
 
-    def reference_logs(r, s):
-        r_b = np.outer(r, s)
-        log_a, log_b = reference.factor_a.log_q_radial, reference.factor_b.log_q_radial
-        logs = log_a(r)[:, None] + log_b(r_b)
-        if reference.factor_a is reference.factor_b:
-            under = np.flatnonzero(logs < LOG_TINY)
-            np.maximum(logs, _LOG_FLOOR, out=logs)
-        else:
-            logs_ba = log_a(r_b) + log_b(r)[:, None]
-            under = np.flatnonzero((logs < LOG_TINY) | (logs_ba < LOG_TINY))
-            logs = 0.5 * (np.maximum(logs, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
-        return logs.ravel(), under
-
-    def layout(level):
+    def axes(level):
         r, wr = _panel_nodes(0.0, cutoff, level[0])
         s, ws = _panel_nodes(0.0, 1.0, level[1], graded=True)
+        return (r.size, s.size), r.size * s.size, (r, wr, s, ws)
 
-        def run():
-            log_mass, log_factor = evaluator.angle_averaged_logs(r, s)
-            logs = None if reference is None else reference_logs(r, s)
-            terms = _node_terms(log_mass.ravel(), log_factor.ravel(), factor_of_log, logs)
-            weight = np.outer(2.0 * wr * r**3, ws * s).ravel()
-            return float(np.multiply(terms, weight, out=terms).sum())
+    def evaluate(grids):
+        r, wr, s, ws = (np.concatenate(axis) for axis in zip(*grids))
+        a, b, c = evaluator.angle_averaged_logs(r, s)
+        half_sq = 0.5 * r * r
+        s_sq = s * s
+        # On row i, -r_i^2 s_j^2 / 2 is at least -cross_max_i.
+        cross_max = half_sq * s_sq.max()
+        mass_floor = a + b.min() - cross_max
+        # A level's integral is sum_ik row_terms_ik (E @ col_terms)_ik, less
+        # sum_i p_i ((remainder * E) @ q)_i with a reference.
+        p = 2.0 * wr * r**3 * np.exp(a)
+        q = ws * s * np.exp(b)
+        coef = factor.offset + slope * a
+        if reference is not None:
+            log_sa = fa.log_q_radial(r)
+            log_sb = log_sa if fa is fb else fb.log_q_radial(r)
+            log_s = 0.5 * (log_sa + log_sb)
+            coef -= log_s
+        row_terms = np.empty((r.size, 3))
+        np.multiply(p, coef, out=row_terms[:, 0])
+        np.multiply(p, slope, out=row_terms[:, 1])
+        np.multiply(p, -cross_slope * half_sq, out=row_terms[:, 2])
+        col_terms = np.empty((s.size, 3))
+        col_terms[:, 0] = q
+        np.multiply(q, c, out=col_terms[:, 1])
+        np.multiply(q, s_sq, out=col_terms[:, 2])
 
-        return (r.size, s.size), r.size * s.size, run
+        def level(rows, cols):
+            def cross(at=slice(None)):
+                # -r_i^2 s_j^2 / 2 on the rows ``at`` of the level
+                row = -half_sq[rows][at]
+                return _outer_sum([(row, s_sq[cols])], (row.size, s_sq[cols].size))
+
+            def log_mass(at):
+                block = cross(at)
+                block += a[rows][at, None]
+                block += b[cols]
+                return block
+
+            gauss = cross()
+            np.exp(gauss, out=gauss)
+            if mass_floor[rows].min() <= LOG_TINY:
+                dead = np.flatnonzero(mass_floor[rows] <= LOG_TINY)
+                gauss[dead] = np.where(log_mass(dead) <= LOG_TINY, 0.0, gauss[dead])
+            value = np.vdot(row_terms[rows], gauss @ col_terms[cols])
+            if reference is not None:
+                remainder = reference_remainder(rows, cols, cross, log_mass)
+                remainder *= gauss
+                value -= np.dot(p[rows], remainder @ q[cols])
+            return float(value)
+
+        def reference_remainder(rows, cols, cross, log_mass):
+            # ln S = log_s_i - r_i^2 s_j^2 / 2 + remainder_ij, the two orders
+            # averaged.  Order (a, b) is at least
+            # log_sa_i - cross_max_i + min remainder_b on row i, and order
+            # (b, a) likewise.
+            r_k, s_k = r[rows], s[cols]
+            remainder = fb.log_q_remainder(r_k, s_k)
+            floor = log_sa[rows] - cross_max[rows] + remainder.min()
+            if fa is not fb:
+                remainder_a = fa.log_q_remainder(r_k, s_k)
+                floor = np.minimum(floor, log_sb[rows] - cross_max[rows] + remainder_a.min())
+                remainder += remainder_a
+                remainder *= 0.5
+            if floor.min() >= LOG_TINY:
+                return remainder
+            # The rule of ``_density_terms`` on the rows the bound flags,
+            # then ln S put back in the remainder's form.
+            at = np.flatnonzero(floor < LOG_TINY)
+            r_b = np.outer(r_k[at], s_k)
+            logs = log_sa[rows][at, None] + fb.log_q_radial(r_b)
+            if fa is fb:
+                under = logs < LOG_TINY
+                np.maximum(logs, _LOG_FLOOR, out=logs)
+            else:
+                logs_ba = fa.log_q_radial(r_b) + log_sb[rows][at, None]
+                under = (logs < LOG_TINY) | (logs_ba < LOG_TINY)
+                logs = 0.5 * (np.maximum(logs, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
+            _check_support(log_mass(at)[under])
+            logs -= log_s[rows][at, None]
+            logs -= cross(at)
+            remainder[at] = logs
+            return remainder
+
+        values = []
+        i = j = 0
+        for r_k, _, s_k, _ in grids:
+            values.append(level(slice(i, i + r_k.size), slice(j, j + s_k.size)))
+            i += r_k.size
+            j += s_k.size
+        return values
 
     radial = max(2 * _PANEL_NODES, spec.radial_nodes // 4)
     base = (radial, max(2 * _PANEL_NODES, radial // 2))
-    return _escalated(layout, base, lambda lv: (2 * lv[0], 2 * lv[1]), spec, what)
+    grow = lambda lv: (2 * lv[0], 2 * lv[1])
+    return _escalated(_pair_first_levels(axes, evaluate, base, grow), base, grow, spec, what)
 
 
 def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
@@ -579,22 +702,27 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     """Integral of Q (factor_of_log(ln Q) - ln S) over phase space.
 
     Q is the density of ``evaluator`` and S that of ``reference``; without
-    a reference the ln S term is dropped.  ``factor_of_log(logq, out=None)``
-    returns a scalar or an array; it may write into ``out`` (which the
-    kernel sets to ``logq`` itself) or return ``logq`` unchanged.  Every
-    runner hands its nodes to one kernel, ``_node_terms``: it clamps
-    ln S at twice the underflow log, and raises SupportViolation at the
-    first level where some node carries appreciable Q mass (above 1e-12)
-    while S has underflowed (below 1e-300), so a divergence is reported
-    even when the tolerance would not have been reached either.
+    a reference the ln S term is dropped.  ``factor_of_log`` is an
+    ``_AffineFactor``, offset + slope ln Q: the "noon" triangle reads the
+    two numbers, and the other runners call it as
+    ``factor_of_log(logq, out=None)``, which returns a scalar or an array;
+    it may write into ``out`` (which the kernel sets to ``logq`` itself)
+    or return ``logq`` unchanged.  Every runner clamps ln S at twice the
+    underflow log, and raises SupportViolation at the first level where
+    some node carries appreciable Q mass (above 1e-12) while S has
+    underflowed (below 1e-300), so a divergence is reported even when
+    the tolerance would not have been reached either: the 1D and
+    cartesian runners through one kernel, ``_node_terms``, the triangle
+    on the rows its axis bounds flag.
 
     The runner is picked here, and only here, by ``kind`` alone: radial
     when every density is "radial", the "noon" triangle when the
     evaluator is "noon" and the reference is absent or a product of two
     radial factors, cartesian otherwise.  "radial" promises
-    ``log_q_radial``, ``radial_gamma_shape`` and ``radial_rate``; "noon"
-    promises an exchange-symmetric density with ``angle_averaged_logs(r,
-    s)`` on the triangle axes r_A = r, r_B = s r and the same two tail
+    ``log_q_radial``, ``radial_gamma_shape`` and ``radial_rate`` (and
+    ``RadialHusimi`` adds ``log_q_remainder``); "noon" promises an
+    exchange-symmetric density with ``angle_averaged_logs(r, s)``, axis
+    factors on the triangle axes r_A = r, r_B = s r, and the same two tail
     parameters; "gaussian" promises that ln Q is exactly quadratic, with
     the covariance and mean ``gaussian_envelope`` returns (see
     ``_cartesian``).
@@ -635,16 +763,29 @@ def _cartesian(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     return _run_cartesian(evaluator.dim, envelope, terms, nodes_per_dim, spec, what)
 
 
-def _entropy_factor(logq, out=None):
-    return np.negative(logq, out=out)
+@dataclass(frozen=True)
+class _AffineFactor:
+    """The factor offset + slope ln Q of a functional, at ln Q = ``logq``.
+
+    Every functional the engine integrates is affine in ln Q: the "noon"
+    triangle reads the two numbers, the other runners call the factor.
+    A call returns the scalar offset when the slope is 0, ``logq`` itself
+    at slope 1, and otherwise may write into ``out``.
+    """
+
+    offset: float
+    slope: float
+
+    def __call__(self, logq, out=None):
+        if self.slope == 0.0:
+            return self.offset
+        factor = logq if self.slope == 1.0 else np.multiply(logq, self.slope, out=out)
+        return factor + self.offset if self.offset else factor
 
 
-def _unit_factor(logq, out=None):
-    return 1.0
-
-
-def _log_factor(logq, out=None):
-    return logq
+_entropy_factor = _AffineFactor(0.0, -1.0)
+_unit_factor = _AffineFactor(1.0, 0.0)
+_log_factor = _AffineFactor(0.0, 1.0)
 
 
 def _multiply_masses(a: IntegralResult, b: IntegralResult) -> IntegralResult:
@@ -705,8 +846,8 @@ def integrate(f, spec: QuadratureSpec | None = None, *, dim: int = 2,
             )
         # ln Q = 0 and factor f: the kernel weighs f and zeroes underflowed weights.
         zeros = np.zeros(vals.shape)
-        return _node_terms(zeros, zeros, lambda logq, out=None: vals,
-                           log_weight=log_weight, out=log_weight)
+        return _node_terms(zeros, lambda logq, out=None: vals, log_weight=log_weight,
+                           out=log_weight)
 
     return _run_cartesian(dim, envelope, terms, spec.cartesian_nodes_per_dim, spec, "integral")
 

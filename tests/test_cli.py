@@ -313,6 +313,17 @@ def test_bipartite_noon_table():
         assert row["entangled"] == wehrlkit.entanglement_witness(state, spec).entangled
 
 
+def test_bipartite_noon_runs_up_to_fifty_excitations():
+    proc = run_cli("bipartite-noon", "--n-max", "50", "--format", "json")
+    assert proc.returncode == 0
+    rows = json.loads(proc.stdout)["rows"]
+    assert [row["n"] for row in rows] == list(range(51))
+    assert [row["entangled"] for row in rows] == [False] + [True] * 50
+    too_many = run_cli("bipartite-noon", "--n-max", "51")
+    assert too_many.returncode == 3
+    assert "--n-max: must be between 0 and 50" in too_many.stderr
+
+
 def test_unreachable_tolerance_exits_2():
     proc = run_cli("bipartite-noon", "--n-max", "1",
                    "--abs-tol", "1e-15", "--rel-tol", "1e-15",

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from wehrlkit import (
     EULER_GAMMA,
+    CovarianceModel,
     FockMixtureState,
     FockState,
     GaussianHusimi,
@@ -387,17 +388,35 @@ def test_mutual_information_below_quantum_value():
 
 
 def test_vacuum_noon_mutual_information_is_clamped_at_zero():
-    # the relative entropy of the vacuum against its own product of
-    # marginals is rounding noise on a value that vanishes, of either sign:
-    # -4.9e-18 at the default tolerance and +2.7e-18 at 1e-6
+    # on the triangle's axis factors the vacuum and its product of
+    # marginals share every log term, so the relative entropy is exactly
+    # zero at any tolerance, not rounding noise
     ev = evaluator_for(NoonState(0))
     m = marginal_husimi(ev, "a")
     for spec in (QuadratureSpec(), QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)):
         raw = relative_entropy(ev, ProductHusimi(m, m), spec)
-        assert 0.0 < abs(raw.value) < 1e-12
+        assert raw.value == 0.0
         mi = wehrl_mutual_information(ev, spec)
         assert mi.value == 0.0
         assert (mi.error_estimate, mi.nodes_used) == (raw.error_estimate, raw.nodes_used)
+
+
+def test_mutual_information_rounding_noise_is_clamped_at_zero():
+    # a product of two Gaussian modes against its own marginals: the joint
+    # quadratic form and the two marginal ones round differently, which
+    # leaves noise of either sign (-1.4e-16 and +4.5e-17 here) on a value
+    # that vanishes
+    raws = []
+    for diagonal in [(1.5, 1.5, 0.7, 0.7), (2.0, 0.8, 0.9, 1.7)]:
+        ev = GaussianHusimi(CovarianceModel.from_v(np.diag(diagonal), ModePartition(1, 1)))
+        raw = relative_entropy(ev, ProductHusimi(marginal_husimi(ev, "a"),
+                                                 marginal_husimi(ev, "b")))
+        assert 0.0 < abs(raw.value) < 1e-12
+        mi = wehrl_mutual_information(ev)
+        assert mi.value == 0.0
+        assert (mi.error_estimate, mi.nodes_used) == (raw.error_estimate, raw.nodes_used)
+        raws.append(raw.value)
+    assert min(raws) < 0.0 < max(raws)
 
 
 # ---------------------------------------------------------------------------

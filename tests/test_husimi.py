@@ -45,7 +45,7 @@ from wehrlkit import (
     tmss_covariance,
 )
 from wehrlkit.gaussian import ModePartition
-from wehrlkit.husimi import _hermite_steps, _hermite_zeros, _log_sum_exp
+from wehrlkit.husimi import _hermite_steps, _hermite_zeros, _log_sum_exp, _outer_sum
 
 from traced_marginal import QuadratureMarginalHusimi
 
@@ -283,7 +283,8 @@ def test_noon_angle_averaged_logs_match_a_brute_force_mean():
     # The evaluator takes the triangle axes r = max(r_A, r_B) and
     # s = min / max; pairs with r_B > r_A reach it through the exchange
     # symmetry, and the diagonal pairs sit on the edge s = 1.  Entry
-    # (i, j) of the result belongs to the radii (r_i, s_j r_i); entry
+    # (i, j), a_i + b_j - r_i^2 s_j^2 / 2 and a_i + c_j - r_i^2 s_j^2 / 2
+    # from the axis factors, belongs to the radii (r_i, s_j r_i); entry
     # (k, k) is checked at the pair it came from.
     m = 4096
     theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
@@ -291,11 +292,14 @@ def test_noon_angle_averaged_logs_match_a_brute_force_mean():
     r_axis = np.array([max(ra, rb) for ra, rb in pairs])
     s_axis = np.array([min(ra, rb) / max(ra, rb) for ra, rb in pairs])
     assert s_axis[2] == s_axis[3] == 1.0
-    for n in (0, 1, 3, 10):
+    cross = 0.5 * np.outer(r_axis**2, s_axis**2)
+    for n in (0, 1, 3, 10, 50):
         ev = NoonHusimi(n)
-        log_mean, q_log_q = ev.angle_averaged_logs(r_axis, s_axis)
-        assert log_mean.shape == q_log_q.shape == (len(pairs), len(pairs))
-        assert not np.shares_memory(log_mean, q_log_q)
+        a, b, c = ev.angle_averaged_logs(r_axis, s_axis)
+        assert a.shape == r_axis.shape and b.shape == c.shape == s_axis.shape
+        assert not (np.shares_memory(a, b) or np.shares_memory(a, c) or np.shares_memory(b, c))
+        log_mean = a[:, None] + b - cross
+        q_log_q = a[:, None] + c - cross
         for i, j in itertools.product(range(len(pairs)), repeat=2):
             ra, rb = pairs[i] if i == j else (r_axis[i], s_axis[j] * r_axis[i])
             pts = np.stack([np.full(m, ra), np.zeros(m), rb * np.cos(theta), rb * np.sin(theta)],
@@ -303,10 +307,10 @@ def test_noon_angle_averaged_logs_match_a_brute_force_mean():
             logq = ev.log_q(pts)
             q = np.exp(logq)
             assert abs(log_mean[i, j] - math.log(q.mean())) < 1e-12
-            # on the diagonal Q has a zero at one angle, where the midpoint
-            # rule for Q ln Q converges only as (m / n)^-3
+            # on the diagonal Q has a zero at each of n angles, where the
+            # midpoint rule for Q ln Q converges only as (m / n)^-3
             tol = 1e-9 if ra == rb else 1e-12
-            assert abs(q_log_q[i, j] - (q * logq).mean() / q.mean()) < tol
+            assert abs(q_log_q[i, j] - (q * logq).mean() / q.mean()) < tol, (n, i, j)
 
 
 def test_noon_marginals_are_one_instance():
@@ -351,6 +355,41 @@ def test_fock_radial_log_matches_decimal_truth(n, bound):
     got = FockHusimi(n).log_q_radial(r)
     assert (got[0] == -np.inf) == (n > 0)
     assert np.max(np.abs(got[1:] - want[1:])) <= bound
+
+
+@pytest.mark.parametrize("ev", [
+    FockHusimi(0), FockHusimi(1), FockHusimi(7), NoonMarginalHusimi(5), NoonMarginalHusimi(50),
+    FockMixtureHusimi([(0, 0.3), (4, 0.7)]), FockMixtureHusimi([(2, 0.2), (3, 0.3), (9, 0.5)]),
+    # e^(c_3 - c_0) r^6 overflows, so the default forms rho instead
+    FockMixtureHusimi([(0, 1e-310), (3, 1.0)]),
+    ThermalHusimi(0.4),
+], ids=lambda ev: f"{type(ev).__name__}{getattr(ev, 'weights', '')}")
+def test_radial_remainder_is_the_log_plus_the_vacuum_gaussian(ev):
+    # ln Q(rho) + rho^2 / 2 at rho = r_i s_j, against the logsumexp of
+    # the Fock terms; where the terms cancel to near 0 (Fock 7 at rho = 2.6
+    # gives -3.1e-5 from terms of size 13), both carry rounding of the
+    # terms' size
+    r = np.array([1e-3, 0.3, 1.0, 2.5, 7.0, 13.0])
+    s = np.array([1e-7, 1e-3, 0.2, 0.7, 1.0])
+    rho = np.outer(r, s)
+    if isinstance(ev, FockMixtureHusimi):
+        terms = [math.log(w) + 2 * k * np.log(rho) - k * math.log(2.0) - math.lgamma(k + 1)
+                 for k, w in ev.weights]
+        want = logsumexp(np.stack(terms), axis=0)
+    else:
+        want = ev.log_q_radial(rho) + 0.5 * rho * rho
+    got = ev.log_q_remainder(r, s)
+    assert got.shape == (r.size, s.size)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert not np.shares_memory(got, ev.log_q_remainder(r, s))
+
+
+def test_outer_sum_gives_the_numbers_of_the_outer_ufuncs():
+    rng = np.random.default_rng(7)
+    x, y = rng.normal(size=37) * 30.0, rng.normal(size=11)
+    shape = (x.size, y.size)
+    assert np.array_equal(_outer_sum([(x, y)], shape), np.multiply.outer(x, y))
+    assert np.array_equal(_outer_sum([(x, 1.0), (1.0, y)], shape), np.add.outer(x, y))
 
 
 def test_noon_marginal_agrees_with_numeric_trace():

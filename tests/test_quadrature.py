@@ -4,6 +4,7 @@ import functools
 import logging
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from wehrlkit.husimi import (
     marginal_husimi,
 )
 from wehrlkit.quadrature import (
+    LOG_SUPPORT,
     LOG_TINY,
     _PANEL_NODES,
     _cartesian,
@@ -61,6 +63,7 @@ from wehrlkit.quadrature import (
     _log_factor,
     _panel_nodes,
     _tail_mass,
+    _unit_factor,
     _unit_panels,
 )
 
@@ -687,6 +690,138 @@ def test_a_same_density_reference_gives_the_two_order_mean(n):
     assert once == twice
 
 
+def _dense_triangle_level(rho, sigma, factor_of_log, n_r, n_s, cutoff, log_tiny=LOG_TINY,
+                          log_support=LOG_SUPPORT):
+    """One "noon" triangle level as a dense (n_r, n_s) integrand, node by node.
+
+    The reference the axis-factor runner is checked against:
+    ln <Q> and <Q ln Q> / <Q> of the NOON density in closed form on the
+    whole grid, ln S of the two reference orders at every node, clamped
+    at 2 ``log_tiny`` and averaged, a support check (Q above
+    e^``log_support``) where S is below e^``log_tiny``, exact zeros where
+    <Q> is at most e^``log_tiny``, and one weighted sum.
+    """
+    r, wr = _panel_nodes(0.0, cutoff, n_r)
+    s, ws = _panel_nodes(0.0, 1.0, n_s, graded=True)
+    n = rho.excitation
+    log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1) + math.log1p(n == 0)
+    log_mass = np.outer(-0.5 * r * r, 1.0 + s * s)
+    if n == 0:
+        log_mass += 2.0 * math.log(2.0) - log_norm
+        log_factor = log_mass.copy()
+    else:
+        log_mass += (2.0 * n * np.log(r) - log_norm)[:, None]
+        t = s ** (2 * n)
+        log_factor = log_mass + 2.0 * t / (1.0 + t)
+        log_mass += np.log1p(t)
+    factor = factor_of_log(log_factor, out=log_factor)
+    if sigma is not None:
+        r_b = np.outer(r, s)
+        log_a, log_b = sigma.factor_a.log_q_radial, sigma.factor_b.log_q_radial
+        ab = log_a(r)[:, None] + log_b(r_b)
+        ba = log_a(r_b) + log_b(r)[:, None]
+        if np.any(log_mass[(ab < log_tiny) | (ba < log_tiny)] > log_support):
+            raise SupportViolation("dense rule: mass where the reference underflows")
+        floor = 2.0 * log_tiny
+        factor = factor - 0.5 * (np.maximum(ab, floor) + np.maximum(ba, floor))
+    dead = log_mass <= log_tiny
+    terms = np.where(dead, 0.0, np.exp(log_mass) * np.where(dead, 0.0, factor))
+    return float(np.sum(terms * np.outer(2.0 * wr * r**3, ws * s)))
+
+
+# functional, reference for an excitation n (or None), factor of ln Q
+_TRIANGLE_CASES = {
+    "entropy": (entropy_functional, None, _entropy_factor),
+    "normalization": (normalization, None, _unit_factor),
+    # two equal instances, so the runner forms both orders
+    "marginals": (relative_entropy,
+                  lambda n: ProductHusimi(NoonMarginalHusimi(n), NoonMarginalHusimi(n)),
+                  _log_factor),
+    # not exchange symmetric at all
+    "asymmetric": (relative_entropy, lambda n: ProductHusimi(FockHusimi(0), FockHusimi(1)),
+                   _log_factor),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TRIANGLE_CASES))
+@pytest.mark.parametrize("n", [0, 1, 5, 10, 50])
+def test_axis_factor_levels_match_the_dense_rule(caplog, case, n):
+    # every level the runner logs against the dense integrand at the same
+    # resolution and cutoff
+    run, reference, factor_of_log = _TRIANGLE_CASES[case]
+    rho, sigma = NoonHusimi(n), reference and reference(n)
+    spec = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-7)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        res = run(rho, spec=spec) if sigma is None else run(rho, sigma, spec)
+    levels = [rec.args[1:4] for rec in caplog.records if rec.levelno == logging.DEBUG]
+    assert len(levels) >= 2
+    cutoff = gamma_tail_threshold(n + 1.0, 1.0, _tail_mass(spec))
+    dense = []
+    for (n_r, n_s), nodes, value in levels:
+        assert n_r * n_s == nodes
+        dense.append(_dense_triangle_level(rho, sigma, factor_of_log, n_r, n_s, cutoff))
+        assert abs(value - dense[-1]) < 1e-13
+    assert abs(res.value - dense[-1]) < 1e-13
+    assert abs(res.error_estimate - abs(dense[-1] - dense[-2])) < 1e-13
+
+
+@pytest.mark.parametrize("run, factor_of_log", [(entropy_functional, _entropy_factor),
+                                                 (normalization, _unit_factor)],
+                         ids=["entropy", "normalization"])
+def test_triangle_nodes_below_the_mass_floor_contribute_exactly_zero(monkeypatch, run,
+                                                                    factor_of_log):
+    # With the floor raised from 1e-300 to 1e-3, 8,225 of the 18,432
+    # nodes of the N = 5 density's second level fall under it, 2% of its
+    # mass.  The axis bound clears 48 of the 192 rows and flags the rest;
+    # the level must be the dense rule with those nodes zeroed, well away
+    # from the level under the usual floor.
+    log_tiny = math.log(1e-3)
+    spec = QuadratureSpec(abs_tol=1.0, rel_tol=1.0)
+    rho = NoonHusimi(5)
+    cutoff = gamma_tail_threshold(6.0, 1.0, _tail_mass(spec))
+    usual = run(rho, spec).value
+    monkeypatch.setattr("wehrlkit.quadrature.LOG_TINY", log_tiny)
+    res = run(rho, spec)
+    want = _dense_triangle_level(rho, None, factor_of_log, 192, 96, cutoff, log_tiny)
+    assert abs(res.value - want) < 1e-13
+    assert abs(res.value - usual) > 0.01
+
+
+@pytest.mark.parametrize("sigma", [
+    ProductHusimi(NoonMarginalHusimi(5), NoonMarginalHusimi(5)),
+    ProductHusimi(FockHusimi(0), FockHusimi(1)),
+], ids=["marginals", "asymmetric"])
+def test_triangle_clamps_the_reference_log_like_the_dense_rule(monkeypatch, sigma):
+    # With the underflow threshold raised to 1e-3 (the clamp to 1e-6) and
+    # the support check disarmed, the reference falls under the threshold
+    # on rows the axis bound flags, and the clamped ln S changes the value;
+    # the level must still be the dense rule under the same thresholds.
+    log_tiny = math.log(1e-3)
+    spec = QuadratureSpec(abs_tol=1.0, rel_tol=1.0)
+    rho = NoonHusimi(5)
+    cutoff = gamma_tail_threshold(6.0, 1.0, _tail_mass(spec))
+    usual = relative_entropy(rho, sigma, spec).value
+    monkeypatch.setattr("wehrlkit.quadrature.LOG_TINY", log_tiny)
+    monkeypatch.setattr("wehrlkit.quadrature._LOG_FLOOR", 2.0 * log_tiny)
+    monkeypatch.setattr("wehrlkit.quadrature.LOG_SUPPORT", math.inf)
+    res = relative_entropy(rho, sigma, spec)
+    want = _dense_triangle_level(rho, sigma, _log_factor, 192, 96, cutoff, log_tiny, math.inf)
+    assert abs(res.value - want) < 1e-13
+    assert abs(res.value - usual) > 0.01
+
+
+def test_triangle_support_violation_is_raised_before_any_level(caplog):
+    # Q_200 of the reference factors is below 1e-300 wherever a radius is
+    # under about 9, where the N = 1 density has its mass
+    sigma = ProductHusimi(FockHusimi(200), FockHusimi(200))
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        with pytest.raises(SupportViolation):
+            relative_entropy(NoonHusimi(1), sigma)
+    assert not [rec for rec in caplog.records if "level" in rec.getMessage()]
+    assert wehrl_relative_entropy(NoonHusimi(1), sigma) == math.inf
+
+
 def test_integrate_validates_dimension_and_shape():
     with pytest.raises(ValueError):
         integrate(lambda pts: np.ones(pts.shape[0]), dim=0)
@@ -960,6 +1095,24 @@ def test_noon_rows_converge_on_the_first_two_triangle_levels(caplog, n, tol):
         assert res.nodes_used == 23_040
         finer = fn(state, QuadratureSpec(radial_nodes=800, abs_tol=tol, rel_tol=tol))
         assert abs(res.value - finer.value) <= res.error_estimate + finer.error_estimate
+
+
+@pytest.mark.parametrize("fn, arrays", [(wehrl_quadrature, 2.5), (wehrl_mutual_information, 3.5)],
+                         ids=["joint", "mutual-information"])
+def test_noon_triangle_peak_memory_stays_within_a_few_finest_arrays(fn, arrays):
+    # a level holds E = exp(-r^2 s^2 / 2) and, against a reference, the
+    # reference's remainder: about one and two arrays of the finest level
+    # (192 x 96 at tol 1e-6), where a dense level needs five and six
+    state = NoonState(5)
+    spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+    fn(state, spec)  # fill the caches of layouts and cutoffs first
+    tracemalloc.start()
+    try:
+        fn(state, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 192 * 96 * 8
 
 
 def test_a_tight_noon_mutual_information_takes_a_third_level(caplog):
