@@ -68,10 +68,6 @@ _EUR_COLUMNS = (
 
 _ASYMPTOTIC_COLUMNS = ("wl_lhs_asymptotic", "bbm_lhs_asymptotic")
 
-# Settings named differently on the command line and in QuadratureSpec.
-_SPEC_FIELD = {"cartesian_nodes": "cartesian_nodes_per_dim"}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one invocation."""
@@ -122,7 +118,6 @@ _SETTINGS = {
     "abs_tol": (_positive_float, None),
     "rel_tol": (_positive_float, None),
     "radial_nodes": (_bounded_int(16, 100_000), None),
-    "cartesian_nodes": (_bounded_int(2, 256), None),
     "max_escalations": (_bounded_int(0, 8), None),
     "parallelism": (_bounded_int(1, 64), None),
 }
@@ -171,7 +166,7 @@ def _add_common_args(sub):
     sub.add_argument("--config", default=None, metavar="FILE",
                      help="JSON file of default settings; explicit flags win")
     group = sub.add_argument_group("quadrature")
-    for key in ("abs_tol", "rel_tol", "radial_nodes", "cartesian_nodes", "max_escalations"):
+    for key in ("abs_tol", "rel_tol", "radial_nodes", "max_escalations"):
         flag(group, key)
     flag(group, "parallelism",
          help="worker threads for independent chunks; results do not depend on this")
@@ -213,8 +208,7 @@ def _run_config(args) -> RunConfig:
                     if getattr(args, key) is not None)
     fmt = settings.pop("format", "csv")
     output = settings.pop("output", None)
-    spec = QuadratureSpec(**{_SPEC_FIELD.get(key, key): value
-                             for key, value in settings.items()})
+    spec = QuadratureSpec(**settings)
     return RunConfig(command=args.command, fmt=fmt, output=output, spec=spec)
 
 

@@ -297,40 +297,57 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool 
     return x, w
 
 
-def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralResult:
-    """Run doubling resolutions until two levels agree.
+def _escalated(axes, evaluate, base, grow, spec: QuadratureSpec, what: str) -> IntegralResult:
+    """Run doubling resolutions until two levels agree: the one refinement driver.
 
-    ``layout(level)`` returns the resolution it lays out for that level
-    (nodes per axis, or a tuple of them), its number of nodes and a
-    callable that evaluates it; ``grow`` steps the requested level.  A
-    level is refused before it runs when it holds more than
-    ``_MAX_LEVEL_NODES`` nodes, or when ``grow`` returns the level
-    unchanged because the rule has no finer one; the refusal is logged at
-    INFO and raised as ToleranceNotReached ("node ceiling") carrying the
-    result of the last level run (None when the base level is refused).
-    Each level that runs is logged at DEBUG with its laid-out resolution,
-    nodes, value and seconds.  A run may also evaluate the next level
-    (the 1D runner and the triangle evaluate their first two levels in
-    one call, see ``_pair_first_levels``): its seconds then cover both,
-    and the next level's run returns the stored value, so its record
-    keeps its own resolution, nodes and value.
+    ``axes(level)`` lays out a level: it returns the resolution (nodes per
+    axis, or a tuple of them), the number of nodes and the level's grid.
+    ``evaluate(grids)`` returns the value of each grid it is given, and
+    ``grow`` steps the requested level.  Every integral runs its base
+    level and the first doubling, so the two go to one ``evaluate`` call
+    when ``grow`` gives a finer level and that level fits
+    ``_MAX_LEVEL_NODES``; otherwise the base level runs alone.  Every
+    later level takes a call of its own, and each level is laid out once,
+    only when it is about to run or be refused.  A level is refused when it
+    holds more than ``_MAX_LEVEL_NODES`` nodes, or when ``grow`` returns
+    the level unchanged because the rule has no finer one; the refusal is
+    logged at INFO and raised as ToleranceNotReached ("node ceiling")
+    carrying the result of the last level run (None when the base level
+    is refused).  Each level that runs is logged at DEBUG with its
+    laid-out resolution, nodes, value and the seconds of its call; in a
+    joint call the base level's seconds cover both levels and the doubled
+    level logs 0.
     """
     result = None
     refinements = 0
-    level = base
+    level, ahead = base, None
     while True:
-        resolution, nodes, run = layout(level)
+        resolution, nodes, grid = ahead or axes(level)
         if nodes > _MAX_LEVEL_NODES:
             _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
                       what, resolution, nodes, _MAX_LEVEL_NODES)
             break
+        batch, ahead = [(level, resolution, nodes, grid)], None
+        finer = grow(level)
+        if result is None and finer != level:
+            # The base level never settles alone: its doubling joins its
+            # call when it fits, and is otherwise refused next, as laid out.
+            ahead = axes(finer)
+            if ahead[1] <= _MAX_LEVEL_NODES:
+                batch.append((finer, *ahead))
+                ahead = None
         start = time.perf_counter()
-        value = float(run())
-        _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
-                   what, resolution, nodes, value, time.perf_counter() - start)
-        if result is None:
-            result = IntegralResult(value, math.inf, nodes)
-        else:
+        values = evaluate([grid for *_, grid in batch])
+        seconds = time.perf_counter() - start
+        # ``level`` ends as the last level run.
+        for (level, resolution, nodes, _), value in zip(batch, values):
+            value = float(value)
+            _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
+                       what, resolution, nodes, value, seconds)
+            seconds = 0.0
+            if result is None:
+                result = IntegralResult(value, math.inf, nodes)
+                continue
             err = abs(value - result.value)
             result = IntegralResult(value, err, result.nodes_used + nodes)
             if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
@@ -342,51 +359,16 @@ def _escalated(layout, base, grow, spec: QuadratureSpec, what: str) -> IntegralR
                     f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
                     result=result,
                 )
-        level_next = grow(level)
-        if level_next == level:
+        if grow(level) == level:
             _log.info("%s: level %s is the finest this rule allows", what, resolution)
             break
-        level = level_next
+        level = grow(level)
     err = math.inf if result is None else result.error_estimate
     raise ToleranceNotReached(
         f"{what}: node ceiling reached at error {err:.3e} "
         f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
         result=result,
     )
-
-
-def _pair_first_levels(axes, evaluate, base, grow):
-    """An ``_escalated`` layout whose base level also evaluates its first doubling.
-
-    Every integral runs the base level and its first doubling, so both are
-    laid out together and evaluated by one call: ``axes(level)`` returns
-    the laid-out resolution, the node count and the level's grid, and
-    ``evaluate(grids)`` the value of each grid it is given.  That call
-    happens in the base level's run, so its DEBUG seconds cover both
-    levels, and the doubled level logs its stored value.  A doubled level
-    over ``_MAX_LEVEL_NODES`` is never evaluated: the base level then runs
-    alone.  Later escalations make one call per level.
-    """
-    stored = {}
-
-    def layout(level):
-        if level in stored:
-            resolution, nodes, value = stored.pop(level)
-            return resolution, nodes, lambda: value
-        resolution, nodes, grid = axes(level)
-        if level == base:
-            doubled = grow(level)
-            resolution_2, nodes_2, grid_2 = axes(doubled)
-            if nodes_2 <= _MAX_LEVEL_NODES:
-                def run_both():
-                    value, stored_value = evaluate([grid, grid_2])
-                    stored[doubled] = resolution_2, nodes_2, stored_value
-                    return value
-
-                return resolution, nodes, run_both
-        return resolution, nodes, lambda: evaluate([grid])[0]
-
-    return layout
 
 
 def _check_support(log_mass):
@@ -465,12 +447,9 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
     Each level's layout is a scaled copy of cached unit rules (see
     ``_panel_nodes``), not rebuilt panel by panel.  Level j lays out
     ``spec.radial_nodes`` with every panel of the base level halved j
-    times.
-
-    The base level and its first doubling are evaluated together (see
-    ``_pair_first_levels``): ``terms`` is called once on their joined
-    nodes, and each level is then reduced with its own weights, to the
-    bits of a call per level.
+    times.  ``terms`` is called once on the joined nodes of the levels
+    ``_escalated`` evaluates together, and each level is then reduced
+    with its own weights, to the bits of a call per level.
     """
     mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
     cutoff = gamma_tail_threshold(shape, rate, mass)
@@ -490,8 +469,7 @@ def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool
             values.append(np.dot(w, level_t * x) if radial else 2.0 * float(np.dot(w, level_t)))
         return values
 
-    layout = _pair_first_levels(axes, evaluate, 0, lambda level: level + 1)
-    return _escalated(layout, 0, lambda level: level + 1, spec, what)
+    return _escalated(axes, evaluate, 0, lambda level: level + 1, spec, what)
 
 
 def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
@@ -517,9 +495,9 @@ def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
     (r_A, r_B) and at (r_B, r_A).  Its Gaussian -r_B^2 / 2 cancels the
     density's, so only its ``log_q_remainder`` at r_i s_j is a second
     (len r, len s) array.  When both factors are one evaluator the two
-    orders coincide and each is evaluated once.  The base level and its
-    first doubling share one pass over the joined axes (see
-    ``_pair_first_levels``); only the 2D work is done per level.
+    orders coincide and each is evaluated once.  Levels that
+    ``_escalated`` evaluates together share one pass over the joined
+    axes; only the 2D work is done per level.
 
     The rules of ``_node_terms`` hold: a node whose mass ln <Q> is at or
     below ln 1e-300 contributes exactly 0, ln S is clamped at
@@ -642,8 +620,7 @@ def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
 
     radial = max(2 * _PANEL_NODES, spec.radial_nodes // 4)
     base = (radial, max(2 * _PANEL_NODES, radial // 2))
-    grow = lambda lv: (2 * lv[0], 2 * lv[1])
-    return _escalated(_pair_first_levels(axes, evaluate, base, grow), base, grow, spec, what)
+    return _escalated(axes, evaluate, base, lambda lv: (2 * lv[0], 2 * lv[1]), spec, what)
 
 
 def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
@@ -687,9 +664,9 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
         parts = _map_chunks(do_chunk, starts, spec.parallelism)
         return math.exp(log_pref) * math.fsum(parts)
 
-    layout = lambda m: (m, m**dim, functools.partial(run, m))
-    grow = lambda m: min(2 * m, 384)
-    return _escalated(layout, min(nodes_per_dim, 384), grow, spec, what)
+    # Each level is its own sum of chunks, whether or not it shares a call.
+    return _escalated(lambda m: (m, m**dim, m), lambda ms: [run(m) for m in ms],
+                      min(nodes_per_dim, 384), lambda m: min(2 * m, 384), spec, what)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from wehrlkit import (
     simon_pure_separability,
     tmss_covariance,
 )
-from wehrlkit.cli import _SETTINGS, _SPEC_FIELD, _load_config, _run_config, build_parser, main
+from wehrlkit.cli import _SETTINGS, _load_config, _run_config, build_parser, main
 
 # The CLI subprocesses import the same wehrlkit as the tests.
 _SRC = os.path.dirname(os.path.dirname(wehrlkit.__file__))
@@ -389,6 +389,12 @@ VACUUM_1_1 = json.dumps({"v": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
                  None, id="flag-strategy-auto"),
     pytest.param('{"strategy": "auto"}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
                  None, id="config-strategy-auto"),
+    # the one cartesian integral a command runs is all-"gaussian", at two
+    # nodes per axis whatever the node count, so the count is not a setting
+    pytest.param('{"cartesian_nodes": 24}', ["eur-fock", "--n-max", "0", "--config", "{file}"],
+                 None, id="config-cartesian-nodes"),
+    pytest.param(None, ["bipartite-tmss", "--lambda-grid", "0.3", "--cartesian-nodes", "24"],
+                 None, id="flag-cartesian-nodes"),
 ])
 def test_malformed_input_exits_3_with_message(tmp_path, text, argv, env):
     path = tmp_path / "input.json"
@@ -404,10 +410,12 @@ def test_malformed_input_exits_3_with_message(tmp_path, text, argv, env):
 
 
 def test_quadrature_settings_match_the_spec_fields_one_to_one():
-    # every spec field can be set from the CLI, and every CLI quadrature
-    # setting reaches a spec field
-    quadrature = [_SPEC_FIELD.get(key, key) for key in _SETTINGS if key not in ("format", "output")]
-    assert sorted(quadrature) == sorted(f.name for f in dataclasses.fields(QuadratureSpec))
+    # every CLI quadrature setting is a spec field of the same name, and
+    # every spec field is a setting but the cartesian node count, which
+    # no command's output depends on
+    quadrature = [key for key in _SETTINGS if key not in ("format", "output")]
+    fields = [f.name for f in dataclasses.fields(QuadratureSpec)]
+    assert sorted(quadrature) == sorted(set(fields) - {"cartesian_nodes_per_dim"})
 
 
 def test_readme_config_example_names_every_setting(tmp_path):

@@ -635,6 +635,17 @@ def test_levels_and_the_cartesian_cap_are_logged(caplog, monkeypatch):
     assert len(capped) == 1
     assert str(budget) in capped[0].getMessage() and "16" in capped[0].getMessage()
 
+    # a base level whose doubling is over the budget runs alone, in one call
+    calls = []
+    counted = lambda pts: calls.append(pts.shape) or cusp(pts)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
+        with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+            integrate(counted, QuadratureSpec(cartesian_nodes_per_dim=8), dim=4)
+    assert [rec.args[2] for rec in caplog.records if rec.levelno == logging.DEBUG] == [8**4]
+    assert calls == [(8**4, 4)]
+    assert err.value.result.nodes_used == 8**4
+
     # the base level is checked too: 24^4 nodes never run
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
@@ -651,6 +662,15 @@ def test_the_per_axis_ceiling_stops_like_the_budget(caplog):
             integrate(cusp, QuadratureSpec(cartesian_nodes_per_dim=192), dim=1)
     assert err.value.result.nodes_used == 192 + 384
     assert len(caplog.records) == 1
+
+    # a base level at the ceiling has no doubling to share its call with:
+    # it runs once
+    calls = []
+    counted = lambda pts: calls.append(pts.shape) or cusp(pts)
+    with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
+        integrate(counted, QuadratureSpec(cartesian_nodes_per_dim=384), dim=1)
+    assert calls == [(384, 1)]
+    assert err.value.result.nodes_used == 384
 
 
 def test_polar_runner_stops_at_the_node_budget(caplog, monkeypatch):
