@@ -94,9 +94,11 @@ from .husimi import (
 from .quadrature import (
     IntegralResult,
     QuadratureSpec,
+    density_entropies_1d,
     density_entropy_1d,
     density_normalization_1d,
     entropy_functional,
+    entropy_functionals,
     gamma_tail_threshold,
     integrate,
     normalization,

@@ -51,7 +51,7 @@ from .gaussian import (
     wehrl_gaussian_local,
 )
 from .husimi import NoonMarginalHusimi
-from .quadrature import QuadratureSpec, entropy_functional
+from .quadrature import QuadratureSpec, entropy_functional, entropy_functionals
 from .states import GaussianState, NoonState, TwoModeSqueezedState, state_to_dict
 
 _EUR_COLUMNS = (
@@ -269,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fmt_cell(value) -> str:
+    if type(value) is float:
+        return f"{value:.12g}"
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -409,9 +411,17 @@ def cmd_bipartite_noon(args, run: RunConfig) -> int:
         "entangled",
     )
     rows = []
-    for n in range(args.n_max + 1):
+    try:
+        marginals = entropy_functionals(
+            [NoonMarginalHusimi(n) for n in range(args.n_max + 1)], run.spec)
+    except ToolkitError:
+        # Each row integrates its own marginal again, so the error raised
+        # is the first failing row's, under its label.
+        marginals = [None] * (args.n_max + 1)
+    for n, marginal in enumerate(marginals):
         with grid_point(f"n={n}"):
-            marginal = entropy_functional(NoonMarginalHusimi(n), run.spec)
+            if marginal is None:
+                marginal = entropy_functional(NoonMarginalHusimi(n), run.spec)
             verdict = entanglement_witness(NoonState(n), run.spec)
         rows.append({
             "n": n,

@@ -120,7 +120,11 @@ def von_neumann(state: StateSpec) -> float:
 
     Thermal and Gaussian states sum g(nbar) over their modes (``von_neumann_gaussian``).
     """
-    validate(state)
+    return _von_neumann(validate(state))
+
+
+def _von_neumann(state: StateSpec) -> float:
+    """``von_neumann`` of a state already validated."""
     if isinstance(state, (FockState, TwoModeSqueezedState, NoonState)):
         return 0.0
     if isinstance(state, FockMixtureState):

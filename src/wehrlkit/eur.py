@@ -23,15 +23,15 @@ from typing import ClassVar
 
 from .entropies import (
     LN_PI,
+    _von_neumann,
     homodyne_entropy_thermal_closed,
-    von_neumann,
-    wehrl_closed,
+    wehrl_fock_closed,
     wehrl_fock_stirling,
-    wehrl_quadrature,
+    wehrl_thermal_closed,
 )
-from .errors import UnsupportedState, grid_point
-from .husimi import position_density_for
-from .quadrature import QuadratureSpec, density_entropy_1d
+from .errors import ToolkitError, UnsupportedState, grid_point
+from .husimi import evaluator_for, position_density_for
+from .quadrature import QuadratureSpec, density_entropies_1d, entropy_functionals
 from .states import (
     FockMixtureState,
     FockState,
@@ -98,23 +98,39 @@ def eur_report(state: StateSpec, spec: QuadratureSpec | None = None) -> EurRepor
     cross-check.  The homodyne entropy is closed-form for thermal states
     and integrated otherwise; the spectral entropy is always closed-form.
     """
-    validate(state)
-    if not isinstance(state, (FockState, FockMixtureState, ThermalState)):
-        raise UnsupportedState(
-            f"uncertainty sums are single-mode; got {type(state).__name__}"
-        )
-    quad = wehrl_quadrature(state, spec).value
-    try:
-        closed = wehrl_closed(state)
-    except UnsupportedState:
-        wehrl, delta = quad, None
-    else:
-        wehrl, delta = closed, abs(closed - quad)
-    if isinstance(state, ThermalState):
-        homodyne = homodyne_entropy_thermal_closed(state.beta_omega)
-    else:
-        homodyne = density_entropy_1d(position_density_for(state), spec).value
-    return EurReport(state, wehrl, homodyne, von_neumann(state), delta)
+    return _reports([validate(state)], spec)[0]
+
+
+def _reports(states, spec: QuadratureSpec | None) -> list[EurReport]:
+    """``eur_report`` of each valid state, every integral family in one stack.
+
+    Each state is routed once.  The phase-space entropies are one stack
+    (``entropy_functionals``) and the integrated homodyne entropies
+    another (``density_entropies_1d``), each to the bits of its integrals
+    one by one; the first failure raises.  The sweeps pass the states
+    they construct, which their constructors have validated.
+    """
+    for state in states:
+        if not isinstance(state, (FockState, FockMixtureState, ThermalState)):
+            raise UnsupportedState(
+                f"uncertainty sums are single-mode; got {type(state).__name__}"
+            )
+    quads = entropy_functionals([evaluator_for(state) for state in states], spec)
+    lines = iter(density_entropies_1d(
+        [position_density_for(s) for s in states if not isinstance(s, ThermalState)], spec))
+    reports = []
+    for state, quad in zip(states, quads):
+        quad = quad.value
+        if isinstance(state, ThermalState):
+            closed = wehrl_thermal_closed(state.beta_omega)
+            homodyne = homodyne_entropy_thermal_closed(state.beta_omega)
+        else:
+            closed = wehrl_fock_closed(state.n) if isinstance(state, FockState) else None
+            homodyne = next(lines).value
+        delta = None if closed is None else abs(closed - quad)
+        reports.append(EurReport(state, quad if closed is None else closed, homodyne,
+                                 _von_neumann(state), delta))
+    return reports
 
 
 def wl_lhs_stirling(n: int) -> float:
@@ -134,17 +150,31 @@ def bbm_lhs_asymptotic(n: int) -> float:
     return math.log(2.0 * math.pi * math.pi * n) - 2.0
 
 
-def _report_at(param, label: str, state: StateSpec, spec: QuadratureSpec | None):
-    """(param, report) of one grid point; a tolerance failure names the point."""
-    with grid_point(label):
-        return param, eur_report(state, spec)
+def _sweep(points, label: str, spec: QuadratureSpec | None):
+    """(param, report) of each (param, state) grid point, built as one batch.
+
+    If the batch fails, the points run again one by one, so the error
+    raised is the first failing point's, with ``label.format(param)`` in
+    front of a tolerance failure, as a point-by-point sweep raises it.
+    """
+    try:
+        reports = _reports([state for _, state in points], spec)
+    except ToolkitError:
+        reports = [None] * len(points)
+    out = []
+    for (param, state), report in zip(points, reports):
+        if report is None:
+            with grid_point(label.format(param)):
+                report = eur_report(state, spec)
+        out.append((param, report))
+    return out
 
 
 def eur_sweep_fock(n_max: int, spec: QuadratureSpec | None = None):
     """Reports for |0> through |n_max>, as (n, report) pairs."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    return [_report_at(n, f"n={n}", FockState(n), spec) for n in range(n_max + 1)]
+    return _sweep([(n, FockState(n)) for n in range(n_max + 1)], "n={}", spec)
 
 
 def _mixture_state(q: float) -> StateSpec:
@@ -162,7 +192,7 @@ def eur_sweep_mixture(steps: int = 51, spec: QuadratureSpec | None = None):
     if steps < 2:
         raise ValueError("a sweep needs at least two points")
     grid = [i / (steps - 1) for i in range(steps)]
-    return [_report_at(q, f"q={q:.6g}", _mixture_state(q), spec) for q in grid]
+    return _sweep([(q, _mixture_state(q)) for q in grid], "q={:.6g}", spec)
 
 
 def eur_sweep_thermal(beta_min: float = 0.05, beta_max: float = 20.0,
@@ -181,7 +211,7 @@ def eur_sweep_thermal(beta_min: float = 0.05, beta_max: float = 20.0,
         raise ValueError("a sweep needs at least two points")
     ratio = (beta_max / beta_min) ** (1.0 / (points - 1))
     grid = [beta_min * ratio**i for i in range(points)]
-    return [_report_at(b, f"beta_omega={b:.6g}", ThermalState(b), spec) for b in grid]
+    return _sweep([(b, ThermalState(b)) for b in grid], "beta_omega={:.6g}", spec)
 
 
 def mixture_crossover(spec: QuadratureSpec | None = None) -> float | None:

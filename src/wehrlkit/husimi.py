@@ -38,10 +38,19 @@ the radius and ``FockMixturePositionDensity`` on the line;
 ``FockHusimi``, ``NoonMarginalHusimi`` and ``FockPositionDensity`` only
 name their weights.  ``_hermite_steps`` is the one Hermite recurrence,
 of the line kernel and of the quadrature engine's Gauss-Hermite rule.
+
+The number-state and thermal densities also have stacked kernels,
+static methods ``stacked_log_q_radial(members, r, counts)`` and
+``stacked_log_f(members, x, counts)``: one call evaluates a stack of
+densities of the class, each on its own run of nodes, with the
+operations, and so the bits, of its own ``log_q_radial`` or ``log_f``.
+A subclass that changes one of such a pair must change the other.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -182,6 +191,52 @@ def _occupied(weights) -> tuple[tuple[int, float], ...]:
     return tuple(pairs)
 
 
+def _per_node(values, counts):
+    """One constant per stack member: a scalar when they all agree, else a per-node column."""
+    first = values[0]
+    for value in values:
+        if value != first:
+            return np.repeat(values, counts)
+    return first
+
+
+def _fock_mixture_log_q(r, twice_k0, c0, folds):
+    """ln Q of ``FockMixtureHusimi`` at r from its constants.
+
+    ``twice_k0`` is 2 k0, or None when the vacuum is occupied; ``folds``
+    holds the (gap, constant) pairs.  Each constant is a scalar, or a
+    per-node column for a stack.
+    """
+    if twice_k0 is not None or folds:
+        with np.errstate(divide="ignore"):
+            log_r = np.log(r)
+    # ln(e^acc + e^t) by the formula of np.logaddexp, in place on whole
+    # arrays: logaddexp applies it one element at a time, at 20-30 times
+    # the cost per element of np.exp.  acc starts as a constant, so it
+    # stays finite at r = 0, where every t is -inf.  Few buffers, each
+    # reused: every fresh one costs page faults on a large grid.
+    acc = c0
+    d = None
+    for gap, c in folds:
+        t = gap * log_r
+        t += c
+        d = np.subtract(acc, t, out=d)
+        np.abs(d, out=d)
+        np.negative(d, out=d)
+        np.log1p(np.exp(d, out=d), out=d)
+        acc = np.maximum(acc, t, out=t)
+        acc += d
+    log_q = np.multiply(r, r, out=d)
+    log_q *= -0.5
+    if twice_k0 is not None:
+        # -inf at r = 0; with the vacuum occupied the term is absent,
+        # not 0 * -inf.
+        log_r *= twice_k0
+        log_q += log_r
+    log_q += acc
+    return log_q
+
+
 class FockMixtureHusimi(RadialHusimi):
     """Q(r) = sum_k w_k Q_k(r) over the occupied number states k, in one pass.
 
@@ -209,33 +264,38 @@ class FockMixtureHusimi(RadialHusimi):
         r = np.asarray(r, dtype=float)
         if r.ndim == 0:
             return self.log_q_radial(r.reshape(1))[0]
-        if self._k0 or self._folds:
-            with np.errstate(divide="ignore"):
-                log_r = np.log(r)
-        # ln(e^acc + e^t) by the formula of np.logaddexp, in place on whole
-        # arrays: logaddexp applies it one element at a time, at 20-30 times
-        # the cost per element of np.exp.  acc starts as a constant, so it
-        # stays finite at r = 0, where every t is -inf.  Few buffers, each
-        # reused: every fresh one costs page faults on a large grid.
-        acc = self._c0
-        d = None
-        for gap, c in self._folds:
-            t = gap * log_r
-            t += c
-            d = np.subtract(acc, t, out=d)
-            np.abs(d, out=d)
-            np.negative(d, out=d)
-            np.log1p(np.exp(d, out=d), out=d)
-            acc = np.maximum(acc, t, out=t)
-            acc += d
-        log_q = np.multiply(r, r, out=d)
-        log_q *= -0.5
-        if self._k0:
-            # -inf at r = 0; with the vacuum occupied the term is absent,
-            # not 0 * -inf.
-            log_r *= 2.0 * self._k0
-            log_q += log_r
-        log_q += acc
+        return _fock_mixture_log_q(r, 2.0 * self._k0 if self._k0 else None, self._c0,
+                                   self._folds)
+
+    @staticmethod
+    def stacked_log_q_radial(members, r, counts):
+        """ln Q of a stack: the first ``counts[0]`` nodes of r are member 0's, and so on.
+
+        Consecutive members with the same branches, a nonzero k0 or not
+        and the same number of folds, form one run, evaluated in one pass
+        with k0, c_k0 and each fold's gap and constant as per-node columns
+        (a scalar where the run shares it).  Each node sees the operations
+        of its member's own ``log_q_radial``, so the stack gives its bits.
+        """
+        runs = [list(run) for _, run in itertools.groupby(
+            zip(members, counts), key=lambda pair: (pair[0]._k0 > 0, len(pair[0]._folds)))]
+        log_q = np.empty_like(r) if len(runs) > 1 else None
+        end = 0
+        for run in runs:
+            group, group_counts = zip(*run)
+            nodes = slice(end, end + sum(group_counts))
+            end = nodes.stop
+            folds = [(_per_node([m._folds[j][0] for m in group], group_counts),
+                      _per_node([m._folds[j][1] for m in group], group_counts))
+                     for j in range(len(group[0]._folds))]
+            twice_k0 = (_per_node([2.0 * m._k0 for m in group], group_counts)
+                        if group[0]._k0 else None)
+            run_log_q = _fock_mixture_log_q(r[nodes], twice_k0,
+                                            _per_node([m._c0 for m in group], group_counts),
+                                            folds)
+            if log_q is None:
+                return run_log_q
+            log_q[nodes] = run_log_q
         return log_q
 
     def log_q_remainder(self, r, s):
@@ -285,6 +345,16 @@ class ThermalHusimi(RadialHusimi):
     def log_q_radial(self, r):
         r = np.asarray(r, dtype=float)
         return math.log(self._rate) - 0.5 * self._rate * r * r
+
+    @staticmethod
+    def stacked_log_q_radial(members, r, counts):
+        """ln Q of a stack, each member's ln rate and rate / 2 a per-node column.
+
+        The nodes are laid out as for ``FockMixtureHusimi``, and each sees
+        the operations of its member's own ``log_q_radial``.
+        """
+        half_rate = _per_node([0.5 * m._rate for m in members], counts)
+        return _per_node([math.log(m._rate) for m in members], counts) - half_rate * r * r
 
 
 class GaussianHusimi(HusimiEvaluator):
@@ -509,26 +579,33 @@ def marginal_husimi(evaluator: HusimiEvaluator, keep: str = "a") -> HusimiEvalua
 _HERMITE_BLOCK = 8
 
 
-def _hermite_steps(n: int, x: np.ndarray, psi: np.ndarray):
+def _hermite_steps(n: int, x: np.ndarray, psi: np.ndarray, lengths=None):
     """Yield psi_0 .. psi_n at x by the stable normalized recurrence.
 
     ``psi`` is psi_0 at x (scaled as the caller likes: the recurrence is
     linear).  Each yielded array is a buffer that later steps overwrite,
-    so it must be used before the next one is requested.
+    so it must be used before the next one is requested.  With
+    ``lengths``, the step from psi_k to psi_(k+1) works on the first
+    ``lengths[k]`` entries of 1D arrays alone, a count that must not
+    grow with k: past it the buffers keep stale values.
     """
     psi_prev = np.zeros_like(x)
     yield psi
     c1 = np.sqrt(2.0 / np.arange(1.0, n + 1.0))
+    block = np.empty((min(n, _HERMITE_BLOCK),) + np.shape(x))
     for k in range(n):
+        head = ... if lengths is None else slice(lengths[k])
         if k % _HERMITE_BLOCK == 0:
-            # x c1 of the next steps in one call; a block of them, not all
-            # n, keeps the memory a few times that of x.
-            scaled = np.multiply.outer(c1[k:k + _HERMITE_BLOCK], x)
+            # x c1 of the next steps in one call, into one reused buffer; a
+            # block of them, not all n, keeps the memory a few times that of x.
+            c = c1[k:k + _HERMITE_BLOCK]
+            scaled = np.multiply.outer(c, x[head], out=block[:c.size, head])
         # psi_next = (x c1) psi - c2 psi_prev, written over psi_prev.
-        step = scaled[k % _HERMITE_BLOCK, ...]
-        step *= psi
-        psi_prev *= math.sqrt(k / (k + 1.0))
-        np.subtract(step, psi_prev, out=psi_prev)
+        step = scaled[k % _HERMITE_BLOCK][head]
+        step *= psi[head]
+        prev = psi_prev[head]
+        prev *= math.sqrt(k / (k + 1.0))
+        np.subtract(step, prev, out=prev)
         psi_prev, psi = psi, psi_prev
         yield psi
 
@@ -582,14 +659,15 @@ class FockMixturePositionDensity(PositionDensity):
     weighted squares are summed before the one log.  The recurrence
     starts from psi_0 e^(x^2/4), so the squares carry e^(x^2/2) and stay
     normal numbers where psi_k^2 alone would underflow (|x| above about
-    26), up to |x| of about 37.  ``weights`` are (k, w_k) pairs; those
-    with w_k = 0 are dropped.  The tail parameters are those of the
-    largest index.
+    26).  Past |x| of about 37 they can leave the float range: a density
+    whose sum overflows at some node (a number state of index 651 or
+    more, at the cutoff the line rule solves) raises UnsupportedState.
+    ``weights`` are (k, w_k) pairs; those with w_k = 0 are dropped.  The
+    tail parameters are those of the largest index.
     """
 
     def __init__(self, weights):
         self.weights = pairs = _occupied(weights)
-        self._weight_of = dict(pairs)
         self._top = top = pairs[-1][0]
         self.position_gamma_shape = float(top)
         # Decay exp(-x^2) means rate 2 in the exp(-rate x^2 / 2) convention.
@@ -610,18 +688,80 @@ class FockMixturePositionDensity(PositionDensity):
 
     def log_f(self, x):
         x = np.asarray(x, dtype=float)
-        half = -0.25 * x * x
-        total = np.zeros_like(x)
-        psi_0 = np.asarray(math.pi ** (-0.25) * np.exp(half))
-        for k, psi in enumerate(_hermite_steps(self._top, x, psi_0)):
-            w = self._weight_of.get(k)
-            if w is not None:
-                total += w * psi * psi
-        with np.errstate(divide="ignore"):
-            log_f = np.log(total, out=total)
-        half *= 2.0
-        log_f += half
-        return log_f
+        return _fock_mixture_log_f(x, [self._top], [x.size], None,
+                                   {k: (..., w) for k, w in self.weights})
+
+    @staticmethod
+    def stacked_log_f(members, x, counts):
+        """ln f of a stack: the first ``counts[0]`` nodes of x are member 0's, and so on.
+
+        The members come sorted by largest index, the largest first, so
+        one recurrence serves them all: the step to psi_(k+1) works only
+        on the prefix of members whose largest index passes k, and the
+        numpy calls grow with the largest index, not with the sum of the
+        indices.  The index-k terms are added on the nodes from the first
+        to the last member that has one, with w_k a per-node column (0 for
+        the members in between without it) unless one weight serves them
+        all.  Each node sees the operations of its member's own
+        ``log_f``, so the stack gives its bits.
+        """
+        tops = [m._top for m in members]
+        if tops != sorted(tops, reverse=True):
+            raise ValueError("a line stack needs its largest indices in descending order")
+        ends = list(itertools.accumulate(counts))
+        # Members 0 .. m - 1, whose largest index passes k, take step k.
+        lengths, m = [], len(members)
+        for k in range(tops[0]):
+            while tops[m - 1] <= k:
+                m -= 1
+            lengths.append(ends[m - 1])
+        weight_of = [dict(m.weights) for m in members]
+        have = {}
+        for i, weights in enumerate(weight_of):
+            for k in weights:
+                have.setdefault(k, []).append(i)
+        terms = {}
+        for k, at in have.items():
+            lo, hi = at[0], at[-1] + 1
+            w = [weights.get(k, 0.0) for weights in weight_of[lo:hi]]
+            terms[k] = (slice(ends[lo] - counts[lo], ends[hi - 1]), _per_node(w, counts[lo:hi]))
+        return _fock_mixture_log_f(x, tops, ends, lengths, terms)
+
+
+def _fock_mixture_log_f(x, tops, ends, lengths, terms):
+    """ln f at x of ``FockMixturePositionDensity`` members, laid out as a stack.
+
+    The members' largest indices ``tops`` descend, and member i's nodes
+    end at ``ends[i]``; ``lengths`` are the step lengths of
+    ``_hermite_steps`` and ``terms[k]`` the (nodes, w_k) of the index-k
+    terms.  A sum that leaves the float range raises UnsupportedState,
+    naming the member's index, before anything warns.
+    """
+    half = -0.25 * x * x
+    total = np.zeros_like(x)
+    psi_0 = np.asarray(np.exp(half))
+    psi_0 *= math.pi ** (-0.25)
+    square = np.empty_like(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, psi in enumerate(_hermite_steps(tops[0], x, psi_0, lengths)):
+            if k in terms:
+                at, w = terms[k]
+                part = psi[at]
+                term = np.multiply(part, w, out=square[at])
+                term *= part
+                total[at] += term
+    if not np.max(total) < math.inf:
+        bad = int(np.flatnonzero(~np.isfinite(total))[0])
+        raise UnsupportedState(
+            f"number-state index {tops[bisect.bisect_right(ends, bad)]}: the line kernel's "
+            f"Hermite recurrence carries e^(x^2/2) and leaves the float range "
+            f"(max {np.finfo(float).max:.3g}) at |x| = {abs(x.flat[bad]):.4g}"
+        )
+    with np.errstate(divide="ignore"):
+        log_f = np.log(total, out=total)
+    half *= 2.0
+    log_f += half
+    return log_f
 
 
 class FockPositionDensity(FockMixturePositionDensity):

@@ -23,6 +23,7 @@ axis factors, bounding each rule on the axes first.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 import time
@@ -59,6 +60,12 @@ _GRADED_WEIGHTS = _GL_WEIGHTS * 6.0 * _GL_UNIT * (1.0 - _GL_UNIT)
 # four-fold (triangle) or 2^dim-fold (cartesian) growth per level, one
 # more level can cost minutes and gigabytes.
 _MAX_LEVEL_NODES = 10**8
+# Most nodes one call of a stack's first levels may join (see
+# ``_escalated``): enough members that the fixed cost of a numpy call is
+# shared out, few enough that a chunk's arrays (the line kernel holds
+# about a dozen, and a block of eight rows) add under a megabyte to the
+# peak memory of a sweep.
+_STACK_CHUNK_NODES = 1 << 13
 # Whitened by its own envelope, an all-"gaussian" integrand is the Hermite
 # weight times a quadratic, which m-point Gauss-Hermite integrates exactly
 # for 2m - 1 >= 2.  The base level uses two nodes per axis; the next, at
@@ -277,46 +284,98 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool 
     plain rule gains only about a factor eight a doubling on such a panel,
     the graded one far more.
     """
-    edges = sorted({a, b, *(float(p) for p in breakpoints if a < float(p) < b)})
+    inner = sorted({p for p in map(float, breakpoints) if a < p < b})
     total = b - a
     n_panels = max(1, int(n_nodes) // _PANEL_NODES)
-    if len(edges) == 2:
+    if not inner:
         x, w = _unit_panels(n_panels << doublings, graded)
-        return a + total * x, total * w
+        # a + total x, without the call that adds a zero a
+        return (a + total * x if a else total * x), total * w
+    edges = [a, *inner, b]
     lows = edges[:-1]
     spans = [hi - lo for lo, hi in zip(lows, edges[1:])]
     counts = [max(1, round(n_panels * span / total)) << doublings for span in spans]
-    units = [_unit_panels(k, graded) for k in counts]
+    xs, ws = zip(*[_unit_panels(k, graded) for k in counts])
     repeats = [k * _PANEL_NODES for k in counts]
-    span = np.repeat(spans, repeats)
-    x = np.concatenate([ux for ux, _ in units])
-    w = np.concatenate([uw for _, uw in units])
+    span = np.array(spans).repeat(repeats)
+    x = np.concatenate(xs)
+    w = np.concatenate(ws)
     x *= span
-    x += np.repeat(lows, repeats)
+    x += np.array(lows).repeat(repeats)
     w *= span
     return x, w
 
 
-def _escalated(axes, evaluate, base, grow, spec: QuadratureSpec, what: str) -> IntegralResult:
+def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
+               what: str) -> list[IntegralResult]:
     """Run doubling resolutions until two levels agree: the one refinement driver.
 
-    ``axes(level)`` lays out a level: it returns the resolution (nodes per
-    axis, or a tuple of them), the number of nodes and the level's grid.
-    ``evaluate(grids)`` returns the value of each grid it is given, and
-    ``grow`` steps the requested level.  Every integral runs its base
-    level and the first doubling, so the two go to one ``evaluate`` call
-    when ``grow`` gives a finer level and that level fits
-    ``_MAX_LEVEL_NODES``; otherwise the base level runs alone.  Every
-    later level takes a call of its own, and each level is laid out once,
-    only when it is about to run or be refused.  A level is refused when it
+    It runs a stack of integrals that share one rule, one member per
+    entry of ``layouts``: a member's ``axes(level)`` lays out a level and
+    returns the resolution (nodes per axis, or a tuple of them), the
+    number of nodes and the level's grid, and ``grow`` steps the
+    requested level.  ``evaluate(calls)`` takes a list of calls (member,
+    grids, node count) and returns the value of each grid, a list per
+    call.  Every integral runs its base level and the first doubling, so
+    the two go to one call when ``grow`` gives a finer level and that
+    level fits ``_MAX_LEVEL_NODES``; otherwise the base level runs alone.
+    These first calls of consecutive members join into one ``evaluate``
+    of at most ``_STACK_CHUNK_NODES`` nodes (a member over it has one of
+    its own).  A member whose two levels disagree then runs each later
+    level in a call of its own, before the next chunk starts.  Each level
+    is laid out once, only when it is about to run or be refused (see
+    ``_refinement``, which also logs the levels).  Returns one result a
+    member, in order; the first failure met is raised as it happens.
+    """
+    runs = [_refinement(axes, base, grow, spec, what) for axes in layouts]
+    results = []
+    for chunk in _joined(runs):
+        start = time.perf_counter()
+        values = evaluate(chunk)
+        seconds = time.perf_counter() - start
+        for (i, *_), member_values in zip(chunk, values):
+            try:
+                while True:
+                    call = (i, *runs[i].send((member_values, seconds)))
+                    start = time.perf_counter()
+                    member_values, = evaluate([call])
+                    seconds = time.perf_counter() - start
+            except StopIteration as done:
+                results.append(done.value)
+    return results
+
+
+def _joined(runs):
+    """The first calls (member, grids, nodes) of ``runs``, joined in order into chunks.
+
+    A chunk holds at most ``_STACK_CHUNK_NODES`` nodes, or one member.
+    """
+    chunk, size = [], 0
+    for i, run in enumerate(runs):
+        grids, nodes = next(run)
+        if chunk and size + nodes > _STACK_CHUNK_NODES:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append((i, grids, nodes))
+        size += nodes
+    if chunk:
+        yield chunk
+
+
+def _refinement(axes, base, grow, spec: QuadratureSpec, what: str):
+    """The levels of one integral of ``_escalated``, as a generator.
+
+    It yields the grids of its next call and their node count, is sent
+    back their values and the call's seconds, and returns the
+    IntegralResult once two levels agree.  A level is refused when it
     holds more than ``_MAX_LEVEL_NODES`` nodes, or when ``grow`` returns
-    the level unchanged because the rule has no finer one; the refusal is
-    logged at INFO and raised as ToleranceNotReached ("node ceiling")
+    the level unchanged because the rule has no finer one; the refusal
+    is logged at INFO and raised as ToleranceNotReached ("node ceiling")
     carrying the result of the last level run (None when the base level
     is refused).  Each level that runs is logged at DEBUG with its
-    laid-out resolution, nodes, value and the seconds of its call; in a
-    joint call the base level's seconds cover both levels and the doubled
-    level logs 0.
+    laid-out resolution, nodes, value and the seconds of its call; the
+    seconds of a joint call are logged with each member's base level,
+    and the doubled level logs 0.
     """
     result = None
     refinements = 0
@@ -328,6 +387,7 @@ def _escalated(axes, evaluate, base, grow, spec: QuadratureSpec, what: str) -> I
                       what, resolution, nodes, _MAX_LEVEL_NODES)
             break
         batch, ahead = [(level, resolution, nodes, grid)], None
+        grids = [grid]
         finer = grow(level)
         if result is None and finer != level:
             # The base level never settles alone: its doubling joins its
@@ -335,10 +395,10 @@ def _escalated(axes, evaluate, base, grow, spec: QuadratureSpec, what: str) -> I
             ahead = axes(finer)
             if ahead[1] <= _MAX_LEVEL_NODES:
                 batch.append((finer, *ahead))
+                grids.append(ahead[2])
+                nodes += ahead[1]
                 ahead = None
-        start = time.perf_counter()
-        values = evaluate([grid for *_, grid in batch])
-        seconds = time.perf_counter() - start
+        values, seconds = yield grids, nodes
         # ``level`` ends as the last level run.
         for (level, resolution, nodes, _), value in zip(batch, values):
             value = float(value)
@@ -402,9 +462,10 @@ def _node_terms(log_q, factor_of_log, reference=None, log_weight=None, *, out=No
     mass = log_q if log_weight is None else np.add(log_q, log_weight, out=out)
     dead = mass <= LOG_TINY
     terms = np.exp(mass, out=out)
-    np.copyto(terms, 0.0, where=dead)
-    # A zero log where the mass underflows keeps the factor finite there.
-    np.copyto(log_q, 0.0, where=dead)
+    if dead.any():
+        np.copyto(terms, 0.0, where=dead)
+        # A zero log where the mass underflows keeps the factor finite there.
+        np.copyto(log_q, 0.0, where=dead)
     factor = factor_of_log(log_q, out=log_q)
     if reference is not None:
         factor = np.subtract(factor, logs, out=log_q)
@@ -430,46 +491,71 @@ def _density_terms(log_q, log_s, factor_of_log, nodes, log_weight=None):
 # ---------------------------------------------------------------------------
 
 
-def _run_1d(terms, shape, rate, spec: QuadratureSpec, what: str, *, radial: bool,
-            breakpoints=(), tail_log_margin: float = 0.0) -> IntegralResult:
-    """Composite Gauss-Legendre rule on [0, cutoff].
+def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *,
+            radial: bool) -> list[IntegralResult]:
+    """Composite Gauss-Legendre rule on [0, cutoff], for a stack of integrals.
 
     With ``radial`` the coordinate is a phase-space radius and carries
     the Jacobian r; otherwise it is the half line of an even line
-    density, whose integral is twice that over [0, cutoff].  The cutoff
-    is solved from the Gamma tail of ``shape`` and ``rate`` (see
+    density, whose integral is twice that over [0, cutoff].  ``tails``
+    holds each member's (shape, rate, breakpoints, tail_log_margin).  Its
+    cutoff is solved from the Gamma tail of ``shape`` and ``rate`` (see
     ``gamma_tail_threshold``) at the spec's tail mass, which
     ``tail_log_margin`` shrinks for tails that outrun the plain Gamma
-    envelope.  ``terms`` maps the nodes to the integrand there.
-    ``breakpoints`` are the zeros of a line density: they become panel
-    edges (x = 0 already is one), and when there is any, every panel is
-    graded (see ``_panel_nodes``), because ln f is singular at each zero.
-    Each level's layout is a scaled copy of cached unit rules (see
-    ``_panel_nodes``), not rebuilt panel by panel.  Level j lays out
-    ``spec.radial_nodes`` with every panel of the base level halved j
-    times.  ``terms`` is called once on the joined nodes of the levels
-    ``_escalated`` evaluates together, and each level is then reduced
-    with its own weights, to the bits of a call per level.
+    envelope.  ``breakpoints`` are the zeros of a line density: they
+    become panel edges (x = 0 already is one), and when there is any,
+    every panel is graded (see ``_panel_nodes``), because ln f is
+    singular at each zero.  Each level's layout is a scaled copy of
+    cached unit rules (see ``_panel_nodes``), not rebuilt panel by
+    panel.  Level j lays out ``spec.radial_nodes`` with every panel of
+    the base level halved j times; consecutive members with one tail
+    share their layouts.
+
+    ``terms(x, members, counts)`` maps nodes to the integrand there: x
+    joins the levels of each member of a call in turn, ``counts[i]``
+    nodes of member ``members[i]``.  ``_escalated`` joins the first two
+    levels of consecutive members into calls of at most
+    ``_STACK_CHUNK_NODES`` nodes, and each level is then reduced with
+    its own weights by its own ``np.dot``, to the bits of a call per
+    level of each member alone.
     """
-    mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
-    cutoff = gamma_tail_threshold(shape, rate, mass)
-    pos_breaks = tuple(abs(b) for b in breakpoints if abs(b) > 0.0)
-    graded = len(breakpoints) > 0
+    tail_mass = _tail_mass(spec)
+    layouts = []
+    for tail, run in itertools.groupby(tails):
+        shape, rate, breakpoints, tail_log_margin = tail
+        mass = max(tail_mass * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
+        edges = tuple(abs(b) for b in breakpoints if b) if breakpoints else ()
+        axes = functools.partial(_line_layout, gamma_tail_threshold(shape, rate, mass), edges,
+                                 bool(breakpoints), spec.radial_nodes)
+        size = sum(1 for _ in run)
+        if size > 1:
+            # Consecutive members with one tail share its layouts, laid out once.
+            axes = functools.lru_cache(maxsize=2)(axes)
+        layouts += [axes] * size
 
-    def axes(doublings):
-        x, w = _panel_nodes(0.0, cutoff, spec.radial_nodes, breakpoints=pos_breaks,
-                            graded=graded, doublings=doublings)
-        return x.size, x.size, (x, w)
-
-    def evaluate(grids):
-        t = terms(np.concatenate([x for x, _ in grids]))
-        values = []
-        for x, w in grids:
-            level_t, t = t[:x.size], t[x.size:]
-            values.append(np.dot(w, level_t * x) if radial else 2.0 * float(np.dot(w, level_t)))
+    def evaluate(calls):
+        members, grids, counts = zip(*calls)
+        x = np.concatenate([x for levels in grids for x, _ in levels])
+        t = terms(x, members, counts)
+        if radial:
+            t *= x
+        values, end = [], 0
+        for levels in grids:
+            values.append([])
+            for x, w in levels:
+                level_t = t[end:end + x.size]
+                end += x.size
+                values[-1].append(np.dot(w, level_t) if radial else 2.0 * float(np.dot(w, level_t)))
         return values
 
-    return _escalated(axes, evaluate, 0, lambda level: level + 1, spec, what)
+    return _escalated(layouts, evaluate, 0, lambda level: level + 1, spec, what)
+
+
+def _line_layout(cutoff, breakpoints, graded, n_nodes, doublings):
+    """``_run_1d``'s ``axes``: level ``doublings`` on [0, cutoff]."""
+    x, w = _panel_nodes(0.0, cutoff, n_nodes, breakpoints=breakpoints, graded=graded,
+                        doublings=doublings)
+    return x.size, x.size, (x, w)
 
 
 def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
@@ -620,7 +706,8 @@ def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
 
     radial = max(2 * _PANEL_NODES, spec.radial_nodes // 4)
     base = (radial, max(2 * _PANEL_NODES, radial // 2))
-    return _escalated(axes, evaluate, base, lambda lv: (2 * lv[0], 2 * lv[1]), spec, what)
+    return _escalated([axes], lambda calls: [evaluate(grids) for _, grids, _ in calls], base,
+                      lambda lv: (2 * lv[0], 2 * lv[1]), spec, what)[0]
 
 
 def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
@@ -665,8 +752,9 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
         return math.exp(log_pref) * math.fsum(parts)
 
     # Each level is its own sum of chunks, whether or not it shares a call.
-    return _escalated(lambda m: (m, m**dim, m), lambda ms: [run(m) for m in ms],
-                      min(nodes_per_dim, 384), lambda m: min(2 * m, 384), spec, what)
+    return _escalated([lambda m: (m, m**dim, m)],
+                      lambda calls: [[run(m) for m in ms] for _, ms, _ in calls],
+                      min(nodes_per_dim, 384), lambda m: min(2 * m, 384), spec, what)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +797,9 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
         terms = functools.partial(_density_terms, evaluator.log_q_radial,
                                   None if reference is None else reference.log_q_radial,
                                   factor_of_log)
-        return _run_1d(terms, max(d.radial_gamma_shape for d in densities),
-                       min(d.radial_rate for d in densities), spec, what, radial=True)
+        tail = (max(d.radial_gamma_shape for d in densities),
+                min(d.radial_rate for d in densities), (), 0.0)
+        return _run_1d(lambda x, *_: terms(x), [tail], spec, what, radial=True)[0]
     if evaluator.kind == "noon" and (
         reference is None
         or (isinstance(reference, ProductHusimi)
@@ -790,6 +879,44 @@ def entropy_functional(evaluator: HusimiEvaluator,
                         spec or QuadratureSpec(), "entropy functional")
 
 
+def _stacked_kernel(members, name: str):
+    """The stacked kernel ``name`` (see ``_run_1d``) every member's class shares, else None.
+
+    A stack of one has none: it runs on its member's own method.
+    """
+    kernels = {getattr(type(m), name, None) for m in members}
+    return kernels.pop() if len(members) > 1 and len(kernels) == 1 else None
+
+
+def _stack(kernel, members, tails, spec: QuadratureSpec, what: str, *,
+           radial: bool) -> list[IntegralResult]:
+    """The entropy of each member, one ``_run_1d`` stack through ``kernel(members, x, counts)``."""
+
+    def terms(x, at, counts):
+        log = functools.partial(kernel, [members[i] for i in at], counts=counts)
+        return _density_terms(log, None, _entropy_factor, x)
+
+    return _run_1d(terms, tails, spec, what, radial=radial)
+
+
+def entropy_functionals(evaluators, spec: QuadratureSpec | None = None) -> list[IntegralResult]:
+    """``entropy_functional`` of each evaluator, to the same bits.
+
+    Evaluators whose classes share a ``stacked_log_q_radial`` (radial
+    ones, such as number states and their mixtures, or thermal states)
+    run as one stack: each kernel call evaluates the first levels of
+    many of them (see ``_run_1d``).  Any other list runs one evaluator
+    at a time.  The first failure met is raised; the EUR sweeps then run
+    their points one by one to name the first failing point.
+    """
+    spec = spec or QuadratureSpec()
+    kernel = _stacked_kernel(evaluators, "stacked_log_q_radial")
+    if kernel is None:
+        return [entropy_functional(ev, spec) for ev in evaluators]
+    tails = [(ev.radial_gamma_shape, ev.radial_rate, (), 0.0) for ev in evaluators]
+    return _stack(kernel, evaluators, tails, spec, "entropy functional", radial=True)
+
+
 def normalization(evaluator: HusimiEvaluator,
                   spec: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of Q over phase space; one for any valid density."""
@@ -848,19 +975,45 @@ def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
     return _integrate(rho, sigma, _log_factor, spec, "relative entropy")
 
 
+def _line_tail(density: PositionDensity):
+    return (density.position_gamma_shape, density.position_rate, density.breakpoints,
+            density.position_tail_log_margin)
+
+
 def _line(density: PositionDensity, factor_of_log, spec: QuadratureSpec | None,
           what: str) -> IntegralResult:
     terms = functools.partial(_density_terms, density.log_f, None, factor_of_log)
-    return _run_1d(terms, density.position_gamma_shape, density.position_rate,
-                   spec or QuadratureSpec(), what, radial=False,
-                   breakpoints=density.breakpoints,
-                   tail_log_margin=density.position_tail_log_margin)
+    return _run_1d(lambda x, *_: terms(x), [_line_tail(density)], spec or QuadratureSpec(),
+                   what, radial=False)[0]
 
 
 def density_entropy_1d(density: PositionDensity,
                        spec: QuadratureSpec | None = None) -> IntegralResult:
     """Differential entropy - integral of f ln f dx of an even line density."""
     return _line(density, _entropy_factor, spec, "line entropy")
+
+
+def density_entropies_1d(densities, spec: QuadratureSpec | None = None) -> list[IntegralResult]:
+    """``density_entropy_1d`` of each density, to the same bits.
+
+    Densities whose classes share a ``stacked_log_f`` (number states and
+    their mixtures) run as one stack, like ``entropy_functionals``, by
+    descending largest index; any other list runs one density at a time.
+    The first failure met in that order is raised.
+    """
+    spec = spec or QuadratureSpec()
+    kernel = _stacked_kernel(densities, "stacked_log_f")
+    if kernel is None:
+        return [density_entropy_1d(d, spec) for d in densities]
+    # The kernel's one Hermite recurrence needs the largest index (the
+    # Gamma shape) to descend.
+    order = sorted(range(len(densities)), key=lambda i: -densities[i].position_gamma_shape)
+    ranked = [densities[i] for i in order]
+    results = [None] * len(densities)
+    for i, result in zip(order, _stack(kernel, ranked, [_line_tail(d) for d in ranked], spec,
+                                       "line entropy", radial=False)):
+        results[i] = result
+    return results
 
 
 def density_normalization_1d(density: PositionDensity,

@@ -13,19 +13,24 @@ import numpy as np
 import pytest
 
 import wehrlkit
+import wehrlkit.cli
 from wehrlkit import (
+    FockState,
     GaussianState,
     ModePartition,
     NormalFormParams,
     NotPure,
     QuadratureSpec,
+    ThermalState,
     entanglement_witness,
+    eur_report,
     gaussian_witness,
     random_admissible_covariance,
     simon_pure_separability,
     tmss_covariance,
 )
 from wehrlkit.cli import _SETTINGS, _load_config, _run_config, build_parser, main
+from wehrlkit.eur import _mixture_state
 
 # The CLI subprocesses import the same wehrlkit as the tests.
 _SRC = os.path.dirname(os.path.dirname(wehrlkit.__file__))
@@ -339,6 +344,40 @@ def test_eur_sweep_tolerance_failure_names_grid_point():
                    "--max-escalations", "0")
     assert proc.returncode == 2
     assert "quadrature did not converge: n=1:" in proc.stderr
+
+
+def test_stacked_sweeps_print_the_bytes_of_point_by_point_reports(monkeypatch, capsys):
+    # each sweep integrates its grid as stacks; one eur_report a grid point,
+    # in order, must print the same bytes on any platform (JSON prints every
+    # bit of a float, CSV twelve digits)
+    argvs = (["eur-fock", "--n-max", "50", "--asymptotics"], ["eur-mixture", "--steps", "101"],
+             ["eur-thermal", "--points", "400"])
+
+    def run_all():
+        outputs = []
+        for argv in argvs:
+            for fmt in ("csv", "json"):
+                assert main(argv + ["--format", fmt]) == 0
+                outputs.append(capsys.readouterr())
+        return outputs
+
+    shipped = run_all()
+
+    def fock(n_max, spec=None):
+        return [(n, eur_report(FockState(n), spec)) for n in range(n_max + 1)]
+
+    def mixture(steps=51, spec=None):
+        grid = [i / (steps - 1) for i in range(steps)]
+        return [(q, eur_report(_mixture_state(q), spec)) for q in grid]
+
+    def thermal(beta_min=0.05, beta_max=20.0, points=60, spec=None):
+        ratio = (beta_max / beta_min) ** (1.0 / (points - 1))
+        grid = [beta_min * ratio**i for i in range(points)]
+        return [(b, eur_report(ThermalState(b), spec)) for b in grid]
+
+    for name, loop in (("fock", fock), ("mixture", mixture), ("thermal", thermal)):
+        monkeypatch.setattr(wehrlkit.cli, f"eur_sweep_{name}", loop)
+    assert run_all() == shipped
 
 
 VACUUM_1_1 = json.dumps({"v": [[0.5, 0, 0, 0], [0, 0.5, 0, 0], [0, 0, 0.5, 0],

@@ -10,7 +10,9 @@ from wehrlkit import (
     FockMixtureState,
     FockState,
     NoonState,
+    QuadratureSpec,
     ThermalState,
+    ToleranceNotReached,
     TwoModeSqueezedState,
     UnsupportedState,
     bbm_lhs_asymptotic,
@@ -21,6 +23,8 @@ from wehrlkit import (
     mixture_crossover,
     wl_lhs_stirling,
 )
+from wehrlkit.errors import grid_point
+from wehrlkit.eur import _mixture_state, _sweep
 
 BOUND = 1.0 + math.log(math.pi)
 
@@ -239,3 +243,50 @@ def test_mixture_report_lies_above_the_entropy_chord():
     hi = eur_report(FockState(1))
     assert rep.bbm_lhs > 0.5 * (lo.bbm_lhs + hi.bbm_lhs)
     assert rep.wl_lhs > 0.5 * (lo.wl_lhs + hi.wl_lhs)
+
+
+def _first_failure(points, spec):
+    """The error a point-by-point sweep over (label, state) points raises, as text."""
+    for label, state in points:
+        try:
+            with grid_point(label):
+                eur_report(state, spec)
+        except ToleranceNotReached as exc:
+            return str(exc)
+    return None
+
+
+def test_a_failing_thermal_sweep_names_its_first_failing_point():
+    # at 32 radial nodes the first 14 points meet 1e-15 and most later ones do not
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_escalations=0, radial_nodes=32)
+    ratio = (20.0 / 0.05) ** (1.0 / 59)
+    grid = [0.05 * ratio**i for i in range(60)]
+    want = _first_failure([(f"beta_omega={b:.6g}", ThermalState(b)) for b in grid], spec)
+    assert want.startswith(f"beta_omega={grid[14]:.6g}: entropy functional:")
+    with pytest.raises(ToleranceNotReached) as err:
+        eur_sweep_thermal(spec=spec)
+    assert str(err.value) == want
+
+
+def test_a_failing_mixture_sweep_names_its_first_point_and_its_wehrl_integral_first():
+    # q = 0 misses 1e-15 in both its integrals, the phase-space one first
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_escalations=0)
+    grid = [i / 100 for i in range(101)]
+    want = _first_failure([(f"q={q:.6g}", _mixture_state(q)) for q in grid], spec)
+    assert want.startswith("q=0: entropy functional:")
+    with pytest.raises(ToleranceNotReached) as err:
+        eur_sweep_mixture(101, spec)
+    assert str(err.value) == want
+
+
+def test_a_batch_failure_is_the_first_failing_points_not_the_first_failing_stacks():
+    # at 128 radial nodes q = 0.1 misses 1e-15 only in its homodyne entropy and
+    # q = 0.05 in its phase-space one: the phase-space stack fails first, but
+    # the sweep names the earlier point
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_escalations=0, radial_nodes=128)
+    points = [(q, _mixture_state(q)) for q in (0.1, 0.05, 0.5)]
+    want = _first_failure([(f"q={q:.6g}", state) for q, state in points], spec)
+    assert want.startswith("q=0.1: line entropy:")
+    with pytest.raises(ToleranceNotReached) as err:
+        _sweep(points, "q={:.6g}", spec)
+    assert str(err.value) == want

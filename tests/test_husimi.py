@@ -706,6 +706,80 @@ def test_hermite_function_matches_the_allocating_recurrence():
         assert np.array_equal(got, _hermite_function_four_calls(n, x))
 
 
+def test_hermite_steps_on_a_shrinking_prefix_keep_the_full_steps_bits():
+    # with lengths, step k runs on the first lengths[k] entries alone; there
+    # every yielded psi_k is the full recurrence's
+    x = np.linspace(-9.0, 9.0, 301)
+    psi_0 = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    lengths = [301 - 6 * k for k in range(40)]
+    full = [psi.copy() for psi in _hermite_steps(40, x, psi_0.copy())]
+    for k, psi in enumerate(_hermite_steps(40, x, psi_0.copy(), lengths)):
+        head = 301 if k == 0 else lengths[k - 1]
+        assert np.array_equal(psi[:head], full[k][:head])
+
+
+# ---------------------------------------------------------------------------
+# Stacked kernels: many members in one call, each to its own bits
+# ---------------------------------------------------------------------------
+
+
+def _split(values, counts):
+    return np.split(values, np.cumsum(counts)[:-1])
+
+
+def _stack_nodes(rng, members, high):
+    counts = [int(c) for c in rng.integers(1, 300, len(members))]
+    return rng.uniform(1e-3, high, sum(counts)), counts
+
+
+def test_stacked_radial_kernels_give_each_members_bits():
+    # number states, NOON marginals and mixtures of up to three indices mix
+    # every branch of the kernel (k0 > 0 or not, zero to two folds) in one stack
+    rng = np.random.default_rng(28)
+    fock = ([FockHusimi(n) for n in range(12)] + [NoonMarginalHusimi(n) for n in (0, 1, 5)]
+            + [FockMixtureHusimi([(0, 0.3), (1, 0.7)]),
+               FockMixtureHusimi([(2, 0.3), (4, 0.5), (7, 0.2)])])
+    rng.shuffle(fock)
+    thermal = [ThermalHusimi(b) for b in (0.05, 0.4, 3.0, 0.4)]
+    for members in (fock, thermal, fock[:1], thermal[1:2]):
+        r, counts = _stack_nodes(rng, members, 30.0)
+        got = type(members[0]).stacked_log_q_radial(members, r, counts)
+        for member, nodes, values in zip(members, _split(r, counts), _split(got, counts)):
+            assert np.array_equal(values, member.log_q_radial(nodes))
+
+
+def test_stacked_line_kernel_gives_each_members_bits():
+    rng = np.random.default_rng(29)
+    members = [FockPositionDensity(n) for n in rng.permutation(51)] + [
+        FockMixturePositionDensity(w)
+        for w in ([(0, 0.3), (1, 0.7)], [(1, 0.5), (3, 0.5)], [(0, 0.2), (7, 0.8)],
+                  [(4, 0.6), (50, 0.4)])]
+    members.sort(key=lambda d: -d.position_gamma_shape)
+    x, counts = _stack_nodes(rng, members, 14.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = FockMixturePositionDensity.stacked_log_f(members, x, counts)
+    for member, nodes, values in zip(members, _split(x, counts), _split(got, counts)):
+        assert np.array_equal(values, member.log_f(nodes))
+    # the one recurrence runs over the members by descending largest index
+    with pytest.raises(ValueError, match="descending"):
+        FockMixturePositionDensity.stacked_log_f(members[::-1], x, counts[::-1])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_line_kernel_refuses_a_number_state_past_its_float_range():
+    # psi_k carries e^(x^2 / 4), so its square leaves the float range near
+    # |x| = 41 for n = 651; both kernels say so before anything warns
+    x = np.linspace(0.0, 42.3, 4001)
+    stack = [FockPositionDensity(651), FockPositionDensity(650), FockPositionDensity(2)]
+    with pytest.raises(UnsupportedState, match=r"index 651\b.*float range"):
+        stack[0].log_f(x)
+    with pytest.raises(UnsupportedState, match=r"index 651\b.*float range"):
+        FockMixturePositionDensity.stacked_log_f(stack, np.concatenate([x, x, x]),
+                                                 [x.size] * 3)
+    assert np.all(stack[1].log_f(x) < 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Log-sum-exp
 # ---------------------------------------------------------------------------

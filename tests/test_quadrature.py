@@ -1,5 +1,6 @@
 """Quadrature engine invariants: normalization, refinement, determinism."""
 
+import dataclasses
 import functools
 import logging
 import math
@@ -16,6 +17,7 @@ from wehrlkit import (
     CovarianceModel,
     DimensionMismatch,
     FockHusimi,
+    FockMixtureState,
     GaussianHusimi,
     HusimiEvaluator,
     IntegralResult,
@@ -27,9 +29,12 @@ from wehrlkit import (
     SupportViolation,
     ThermalHusimi,
     ToleranceNotReached,
+    UnsupportedState,
+    density_entropies_1d,
     density_entropy_1d,
     density_normalization_1d,
     entropy_functional,
+    entropy_functionals,
     evaluator_for,
     gamma_tail_threshold,
     integrate,
@@ -1101,6 +1106,88 @@ def test_a_doubled_level_over_the_budget_is_never_evaluated(caplog, monkeypatch,
     assert len(levels) == 1
     assert [c.size for c in calls] == levels
     assert err.value.result.nodes_used == levels[0]
+
+
+def _bits(result):
+    return result.value.hex(), result.error_estimate.hex(), result.nodes_used
+
+
+def _recorded(monkeypatch, cls, name):
+    # the (members, node count) of every call of a class's stacked kernel
+    kernel, calls = getattr(cls, name), []
+
+    def recorded(members, x, counts):
+        calls.append((list(members), x.size))
+        return kernel(members, x, counts)
+
+    monkeypatch.setattr(cls, name, staticmethod(recorded))
+    return calls
+
+
+def _mixture_evaluators(steps):
+    return [evaluator_for(FockMixtureState(((0, q), (1, 1.0 - q)))) for q in
+            np.linspace(0.0, 1.0, steps)[1:-1]] + [FockHusimi(0), FockHusimi(1)]
+
+
+STACKS = {
+    # 41 members of 1,200 first-level nodes: seven chunks
+    "thermal-radial": [ThermalHusimi(0.05 * 1.2 ** k) for k in range(41)],
+    "fock-radial": [FockHusimi(int(n)) for n in np.random.default_rng(5).permutation(51)],
+    "mixture-radial": _mixture_evaluators(21) + [NoonMarginalHusimi(n) for n in range(12)],
+    "fock-mixture-line": [FockPositionDensity(int(n))
+                          for n in np.random.default_rng(6).permutation(51)]
+    + [FockMixturePositionDensity(w) for w in ([(0, 0.25), (1, 0.75)], [(1, 0.5), (3, 0.5)],
+                                               [(2, 0.9), (5, 0.1)], [(0, 0.6), (1, 0.4)])],
+}
+
+
+@pytest.mark.parametrize("name", list(STACKS))
+def test_a_stack_gives_the_bits_of_its_integrals_one_by_one(monkeypatch, name):
+    members = STACKS[name]
+    assert len(members) % 2 == 1
+    line = not isinstance(members[0], HusimiEvaluator)
+    singles = [(density_entropy_1d if line else entropy_functional)(m) for m in members]
+    cls = FockMixturePositionDensity if line else type(members[0])
+    calls = _recorded(monkeypatch, cls, "stacked_log_f" if line else "stacked_log_q_radial")
+    got = (density_entropies_1d if line else entropy_functionals)(members)
+    assert [_bits(r) for r in got] == [_bits(r) for r in singles]
+    # one kernel call a chunk of at most 2^13 nodes evaluates the first two
+    # levels of many members, and the chunks cover every member
+    assert len(calls) > 1 and all(nodes <= 1 << 13 for _, nodes in calls)
+    assert sum(len(stack) for stack, _ in calls) == len(members)
+    assert sum(nodes for _, nodes in calls) == sum(r.nodes_used for r in singles)
+
+
+def test_a_member_that_misses_its_tolerance_escalates_alone(monkeypatch):
+    # at 1e-10 the number-state lines up to n = 10 settle on their first two
+    # levels and the others take a third, each in a call of its own
+    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
+    members = [FockPositionDensity(n) for n in range(0, 51, 5)]
+    singles = [density_entropy_1d(d, spec) for d in members]
+    calls = _recorded(monkeypatch, FockMixturePositionDensity, "stacked_log_f")
+    got = density_entropies_1d(members, spec)
+    assert [_bits(r) for r in got] == [_bits(r) for r in singles]
+    # every member's first two levels join a chunk; a member whose two levels
+    # disagree runs each later level alone, one call a level
+    assert sum(len(stack) for stack, _ in calls if len(stack) > 1) == len(members)
+    alone = [stack[0] for stack, _ in calls if len(stack) == 1]
+    settled = []
+    for member in members:
+        try:
+            density_entropy_1d(member, dataclasses.replace(spec, max_escalations=0))
+            settled.append(member)
+        except ToleranceNotReached:
+            pass
+    assert 0 < len(settled) < len(members)
+    assert {id(m) for m in alone} == {id(m) for m in members if m not in settled}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_line_entropy_of_a_number_state_past_the_float_range_is_refused():
+    result = density_entropy_1d(FockPositionDensity(650))
+    assert (result.value, result.nodes_used) == (3.817475103338994, 36_848)
+    with pytest.raises(UnsupportedState, match=r"index 651\b"):
+        density_entropy_1d(FockPositionDensity(651))
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
