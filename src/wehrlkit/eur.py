@@ -51,9 +51,13 @@ class EurReport:
 
     ``wehrl`` is the phase-space entropy, closed-form wherever a closed
     form exists; ``cross_check_delta`` is then |closed form - quadrature|,
-    else None.  ``homodyne`` is the differential entropy of the x
-    marginal, which equals that of p for every accepted family, and
-    ``von_neumann`` the spectral entropy.  The sums, and their deficits
+    else None.  For a thermal state the quadrature is exact on six
+    Gauss-Laguerre nodes, with no cutoff and whatever ``radial_nodes``,
+    so the delta is a few units in the last place of the value; for a
+    number state it also carries the truncation at the radial cutoff.
+    ``homodyne`` is the differential entropy of the x marginal, which
+    equals that of p for every accepted family, and ``von_neumann`` the
+    spectral entropy.  The sums, and their deficits
     against ``bound``, are arithmetic on those three.
     """
 

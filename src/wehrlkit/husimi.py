@@ -9,10 +9,10 @@ amplitude of a mode is ``alpha = (x + i p) / sqrt(2)``.
 Evaluators declare how they can be integrated through ``kind`` alone,
 and the quadrature engine routes on it without probing for methods:
 
-* ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape`` and
-  ``radial_rate``; the one-mode radial densities share ``RadialHusimi``,
-  which also gives ``log_q_remainder``, ln Q + rho^2 / 2 on the outer
-  product of two axes;
+* ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape``,
+  ``radial_rate`` and ``log_q_affine_in_r2``; the one-mode radial
+  densities share ``RadialHusimi``, which also gives ``log_q_remainder``,
+  ln Q + rho^2 / 2 on the outer product of two axes;
 * ``"noon"`` promises a two-mode density that depends on the mode phases
   only through their difference and is symmetric under the exchange
   r_A <-> r_B of the two radii, with ``angle_averaged_logs(r, s)`` (the
@@ -152,6 +152,9 @@ class RadialHusimi(HusimiEvaluator):
 
     kind = "radial"
     partition = ModePartition(1, 0)
+    # True when ln Q is exactly ln radial_rate - radial_rate r^2 / 2, so
+    # the quadrature engine integrates it exactly on Gauss-Laguerre nodes.
+    log_q_affine_in_r2 = False
 
     def log_q_radial(self, r):
         raise NotImplementedError
@@ -334,6 +337,8 @@ class FockHusimi(FockMixtureHusimi):
 
 class ThermalHusimi(RadialHusimi):
     """Q(x, p) = (1 - e^-bw) exp(-(x^2 + p^2)(1 - e^-bw)/2)."""
+
+    log_q_affine_in_r2 = True
 
     def __init__(self, beta_omega: float):
         self.beta_omega = float(beta_omega)
@@ -611,11 +616,19 @@ def _hermite_steps(n: int, x: np.ndarray, psi: np.ndarray, lengths=None):
 
 
 def _hermite_zeros(n: int) -> np.ndarray:
-    """Zeros of H_n, n >= 1, ascending: the eigenvalues of its symmetric Jacobi matrix.
+    """Zeros of H_n, n >= 1, ascending, each pair exactly +-t and the middle one of odd n 0.
 
-    They are as the eigensolver returns them, neither polished nor mirrored.
+    H_2m(x) and H_(2m+1)(x) / x are the generalized Laguerre polynomials
+    of order m, with alpha = -1/2 and +1/2, at x^2, so the zeros are the
+    +-square roots of the eigenvalues of that m-point Jacobi matrix
+    (diagonal 2k + alpha + 1, below it sqrt(k (k + alpha))): half the size
+    of the Hermite one.  They are not polished.
     """
-    return np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, n)), -1))
+    m, alpha = n // 2, 0.5 if n % 2 else -0.5
+    k = np.arange(1.0, m)
+    jacobi = np.diag(2.0 * np.arange(m) + alpha + 1.0) + np.diag(np.sqrt(k * (k + alpha)), -1)
+    t = np.sqrt(np.linalg.eigvalsh(jacobi))
+    return np.concatenate([-t[::-1], [0.0] * (n % 2), t])
 
 
 class PositionDensity:
@@ -677,11 +690,8 @@ class FockMixturePositionDensity(PositionDensity):
         # roughly 2^(top+1) (top+1); the cutoff is pushed out accordingly.
         self.position_tail_log_margin = (top + 1) * math.log(2.0) + math.log(top + 1.0)
         if len(pairs) == 1 and top > 0:
-            # The zeros of H_top, mirrored so that each pair is exactly +-t
-            # (and the middle zero of an odd index exactly 0), which leaves
-            # one panel edge per |t|.
-            t = _hermite_zeros(top)
-            self.breakpoints = tuple(0.5 * (t - t[::-1]))
+            # The zeros of H_top, in exact +-t pairs: one panel edge per |t|.
+            self.breakpoints = tuple(_hermite_zeros(top).tolist())
         elif all(k % 2 == 1 for k, _ in pairs):
             # A mixture vanishes only where every psi_k does: at x = 0.
             self.breakpoints = (0.0,)

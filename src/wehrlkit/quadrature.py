@@ -31,11 +31,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatch, SupportViolation, ToleranceNotReached
-from .husimi import (HusimiEvaluator, PositionDensity, ProductHusimi, _hermite_steps,
-                     _hermite_zeros, _outer_sum)
+from .husimi import HusimiEvaluator, PositionDensity, ProductHusimi, _hermite_steps, _outer_sum
 
 _log = logging.getLogger(__name__)
 
@@ -92,6 +92,10 @@ class QuadratureSpec:
     No field sets a cutoff either: each runner solves its own from the
     integrand's Gamma-type tail, at a tail mass of 1e-2 times the smaller
     tolerance (at least 1e-18), so a tighter tolerance widens the cutoff.
+    A thermal phase-space integral without a reference ignores
+    ``radial_nodes`` and has no cutoff: its ln Q is affine in r^2, and
+    2- and 4-point Gauss-Laguerre rules integrate it exactly (see
+    ``_run_1d``).
     Both tolerances must be positive and finite, or ValueError is raised.
     ``parallelism`` > 1 maps the chunks of a cartesian level over a
     thread pool; ``math.fsum`` adds the chunk sums exactly rounded, so the
@@ -124,7 +128,8 @@ class IntegralResult:
 
     ``error_estimate`` is the difference between the two finest levels.
     It leaves out the truncation at the radial cutoff, so it can be
-    smaller than the true error.  ``nodes_used`` counts the nodes
+    smaller than the true error; a thermal phase-space integral, exact
+    on Gauss-Laguerre nodes, has no cutoff to truncate.  ``nodes_used`` counts the nodes
     evaluated over all levels; on the "noon" triangle a node is one pair
     of radii, its angle averaged exactly.  Results combine with ``+`` and
     ``-``: values add or subtract, estimates and node counts always add.
@@ -217,9 +222,10 @@ def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
     phi_k = p_k e^(-t^2 / 2): ln(w) + t^2 = -ln sum_{k<m} phi_k(t)^2,
     which stays finite where w itself is subnormal.
     """
-    # Newton starts from the raw eigenvalues: the mirrored ones would
-    # move the last bit of most rules.
-    t = _hermite_zeros(m)
+    # Newton starts from the eigenvalues of the m-point Jacobi matrix, not
+    # from ``_hermite_zeros``: its exactly mirrored start would move the
+    # last bit of most rules, and with them the cartesian results.
+    t = np.linalg.eigvalsh(np.diag(np.sqrt(0.5 * np.arange(1, m)), -1))
 
     def hermite_functions(t):
         # phi_0 .. phi_m at t, copied out of the recurrence's reused buffers.
@@ -291,19 +297,50 @@ def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool 
         x, w = _unit_panels(n_panels << doublings, graded)
         # a + total x, without the call that adds a zero a
         return (a + total * x if a else total * x), total * w
-    edges = [a, *inner, b]
-    lows = edges[:-1]
-    spans = [hi - lo for lo, hi in zip(lows, edges[1:])]
-    counts = [max(1, round(n_panels * span / total)) << doublings for span in spans]
-    xs, ws = zip(*[_unit_panels(k, graded) for k in counts])
-    repeats = [k * _PANEL_NODES for k in counts]
-    span = np.array(spans).repeat(repeats)
-    x = np.concatenate(xs)
-    w = np.concatenate(ws)
-    x *= span
-    x += np.array(lows).repeat(repeats)
-    w *= span
-    return x, w
+    return _Segments(a, b, inner, n_panels, graded).layout(doublings)[0]
+
+
+class _Segments:
+    """The breakpoint segments of ``_panel_nodes``, shared out once for every level.
+
+    ``inner`` holds the sorted breakpoints inside (a, b).  ``layout``
+    lays out levels in one pass over the segments; a call is the
+    ``axes`` of ``_run_1d``, which lays out the base level together with
+    its doubling and returns that one at the next call.
+    """
+
+    def __init__(self, a: float, b: float, inner, n_panels: int, graded: bool):
+        edges = [a, *inner, b]
+        spans = [hi - lo for lo, hi in zip(edges[:-1], edges[1:])]
+        self.counts = [max(1, round(n_panels * span / (b - a))) for span in spans]
+        self.lows = np.array(edges[:-1])
+        self.spans = np.array(spans)
+        self.graded = graded
+        self.doubled = None
+
+    def layout(self, *doublings):
+        """(x, w) of each level ``doublings``, laid out as one array."""
+        counts = [k << j for j in doublings for k in self.counts]
+        xs, ws = zip(*[_unit_panels(k, self.graded) for k in counts])
+        repeats = [k * _PANEL_NODES for k in counts]
+        span = np.concatenate([self.spans] * len(doublings)).repeat(repeats)
+        x = np.concatenate(xs)
+        w = np.concatenate(ws)
+        x *= span
+        x += np.concatenate([self.lows] * len(doublings)).repeat(repeats)
+        w *= span
+        ends = list(itertools.accumulate(
+            [_PANEL_NODES * (sum(self.counts) << j) for j in doublings], initial=0))
+        return [(x[lo:hi], w[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
+
+    def __call__(self, doublings: int):
+        if doublings == 0:
+            (x, w), self.doubled = self.layout(0, 1)
+        elif doublings == 1 and self.doubled is not None:
+            (x, w), self.doubled = self.doubled, None
+        else:
+            (x, w), = self.layout(doublings)
+        return x.size, x.size, (x, w)
 
 
 def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
@@ -314,117 +351,153 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     entry of ``layouts``: a member's ``axes(level)`` lays out a level and
     returns the resolution (nodes per axis, or a tuple of them), the
     number of nodes and the level's grid, and ``grow`` steps the
-    requested level.  ``evaluate(calls)`` takes a list of calls (member,
-    grids, node count) and returns the value of each grid, a list per
-    call.  Every integral runs its base level and the first doubling, so
-    the two go to one call when ``grow`` gives a finer level and that
-    level fits ``_MAX_LEVEL_NODES``; otherwise the base level runs alone.
-    These first calls of consecutive members join into one ``evaluate``
-    of at most ``_STACK_CHUNK_NODES`` nodes (a member over it has one of
-    its own).  A member whose two levels disagree then runs each later
-    level in a call of its own, before the next chunk starts.  Each level
-    is laid out once, only when it is about to run or be refused (see
-    ``_refinement``, which also logs the levels).  Returns one result a
-    member, in order; the first failure met is raised as it happens.
+    requested level.  Members may share one ``axes``, whose first levels
+    are then laid out once for all of them.  ``evaluate(calls)`` takes a
+    list of calls (member, grids, node count) and returns one row of
+    values a call, one value a grid.
+
+    Every integral runs its base level and the first doubling, so the
+    two go to one call when ``grow`` gives a finer level and that level
+    fits ``_MAX_LEVEL_NODES``; otherwise the base level runs alone, in a
+    call of its own.  The paired first calls of consecutive members join
+    into one ``evaluate`` of at most ``_STACK_CHUNK_NODES`` nodes (a
+    member over it has one of its own), which settles every member of
+    the chunk whose two levels agree.  A member whose two levels disagree
+    then runs each later level in a call of its own (see ``refine``),
+    before the next member of the chunk.  A level of more than
+    ``_MAX_LEVEL_NODES`` nodes is refused before it is evaluated, and so
+    is a level past the finest, where ``grow`` returns the level
+    unchanged; the refusal is logged at INFO and raised as
+    ToleranceNotReached ("node ceiling") carrying the result of the last
+    level run (None when the base level is refused).  The 1D runner's
+    exact rule for thermal phase-space integrals has two levels, 2 and 4
+    Gauss-Laguerre nodes, the second the finest; it has no cutoff and
+    ignores ``radial_nodes`` (see ``_run_1d``).  Each level that runs is
+    logged at DEBUG with its laid-out resolution, nodes, value and the
+    seconds of its call; the seconds of a joint call are logged with
+    each member's base level, and the doubled level logs 0.  Returns one
+    result a member, in order; the first failure met is raised as it
+    happens.
     """
-    runs = [_refinement(axes, base, grow, spec, what) for axes in layouts]
+    debug = _log.isEnabledFor(logging.DEBUG)
+
+    def refine(i, level, resolution, result, refinements, ahead=None):
+        # The levels of member i after ``level``, one call each.
+        while grow(level) != level:
+            level = grow(level)
+            resolution, nodes, grid = ahead or layouts[i](level)
+            ahead = None
+            if nodes > _MAX_LEVEL_NODES:
+                _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
+                          what, resolution, nodes, _MAX_LEVEL_NODES)
+                break
+            start = time.perf_counter()
+            (value,), = evaluate([(i, [grid], nodes)])
+            value = float(value)
+            _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
+                       what, resolution, nodes, value, time.perf_counter() - start)
+            err = abs(value - result.value)
+            result = IntegralResult(value, err, result.nodes_used + nodes)
+            if _settled(err, value, spec):
+                return result
+            refinements += 1
+            if refinements > spec.max_escalations:
+                raise _stalled(result, spec, what)
+        else:
+            _log.info("%s: level %s is the finest this rule allows", what, resolution)
+        raise _ceiling(result, spec, what)
+
     results = []
-    for chunk in _joined(runs):
+    for chunk in _joined(layouts, base, grow(base), spec, what):
         start = time.perf_counter()
-        values = evaluate(chunk)
+        rows = evaluate([(i, grids, nodes) for i, _, grids, nodes, _ in chunk])
+        rows = np.asarray(rows, dtype=float).tolist()
         seconds = time.perf_counter() - start
-        for (i, *_), member_values in zip(chunk, values):
-            try:
-                while True:
-                    call = (i, *runs[i].send((member_values, seconds)))
-                    start = time.perf_counter()
-                    member_values, = evaluate([call])
-                    seconds = time.perf_counter() - start
-            except StopIteration as done:
-                results.append(done.value)
+        for (i, levels, _, nodes, ahead), row in zip(chunk, rows):
+            if debug:
+                for (_, resolution, level_nodes), value, s in zip(levels, row, (seconds, 0.0)):
+                    _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
+                               what, resolution, level_nodes, value, s)
+            level, resolution, _ = levels[-1]
+            if len(row) == 1:
+                result = refine(i, level, resolution, IntegralResult(row[0], math.inf, nodes), 0,
+                                ahead)
+            else:
+                err = abs(row[1] - row[0])
+                result = IntegralResult(row[1], err, nodes)
+                if not _settled(err, row[1], spec):
+                    if spec.max_escalations < 1:
+                        raise _stalled(result, spec, what)
+                    result = refine(i, level, resolution, result, 1)
+            results.append(result)
     return results
 
 
-def _joined(runs):
-    """The first calls (member, grids, nodes) of ``runs``, joined in order into chunks.
+def _joined(layouts, base, finer, spec: QuadratureSpec, what: str):
+    """The first calls of the members of ``layouts``, joined in order into chunks.
 
-    A chunk holds at most ``_STACK_CHUNK_NODES`` nodes, or one member.
+    A first call is (member, levels, grids, nodes, ahead): the (level,
+    resolution, nodes) of the base level and, when ``finer`` differs and
+    fits the budget, of the doubling, their grids and summed nodes, and
+    the doubling laid out but over the budget (else None).  A chunk holds
+    the paired first calls of consecutive members, at most
+    ``_STACK_CHUNK_NODES`` nodes or one member; a lone base level is a
+    chunk of its own.  A base level over the budget is refused here.
     """
+    first = {}
     chunk, size = [], 0
-    for i, run in enumerate(runs):
-        grids, nodes = next(run)
-        if chunk and size + nodes > _STACK_CHUNK_NODES:
+    for i, axes in enumerate(layouts):
+        call = first.get(axes)
+        if call is None:
+            call = first[axes] = _first_call(axes, base, finer, spec, what)
+        levels, grids, nodes, ahead = call
+        if chunk and (len(levels) == 1 or size + nodes > _STACK_CHUNK_NODES):
             yield chunk
             chunk, size = [], 0
-        chunk.append((i, grids, nodes))
+        chunk.append((i, levels, grids, nodes, ahead))
         size += nodes
+        if len(levels) == 1:
+            yield chunk
+            chunk, size = [], 0
     if chunk:
         yield chunk
 
 
-def _refinement(axes, base, grow, spec: QuadratureSpec, what: str):
-    """The levels of one integral of ``_escalated``, as a generator.
+def _first_call(axes, base, finer, spec: QuadratureSpec, what: str):
+    """``_joined``'s (levels, grids, nodes, ahead) of one ``axes``."""
+    resolution, nodes, grid = axes(base)
+    if nodes > _MAX_LEVEL_NODES:
+        _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
+                  what, resolution, nodes, _MAX_LEVEL_NODES)
+        raise _ceiling(None, spec, what)
+    levels, grids, ahead = [(base, resolution, nodes)], [grid], None
+    if finer != base:
+        ahead = axes(finer)
+        if ahead[1] <= _MAX_LEVEL_NODES:
+            levels.append((finer, *ahead[:2]))
+            grids.append(ahead[2])
+            nodes += ahead[1]
+            ahead = None
+    return levels, grids, nodes, ahead
 
-    It yields the grids of its next call and their node count, is sent
-    back their values and the call's seconds, and returns the
-    IntegralResult once two levels agree.  A level is refused when it
-    holds more than ``_MAX_LEVEL_NODES`` nodes, or when ``grow`` returns
-    the level unchanged because the rule has no finer one; the refusal
-    is logged at INFO and raised as ToleranceNotReached ("node ceiling")
-    carrying the result of the last level run (None when the base level
-    is refused).  Each level that runs is logged at DEBUG with its
-    laid-out resolution, nodes, value and the seconds of its call; the
-    seconds of a joint call are logged with each member's base level,
-    and the doubled level logs 0.
-    """
-    result = None
-    refinements = 0
-    level, ahead = base, None
-    while True:
-        resolution, nodes, grid = ahead or axes(level)
-        if nodes > _MAX_LEVEL_NODES:
-            _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
-                      what, resolution, nodes, _MAX_LEVEL_NODES)
-            break
-        batch, ahead = [(level, resolution, nodes, grid)], None
-        grids = [grid]
-        finer = grow(level)
-        if result is None and finer != level:
-            # The base level never settles alone: its doubling joins its
-            # call when it fits, and is otherwise refused next, as laid out.
-            ahead = axes(finer)
-            if ahead[1] <= _MAX_LEVEL_NODES:
-                batch.append((finer, *ahead))
-                grids.append(ahead[2])
-                nodes += ahead[1]
-                ahead = None
-        values, seconds = yield grids, nodes
-        # ``level`` ends as the last level run.
-        for (level, resolution, nodes, _), value in zip(batch, values):
-            value = float(value)
-            _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
-                       what, resolution, nodes, value, seconds)
-            seconds = 0.0
-            if result is None:
-                result = IntegralResult(value, math.inf, nodes)
-                continue
-            err = abs(value - result.value)
-            result = IntegralResult(value, err, result.nodes_used + nodes)
-            if err <= max(spec.abs_tol, spec.rel_tol * abs(value)):
-                return result
-            refinements += 1
-            if refinements > spec.max_escalations:
-                raise ToleranceNotReached(
-                    f"{what}: refinement stalled at error {err:.3e} "
-                    f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
-                    result=result,
-                )
-        if grow(level) == level:
-            _log.info("%s: level %s is the finest this rule allows", what, resolution)
-            break
-        level = grow(level)
+
+def _settled(err: float, value: float, spec: QuadratureSpec) -> bool:
+    """Whether two levels ``err`` apart settle ``value`` within the tolerances."""
+    return err <= max(spec.abs_tol, spec.rel_tol * abs(value))
+
+
+def _stalled(result: IntegralResult, spec: QuadratureSpec, what: str) -> ToleranceNotReached:
+    return ToleranceNotReached(
+        f"{what}: refinement stalled at error {result.error_estimate:.3e} "
+        f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
+        result=result,
+    )
+
+
+def _ceiling(result: IntegralResult | None, spec: QuadratureSpec,
+             what: str) -> ToleranceNotReached:
     err = math.inf if result is None else result.error_estimate
-    raise ToleranceNotReached(
+    return ToleranceNotReached(
         f"{what}: node ceiling reached at error {err:.3e} "
         f"(abs_tol={spec.abs_tol:.1e}, rel_tol={spec.rel_tol:.1e})",
         result=result,
@@ -491,8 +564,8 @@ def _density_terms(log_q, log_s, factor_of_log, nodes, log_weight=None):
 # ---------------------------------------------------------------------------
 
 
-def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *,
-            radial: bool) -> list[IntegralResult]:
+def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
+            exact: bool = False) -> list[IntegralResult]:
     """Composite Gauss-Legendre rule on [0, cutoff], for a stack of integrals.
 
     With ``radial`` the coordinate is a phase-space radius and carries
@@ -505,57 +578,121 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *,
     envelope.  ``breakpoints`` are the zeros of a line density: they
     become panel edges (x = 0 already is one), and when there is any,
     every panel is graded (see ``_panel_nodes``), because ln f is
-    singular at each zero.  Each level's layout is a scaled copy of
-    cached unit rules (see ``_panel_nodes``), not rebuilt panel by
-    panel.  Level j lays out ``spec.radial_nodes`` with every panel of
-    the base level halved j times; consecutive members with one tail
-    share their layouts.
+    singular at each zero.  Level j lays out ``spec.radial_nodes`` with
+    every panel of the base level halved j times.
 
+    With ``exact`` (radial stacks without a reference) every member's
+    ln Q is exactly ln rate - rate r^2 / 2, so the integrand is e^-u
+    times a first-degree polynomial in u = rate r^2 / 2.  Its levels are
+    then the 2- and 4-point Gauss-Laguerre rules in u, both exact, at
+    r = sqrt(2 u / rate) with weights w e^u / (rate r): there is no
+    cutoff, ``radial_nodes`` and the tails' other entries are ignored,
+    and the 4-point level is the finest.
+
+    A member without inner breakpoints lays out one cached unit rule
+    (``_unit_panels`` on [0, 1], or the Gauss-Laguerre rule) for its own
+    scale, the cutoff or the rate, so ``_escalated`` lays out that rule
+    once for the stack; a member with breakpoints shares out its
+    segments once for all its levels (``_Segments``).
     ``terms(x, members, counts)`` maps nodes to the integrand there: x
     joins the levels of each member of a call in turn, ``counts[i]``
     nodes of member ``members[i]``.  ``_escalated`` joins the first two
     levels of consecutive members into calls of at most
-    ``_STACK_CHUNK_NODES`` nodes, and each level is then reduced with
-    its own weights by its own ``np.dot``, to the bits of a call per
-    level of each member alone.
+    ``_STACK_CHUNK_NODES`` nodes.  In a call, the nodes and weights of
+    consecutive members on one unit rule are the rows of one (members x
+    nodes) layout, formed from the scales and the rule by one outer
+    operation, and each level's values are one batched ``np.matmul`` of
+    weight rows against integrand rows, which gives the bits of
+    ``np.dot`` on a call per level of each member alone.
     """
-    tail_mass = _tail_mass(spec)
-    layouts = []
-    for tail, run in itertools.groupby(tails):
-        shape, rate, breakpoints, tail_log_margin = tail
-        mass = max(tail_mass * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
-        edges = tuple(abs(b) for b in breakpoints if b) if breakpoints else ()
-        axes = functools.partial(_line_layout, gamma_tail_threshold(shape, rate, mass), edges,
-                                 bool(breakpoints), spec.radial_nodes)
-        size = sum(1 for _ in run)
-        if size > 1:
-            # Consecutive members with one tail share its layouts, laid out once.
-            axes = functools.lru_cache(maxsize=2)(axes)
-        layouts += [axes] * size
+    n_panels = max(1, spec.radial_nodes // _PANEL_NODES)
+
+    def rule(shape, rate, breakpoints, tail_log_margin):
+        # (axes, scale) of a tail; scale None: laid out as it is
+        if exact:
+            return _laguerre_layout, rate
+        mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
+        cutoff = gamma_tail_threshold(shape, rate, mass)
+        inner = sorted({abs(b) for b in breakpoints if 0.0 < abs(b) < cutoff})
+        if inner:
+            return _Segments(0.0, cutoff, inner, n_panels, True), None
+        return _unit_axes(n_panels, bool(breakpoints)), cutoff
+
+    rules = {tail: rule(*tail) for tail in set(tails)}
+    layouts, scales = zip(*[rules[tail] for tail in tails])
 
     def evaluate(calls):
-        members, grids, counts = zip(*calls)
-        x = np.concatenate([x for levels in grids for x, _ in levels])
+        # Consecutive calls on one ``grids`` list share one unit rule: a
+        # block, whose members' nodes and weights are rows of one layout.
+        pieces, blocks = [], []
+        for _, block in itertools.groupby(calls, key=lambda call: id(call[1])):
+            block = list(block)
+            levels = block[0][1]
+            x, w = (np.concatenate(unit) for unit in zip(*levels))
+            factors = [scales[i] for i, _, _ in block]
+            if exact:
+                # r = sqrt(2 u / rate) and weights w e^u / (rate r)
+                rate = np.array(factors)[:, None]
+                x = np.sqrt(x / rate)
+                w = w / (rate * x)
+            elif factors.count(factors[0]) < len(factors):
+                x, w = np.multiply.outer(factors, x), np.multiply.outer(factors, w)
+            elif factors[0] is not None:
+                # One scale: one row serves every member.
+                x, w = factors[0] * x, factors[0] * w
+            pieces += [x.ravel()] if x.ndim == 2 else [x] * len(block)
+            blocks.append((len(block), w.reshape(-1, w.shape[-1]), [u.size for u, _ in levels]))
+        x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        members, _, counts = zip(*calls)
         t = terms(x, members, counts)
         if radial:
             t *= x
-        values, end = [], 0
-        for levels in grids:
-            values.append([])
-            for x, w in levels:
-                level_t = t[end:end + x.size]
-                end += x.size
-                values[-1].append(np.dot(w, level_t) if radial else 2.0 * float(np.dot(w, level_t)))
-        return values
+        # Each level is one batched product of weight rows and integrand
+        # rows, which gives the bits of ``np.dot`` on each row (a single
+        # weight row is broadcast).
+        values = np.empty((len(calls), len(calls[0][1])))
+        end = k = 0
+        for size, w, sizes in blocks:
+            t_rows = t[end:end + size * counts[k]].reshape(size, -1)
+            end += t_rows.size
+            col = 0
+            for level, n in enumerate(sizes):
+                cols = slice(col, col + n)
+                col += n
+                values[k:k + size, level] = np.matmul(w[:, None, cols],
+                                                      t_rows[:, cols, None])[:, 0, 0]
+            k += size
+        return values if radial else 2.0 * values
 
-    return _escalated(layouts, evaluate, 0, lambda level: level + 1, spec, what)
+    grow = (lambda level: min(level + 1, 1)) if exact else (lambda level: level + 1)
+    return _escalated(layouts, evaluate, 0, grow, spec, what)
 
 
-def _line_layout(cutoff, breakpoints, graded, n_nodes, doublings):
-    """``_run_1d``'s ``axes``: level ``doublings`` on [0, cutoff]."""
-    x, w = _panel_nodes(0.0, cutoff, n_nodes, breakpoints=breakpoints, graded=graded,
-                        doublings=doublings)
-    return x.size, x.size, (x, w)
+@functools.lru_cache(maxsize=None)
+def _unit_axes(n_panels: int, graded: bool):
+    """``_run_1d``'s ``axes`` of the members without inner breakpoints: unit rules on [0, 1]."""
+
+    def axes(doublings):
+        x, w = _unit_panels(n_panels << doublings, graded)
+        return x.size, x.size, (x, w)
+
+    return axes
+
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_layout(level: int):
+    """``_run_1d``'s ``axes`` of an exact member: the 2^(level + 1)-point Gauss-Laguerre rule.
+
+    Its grid, read-only, is 2u and w e^u at the nodes u and weights w of
+    the rule for e^-u on [0, inf); ``_run_1d`` turns them into radii and
+    weights for each member's rate.
+    """
+    u, w = laggauss(2 << level)
+    u *= 2.0
+    w *= np.exp(0.5 * u)
+    u.flags.writeable = False
+    w.flags.writeable = False
+    return u.size, u.size, (u, w)
 
 
 def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
@@ -799,7 +936,8 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
                                   factor_of_log)
         tail = (max(d.radial_gamma_shape for d in densities),
                 min(d.radial_rate for d in densities), (), 0.0)
-        return _run_1d(lambda x, *_: terms(x), [tail], spec, what, radial=True)[0]
+        return _run_1d(lambda x, *_: terms(x), [tail], spec, what, radial=True,
+                       exact=reference is None and evaluator.log_q_affine_in_r2)[0]
     if evaluator.kind == "noon" and (
         reference is None
         or (isinstance(reference, ProductHusimi)
@@ -888,15 +1026,15 @@ def _stacked_kernel(members, name: str):
     return kernels.pop() if len(members) > 1 and len(kernels) == 1 else None
 
 
-def _stack(kernel, members, tails, spec: QuadratureSpec, what: str, *,
-           radial: bool) -> list[IntegralResult]:
+def _stack(kernel, members, tails, spec: QuadratureSpec, what: str,
+           **rule) -> list[IntegralResult]:
     """The entropy of each member, one ``_run_1d`` stack through ``kernel(members, x, counts)``."""
 
     def terms(x, at, counts):
         log = functools.partial(kernel, [members[i] for i in at], counts=counts)
         return _density_terms(log, None, _entropy_factor, x)
 
-    return _run_1d(terms, tails, spec, what, radial=radial)
+    return _run_1d(terms, tails, spec, what, **rule)
 
 
 def entropy_functionals(evaluators, spec: QuadratureSpec | None = None) -> list[IntegralResult]:
@@ -911,10 +1049,12 @@ def entropy_functionals(evaluators, spec: QuadratureSpec | None = None) -> list[
     """
     spec = spec or QuadratureSpec()
     kernel = _stacked_kernel(evaluators, "stacked_log_q_radial")
-    if kernel is None:
+    exact = {ev.log_q_affine_in_r2 for ev in evaluators} if kernel else ()
+    if len(exact) != 1:
         return [entropy_functional(ev, spec) for ev in evaluators]
     tails = [(ev.radial_gamma_shape, ev.radial_rate, (), 0.0) for ev in evaluators]
-    return _stack(kernel, evaluators, tails, spec, "entropy functional", radial=True)
+    return _stack(kernel, evaluators, tails, spec, "entropy functional", radial=True,
+                  exact=exact.pop())
 
 
 def normalization(evaluator: HusimiEvaluator,

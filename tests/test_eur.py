@@ -25,6 +25,7 @@ from wehrlkit import (
 )
 from wehrlkit.errors import grid_point
 from wehrlkit.eur import _mixture_state, _sweep
+from wehrlkit.husimi import FockMixtureHusimi, FockMixturePositionDensity, ThermalHusimi
 
 BOUND = 1.0 + math.log(math.pi)
 
@@ -257,12 +258,13 @@ def _first_failure(points, spec):
 
 
 def test_a_failing_thermal_sweep_names_its_first_failing_point():
-    # at 32 radial nodes the first 14 points meet 1e-15 and most later ones do not
-    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_escalations=0, radial_nodes=32)
+    # the exact Gauss-Laguerre levels agree to rounding: at 3e-16 the first
+    # 8 points meet the tolerance, and 11 of the 60 do not
+    spec = QuadratureSpec(abs_tol=3e-16, rel_tol=3e-16, max_escalations=0)
     ratio = (20.0 / 0.05) ** (1.0 / 59)
     grid = [0.05 * ratio**i for i in range(60)]
     want = _first_failure([(f"beta_omega={b:.6g}", ThermalState(b)) for b in grid], spec)
-    assert want.startswith(f"beta_omega={grid[14]:.6g}: entropy functional:")
+    assert want.startswith(f"beta_omega={grid[8]:.6g}: entropy functional:")
     with pytest.raises(ToleranceNotReached) as err:
         eur_sweep_thermal(spec=spec)
     assert str(err.value) == want
@@ -290,3 +292,27 @@ def test_a_batch_failure_is_the_first_failing_points_not_the_first_failing_stack
     with pytest.raises(ToleranceNotReached) as err:
         _sweep(points, "q={:.6g}", spec)
     assert str(err.value) == want
+
+
+def _kernel_nodes(monkeypatch, cls, name):
+    # the node count of every call of a class's stacked kernel
+    kernel, nodes = getattr(cls, name), []
+
+    def recorded(members, x, counts):
+        nodes.append(x.size)
+        return kernel(members, x, counts)
+
+    monkeypatch.setattr(cls, name, staticmethod(recorded))
+    return nodes
+
+
+def test_the_sweeps_integrate_pinned_node_counts(monkeypatch):
+    # counts, not times: a thermal sweep is one kernel call on 2 + 4
+    # Gauss-Laguerre nodes a point; the number-state sweep keeps its rules
+    thermal = _kernel_nodes(monkeypatch, ThermalHusimi, "stacked_log_q_radial")
+    eur_sweep_thermal(points=400)
+    assert thermal == [2_400]
+    radial = _kernel_nodes(monkeypatch, FockMixtureHusimi, "stacked_log_q_radial")
+    line = _kernel_nodes(monkeypatch, FockMixturePositionDensity, "stacked_log_f")
+    eur_sweep_fock(50)
+    assert (sum(line), sum(radial)) == (64_320, 61_200)

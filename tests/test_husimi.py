@@ -616,9 +616,8 @@ def test_fock_position_breakpoints_are_wavefunction_zeros():
         roots = np.array(FockPositionDensity(n).breakpoints)
         *_, psi_n = _hermite_steps(n, roots, math.pi ** (-0.25) * np.exp(-0.5 * roots * roots))
         assert np.all(np.abs(psi_n) <= 1e-12)
-        # the breakpoints are the raw Jacobi eigenvalues, mirrored
-        raw = _hermite_zeros(n)
-        assert np.array_equal(roots, 0.5 * (raw - raw[::-1]))
+        # the breakpoints are the zeros of the half-size Laguerre Jacobi matrix
+        assert np.array_equal(roots, _hermite_zeros(n))
         coeffs = np.zeros(n + 1)
         coeffs[-1] = 1.0
         assert np.allclose(roots, np.polynomial.hermite.hermroots(coeffs), rtol=0.0, atol=1e-13)

@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 from scipy.special import eval_hermite, gammainccinv, gammaln, roots_hermite
 
 from wehrlkit import (
@@ -143,7 +144,7 @@ def test_doubling_self_consistency():
 def test_cutoff_insensitivity(monkeypatch):
     """Widening the solved radial cutoff by 25 percent shifts results below abs_tol."""
     spec = QuadratureSpec()
-    cases = (FockHusimi(6), ThermalHusimi(0.3))
+    cases = (FockHusimi(6), FockMixtureHusimi([(0, 0.3), (2, 0.7)]))
     default = [entropy_functional(ev, spec) for ev in cases]
     widened = []
 
@@ -155,6 +156,9 @@ def test_cutoff_insensitivity(monkeypatch):
     for ev, a in zip(cases, default):
         b = entropy_functional(ev, spec)
         assert abs(a.value - b.value) < spec.abs_tol
+    assert len(widened) == len(cases)
+    # a thermal integral runs on Gauss-Laguerre nodes, with no cutoff to widen
+    entropy_functional(ThermalHusimi(0.3), spec)
     assert len(widened) == len(cases)
 
 
@@ -980,7 +984,9 @@ def test_node_counts_are_pinned():
     line = sum(density_entropy_1d(FockPositionDensity(n)).nodes_used for n in range(51))
     radial = sum(entropy_functional(FockHusimi(n)).nodes_used for n in range(51))
     assert (line, radial) == (64_320, 61_200)
-    assert entropy_functional(ThermalHusimi(0.7)).nodes_used == 1_200
+    # a thermal integral runs on 2 and 4 Gauss-Laguerre nodes, whatever radial_nodes
+    assert entropy_functional(ThermalHusimi(0.7)).nodes_used == 6
+    assert entropy_functional(ThermalHusimi(0.7), QuadratureSpec(radial_nodes=16)).nodes_used == 6
 
 
 @pytest.mark.parametrize("n", [20, 30, 40, 50])
@@ -1056,6 +1062,13 @@ def _counted_1d(monkeypatch, density):
     return log, calls
 
 
+def _thermal_layout(rate, m):
+    # the m-point Gauss-Laguerre rule in u = rate r^2 / 2, as radii and weights
+    u, w = laggauss(m)
+    r = np.sqrt(2.0 * u / rate)
+    return r, w * np.exp(u) / (rate * r)
+
+
 def _1d_integral(density, spec):
     if isinstance(density, HusimiEvaluator):
         return entropy_functional(density, spec)
@@ -1073,7 +1086,8 @@ def test_the_first_two_1d_levels_share_one_density_call(caplog, monkeypatch, den
     assert len(levels) >= 2
     assert len(calls) == len(levels) - 1
 
-    # each level against a call of its own on the nodes of _panel_nodes
+    # each level against a call of its own on the nodes of _panel_nodes, or
+    # of the Gauss-Laguerre rule for a thermal density
     radial = isinstance(density, HusimiEvaluator)
     if radial:
         shape, rate, margin = density.radial_gamma_shape, density.radial_rate, 0.0
@@ -1085,6 +1099,8 @@ def test_the_first_two_1d_levels_share_one_density_call(caplog, monkeypatch, den
     graded = len(getattr(density, "breakpoints", ())) > 0
     layouts = [_panel_nodes(0.0, cutoff, 400, breakpoints=breaks, graded=graded, doublings=k)
                for k in range(len(levels))]
+    if isinstance(density, ThermalHusimi):
+        layouts = [_thermal_layout(rate, m) for m in (2, 4)]
     assert np.array_equal(calls[0], np.concatenate([layouts[0][0], layouts[1][0]]))
     for (x, w), (nodes, value) in zip(layouts, levels):
         assert x.size == nodes
@@ -1093,11 +1109,13 @@ def test_the_first_two_1d_levels_share_one_density_call(caplog, monkeypatch, den
         assert value == want
 
 
-@pytest.mark.parametrize("density", [ThermalHusimi(0.4), FockPositionDensity(7)],
-                         ids=lambda d: type(d).__name__)
-def test_a_doubled_level_over_the_budget_is_never_evaluated(caplog, monkeypatch, density):
-    # the base level (about 400 nodes) fits a budget of 600, its doubling does not
-    monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", 600)
+@pytest.mark.parametrize("density, budget", [(ThermalHusimi(0.4), 3), (FockHusimi(3), 600),
+                                             (FockPositionDensity(7), 600)],
+                         ids=["ThermalHusimi", "FockHusimi", "FockPositionDensity"])
+def test_a_doubled_level_over_the_budget_is_never_evaluated(caplog, monkeypatch, density, budget):
+    # the base level (about 400 nodes, 2 for the thermal rule) fits the budget,
+    # its doubling does not
+    monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", budget)
     _, calls = _counted_1d(monkeypatch, density)
     with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
         with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
@@ -1130,7 +1148,7 @@ def _mixture_evaluators(steps):
 
 
 STACKS = {
-    # 41 members of 1,200 first-level nodes: seven chunks
+    # 41 members of 6 first-level nodes: one chunk
     "thermal-radial": [ThermalHusimi(0.05 * 1.2 ** k) for k in range(41)],
     "fock-radial": [FockHusimi(int(n)) for n in np.random.default_rng(5).permutation(51)],
     "mixture-radial": _mixture_evaluators(21) + [NoonMarginalHusimi(n) for n in range(12)],
@@ -1152,8 +1170,10 @@ def test_a_stack_gives_the_bits_of_its_integrals_one_by_one(monkeypatch, name):
     got = (density_entropies_1d if line else entropy_functionals)(members)
     assert [_bits(r) for r in got] == [_bits(r) for r in singles]
     # one kernel call a chunk of at most 2^13 nodes evaluates the first two
-    # levels of many members, and the chunks cover every member
-    assert len(calls) > 1 and all(nodes <= 1 << 13 for _, nodes in calls)
+    # levels of many members, and the chunks cover every member; the 41
+    # thermal members, 6 nodes each, fit one chunk
+    assert all(nodes <= 1 << 13 for _, nodes in calls)
+    assert len(calls) == 1 if name == "thermal-radial" else len(calls) > 1
     assert sum(len(stack) for stack, _ in calls) == len(members)
     assert sum(nodes for _, nodes in calls) == sum(r.nodes_used for r in singles)
 
@@ -1182,10 +1202,53 @@ def test_a_member_that_misses_its_tolerance_escalates_alone(monkeypatch):
     assert {id(m) for m in alone} == {id(m) for m in members if m not in settled}
 
 
+def test_a_radial_member_that_misses_its_tolerance_escalates_alone(monkeypatch):
+    # at 1e-15 the number states n = 35, 45 and 50 need a third level, the
+    # others settle on their first two; each later level runs alone
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
+    members = [FockHusimi(n) for n in range(0, 51, 5)]
+    singles = [entropy_functional(ev, spec) for ev in members]
+    calls = _recorded(monkeypatch, FockMixtureHusimi, "stacked_log_q_radial")
+    got = entropy_functionals(members, spec)
+    assert [_bits(r) for r in got] == [_bits(r) for r in singles]
+    assert sum(len(stack) for stack, _ in calls if len(stack) > 1) == len(members)
+    alone = [stack[0].n for stack, _ in calls if len(stack) == 1]
+    settled = []
+    for member in members:
+        try:
+            entropy_functional(member, dataclasses.replace(spec, max_escalations=0))
+            settled.append(member.n)
+        except ToleranceNotReached:
+            pass
+    assert 0 < len(settled) < len(members)
+    assert sorted(set(alone)) == [m.n for m in members if m.n not in settled]
+
+
+@pytest.mark.parametrize("beta_omega", [1e-3, 0.05, 1.0, 20.0, 800.0])
+def test_thermal_integrals_are_exact_on_six_gauss_laguerre_nodes(beta_omega):
+    # ln Q is affine in u = rate r^2 / 2, so the 2- and 4-point rules are
+    # both exact: they agree to rounding and there is no cutoff
+    res = entropy_functional(ThermalHusimi(beta_omega))
+    want = wehrl_thermal_closed(beta_omega)
+    assert abs(res.value - want) <= 4.0 * np.finfo(float).eps * abs(want)
+    assert res.nodes_used == 6 and res.error_estimate <= 1e-15
+    norm = normalization(ThermalHusimi(beta_omega))
+    assert abs(norm.value - 1.0) <= 1e-15 and norm.nodes_used == 6
+
+
+def test_a_thermal_stack_is_one_kernel_call_with_the_bits_of_its_integrals(monkeypatch):
+    members = [ThermalHusimi(b) for b in np.geomspace(1e-3, 800.0, 400)]
+    singles = [entropy_functional(ev) for ev in members]
+    calls = _recorded(monkeypatch, ThermalHusimi, "stacked_log_q_radial")
+    got = entropy_functionals(members)
+    assert [_bits(r) for r in got] == [_bits(r) for r in singles]
+    assert [nodes for _, nodes in calls] == [6 * len(members)]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_the_line_entropy_of_a_number_state_past_the_float_range_is_refused():
     result = density_entropy_1d(FockPositionDensity(650))
-    assert (result.value, result.nodes_used) == (3.817475103338994, 36_848)
+    assert (result.value, result.nodes_used) == (3.8174751033389955, 36_848)
     with pytest.raises(UnsupportedState, match=r"index 651\b"):
         density_entropy_1d(FockPositionDensity(651))
 
