@@ -351,10 +351,10 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     entry of ``layouts``: a member's ``axes(level)`` lays out a level and
     returns the resolution (nodes per axis, or a tuple of them), the
     number of nodes and the level's grid, and ``grow`` steps the
-    requested level.  Members may share one ``axes``, whose first levels
-    are then laid out once for all of them.  ``evaluate(calls)`` takes a
-    list of calls (member, grids, node count) and returns one row of
-    values a call, one value a grid.
+    requested level.  Consecutive members may share one ``axes``, whose
+    first levels are then laid out once for all of them.
+    ``evaluate(calls)`` takes a list of calls (member, grids, node count)
+    and returns one row of values a call, one value a grid.
 
     Every integral runs its base level and the first doubling, so the
     two go to one call when ``grow`` gives a finer level and that level
@@ -444,13 +444,11 @@ def _joined(layouts, base, finer, spec: QuadratureSpec, what: str):
     ``_STACK_CHUNK_NODES`` nodes or one member; a lone base level is a
     chunk of its own.  A base level over the budget is refused here.
     """
-    first = {}
-    chunk, size = [], 0
+    chunk, size, last = [], 0, None
     for i, axes in enumerate(layouts):
-        call = first.get(axes)
-        if call is None:
-            call = first[axes] = _first_call(axes, base, finer, spec, what)
-        levels, grids, nodes, ahead = call
+        if last is None or axes is not last[0]:
+            last = axes, _first_call(axes, base, finer, spec, what)
+        levels, grids, nodes, ahead = last[1]
         if chunk and (len(levels) == 1 or size + nodes > _STACK_CHUNK_NODES):
             yield chunk
             chunk, size = [], 0
@@ -592,8 +590,9 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
     A member without inner breakpoints lays out one cached unit rule
     (``_unit_panels`` on [0, 1], or the Gauss-Laguerre rule) for its own
     scale, the cutoff or the rate, so ``_escalated`` lays out that rule
-    once for the stack; a member with breakpoints shares out its
-    segments once for all its levels (``_Segments``).
+    once for each run of consecutive members on it; a member with
+    breakpoints shares out its segments once for all its levels
+    (``_Segments``).
     ``terms(x, members, counts)`` maps nodes to the integrand there: x
     joins the levels of each member of a call in turn, ``counts[i]``
     nodes of member ``members[i]``.  ``_escalated`` joins the first two
