@@ -129,9 +129,9 @@ class IntegralResult:
     ``error_estimate`` is the difference between the two finest levels.
     It leaves out the truncation at the radial cutoff, so it can be
     smaller than the true error; a thermal phase-space integral, exact
-    on Gauss-Laguerre nodes, has no cutoff to truncate.  ``nodes_used`` counts the nodes
-    evaluated over all levels; on the "noon" triangle a node is one pair
-    of radii, its angle averaged exactly.  Results combine with ``+`` and
+    on Gauss-Laguerre nodes, has no cutoff to truncate.  ``nodes_used``
+    counts the nodes evaluated over all levels; on the "noon" triangle a
+    node is one pair of radii, its angle averaged exactly.  Results combine with ``+`` and
     ``-``: values add or subtract, estimates and node counts always add.
     """
 
