@@ -580,37 +580,23 @@ def marginal_husimi(evaluator: HusimiEvaluator, keep: str = "a") -> HusimiEvalua
 # ---------------------------------------------------------------------------
 
 
-# Steps of the Hermite recurrence whose factors x c1 are formed together.
-_HERMITE_BLOCK = 8
+def _hermite_steps(n: int, x: np.ndarray, psi: np.ndarray):
+    """Yield psi_0 .. psi_n at x by the normalized recurrence (Bunck, BIT 49, 281 (2009)).
 
-
-def _hermite_steps(n: int, x: np.ndarray, psi: np.ndarray, lengths=None):
-    """Yield psi_0 .. psi_n at x by the stable normalized recurrence.
-
+    psi_(k+1) = sqrt(2 / (k + 1)) x psi_k - sqrt(k / (k + 1)) psi_(k-1).
     ``psi`` is psi_0 at x (scaled as the caller likes: the recurrence is
     linear).  Each yielded array is a buffer that later steps overwrite,
-    so it must be used before the next one is requested.  With
-    ``lengths``, the step from psi_k to psi_(k+1) works on the first
-    ``lengths[k]`` entries of 1D arrays alone, a count that must not
-    grow with k: past it the buffers keep stale values.
+    so it must be used before the next one is requested.
     """
     psi_prev = np.zeros_like(x)
     yield psi
-    c1 = np.sqrt(2.0 / np.arange(1.0, n + 1.0))
-    block = np.empty((min(n, _HERMITE_BLOCK),) + np.shape(x))
+    step = np.empty_like(psi_prev)
     for k in range(n):
-        head = ... if lengths is None else slice(lengths[k])
-        if k % _HERMITE_BLOCK == 0:
-            # x c1 of the next steps in one call, into one reused buffer; a
-            # block of them, not all n, keeps the memory a few times that of x.
-            c = c1[k:k + _HERMITE_BLOCK]
-            scaled = np.multiply.outer(c, x[head], out=block[:c.size, head])
-        # psi_next = (x c1) psi - c2 psi_prev, written over psi_prev.
-        step = scaled[k % _HERMITE_BLOCK][head]
-        step *= psi[head]
-        prev = psi_prev[head]
-        prev *= math.sqrt(k / (k + 1.0))
-        np.subtract(step, prev, out=prev)
+        # psi_(k+1), written over psi_(k-1)
+        np.multiply(x, math.sqrt(2.0 / (k + 1)), out=step)
+        step *= psi
+        psi_prev *= math.sqrt(k / (k + 1.0))
+        np.subtract(step, psi_prev, out=psi_prev)
         psi_prev, psi = psi, psi_prev
         yield psi
 
@@ -698,33 +684,23 @@ class FockMixturePositionDensity(PositionDensity):
 
     def log_f(self, x):
         x = np.asarray(x, dtype=float)
-        return _fock_mixture_log_f(x, [self._top], [x.size], None,
+        return _fock_mixture_log_f(x, [self._top], [x.size],
                                    {k: (..., w) for k, w in self.weights})
 
     @staticmethod
     def stacked_log_f(members, x, counts):
         """ln f of a stack: the first ``counts[0]`` nodes of x are member 0's, and so on.
 
-        The members come sorted by largest index, the largest first, so
-        one recurrence serves them all: the step to psi_(k+1) works only
-        on the prefix of members whose largest index passes k, and the
-        numpy calls grow with the largest index, not with the sum of the
-        indices.  The index-k terms are added on the nodes from the first
-        to the last member that has one, with w_k a per-node column (0 for
-        the members in between without it) unless one weight serves them
-        all.  Each node sees the operations of its member's own
-        ``log_f``, so the stack gives its bits.
+        The members come in any order.  One recurrence, up to the largest
+        index of them all, serves every node, so the numpy calls grow with
+        that index, not with the sum of the indices.  The index-k terms
+        are added on the nodes from the first to the last member that has
+        one, with w_k a per-node column (0 for the members in between
+        without it) unless one weight serves them all.  Each node sees the
+        operations of its member's own ``log_f``, so the stack gives its
+        bits.
         """
-        tops = [m._top for m in members]
-        if tops != sorted(tops, reverse=True):
-            raise ValueError("a line stack needs its largest indices in descending order")
         ends = list(itertools.accumulate(counts))
-        # Members 0 .. m - 1, whose largest index passes k, take step k.
-        lengths, m = [], len(members)
-        for k in range(tops[0]):
-            while tops[m - 1] <= k:
-                m -= 1
-            lengths.append(ends[m - 1])
         weight_of = [dict(m.weights) for m in members]
         have = {}
         for i, weights in enumerate(weight_of):
@@ -735,17 +711,17 @@ class FockMixturePositionDensity(PositionDensity):
             lo, hi = at[0], at[-1] + 1
             w = [weights.get(k, 0.0) for weights in weight_of[lo:hi]]
             terms[k] = (slice(ends[lo] - counts[lo], ends[hi - 1]), _per_node(w, counts[lo:hi]))
-        return _fock_mixture_log_f(x, tops, ends, lengths, terms)
+        return _fock_mixture_log_f(x, [m._top for m in members], ends, terms)
 
 
-def _fock_mixture_log_f(x, tops, ends, lengths, terms):
+def _fock_mixture_log_f(x, tops, ends, terms):
     """ln f at x of ``FockMixturePositionDensity`` members, laid out as a stack.
 
-    The members' largest indices ``tops`` descend, and member i's nodes
-    end at ``ends[i]``; ``lengths`` are the step lengths of
-    ``_hermite_steps`` and ``terms[k]`` the (nodes, w_k) of the index-k
-    terms.  A sum that leaves the float range raises UnsupportedState,
-    naming the member's index, before anything warns.
+    Member i has largest index ``tops[i]`` and its nodes end at
+    ``ends[i]``; ``terms[k]`` are the (nodes, w_k) of the index-k terms.
+    A sum that leaves the float range raises UnsupportedState, naming the
+    index of the first member, in the stack's order, that it fails on,
+    before anything warns.
     """
     half = -0.25 * x * x
     total = np.zeros_like(x)
@@ -753,7 +729,7 @@ def _fock_mixture_log_f(x, tops, ends, lengths, terms):
     psi_0 *= math.pi ** (-0.25)
     square = np.empty_like(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, psi in enumerate(_hermite_steps(tops[0], x, psi_0, lengths)):
+        for k, psi in enumerate(_hermite_steps(max(tops), x, psi_0)):
             if k in terms:
                 at, w = terms[k]
                 part = psi[at]

@@ -63,8 +63,7 @@ _MAX_LEVEL_NODES = 10**8
 # Most nodes one call of a stack's first levels may join (see
 # ``_escalated``): enough members that the fixed cost of a numpy call is
 # shared out, few enough that a chunk's arrays (the line kernel holds
-# about a dozen, and a block of eight rows) add under a megabyte to the
-# peak memory of a sweep.
+# about a dozen) add under a megabyte to the peak memory of a sweep.
 _STACK_CHUNK_NODES = 1 << 13
 # Whitened by its own envelope, an all-"gaussian" integrand is the Hermite
 # weight times a quadratic, which m-point Gauss-Hermite integrates exactly
@@ -381,12 +380,11 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     """
     debug = _log.isEnabledFor(logging.DEBUG)
 
-    def refine(i, level, resolution, result, refinements, ahead=None):
+    def refine(i, level, resolution, result, refinements):
         # The levels of member i after ``level``, one call each.
         while grow(level) != level:
             level = grow(level)
-            resolution, nodes, grid = ahead or layouts[i](level)
-            ahead = None
+            resolution, nodes, grid = layouts[i](level)
             if nodes > _MAX_LEVEL_NODES:
                 _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
                           what, resolution, nodes, _MAX_LEVEL_NODES)
@@ -410,18 +408,17 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     results = []
     for chunk in _joined(layouts, base, grow(base), spec, what):
         start = time.perf_counter()
-        rows = evaluate([(i, grids, nodes) for i, _, grids, nodes, _ in chunk])
+        rows = evaluate([(i, grids, nodes) for i, _, grids, nodes in chunk])
         rows = np.asarray(rows, dtype=float).tolist()
         seconds = time.perf_counter() - start
-        for (i, levels, _, nodes, ahead), row in zip(chunk, rows):
+        for (i, levels, _, nodes), row in zip(chunk, rows):
             if debug:
                 for (_, resolution, level_nodes), value, s in zip(levels, row, (seconds, 0.0)):
                     _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
                                what, resolution, level_nodes, value, s)
             level, resolution, _ = levels[-1]
             if len(row) == 1:
-                result = refine(i, level, resolution, IntegralResult(row[0], math.inf, nodes), 0,
-                                ahead)
+                result = refine(i, level, resolution, IntegralResult(row[0], math.inf, nodes), 0)
             else:
                 err = abs(row[1] - row[0])
                 result = IntegralResult(row[1], err, nodes)
@@ -436,11 +433,10 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
 def _joined(layouts, base, finer, spec: QuadratureSpec, what: str):
     """The first calls of the members of ``layouts``, joined in order into chunks.
 
-    A first call is (member, levels, grids, nodes, ahead): the (level,
+    A first call is (member, levels, grids, nodes): the (level,
     resolution, nodes) of the base level and, when ``finer`` differs and
-    fits the budget, of the doubling, their grids and summed nodes, and
-    the doubling laid out but over the budget (else None).  A chunk holds
-    the paired first calls of consecutive members, at most
+    fits the budget, of the doubling, their grids and summed nodes.  A
+    chunk holds the paired first calls of consecutive members, at most
     ``_STACK_CHUNK_NODES`` nodes or one member; a lone base level is a
     chunk of its own.  A base level over the budget is refused here.
     """
@@ -448,11 +444,11 @@ def _joined(layouts, base, finer, spec: QuadratureSpec, what: str):
     for i, axes in enumerate(layouts):
         if last is None or axes is not last[0]:
             last = axes, _first_call(axes, base, finer, spec, what)
-        levels, grids, nodes, ahead = last[1]
+        levels, grids, nodes = last[1]
         if chunk and (len(levels) == 1 or size + nodes > _STACK_CHUNK_NODES):
             yield chunk
             chunk, size = [], 0
-        chunk.append((i, levels, grids, nodes, ahead))
+        chunk.append((i, levels, grids, nodes))
         size += nodes
         if len(levels) == 1:
             yield chunk
@@ -462,21 +458,23 @@ def _joined(layouts, base, finer, spec: QuadratureSpec, what: str):
 
 
 def _first_call(axes, base, finer, spec: QuadratureSpec, what: str):
-    """``_joined``'s (levels, grids, nodes, ahead) of one ``axes``."""
+    """``_joined``'s (levels, grids, nodes) of one ``axes``.
+
+    A doubling over the budget is left out, for ``refine`` to refuse.
+    """
     resolution, nodes, grid = axes(base)
     if nodes > _MAX_LEVEL_NODES:
         _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
                   what, resolution, nodes, _MAX_LEVEL_NODES)
         raise _ceiling(None, spec, what)
-    levels, grids, ahead = [(base, resolution, nodes)], [grid], None
+    levels, grids = [(base, resolution, nodes)], [grid]
     if finer != base:
-        ahead = axes(finer)
-        if ahead[1] <= _MAX_LEVEL_NODES:
-            levels.append((finer, *ahead[:2]))
-            grids.append(ahead[2])
-            nodes += ahead[1]
-            ahead = None
-    return levels, grids, nodes, ahead
+        resolution, finer_nodes, grid = axes(finer)
+        if finer_nodes <= _MAX_LEVEL_NODES:
+            levels.append((finer, resolution, finer_nodes))
+            grids.append(grid)
+            nodes += finer_nodes
+    return levels, grids, nodes
 
 
 def _settled(err: float, value: float, spec: QuadratureSpec) -> bool:
@@ -1136,23 +1134,16 @@ def density_entropies_1d(densities, spec: QuadratureSpec | None = None) -> list[
     """``density_entropy_1d`` of each density, to the same bits.
 
     Densities whose classes share a ``stacked_log_f`` (number states and
-    their mixtures) run as one stack, like ``entropy_functionals``, by
-    descending largest index; any other list runs one density at a time.
-    The first failure met in that order is raised.
+    their mixtures) run as one stack, like ``entropy_functionals``, in
+    the order given; any other list runs one density at a time.  The
+    first failure met in that order is raised.
     """
     spec = spec or QuadratureSpec()
     kernel = _stacked_kernel(densities, "stacked_log_f")
     if kernel is None:
         return [density_entropy_1d(d, spec) for d in densities]
-    # The kernel's one Hermite recurrence needs the largest index (the
-    # Gamma shape) to descend.
-    order = sorted(range(len(densities)), key=lambda i: -densities[i].position_gamma_shape)
-    ranked = [densities[i] for i in order]
-    results = [None] * len(densities)
-    for i, result in zip(order, _stack(kernel, ranked, [_line_tail(d) for d in ranked], spec,
-                                       "line entropy", radial=False)):
-        results[i] = result
-    return results
+    return _stack(kernel, densities, [_line_tail(d) for d in densities], spec, "line entropy",
+                  radial=False)
 
 
 def density_normalization_1d(density: PositionDensity,

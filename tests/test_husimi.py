@@ -690,9 +690,9 @@ def _hermite_function_four_calls(n, x):
 
 
 def test_hermite_function_matches_the_allocating_recurrence():
-    # the recurrence runs in reused buffers with its factors x sqrt(2 / (k + 1))
-    # formed up front, in the same order of operations; every step it yields
-    # is the allocating recurrence's, on a 1D and on a 2D grid
+    # the recurrence runs in reused buffers, in the same order of operations;
+    # every step it yields is the allocating recurrence's, on a 1D and on a
+    # 2D grid
     x = np.linspace(-9.0, 9.0, 101)
     for grid in (x, x.reshape(-1, 1) * np.array([1.0, 0.5, -0.25])):
         steps = _hermite_steps(60, grid, math.pi ** (-0.25) * np.exp(-0.5 * grid * grid))
@@ -703,18 +703,6 @@ def test_hermite_function_matches_the_allocating_recurrence():
     for n in range(61):
         *_, got = _hermite_steps(n, x, math.pi ** (-0.25) * np.exp(-0.5 * x * x))
         assert np.array_equal(got, _hermite_function_four_calls(n, x))
-
-
-def test_hermite_steps_on_a_shrinking_prefix_keep_the_full_steps_bits():
-    # with lengths, step k runs on the first lengths[k] entries alone; there
-    # every yielded psi_k is the full recurrence's
-    x = np.linspace(-9.0, 9.0, 301)
-    psi_0 = math.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    lengths = [301 - 6 * k for k in range(40)]
-    full = [psi.copy() for psi in _hermite_steps(40, x, psi_0.copy())]
-    for k, psi in enumerate(_hermite_steps(40, x, psi_0.copy(), lengths)):
-        head = 301 if k == 0 else lengths[k - 1]
-        assert np.array_equal(psi[:head], full[k][:head])
 
 
 # ---------------------------------------------------------------------------
@@ -753,29 +741,31 @@ def test_stacked_line_kernel_gives_each_members_bits():
         FockMixturePositionDensity(w)
         for w in ([(0, 0.3), (1, 0.7)], [(1, 0.5), (3, 0.5)], [(0, 0.2), (7, 0.8)],
                   [(4, 0.6), (50, 0.4)])]
-    members.sort(key=lambda d: -d.position_gamma_shape)
     x, counts = _stack_nodes(rng, members, 14.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = FockMixturePositionDensity.stacked_log_f(members, x, counts)
-    for member, nodes, values in zip(members, _split(x, counts), _split(got, counts)):
-        assert np.array_equal(values, member.log_f(nodes))
-    # the one recurrence runs over the members by descending largest index
-    with pytest.raises(ValueError, match="descending"):
-        FockMixturePositionDensity.stacked_log_f(members[::-1], x, counts[::-1])
+    # the members come in any order: shuffled, and the same stack reversed
+    for members, x, counts in ((members, x, counts),
+                               (members[::-1], np.concatenate(_split(x, counts)[::-1]),
+                                counts[::-1])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = FockMixturePositionDensity.stacked_log_f(members, x, counts)
+        for member, nodes, values in zip(members, _split(x, counts), _split(got, counts)):
+            assert np.array_equal(values, member.log_f(nodes))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_the_line_kernel_refuses_a_number_state_past_its_float_range():
     # psi_k carries e^(x^2 / 4), so its square leaves the float range near
-    # |x| = 41 for n = 651; both kernels say so before anything warns
+    # |x| = 41 for n = 651; both kernels say so before anything warns, the
+    # stacked one in descending and in ascending order
     x = np.linspace(0.0, 42.3, 4001)
     stack = [FockPositionDensity(651), FockPositionDensity(650), FockPositionDensity(2)]
     with pytest.raises(UnsupportedState, match=r"index 651\b.*float range"):
         stack[0].log_f(x)
-    with pytest.raises(UnsupportedState, match=r"index 651\b.*float range"):
-        FockMixturePositionDensity.stacked_log_f(stack, np.concatenate([x, x, x]),
-                                                 [x.size] * 3)
+    for members in (stack, stack[::-1]):
+        with pytest.raises(UnsupportedState, match=r"index 651\b.*float range"):
+            FockMixturePositionDensity.stacked_log_f(members, np.concatenate([x, x, x]),
+                                                     [x.size] * 3)
     assert np.all(stack[1].log_f(x) < 0.0)
 
 

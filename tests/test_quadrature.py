@@ -1156,6 +1156,8 @@ STACKS = {
                           for n in np.random.default_rng(6).permutation(51)]
     + [FockMixturePositionDensity(w) for w in ([(0, 0.25), (1, 0.75)], [(1, 0.5), (3, 0.5)],
                                                [(2, 0.9), (5, 0.1)], [(0, 0.6), (1, 0.4)])],
+    # the order eur_sweep_fock passes
+    "fock-line-ascending": [FockPositionDensity(n) for n in range(51)],
 }
 
 
