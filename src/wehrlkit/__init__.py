@@ -23,6 +23,7 @@ from .entropies import (
     wehrl_fock_closed,
     wehrl_fock_stirling,
     wehrl_mutual_information,
+    wehrl_noon_joint_closed,
     wehrl_quadrature,
     wehrl_relative_entropy,
     wehrl_thermal_closed,

@@ -26,6 +26,7 @@ from .gaussian import (
 from .husimi import (
     HusimiEvaluator,
     ProductHusimi,
+    _noon_log_offset,
     evaluator_for,
     marginal_husimi,
 )
@@ -66,6 +67,30 @@ def wehrl_fock_closed(n: int) -> float:
     if n < 0:
         raise ValueError("number-state index must be nonnegative")
     return math.lgamma(n + 1) + n + 1.0 + n * (EULER_GAMMA - harmonic_number(n))
+
+
+def wehrl_noon_joint_closed(n: int) -> float:
+    """S(AB) of the NOON state (|n, 0> + |0, n>) / sqrt(2); 2 for the vacuum, n = 0.
+
+    The s-profile of ``NoonHusimi.s_profile`` integrates in closed form
+    (y = s^2 and z = y / (1 + y) make each piece elementary):
+
+        S(AB) = -D + n (n + 1) (J_1 + J_2) - 2^-n,
+        J_1 = (1 - h) / (n + 1)^2 - h ln 2 / (n + 1),   h = 2^-(n + 1),
+        J_2 = sum_(j >= 1) 2^-(n + j + 1) / (j (n + j + 1)),
+
+    with D = -(n + 2) + n psi(n + 2) + n ln 2 - L as in the profile.  At
+    n = 1 and 2 it is 2 + gamma and 2 + 2 gamma, the joint entropies of
+    |1, 0> and |1, 1>, which a beam splitter maps to these states.
+    """
+    if n < 0:
+        raise ValueError("excitation must be nonnegative")
+    if n == 0:
+        return 2.0
+    h = 2.0 ** -(n + 1)
+    j1 = (1.0 - h) / (n + 1) ** 2 - h * math.log(2.0) / (n + 1)
+    j2 = math.fsum(2.0 ** -(n + j + 1) / (j * (n + j + 1)) for j in range(1, 64))
+    return math.fsum([-_noon_log_offset(n), n * (n + 1) * (j1 + j2), -2.0 ** -n])
 
 
 def wehrl_fock_stirling(n: int) -> float:
@@ -158,11 +183,12 @@ def wehrl_relative_entropy(rho, sigma, spec: QuadratureSpec | None = None) -> fl
 def wehrl_mutual_information(obj, spec: QuadratureSpec | None = None) -> IntegralResult:
     """Mutual information of the heterodyne density across the bipartition.
 
-    The joint density is integrated against the product of its marginals
-    in one pass, which avoids the cancellation of the three large
-    entropies in S(A) + S(B) - S(AB).  The value is nonnegative for any
-    state and vanishes on products; a value within MI_ROUNDING_SLACK of 0
-    is returned as 0, its estimate kept.
+    It is the relative entropy of the joint density against the product
+    of its marginals: a Gaussian state in one pass, a NOON state as
+    S(A) + S(B) - S(AB) by the split of ``quadrature._marginal_split``.
+    The value is nonnegative for any state and vanishes on products; a
+    value within MI_ROUNDING_SLACK of 0 is returned as 0, its estimate
+    kept.
     """
     evaluator = _as_evaluator(obj)
     product = ProductHusimi(marginal_husimi(evaluator, "a"), marginal_husimi(evaluator, "b"))

@@ -10,16 +10,16 @@ Evaluators declare how they can be integrated through ``kind`` alone,
 and the quadrature engine routes on it without probing for methods:
 
 * ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape``,
-  ``radial_rate`` and ``log_q_affine_in_r2``; the one-mode radial
-  densities share ``RadialHusimi``, which also gives ``log_q_remainder``,
-  ln Q + rho^2 / 2 on the outer product of two axes;
+  ``radial_rate``, ``log_q_affine_in_r2`` and ``lowest_index``, the
+  smallest occupied number-state index (Q vanishes like r^(2 k) at the
+  origin); the one-mode radial densities share ``RadialHusimi``;
 * ``"noon"`` promises a two-mode density that depends on the mode phases
   only through their difference and is symmetric under the exchange
-  r_A <-> r_B of the two radii, with ``angle_averaged_logs(r, s)`` (the
-  average over that difference, in closed form, on the triangle
-  r_A = r, r_B = s r with 0 <= s <= 1, as 1D factors on the two axes
-  that the Gaussian -r_B^2 / 2 alone couples), plus the same two tail
-  parameters for the radial cutoff;
+  r_A <-> r_B of the two radii, with ``s_profile(s)``: the density
+  integrated over that difference and over the radius in closed form,
+  as a profile in the ratio s = r_B / r_A of [0, 1]; ``marginal``, the
+  one instance that both reductions are; and ``separable``, true when
+  the density is the product of its marginals;
 * ``"gaussian"`` promises that ln Q is exactly quadratic, with the
   covariance and mean that ``gaussian_envelope`` returns; whitened by it,
   an integral whose densities are all "gaussian" is exact on two
@@ -27,9 +27,9 @@ and the quadrature engine routes on it without probing for methods:
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.
 
-``log_q``, ``log_q_radial``, ``log_q_remainder``, ``log_f`` and
-``angle_averaged_logs`` must return fresh arrays: the engine overwrites
-them while it evaluates the integrand.
+``log_q``, ``log_q_radial``, ``log_f`` and ``s_profile`` must return
+fresh arrays: the engine overwrites them while it evaluates the
+integrand.
 
 Every number-state density is a Fock mixture sum_k w_k |k><k|: a number
 state has one index and the NOON marginal (|0><0| + |n><n|) / 2 two.  So
@@ -85,31 +85,6 @@ def _log_sum_exp(terms: np.ndarray, axis: int = 0) -> np.ndarray:
         return np.log(total) + np.squeeze(shift, axis=axis)
 
 
-# Largest log of a term that ``FockMixtureHusimi.log_q_remainder`` takes
-# out of log space: sums of a few such terms stay finite.
-_LOG_SEPARABLE_MAX = 700.0
-
-
-def _outer_sum(pairs, shape) -> np.ndarray:
-    """sum over the (x, y) pairs of x_i y_j, a fresh array of ``shape``, by one matmul.
-
-    Each x is a row vector or a scalar, each y a column vector or a
-    scalar; a lone pair is padded by a zero one.  One pair gives
-    x_i y_j + 0 * 0 and the pairs (x, 1), (1, y) give x_i * 1 + 1 * y_j,
-    the very numbers of ``np.multiply.outer`` and ``np.add.outer``, at a
-    third to a half of their cost on the "noon" triangle's grids: the
-    ufuncs' outer loops, like a matmul with an inner dimension of one,
-    take one numpy call a row.
-    """
-    pairs = list(pairs) + [(0.0, 0.0)] * (len(pairs) == 1)
-    left = np.empty((shape[0], len(pairs)))
-    right = np.empty((len(pairs), shape[1]))
-    for k, (x, y) in enumerate(pairs):
-        left[:, k] = x
-        right[k] = y
-    return left @ right
-
-
 class HusimiEvaluator:
     """Base interface: a bounded density on phase space, 0 <= Q <= 1."""
 
@@ -155,24 +130,12 @@ class RadialHusimi(HusimiEvaluator):
     # True when ln Q is exactly ln radial_rate - radial_rate r^2 / 2, so
     # the quadrature engine integrates it exactly on Gauss-Laguerre nodes.
     log_q_affine_in_r2 = False
+    # The smallest occupied number-state index k: Q vanishes like r^(2 k)
+    # at the origin (a thermal state occupies the vacuum).
+    lowest_index = 0
 
     def log_q_radial(self, r):
         raise NotImplementedError
-
-    def log_q_remainder(self, r, s):
-        """ln Q(rho) + rho^2 / 2 at rho = r_i s_j, a fresh (len r, len s) array.
-
-        The "noon" triangle reads a reference factor at r_B = s r through
-        this remainder, its vacuum Gaussian -rho^2 / 2 cancelling the
-        density's cross term.  This default forms rho and its square;
-        ``FockMixtureHusimi`` works from the axes' logs instead.
-        """
-        rho = np.multiply.outer(np.asarray(r, dtype=float), np.asarray(s, dtype=float))
-        remainder = self.log_q_radial(rho)
-        rho *= rho
-        rho *= 0.5
-        remainder += rho
-        return remainder
 
     def log_q(self, points):
         pts = self._points(points)
@@ -255,7 +218,7 @@ class FockMixtureHusimi(RadialHusimi):
 
     def __init__(self, weights):
         self.weights = pairs = _occupied(weights)
-        self._k0 = k0 = pairs[0][0]
+        self.lowest_index = k0 = pairs[0][0]
         coefs = [(k, math.log(w) - k * math.log(2.0) - math.lgamma(k + 1)) for k, w in pairs]
         self._c0 = coefs[0][1]
         self._folds = tuple((2.0 * (k - k0), c) for k, c in coefs[1:])
@@ -267,8 +230,8 @@ class FockMixtureHusimi(RadialHusimi):
         r = np.asarray(r, dtype=float)
         if r.ndim == 0:
             return self.log_q_radial(r.reshape(1))[0]
-        return _fock_mixture_log_q(r, 2.0 * self._k0 if self._k0 else None, self._c0,
-                                   self._folds)
+        k0 = self.lowest_index
+        return _fock_mixture_log_q(r, 2.0 * k0 if k0 else None, self._c0, self._folds)
 
     @staticmethod
     def stacked_log_q_radial(members, r, counts):
@@ -281,7 +244,7 @@ class FockMixtureHusimi(RadialHusimi):
         of its member's own ``log_q_radial``, so the stack gives its bits.
         """
         runs = [list(run) for _, run in itertools.groupby(
-            zip(members, counts), key=lambda pair: (pair[0]._k0 > 0, len(pair[0]._folds)))]
+            zip(members, counts), key=lambda pair: (pair[0].lowest_index > 0, len(pair[0]._folds)))]
         log_q = np.empty_like(r) if len(runs) > 1 else None
         end = 0
         for run in runs:
@@ -291,8 +254,8 @@ class FockMixtureHusimi(RadialHusimi):
             folds = [(_per_node([m._folds[j][0] for m in group], group_counts),
                       _per_node([m._folds[j][1] for m in group], group_counts))
                      for j in range(len(group[0]._folds))]
-            twice_k0 = (_per_node([2.0 * m._k0 for m in group], group_counts)
-                        if group[0]._k0 else None)
+            twice_k0 = (_per_node([2.0 * m.lowest_index for m in group], group_counts)
+                        if group[0].lowest_index else None)
             run_log_q = _fock_mixture_log_q(r[nodes], twice_k0,
                                             _per_node([m._c0 for m in group], group_counts),
                                             folds)
@@ -300,32 +263,6 @@ class FockMixtureHusimi(RadialHusimi):
                 return run_log_q
             log_q[nodes] = run_log_q
         return log_q
-
-    def log_q_remainder(self, r, s):
-        # rho = r s splits every term of Q e^(rho^2 / 2) = sum_k e^(c_k) rho^2k
-        # into axis factors.  Past c_k0 + 2 k0 ln rho, the fold of
-        # ``log_q_radial`` is log1p(sum_k X_k(r_i) Y_k(s_j)), one matmul, with
-        # X_k = e^(c_k - c_k0) r^(2 (k - k0)) and Y_k = s^(2 (k - k0)) <= 1: no
-        # log or square of a 2D array.  Where some X_k could overflow, the
-        # default forms rho instead.
-        with np.errstate(divide="ignore"):
-            log_r, log_s = np.log(r), np.log(s)
-        shape = (log_r.size, log_s.size)
-        lead = self._c0
-        if self._k0:
-            twice = 2.0 * self._k0
-            lead = _outer_sum([(twice * log_r + self._c0, 1.0), (1.0, twice * log_s)], shape)
-        if not self._folds:
-            return lead if self._k0 else np.full(shape, lead)
-        rows = [gap * log_r + (c - self._c0) for gap, c in self._folds]
-        if max(x.max() for x in rows) > _LOG_SEPARABLE_MAX:
-            return super().log_q_remainder(r, s)
-        remainder = _outer_sum([(np.exp(x), np.exp(gap * log_s))
-                                for x, (gap, _) in zip(rows, self._folds)], shape)
-        np.log1p(remainder, out=remainder)
-        remainder += lead
-        return remainder
-
 
 class FockHusimi(FockMixtureHusimi):
     """Q_n(x, p) = (x^2 + p^2)^n exp(-(x^2 + p^2)/2) / (2^n n!): one occupied index."""
@@ -387,6 +324,18 @@ class GaussianHusimi(HusimiEvaluator):
         return self.cov.v + 0.5 * np.eye(self.dim), np.zeros(self.dim)
 
 
+def _noon_log_offset(n: int) -> float:
+    """D = -(n + 2) + n psi(n + 2) + n ln 2 - L of ``NoonHusimi.s_profile``, n >= 1.
+
+    L = (n + 1) ln 2 + ln n! is the log of the normalization and
+    psi(n + 2) = H_(n+1) - gamma, so no special function is needed; the
+    terms, of size n ln n, are added exactly rounded.
+    """
+    harmonic = math.fsum(1.0 / k for k in range(1, n + 2))
+    return math.fsum([-(n + 2.0), -math.log(2.0), n * harmonic, -n * float(np.euler_gamma),
+                      -math.lgamma(n + 1)])
+
+
 class NoonHusimi(HusimiEvaluator):
     """Two-mode superposition with all n excitations in one mode or the other.
 
@@ -396,6 +345,8 @@ class NoonHusimi(HusimiEvaluator):
         Q = exp(-(r_A^2 + r_B^2)/2)
             * (r_A^2n + r_B^2n + 2 (r_A r_B)^n cos(n dtheta))
             / (2^(n+1) n! (1 + delta_{n,0}))
+
+    At n = 0 it is the vacuum in both modes, the product of its marginals.
     """
 
     kind = "noon"
@@ -406,9 +357,9 @@ class NoonHusimi(HusimiEvaluator):
         n = self.excitation
         delta = 1.0 if n == 0 else 0.0
         self._log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1) + math.log1p(delta)
-        self.radial_gamma_shape = float(n)
-        self.radial_rate = 1.0
+        self._log_mean_offset = _noon_log_offset(n) if n else -2.0
         self.marginal = NoonMarginalHusimi(n)
+        self.separable = n == 0
 
     def log_q(self, points):
         pts = self._points(points)
@@ -421,36 +372,45 @@ class NoonHusimi(HusimiEvaluator):
         with np.errstate(divide="ignore"):
             return np.log(mag2) - 0.5 * rsq - self._log_norm
 
-    def angle_averaged_logs(self, r, s):
-        """Axis factors of ln <Q> and <Q ln Q> / <Q> over the phase difference.
+    def s_profile(self, s):
+        """ln m and l at s: Q and Q ln Q integrated over the radius and the phase difference.
 
-        The radii are r_A = r and r_B = s r with 0 <= s <= 1, given as two
-        1D arrays.  The result is three fresh 1D arrays, a on r and b, c on
-        s, with, exactly,
+        The radii are r_A = r and r_B = s r with 0 <= s <= 1 (the exchange
+        symmetry folds r_B > r_A at weight two), of measure 2 r^3 s dr ds.
+        Averaged over the phase difference u, exactly,
+        ln <Q> = a(r) + ln(1 + t) - r^2 s^2 / 2 and
+        <Q ln Q> / <Q> = a(r) + c - r^2 s^2 / 2, with a = 2n ln r - r^2 / 2
+        - L (L the log of the normalization), t = s^(2n) and
+        c = 2t / (1 + t): for x = r_A^n >= y = r_B^n, |x + y e^(iu)|^2
+        averages to x^2 + y^2, and times its log, by Jensen's formula and
+        the Fourier series of ln|1 + t e^(iu)|, to (x^2 + y^2) ln x^2 + 2 y^2.
+        Under that mass u = kappa r^2 / 2, kappa = 1 + s^2, is Gamma(n + 2)
+        distributed, with E[u] = n + 2 and E[ln u] = psi(n + 2), so the
+        radius integrates in closed form to a mass m and a mean log l:
 
-            ln <Q>         = a_i + b_j - r_i^2 s_j^2 / 2,
-            <Q ln Q> / <Q> = a_i + c_j - r_i^2 s_j^2 / 2:
+            m(s) = 2 (n + 1) s (1 + t) kappa^-(n + 2),
+            l(s) = D - n ln kappa + c,   D as in ``_noon_log_offset``,
 
-        the vacuum Gaussian -r_B^2 / 2 is the one term that couples the
-        axes.  With x = r_A^n and y = r_B^n <= x the angular factor is
-        |x + y e^{iu}|^2, whose averages over u are x^2 + y^2 and, for
-        n >= 1, (x^2 + y^2) ln x^2 + 2 y^2 (Jensen's formula and the Fourier
-        series of ln|1 + t e^{iu}|).  With t = s^(2n) <= 1 that makes a the
-        prefactor log plus 2n ln r - r^2 / 2, b = log1p(t) and
-        c = 2t / (1 + t).  At n = 0 the factor is the constant 4, both
-        values are ln Q, and b = c = 0.
+        whose integrals of m and m l over [0, 1] are those of Q and Q ln Q.
+        At n = 0 the angular factor is the constant 4 and Q the vacuum
+        Gaussian: m is the same formula with t = 1, and l = -2.  Returns
+        two fresh arrays, ln m and l.
         """
         n = self.excitation
-        r = np.asarray(r, dtype=float)
         s = np.asarray(s, dtype=float)
-        a = -0.5 * r * r
-        if n == 0:
-            a += 2.0 * math.log(2.0) - self._log_norm
-            return a, np.zeros_like(s), np.zeros_like(s)
-        with np.errstate(divide="ignore"):
-            a += 2.0 * n * np.log(r) - self._log_norm
+        log_kappa = np.log1p(s * s)
         t = s ** (2 * n)
-        return a, np.log1p(t), 2.0 * t / (1.0 + t)
+        with np.errstate(divide="ignore"):
+            log_mass = np.log(s)
+        log_mass += math.log(2.0 * (n + 1))
+        log_mass += np.log1p(t)
+        log_mass -= (n + 2) * log_kappa
+        if n == 0:
+            return log_mass, np.full_like(s, self._log_mean_offset)
+        log_mean = np.multiply(log_kappa, -n, out=log_kappa)
+        log_mean += self._log_mean_offset
+        log_mean += 2.0 * t / (1.0 + t)
+        return log_mass, log_mean
 
     def gaussian_envelope(self):
         width = 0.5 * (self.excitation + 2.0) + 0.5

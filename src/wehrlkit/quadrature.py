@@ -2,10 +2,9 @@
 
 Every analytic value in the package can be cross-checked here.  One
 routing function picks a coordinate system from the ``kind`` each density
-declares (radial, two radii with the angle averaged exactly, whitened
-cartesian),
-runs a deterministic composite rule, then doubles the resolution and
-compares.
+declares (radial, the ratio of two radii with the radius and the angle
+done exactly, whitened cartesian), runs a deterministic composite rule,
+then doubles the resolution and compares.
 The difference between the two finest levels is the reported error
 estimate; if it misses the tolerance after the allowed escalations the
 engine raises instead of returning a number it cannot defend.
@@ -16,8 +15,8 @@ is affine in ln Q, and every runner keeps one set of rules: points where
 the mass is below 1e-300 contribute exactly zero, a reference's log is
 clamped where it underflows, and mass where it underflows is a
 divergence.  The 1D and cartesian runners apply them node by node
-through one kernel, ``_node_terms``; the "noon" triangle applies them to
-axis factors, bounding each rule on the axes first.
+through one kernel, ``_node_terms``; a "noon" density meets a reference
+only through its marginals, on the 1D runner.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from numpy.polynomial.laguerre import laggauss
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DimensionMismatch, SupportViolation, ToleranceNotReached
-from .husimi import HusimiEvaluator, PositionDensity, ProductHusimi, _hermite_steps, _outer_sum
+from .husimi import HusimiEvaluator, PositionDensity, ProductHusimi, _hermite_steps
 
 _log = logging.getLogger(__name__)
 
@@ -50,15 +49,15 @@ _LOG_FLOOR = 2.0 * LOG_TINY
 _PANEL_NODES = 16
 _GL_NODES, _GL_WEIGHTS = leggauss(_PANEL_NODES)
 # The graded panel map phi(u) = u^2 (3 - 2u) and its weights 6u(1 - u) w at
-# the Gauss-Legendre points u of [0, 1] (see ``_panel_nodes``).
+# the Gauss-Legendre points u of [0, 1] (see ``_unit_panels``).
 _GL_UNIT = 0.5 * (_GL_NODES + 1.0)
 _GRADED_NODES = _GL_UNIT * _GL_UNIT * (3.0 - 2.0 * _GL_UNIT)
 _GRADED_WEIGHTS = _GL_WEIGHTS * 6.0 * _GL_UNIT * (1.0 - _GL_UNIT)
 
 # Most nodes one refinement level may hold.  Every runner lays out a level
 # before it evaluates it, and a level over the budget is refused: with
-# four-fold (triangle) or 2^dim-fold (cartesian) growth per level, one
-# more level can cost minutes and gigabytes.
+# 2^dim-fold (cartesian) growth per level, one more level can cost
+# minutes and gigabytes.
 _MAX_LEVEL_NODES = 10**8
 # Most nodes one call of a stack's first levels may join (see
 # ``_escalated``): enough members that the fixed cost of a numpy call is
@@ -78,13 +77,12 @@ class QuadratureSpec:
 
     No field picks a runner: the densities' ``kind`` does (see
     ``_integrate``).  ``radial_nodes`` counts nodes along a radial or
-    line coordinate (the "noon" triangle starts at a quarter of them in
-    r_A and an eighth in the ratio r_B / r_A), and
-    ``cartesian_nodes_per_dim`` the Gauss-Hermite order per axis, capped
-    at two when every density of the integral is "gaussian" (exact
-    there).  No runner samples an angle: the one angle
-    a runner meets, the phase difference of a "noon" density, is averaged
-    in closed form.  The engine always computes one refinement (all counts
+    line coordinate, or along the ratio s = r_B / r_A of a "noon"
+    density, and ``cartesian_nodes_per_dim`` the Gauss-Hermite order per
+    axis, capped at two when every density of the integral is "gaussian"
+    (exact there).  No runner samples an angle: the one angle a runner
+    meets, the phase difference of a "noon" density, is averaged in
+    closed form.  The engine always computes one refinement (all counts
     doubled) to get an error estimate, then up to ``max_escalations``
     further doublings; it stops early, with ToleranceNotReached, before a
     level of more than 10^8 nodes.
@@ -94,7 +92,8 @@ class QuadratureSpec:
     A thermal phase-space integral without a reference ignores
     ``radial_nodes`` and has no cutoff: its ln Q is affine in r^2, and
     2- and 4-point Gauss-Laguerre rules integrate it exactly (see
-    ``_run_1d``).
+    ``_run_1d``); nor has a "noon" integral, whose radius is integrated
+    in closed form.
     Both tolerances must be positive and finite, or ValueError is raised.
     ``parallelism`` > 1 maps the chunks of a cartesian level over a
     thread pool; ``math.fsum`` adds the chunk sums exactly rounded, so the
@@ -128,10 +127,12 @@ class IntegralResult:
     ``error_estimate`` is the difference between the two finest levels.
     It leaves out the truncation at the radial cutoff, so it can be
     smaller than the true error; a thermal phase-space integral, exact
-    on Gauss-Laguerre nodes, has no cutoff to truncate.  ``nodes_used``
-    counts the nodes evaluated over all levels; on the "noon" triangle a
-    node is one pair of radii, its angle averaged exactly.  Results combine with ``+`` and
-    ``-``: values add or subtract, estimates and node counts always add.
+    on Gauss-Laguerre nodes, and a "noon" density's s-rule on [0, 1]
+    have no cutoff to truncate.  ``nodes_used`` counts the nodes evaluated
+    over all levels; on a "noon" density's s-rule a node is one ratio of
+    the two radii, its radius and angle integrated exactly.  Results
+    combine with ``+`` and ``-``: values add or subtract, estimates and
+    node counts always add.
     """
 
     value: float
@@ -245,10 +246,17 @@ def _hermite_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _unit_panels(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of k equal ``_PANEL_NODES``-point panels on [0, 1], read-only.
 
-    The panel ends are i / k; a plain panel is the Gauss-Legendre rule about
-    its midpoint, a graded one the rule mapped through phi (see
-    ``_panel_nodes``).  Every layout scales one of these, so the [0, 1]
-    layouts (the triangle's s axis) are these very values.
+    The panel ends are i / k; a plain panel is the Gauss-Legendre rule
+    about its midpoint.  A graded panel [lo, lo + h] is the rule mapped
+    through phi(u) = u^2 (3 - 2u) on [0, 1] (Sidi's sigmoidal
+    transformation of degree one): its nodes are lo + h phi(u) and its
+    weights (h / 2) w 6u(1 - u) at the Gauss-Legendre points u and
+    weights w of [0, 1].  Nodes then cluster at both panel ends, where
+    the map turns a (x - x0)^2 ln|x - x0| singularity into about
+    u^5 ln u: the plain rule gains only about a factor eight a doubling
+    on such a panel, the graded one far more.  Every layout of
+    ``_run_1d`` scales one of these, and a [0, 1] layout (the s-rule of
+    a "noon" density) is one of them itself.
     """
     ends = np.arange(k + 1) * (1.0 / k)
     lows, highs = ends[:-1, None], ends[1:, None]
@@ -266,46 +274,21 @@ def _unit_panels(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_nodes(a: float, b: float, n_nodes: int, breakpoints=(), graded: bool = False,
-                 doublings: int = 0):
-    """Composite Gauss-Legendre nodes on [a, b] with panel edges at breakpoints.
+class _Segments:
+    """A composite rule on [a, b] with panel edges at breakpoints, shared out once for every level.
 
-    About ``n_nodes`` nodes, ``_PANEL_NODES`` a panel, with panels shared
-    out between the breakpoint segments by length: a segment [lo, hi]
-    gets k = max(1, round(n_panels (hi - lo) / (b - a))) equal panels,
-    times 2^``doublings``.  So each doubling of a level halves every
+    ``inner`` holds the sorted breakpoints inside (a, b).  The base level
+    has ``n_panels`` panels shared out between the segments by length: a
+    segment [lo, hi] gets k = max(1, round(n_panels (hi - lo) / (b - a)))
+    equal panels, and level j has 2^j k.  So each doubling halves every
     panel: sharing out twice the nodes instead would leave a short
     segment at its one panel, and two levels that agree there would hide
     its error from the estimate.  A segment's nodes are lo + (hi - lo) x
     and its weights (hi - lo) w, with x and w the cached rule
-    ``_unit_panels(k, graded)`` on [0, 1], so a layout costs a few array
-    operations and a [0, 1] layout is the unit rule itself.  With
-    ``graded`` every panel [lo, lo + h] is mapped through
-    phi(u) = u^2 (3 - 2u) on [0, 1] (Sidi's sigmoidal
-    transformation of degree one): the nodes are lo + h phi(u) and the
-    weights (h / 2) w 6u(1 - u) at the Gauss-Legendre points u and
-    weights w of [0, 1].  Nodes then cluster at both panel ends, where the
-    map turns a (x - x0)^2 ln|x - x0| singularity into about u^5 ln u: the
-    plain rule gains only about a factor eight a doubling on such a panel,
-    the graded one far more.
-    """
-    inner = sorted({p for p in map(float, breakpoints) if a < p < b})
-    total = b - a
-    n_panels = max(1, int(n_nodes) // _PANEL_NODES)
-    if not inner:
-        x, w = _unit_panels(n_panels << doublings, graded)
-        # a + total x, without the call that adds a zero a
-        return (a + total * x if a else total * x), total * w
-    return _Segments(a, b, inner, n_panels, graded).layout(doublings)[0]
-
-
-class _Segments:
-    """The breakpoint segments of ``_panel_nodes``, shared out once for every level.
-
-    ``inner`` holds the sorted breakpoints inside (a, b).  ``layout``
-    lays out levels in one pass over the segments; a call is the
-    ``axes`` of ``_run_1d``, which lays out the base level together with
-    its doubling and returns that one at the next call.
+    ``_unit_panels(k, graded)`` on [0, 1].  ``layout`` lays out levels in
+    one pass over the segments; a call is the ``axes`` of ``_run_1d``,
+    which lays out the base level together with its doubling and returns
+    that one at the next call.
     """
 
     def __init__(self, a: float, b: float, inner, n_panels: int, graded: bool):
@@ -555,27 +538,30 @@ def _density_terms(log_q, log_s, factor_of_log, nodes, log_weight=None):
 # ---------------------------------------------------------------------------
 # Coordinate-system runners.  Each lays out nodes and weights and reduces
 # the integrand against the phase-space measure (the line measure for line
-# densities): the 1D and cartesian runners get it at the nodes from
-# ``_node_terms``, the "noon" triangle forms it from axis factors.
+# densities), which it gets at the nodes from ``_node_terms`` (or, for a
+# "noon" s-profile, from ``_profile_terms``).
 # ---------------------------------------------------------------------------
 
 
-def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
+def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
             exact: bool = False) -> list[IntegralResult]:
-    """Composite Gauss-Legendre rule on [0, cutoff], for a stack of integrals.
+    """Composite Gauss-Legendre rule on [0, cutoff] or [0, 1], for a stack of integrals.
 
-    With ``radial`` the coordinate is a phase-space radius and carries
-    the Jacobian r; otherwise it is the half line of an even line
-    density, whose integral is twice that over [0, cutoff].  ``tails``
-    holds each member's (shape, rate, breakpoints, tail_log_margin).  Its
-    cutoff is solved from the Gamma tail of ``shape`` and ``rate`` (see
-    ``gamma_tail_threshold``) at the spec's tail mass, which
-    ``tail_log_margin`` shrinks for tails that outrun the plain Gamma
-    envelope.  ``breakpoints`` are the zeros of a line density: they
-    become panel edges (x = 0 already is one), and when there is any,
-    every panel is graded (see ``_panel_nodes``), because ln f is
-    singular at each zero.  Level j lays out ``spec.radial_nodes`` with
-    every panel of the base level halved j times.
+    ``coordinate`` is "radius", a phase-space radius, which carries the
+    Jacobian r; "line", the half line of an even line density, whose
+    integral is twice that over [0, cutoff]; or "unit", the ratio
+    s = r_B / r_A of a "noon" density, whose profile carries its measure:
+    the unit rule on [0, 1], with no cutoff, and the tails ignored.
+    Otherwise ``tails`` holds each member's (shape, rate, breakpoints,
+    tail_log_margin).  Its cutoff is solved from the Gamma tail of
+    ``shape`` and ``rate`` (see ``gamma_tail_threshold``) at the spec's
+    tail mass, which ``tail_log_margin`` shrinks for tails that outrun
+    the plain Gamma envelope.  ``breakpoints`` are where a log in the
+    integrand is singular (the zeros of a line density, or the origin of
+    a radial reference that vanishes there): they become panel edges,
+    and when there is any, every panel is graded (see ``_unit_panels``).
+    Level j lays out ``spec.radial_nodes`` with every panel of the base
+    level halved j times.
 
     With ``exact`` (radial stacks without a reference) every member's
     ln Q is exactly ln rate - rate r^2 / 2, so the integrand is e^-u
@@ -587,10 +573,10 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
 
     A member without inner breakpoints lays out one cached unit rule
     (``_unit_panels`` on [0, 1], or the Gauss-Laguerre rule) for its own
-    scale, the cutoff or the rate, so ``_escalated`` lays out that rule
-    once for each run of consecutive members on it; a member with
-    breakpoints shares out its segments once for all its levels
-    (``_Segments``).
+    scale, the cutoff or the rate (none on [0, 1]), so ``_escalated``
+    lays out that rule once for each run of consecutive members on it; a
+    member with breakpoints shares out its segments once for all its
+    levels (``_Segments``).
     ``terms(x, members, counts)`` maps nodes to the integrand there: x
     joins the levels of each member of a call in turn, ``counts[i]``
     nodes of member ``members[i]``.  ``_escalated`` joins the first two
@@ -604,8 +590,11 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
     """
     n_panels = max(1, spec.radial_nodes // _PANEL_NODES)
 
-    def rule(shape, rate, breakpoints, tail_log_margin):
+    def rule(tail):
         # (axes, scale) of a tail; scale None: laid out as it is
+        if coordinate == "unit":
+            return _unit_axes(n_panels, False), None
+        shape, rate, breakpoints, tail_log_margin = tail
         if exact:
             return _laguerre_layout, rate
         mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
@@ -615,7 +604,7 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
             return _Segments(0.0, cutoff, inner, n_panels, True), None
         return _unit_axes(n_panels, bool(breakpoints)), cutoff
 
-    rules = {tail: rule(*tail) for tail in set(tails)}
+    rules = {tail: rule(tail) for tail in set(tails)}
     layouts, scales = zip(*[rules[tail] for tail in tails])
 
     def evaluate(calls):
@@ -642,7 +631,7 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
         x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         members, _, counts = zip(*calls)
         t = terms(x, members, counts)
-        if radial:
+        if coordinate == "radius":
             t *= x
         # Each level is one batched product of weight rows and integrand
         # rows, which gives the bits of ``np.dot`` on each row (a single
@@ -659,7 +648,7 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, radial: bool,
                 values[k:k + size, level] = np.matmul(w[:, None, cols],
                                                       t_rows[:, cols, None])[:, 0, 0]
             k += size
-        return values if radial else 2.0 * values
+        return 2.0 * values if coordinate == "line" else values
 
     grow = (lambda level: min(level + 1, 1)) if exact else (lambda level: level + 1)
     return _escalated(layouts, evaluate, 0, grow, spec, what)
@@ -690,158 +679,6 @@ def _laguerre_layout(level: int):
     u.flags.writeable = False
     w.flags.writeable = False
     return u.size, u.size, (u, w)
-
-
-def _run_triangle(evaluator, reference, factor, spec: QuadratureSpec,
-                  what: str) -> IntegralResult:
-    """Two radii, with the phase difference of a "noon" density averaged exactly.
-
-    By the exchange symmetry only the triangle r_B <= r_A is integrated,
-    at weight two, as r_A = r and r_B = s r with composite Gauss-Legendre
-    rules in r on [0, cutoff] and in s on [0, 1]; the Jacobian makes the
-    weight 2 r^3 s, an outer product of the two axes.  The s panels are
-    graded (see ``_panel_nodes``): a reference factor vanishing at r = 0
-    puts s ln s into ln S at s = 0.  Each level doubles both axes.
-
-    The functional is affine in ln Q, ``factor`` = offset + slope ln Q (an
-    ``_AffineFactor``), so the angle enters only through the evaluator's
-    ``angle_averaged_logs``: ln <Q> sets the mass and <Q ln Q> / <Q>
-    enters the factor, both axis factors coupled by the Gaussian
-    -r_i^2 s_j^2 / 2 alone.  A level forms one (len r, len s) array,
-    E = exp(-r_i^2 s_j^2 / 2), and reduces the integral with one product
-    of E against three s-axis columns, contracted with r-axis vectors.
-    The reference, a product of two radial factors, need not be
-    symmetric: it enters through the mean of its clamped log at
-    (r_A, r_B) and at (r_B, r_A).  Its Gaussian -r_B^2 / 2 cancels the
-    density's, so only its ``log_q_remainder`` at r_i s_j is a second
-    (len r, len s) array.  When both factors are one evaluator the two
-    orders coincide and each is evaluated once.  Levels that
-    ``_escalated`` evaluates together share one pass over the joined
-    axes; only the 2D work is done per level.
-
-    The rules of ``_node_terms`` hold: a node whose mass ln <Q> is at or
-    below ln 1e-300 contributes exactly 0, ln S is clamped at
-    ``_LOG_FLOOR``, and SupportViolation is raised where Q keeps mass
-    above 1e-12 while S is below 1e-300.  Each is first bounded on the
-    axes; ln <Q> and ln S are formed only on the rows where a bound could
-    fail.
-
-    The first level has a quarter of ``spec.radial_nodes`` in r and an
-    eighth in s (at least two panels each): 96 x 48, then 192 x 96, at the
-    default 400.  Every "noon" joint entropy and mutual information for
-    N <= 50 meets 1e-8 on those two levels, the largest estimates being
-    1.3e-9 and 2.0e-9; one doubling coarser misses 1e-8 there for N >= 5.
-    """
-    cutoff = gamma_tail_threshold(evaluator.radial_gamma_shape + 1.0, evaluator.radial_rate,
-                                  _tail_mass(spec))
-    slope = factor.slope
-    # The coefficient of -r_i^2 s_j^2 / 2 in the factor: the slope's share
-    # of <Q ln Q> / <Q>, cancelled by -ln S when there is a reference.
-    cross_slope = slope - (reference is not None)
-    if reference is not None:
-        fa, fb = reference.factor_a, reference.factor_b
-
-    def axes(level):
-        r, wr = _panel_nodes(0.0, cutoff, level[0])
-        s, ws = _panel_nodes(0.0, 1.0, level[1], graded=True)
-        return (r.size, s.size), r.size * s.size, (r, wr, s, ws)
-
-    def evaluate(grids):
-        r, wr, s, ws = (np.concatenate(axis) for axis in zip(*grids))
-        a, b, c = evaluator.angle_averaged_logs(r, s)
-        half_sq = 0.5 * r * r
-        s_sq = s * s
-        # On row i, -r_i^2 s_j^2 / 2 is at least -cross_max_i.
-        cross_max = half_sq * s_sq.max()
-        mass_floor = a + b.min() - cross_max
-        # A level's integral is sum_ik row_terms_ik (E @ col_terms)_ik, less
-        # sum_i p_i ((remainder * E) @ q)_i with a reference.
-        p = 2.0 * wr * r**3 * np.exp(a)
-        q = ws * s * np.exp(b)
-        coef = factor.offset + slope * a
-        if reference is not None:
-            log_sa = fa.log_q_radial(r)
-            log_sb = log_sa if fa is fb else fb.log_q_radial(r)
-            log_s = 0.5 * (log_sa + log_sb)
-            coef -= log_s
-        row_terms = np.empty((r.size, 3))
-        np.multiply(p, coef, out=row_terms[:, 0])
-        np.multiply(p, slope, out=row_terms[:, 1])
-        np.multiply(p, -cross_slope * half_sq, out=row_terms[:, 2])
-        col_terms = np.empty((s.size, 3))
-        col_terms[:, 0] = q
-        np.multiply(q, c, out=col_terms[:, 1])
-        np.multiply(q, s_sq, out=col_terms[:, 2])
-
-        def level(rows, cols):
-            def cross(at=slice(None)):
-                # -r_i^2 s_j^2 / 2 on the rows ``at`` of the level
-                row = -half_sq[rows][at]
-                return _outer_sum([(row, s_sq[cols])], (row.size, s_sq[cols].size))
-
-            def log_mass(at):
-                block = cross(at)
-                block += a[rows][at, None]
-                block += b[cols]
-                return block
-
-            gauss = cross()
-            np.exp(gauss, out=gauss)
-            if mass_floor[rows].min() <= LOG_TINY:
-                dead = np.flatnonzero(mass_floor[rows] <= LOG_TINY)
-                gauss[dead] = np.where(log_mass(dead) <= LOG_TINY, 0.0, gauss[dead])
-            value = np.vdot(row_terms[rows], gauss @ col_terms[cols])
-            if reference is not None:
-                remainder = reference_remainder(rows, cols, cross, log_mass)
-                remainder *= gauss
-                value -= np.dot(p[rows], remainder @ q[cols])
-            return float(value)
-
-        def reference_remainder(rows, cols, cross, log_mass):
-            # ln S = log_s_i - r_i^2 s_j^2 / 2 + remainder_ij, the two orders
-            # averaged.  Order (a, b) is at least
-            # log_sa_i - cross_max_i + min remainder_b on row i, and order
-            # (b, a) likewise.
-            r_k, s_k = r[rows], s[cols]
-            remainder = fb.log_q_remainder(r_k, s_k)
-            floor = log_sa[rows] - cross_max[rows] + remainder.min()
-            if fa is not fb:
-                remainder_a = fa.log_q_remainder(r_k, s_k)
-                floor = np.minimum(floor, log_sb[rows] - cross_max[rows] + remainder_a.min())
-                remainder += remainder_a
-                remainder *= 0.5
-            if floor.min() >= LOG_TINY:
-                return remainder
-            # The rule of ``_density_terms`` on the rows the bound flags,
-            # then ln S put back in the remainder's form.
-            at = np.flatnonzero(floor < LOG_TINY)
-            r_b = np.outer(r_k[at], s_k)
-            logs = log_sa[rows][at, None] + fb.log_q_radial(r_b)
-            if fa is fb:
-                under = logs < LOG_TINY
-                np.maximum(logs, _LOG_FLOOR, out=logs)
-            else:
-                logs_ba = fa.log_q_radial(r_b) + log_sb[rows][at, None]
-                under = (logs < LOG_TINY) | (logs_ba < LOG_TINY)
-                logs = 0.5 * (np.maximum(logs, _LOG_FLOOR) + np.maximum(logs_ba, _LOG_FLOOR))
-            _check_support(log_mass(at)[under])
-            logs -= log_s[rows][at, None]
-            logs -= cross(at)
-            remainder[at] = logs
-            return remainder
-
-        values = []
-        i = j = 0
-        for r_k, _, s_k, _ in grids:
-            values.append(level(slice(i, i + r_k.size), slice(j, j + s_k.size)))
-            i += r_k.size
-            j += s_k.size
-        return values
-
-    radial = max(2 * _PANEL_NODES, spec.radial_nodes // 4)
-    base = (radial, max(2 * _PANEL_NODES, radial // 2))
-    return _escalated([axes], lambda calls: [evaluate(grids) for _, grids, _ in calls], base,
-                      lambda lv: (2 * lv[0], 2 * lv[1]), spec, what)[0]
 
 
 def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
@@ -902,46 +739,108 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
 
     Q is the density of ``evaluator`` and S that of ``reference``; without
     a reference the ln S term is dropped.  ``factor_of_log`` is an
-    ``_AffineFactor``, offset + slope ln Q: the "noon" triangle reads the
-    two numbers, and the other runners call it as
-    ``factor_of_log(logq, out=None)``, which returns a scalar or an array;
-    it may write into ``out`` (which the kernel sets to ``logq`` itself)
+    ``_AffineFactor``, offset + slope ln Q, which the runners call as
+    ``factor_of_log(logq, out=None)``; it returns a scalar or an array,
+    and may write into ``out`` (which the kernel sets to ``logq`` itself)
     or return ``logq`` unchanged.  Every runner clamps ln S at twice the
     underflow log, and raises SupportViolation at the first level where
     some node carries appreciable Q mass (above 1e-12) while S has
     underflowed (below 1e-300), so a divergence is reported even when
     the tolerance would not have been reached either: the 1D and
-    cartesian runners through one kernel, ``_node_terms``, the triangle
-    on the rows its axis bounds flag.
+    cartesian runners through one kernel, ``_node_terms``.
 
-    The runner is picked here, and only here, by ``kind`` alone: radial
-    when every density is "radial", the "noon" triangle when the
-    evaluator is "noon" and the reference is absent or a product of two
-    radial factors, cartesian otherwise.  "radial" promises
-    ``log_q_radial``, ``radial_gamma_shape`` and ``radial_rate`` (and
-    ``RadialHusimi`` adds ``log_q_remainder``); "noon" promises an
-    exchange-symmetric density with ``angle_averaged_logs(r, s)``, axis
-    factors on the triangle axes r_A = r, r_B = s r, and the same two tail
-    parameters; "gaussian" promises that ln Q is exactly quadratic, with
-    the covariance and mean ``gaussian_envelope`` returns (see
-    ``_cartesian``).
+    The runner is picked here, and only here, by ``kind`` (see
+    ``husimi``) alone: radial when every density is "radial", its panels
+    graded when the reference vanishes at the origin faster than the
+    density (``_radial_tail``); for a "noon" density, the unit rule of
+    ``_run_1d`` on its ``s_profile`` without a reference, and the split
+    by marginals (``_marginal_split``) against a product of two radial
+    factors; cartesian otherwise (see ``_cartesian``).
     """
     densities = (evaluator,) if reference is None else (evaluator, reference)
     if all(d.kind == "radial" for d in densities):
         terms = functools.partial(_density_terms, evaluator.log_q_radial,
                                   None if reference is None else reference.log_q_radial,
                                   factor_of_log)
-        tail = (max(d.radial_gamma_shape for d in densities),
-                min(d.radial_rate for d in densities), (), 0.0)
-        return _run_1d(lambda x, *_: terms(x), [tail], spec, what, radial=True,
+        return _run_1d(lambda x, *_: terms(x), [_radial_tail(evaluator, reference)], spec, what,
+                       coordinate="radius",
                        exact=reference is None and evaluator.log_q_affine_in_r2)[0]
-    if evaluator.kind == "noon" and (
-        reference is None
-        or (isinstance(reference, ProductHusimi)
-            and reference.factor_a.kind == reference.factor_b.kind == "radial")
-    ):
-        return _run_triangle(evaluator, reference, factor_of_log, spec, what)
+    if evaluator.kind == "noon":
+        if reference is None:
+            terms = functools.partial(_profile_terms, evaluator.s_profile, factor_of_log)
+            return _run_1d(lambda s, *_: terms(s), [None], spec, what, coordinate="unit")[0]
+        if (isinstance(reference, ProductHusimi)
+                and reference.factor_a.kind == reference.factor_b.kind == "radial"):
+            return _marginal_split(evaluator, reference, factor_of_log, spec, what)
     return _cartesian(evaluator, reference, factor_of_log, spec, what)
+
+
+def _radial_tail(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None = None):
+    """``_run_1d``'s tail of a radial integral of ``evaluator`` against ``reference``.
+
+    The Gamma envelope is the wider of the two densities'.  When the
+    reference vanishes at the origin faster than the density, ln S
+    carries 2k ln r there, against which the plain rule converges only
+    algebraically: a breakpoint at the origin then grades every panel.
+    """
+    if reference is None:
+        return evaluator.radial_gamma_shape, evaluator.radial_rate, (), 0.0
+    origin = (0.0,) if reference.lowest_index > evaluator.lowest_index else ()
+    return (max(evaluator.radial_gamma_shape, reference.radial_gamma_shape),
+            min(evaluator.radial_rate, reference.radial_rate), origin, 0.0)
+
+
+def _profile_terms(profile, factor_of_log, s):
+    """m(s) factor_of_log(l(s)) at the nodes s of a "noon" s-profile (``s_profile``).
+
+    The rule of ``_node_terms`` holds: a node whose mass m is at most
+    1e-300 contributes exactly 0.
+    """
+    log_mass, log_mean = profile(s)
+    dead = log_mass <= LOG_TINY
+    terms = np.exp(log_mass, out=log_mass)
+    if dead.any():
+        np.copyto(terms, 0.0, where=dead)
+    return np.multiply(terms, factor_of_log(log_mean, out=log_mean), out=terms)
+
+
+def _marginal_split(evaluator: HusimiEvaluator, reference: ProductHusimi, factor_of_log,
+                    spec: QuadratureSpec, what: str) -> IntegralResult:
+    """``_integrate`` of a "noon" density Q against a product S = S_A S_B of radial factors.
+
+    The marginals of Q are the Husimi densities of the reduced states, so
+
+        int Q (f(ln Q) - ln S) = int Q f(ln Q) + X(Q_A, S_A) + X(Q_B, S_B),
+
+    with X(P, S) = -int P ln S a radial cross entropy; against its own
+    marginals that is I = S(A) + S(B) - S(AB).  Both reductions are the
+    one ``marginal`` instance, so against it X(Q_A, Q_A) = X(Q_B, Q_B) is
+    the entropy S(A), integrated once with no reference evaluated.  Other
+    cross entropies run first, one stack when the references share a
+    stacked kernel, so a SupportViolation is raised before the s-rule of
+    Q runs.  A separable Q is the product of its marginals: each factor
+    pair then takes half the offset of f, and the nodes of a pair whose
+    reference is the density itself are exactly 0.
+    """
+    marginal, references = evaluator.marginal, (reference.factor_a, reference.factor_b)
+    if evaluator.separable:
+        factor = _AffineFactor(0.5 * factor_of_log.offset, factor_of_log.slope)
+    elif references == (marginal, marginal):
+        s_a = _integrate(marginal, None, _entropy_factor, spec, what)
+        twice = IntegralResult(2.0 * s_a.value, 2.0 * s_a.error_estimate, s_a.nodes_used)
+        return twice + _integrate(evaluator, None, factor_of_log, spec, what)
+    else:
+        factor = _cross_factor
+    kernel = _stacked_kernel((marginal, marginal), "stacked_log_q_radial")
+    reference_kernel = _stacked_kernel(references, "stacked_log_q_radial")
+    if kernel is None or reference_kernel is None:
+        a, b = (_integrate(marginal, s, factor, spec, what) for s in references)
+    else:
+        a, b = _stack(kernel, (marginal, marginal), [_radial_tail(marginal, s) for s in references],
+                      spec, what, factor, (reference_kernel, references), coordinate="radius")
+    if evaluator.separable:
+        return a + b
+    return a + b + _integrate(evaluator, None, factor_of_log, spec, what)
 
 
 def _cartesian(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, factor_of_log,
@@ -968,10 +867,10 @@ def _cartesian(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
 class _AffineFactor:
     """The factor offset + slope ln Q of a functional, at ln Q = ``logq``.
 
-    Every functional the engine integrates is affine in ln Q: the "noon"
-    triangle reads the two numbers, the other runners call the factor.
-    A call returns the scalar offset when the slope is 0, ``logq`` itself
-    at slope 1, and otherwise may write into ``out``.
+    Every functional the engine integrates is affine in ln Q; the runners
+    call the factor, and the split of a separable "noon" density reads
+    its two numbers.  A call returns the scalar offset when the slope is
+    0, ``logq`` itself at slope 1, and otherwise may write into ``out``.
     """
 
     offset: float
@@ -987,6 +886,8 @@ class _AffineFactor:
 _entropy_factor = _AffineFactor(0.0, -1.0)
 _unit_factor = _AffineFactor(1.0, 0.0)
 _log_factor = _AffineFactor(0.0, 1.0)
+# The cross entropy X(P, S) = -int P ln S: the factor 0, less ln S.
+_cross_factor = _AffineFactor(0.0, 0.0)
 
 
 def _multiply_masses(a: IntegralResult, b: IntegralResult) -> IntegralResult:
@@ -1024,12 +925,21 @@ def _stacked_kernel(members, name: str):
 
 
 def _stack(kernel, members, tails, spec: QuadratureSpec, what: str,
-           **rule) -> list[IntegralResult]:
-    """The entropy of each member, one ``_run_1d`` stack through ``kernel(members, x, counts)``."""
+           factor_of_log=_entropy_factor, references=None, **rule) -> list[IntegralResult]:
+    """Integral of each member, one ``_run_1d`` stack through ``kernel(members, x, counts)``.
+
+    The integrand is that of ``_density_terms``, by default the entropy's;
+    ``references`` is None or (its kernel, one reference a member), for
+    the ln S term.
+    """
 
     def terms(x, at, counts):
         log = functools.partial(kernel, [members[i] for i in at], counts=counts)
-        return _density_terms(log, None, _entropy_factor, x)
+        log_s = None
+        if references is not None:
+            reference_kernel, refs = references
+            log_s = functools.partial(reference_kernel, [refs[i] for i in at], counts=counts)
+        return _density_terms(log, log_s, factor_of_log, x)
 
     return _run_1d(terms, tails, spec, what, **rule)
 
@@ -1049,9 +959,8 @@ def entropy_functionals(evaluators, spec: QuadratureSpec | None = None) -> list[
     exact = {ev.log_q_affine_in_r2 for ev in evaluators} if kernel else ()
     if len(exact) != 1:
         return [entropy_functional(ev, spec) for ev in evaluators]
-    tails = [(ev.radial_gamma_shape, ev.radial_rate, (), 0.0) for ev in evaluators]
-    return _stack(kernel, evaluators, tails, spec, "entropy functional", radial=True,
-                  exact=exact.pop())
+    return _stack(kernel, evaluators, [_radial_tail(ev) for ev in evaluators], spec,
+                  "entropy functional", coordinate="radius", exact=exact.pop())
 
 
 def normalization(evaluator: HusimiEvaluator,
@@ -1121,7 +1030,7 @@ def _line(density: PositionDensity, factor_of_log, spec: QuadratureSpec | None,
           what: str) -> IntegralResult:
     terms = functools.partial(_density_terms, density.log_f, None, factor_of_log)
     return _run_1d(lambda x, *_: terms(x), [_line_tail(density)], spec or QuadratureSpec(),
-                   what, radial=False)[0]
+                   what, coordinate="line")[0]
 
 
 def density_entropy_1d(density: PositionDensity,
@@ -1143,7 +1052,7 @@ def density_entropies_1d(densities, spec: QuadratureSpec | None = None) -> list[
     if kernel is None:
         return [density_entropy_1d(d, spec) for d in densities]
     return _stack(kernel, densities, [_line_tail(d) for d in densities], spec, "line entropy",
-                  radial=False)
+                  coordinate="line")
 
 
 def density_normalization_1d(density: PositionDensity,

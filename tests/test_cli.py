@@ -115,8 +115,9 @@ def test_byte_identical_across_parallelism():
 
 
 def test_multi_d_path_byte_identical_across_parallelism():
-    # the "noon" triangle maps no chunks over the thread pool, so this pins
-    # only that the flag moves no byte; test_quadrature starts the pool
+    # the NOON rows run on 1D rules, which map no chunks over the thread
+    # pool, so this pins only that the flag moves no byte; test_quadrature
+    # starts the pool
     serial = run_cli("bipartite-noon", "--n-max", "10", "--parallelism", "1")
     threaded = run_cli("bipartite-noon", "--n-max", "10", "--parallelism", "2")
     assert serial.returncode == threaded.returncode == 0
@@ -150,14 +151,15 @@ def test_unwritable_output_exits_3(tmp_path, where):
 def test_config_supplies_defaults_and_flags_win(tmp_path):
     config = tmp_path / "settings.json"
     config.write_text(json.dumps({
-        "abs_tol": 1e-15, "rel_tol": 1e-15, "max_escalations": 0,
+        "abs_tol": 1e-15, "rel_tol": 1e-15, "max_escalations": 0, "radial_nodes": 16,
         "format": "json",
     }))
-    # the config alone demands an unreachable tolerance
+    # the config alone demands an unreachable tolerance: one 16-node panel
+    # and then two leave the vacuum marginal's entropy 5e-8 apart
     tight = run_cli("bipartite-noon", "--n-max", "1", "--config", str(config))
     assert tight.returncode == 2
     assert "did not converge" in tight.stderr
-    assert "n=1" in tight.stderr
+    assert "n=0" in tight.stderr
     # explicit flags override the config tolerances; format still comes
     # from the config because no flag names it
     loose = run_cli("bipartite-noon", "--n-max", "1", "--config", str(config),
@@ -330,12 +332,14 @@ def test_bipartite_noon_runs_up_to_fifty_excitations():
 
 
 def test_unreachable_tolerance_exits_2():
-    proc = run_cli("bipartite-noon", "--n-max", "1",
+    # one 16-node panel and then two leave the vacuum marginal's entropy
+    # 5e-8 apart, so the first row fails
+    proc = run_cli("bipartite-noon", "--n-max", "1", "--radial-nodes", "16",
                    "--abs-tol", "1e-15", "--rel-tol", "1e-15",
                    "--max-escalations", "0")
     assert proc.returncode == 2
     assert "quadrature did not converge" in proc.stderr
-    assert "n=1" in proc.stderr
+    assert "n=0" in proc.stderr
 
 
 def test_eur_sweep_tolerance_failure_names_grid_point():

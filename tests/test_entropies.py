@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import digamma, gammaln
 
 from wehrlkit import (
     EULER_GAMMA,
@@ -46,6 +47,7 @@ from wehrlkit import (
     wehrl_fock_closed,
     wehrl_fock_stirling,
     wehrl_mutual_information,
+    wehrl_noon_joint_closed,
     wehrl_quadrature,
     wehrl_relative_entropy,
     wehrl_thermal_closed,
@@ -96,6 +98,51 @@ def test_wehrl_fock_closed_small_values():
     assert abs(wehrl_fock_closed(1) - (2.0 + EULER_GAMMA - 1.0)) < 1e-12
     # n = 2: ln 2 + 3 + 2 gamma - 2 H_2 = ln 2 + 2 gamma
     assert abs(wehrl_fock_closed(2) - (math.log(2.0) + 2.0 * EULER_GAMMA)) < 1e-12
+
+
+def noon_joint_oracle(n: int) -> float:
+    """S(AB) of NOON(n), n >= 1, as quad of the s-integral of the radius integrated out.
+
+    With r_A = r, r_B = s r and kappa = 1 + s^2, the angle averaged by
+    Jensen's formula and u = kappa r^2 / 2 a Gamma(n + 2) variable,
+    S(AB) = -int_0^1 2s (1 + t)(n + 1) kappa^-(n+2) [D - n ln kappa + c] ds
+    with t = s^2n, c = 2t / (1 + t) and
+    D = -(n + 2) + n digamma(n + 2) + n ln 2 - (n + 1) ln 2 - ln n!.
+    """
+    d = -(n + 2.0) + n * digamma(n + 2.0) - math.log(2.0) - gammaln(n + 1.0)
+
+    def integrand(s):
+        kappa, t = 1.0 + s * s, s ** (2 * n)
+        bracket = d - n * math.log(kappa) + 2.0 * t / (1.0 + t)
+        return -2.0 * s * (1.0 + t) * (n + 1) * kappa ** -(n + 2.0) * bracket
+
+    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
+    assert err < 1e-12
+    return val
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 50])
+def test_wehrl_noon_joint_closed_matches_quad_oracle(n):
+    assert abs(wehrl_noon_joint_closed(n) - noon_joint_oracle(n)) < 1e-12
+
+
+def test_wehrl_noon_joint_closed_small_values():
+    # a 50:50 beam splitter maps |1, 0> to NOON(1) and |1, 1> to NOON(2) up
+    # to a local phase, and passive optics keeps the heterodyne entropy
+    assert wehrl_noon_joint_closed(0) == 2.0
+    assert abs(wehrl_noon_joint_closed(1) - (2.0 + EULER_GAMMA)) <= 4e-16
+    assert abs(wehrl_noon_joint_closed(2) - (2.0 + 2.0 * EULER_GAMMA)) <= 4e-16
+    with pytest.raises(ValueError):
+        wehrl_noon_joint_closed(-1)
+
+
+@pytest.mark.parametrize("n", list(range(51)) + [200])
+def test_noon_s_rule_meets_the_joint_closed_form(n):
+    # the s-rule has no cutoff: its two levels, 400 and 800 nodes, carry
+    # the whole error
+    res = wehrl_quadrature(NoonState(n))
+    assert abs(res.value - wehrl_noon_joint_closed(n)) <= res.error_estimate + 1e-13
+    assert res.nodes_used == 1200
 
 
 @pytest.mark.parametrize("b", [0.1, 0.9, 4.0])
@@ -388,9 +435,9 @@ def test_mutual_information_below_quantum_value():
 
 
 def test_vacuum_noon_mutual_information_is_clamped_at_zero():
-    # on the triangle's axis factors the vacuum and its product of
-    # marginals share every log term, so the relative entropy is exactly
-    # zero at any tolerance, not rounding noise
+    # NOON(0) is the vacuum in both modes, the product of its marginals,
+    # so the split takes the two factor relative entropies, each exactly
+    # zero node by node: zero at any tolerance, not rounding noise
     ev = evaluator_for(NoonState(0))
     m = marginal_husimi(ev, "a")
     for spec in (QuadratureSpec(), QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)):

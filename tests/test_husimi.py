@@ -7,7 +7,6 @@ and the two-mode squeezed density from its Schmidt series.
 """
 
 import decimal
-import itertools
 import math
 import warnings
 
@@ -45,7 +44,7 @@ from wehrlkit import (
     tmss_covariance,
 )
 from wehrlkit.gaussian import ModePartition
-from wehrlkit.husimi import _hermite_steps, _hermite_zeros, _log_sum_exp, _outer_sum
+from wehrlkit.husimi import _hermite_steps, _hermite_zeros, _log_sum_exp
 
 from traced_marginal import QuadratureMarginalHusimi
 
@@ -280,37 +279,37 @@ def test_noon_density_interference_zeros():
 
 
 def test_noon_angle_averaged_logs_match_a_brute_force_mean():
-    # The evaluator takes the triangle axes r = max(r_A, r_B) and
-    # s = min / max; pairs with r_B > r_A reach it through the exchange
-    # symmetry, and the diagonal pairs sit on the edge s = 1.  Entry
-    # (i, j), a_i + b_j - r_i^2 s_j^2 / 2 and a_i + c_j - r_i^2 s_j^2 / 2
-    # from the axis factors, belongs to the radii (r_i, s_j r_i); entry
-    # (k, k) is checked at the pair it came from.
-    m = 4096
+    # The s-profile is Q and Q ln Q averaged over the phase difference and
+    # integrated over the radius in closed form, at r_A = r and r_B = s r
+    # (the exchange symmetry folds r_B > r_A onto it at weight two, with
+    # the measure 2 r^3 s dr ds).  Here the angle is a brute-force mean of
+    # log_q at cartesian points and the radius a dense Gauss-Legendre sum.
+    # Q has the harmonics of cos(n u) only, so the midpoint mean of Q is
+    # exact; that of Q ln Q converges like t^(m / n) with t = s^(2n) < 1.
+    m = 512
     theta = (np.arange(m) + 0.5) * (2.0 * math.pi / m)
-    pairs = [(1.1, 0.7), (0.7, 1.1), (0.9, 0.9), (2.5, 2.5), (1.3, 0.05), (4.0, 3.9)]
-    r_axis = np.array([max(ra, rb) for ra, rb in pairs])
-    s_axis = np.array([min(ra, rb) / max(ra, rb) for ra, rb in pairs])
-    assert s_axis[2] == s_axis[3] == 1.0
-    cross = 0.5 * np.outer(r_axis**2, s_axis**2)
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    panels = np.linspace(0.0, 40.0, 17)
+    half = 0.5 * np.diff(panels)[:, None]
+    r = (0.5 * (panels[1:] + panels[:-1])[:, None] + half * nodes).ravel()
+    wr = (half * weights).ravel()
+    s_axis = np.array([1e-3, 0.05, 0.3, 0.7, 0.9])
     for n in (0, 1, 3, 10, 50):
         ev = NoonHusimi(n)
-        a, b, c = ev.angle_averaged_logs(r_axis, s_axis)
-        assert a.shape == r_axis.shape and b.shape == c.shape == s_axis.shape
-        assert not (np.shares_memory(a, b) or np.shares_memory(a, c) or np.shares_memory(b, c))
-        log_mean = a[:, None] + b - cross
-        q_log_q = a[:, None] + c - cross
-        for i, j in itertools.product(range(len(pairs)), repeat=2):
-            ra, rb = pairs[i] if i == j else (r_axis[i], s_axis[j] * r_axis[i])
-            pts = np.stack([np.full(m, ra), np.zeros(m), rb * np.cos(theta), rb * np.sin(theta)],
+        log_mass, log_mean = ev.s_profile(s_axis)
+        assert log_mass.shape == log_mean.shape == s_axis.shape
+        assert not np.shares_memory(log_mass, log_mean)
+        for j, s in enumerate(s_axis):
+            ra, rb = r[:, None], s * r[:, None]
+            pts = np.stack(np.broadcast_arrays(ra, 0.0, rb * np.cos(theta), rb * np.sin(theta)),
                            axis=-1)
             logq = ev.log_q(pts)
             q = np.exp(logq)
-            assert abs(log_mean[i, j] - math.log(q.mean())) < 1e-12
-            # on the diagonal Q has a zero at each of n angles, where the
-            # midpoint rule for Q ln Q converges only as (m / n)^-3
-            tol = 1e-9 if ra == rb else 1e-12
-            assert abs(q_log_q[i, j] - (q * logq).mean() / q.mean()) < tol, (n, i, j)
+            radial = wr * 2.0 * r**3 * s
+            mass = radial @ q.mean(axis=1)
+            q_log_q = radial @ (q * logq).mean(axis=1)
+            assert abs(math.exp(log_mass[j]) - mass) <= 1e-13 * max(1.0, mass), (n, s)
+            assert abs(log_mean[j] - q_log_q / mass) < 1e-11, (n, s)
 
 
 def test_noon_marginals_are_one_instance():
@@ -360,36 +359,29 @@ def test_fock_radial_log_matches_decimal_truth(n, bound):
 @pytest.mark.parametrize("ev", [
     FockHusimi(0), FockHusimi(1), FockHusimi(7), NoonMarginalHusimi(5), NoonMarginalHusimi(50),
     FockMixtureHusimi([(0, 0.3), (4, 0.7)]), FockMixtureHusimi([(2, 0.2), (3, 0.3), (9, 0.5)]),
-    # e^(c_3 - c_0) r^6 overflows, so the default forms rho instead
+    # e^(c_3 - c_0) r^6 dwarfs the subnormal vacuum weight
     FockMixtureHusimi([(0, 1e-310), (3, 1.0)]),
     ThermalHusimi(0.4),
 ], ids=lambda ev: f"{type(ev).__name__}{getattr(ev, 'weights', '')}")
 def test_radial_remainder_is_the_log_plus_the_vacuum_gaussian(ev):
-    # ln Q(rho) + rho^2 / 2 at rho = r_i s_j, against the logsumexp of
-    # the Fock terms; where the terms cancel to near 0 (Fock 7 at rho = 2.6
-    # gives -3.1e-5 from terms of size 13), both carry rounding of the
-    # terms' size
-    r = np.array([1e-3, 0.3, 1.0, 2.5, 7.0, 13.0])
-    s = np.array([1e-7, 1e-3, 0.2, 0.7, 1.0])
-    rho = np.outer(r, s)
+    # ln Q(rho) + rho^2 / 2 on a grid of radii from 1e-10 to 13, where the
+    # marginal split of a "noon" relative entropy reads its references:
+    # for a Fock mixture the logsumexp of the Fock terms, for a thermal
+    # state ln c + (1 - c) rho^2 / 2.  Where the terms cancel to near 0
+    # (Fock 7 at rho = 2.6 gives -3.1e-5 from terms of size 13), both
+    # carry rounding of the terms' size
+    rho = np.outer([1e-3, 0.3, 1.0, 2.5, 7.0, 13.0], [1e-7, 1e-3, 0.2, 0.7, 1.0])
     if isinstance(ev, FockMixtureHusimi):
         terms = [math.log(w) + 2 * k * np.log(rho) - k * math.log(2.0) - math.lgamma(k + 1)
                  for k, w in ev.weights]
         want = logsumexp(np.stack(terms), axis=0)
     else:
-        want = ev.log_q_radial(rho) + 0.5 * rho * rho
-    got = ev.log_q_remainder(r, s)
-    assert got.shape == (r.size, s.size)
+        c = -math.expm1(-0.4)
+        want = math.log(c) + 0.5 * (1.0 - c) * rho * rho
+    got = ev.log_q_radial(rho) + 0.5 * rho * rho
+    assert got.shape == rho.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-    assert not np.shares_memory(got, ev.log_q_remainder(r, s))
-
-
-def test_outer_sum_gives_the_numbers_of_the_outer_ufuncs():
-    rng = np.random.default_rng(7)
-    x, y = rng.normal(size=37) * 30.0, rng.normal(size=11)
-    shape = (x.size, y.size)
-    assert np.array_equal(_outer_sum([(x, y)], shape), np.multiply.outer(x, y))
-    assert np.array_equal(_outer_sum([(x, 1.0), (1.0, y)], shape), np.add.outer(x, y))
+    assert not np.shares_memory(ev.log_q_radial(rho), ev.log_q_radial(rho))
 
 
 def test_noon_marginal_agrees_with_numeric_trace():

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
-from scipy.special import eval_hermite, gammainccinv, gammaln, roots_hermite
+from scipy.special import eval_hermite, exp1, gammainccinv, gammaln, roots_hermite
 
 from wehrlkit import (
     EULER_GAMMA,
@@ -63,17 +63,38 @@ from wehrlkit.quadrature import (
     LOG_TINY,
     _PANEL_NODES,
     _cartesian,
+    _cross_factor,
     _density_terms,
     _entropy_factor,
     _hermite_rule,
     _log_factor,
-    _panel_nodes,
+    _Segments,
     _tail_mass,
     _unit_factor,
     _unit_panels,
 )
 
 from traced_marginal import QuadratureMarginalHusimi
+
+
+def _panel_nodes(a, b, n_nodes, breakpoints=(), graded=False, doublings=0):
+    """The composite Gauss-Legendre layout of one level of ``_run_1d`` on [a, b].
+
+    About ``n_nodes`` nodes, ``_PANEL_NODES`` a panel, with panel edges at
+    the breakpoints inside (a, b) and every panel halved ``doublings``
+    times: ``_unit_panels`` scaled to [a, b] without breakpoints, the
+    segments of ``_Segments`` with them.  The layout tests check it
+    against a panel-by-panel loop, and the level tests read ``_run_1d``'s
+    levels against it.
+    """
+    inner = sorted({p for p in map(float, breakpoints) if a < p < b})
+    total = b - a
+    n_panels = max(1, int(n_nodes) // _PANEL_NODES)
+    if not inner:
+        x, w = _unit_panels(n_panels << doublings, graded)
+        # a + total x, without the call that adds a zero a
+        return (a + total * x if a else total * x), total * w
+    return _Segments(a, b, inner, n_panels, graded).layout(doublings)[0]
 
 
 EVALUATORS = [
@@ -371,20 +392,22 @@ def test_results_combine_values_and_add_errors_and_nodes():
 
 
 def test_tolerance_not_reached_carries_partial_result():
+    # the N = 50 s-profile on one panel and on two is about 1e-8 apart
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15, max_escalations=0,
-                          radial_nodes=60)
+                          radial_nodes=16)
     with pytest.raises(ToleranceNotReached) as err:
-        entropy_functional(NoonHusimi(3), spec)
+        entropy_functional(NoonHusimi(50), spec)
     assert err.value.result is not None
     assert err.value.result.error_estimate > 1e-15
 
 
 def test_escalation_tightens_the_estimate():
-    # the "noon" triangle meets 1e-7 on its first two levels; 1e-12 needs a third
-    loose = QuadratureSpec(radial_nodes=50, abs_tol=1e-3, rel_tol=1e-3)
-    tight = QuadratureSpec(radial_nodes=50, abs_tol=1e-12, rel_tol=1e-12)
-    a = entropy_functional(NoonHusimi(2), loose)
-    b = entropy_functional(NoonHusimi(2), tight)
+    # on one panel of 16 nodes and then two, the N = 50 s-profile meets
+    # 1e-3; 1e-12 needs a third level
+    loose = QuadratureSpec(radial_nodes=16, abs_tol=1e-3, rel_tol=1e-3)
+    tight = QuadratureSpec(radial_nodes=16, abs_tol=1e-12, rel_tol=1e-12)
+    a = entropy_functional(NoonHusimi(50), loose)
+    b = entropy_functional(NoonHusimi(50), tight)
     assert b.error_estimate <= a.error_estimate
     assert b.nodes_used > a.nodes_used
     assert abs(b.value - a.value) < 1e-3
@@ -489,7 +512,7 @@ def test_relative_entropy_noon_against_product_marginals():
     # In the modes (a + b)/sqrt2 and (a - b)/sqrt2 the N = 1 state is
     # |1>|0>, whose joint entropy is 2 + gamma_E, so the mutual information
     # is 2 S(marginal) - (2 + gamma_E); the marginal entropy comes from the
-    # radial 1D runner, a route independent of the polar one.
+    # radial 1D runner alone, the joint entropy from the closed form.
     n = 1
     rho = NoonHusimi(n)
     marg = NoonMarginalHusimi(n)
@@ -505,8 +528,8 @@ def test_relative_entropy_noon_against_product_marginals():
 def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     """3D polar rule on the full radial square and every angular midpoint.
 
-    The reference the "noon" triangle runner is checked against: it folds
-    nothing and averages nothing in closed form.  Q comes from ``log_q``
+    The reference the "noon" s-rule is checked against: it folds nothing
+    and averages or integrates nothing in closed form.  Q comes from ``log_q``
     at cartesian points; the integrand is -Q ln Q without ``sigma``,
     Q (ln Q - ln S) with it.
     """
@@ -536,12 +559,13 @@ def _unfolded_polar_rule(rho, sigma, nr, na, cutoff):
     (NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1))),
 ], ids=["entropy-1", "entropy-3", "asymmetric-reference"])
 def test_polar_folds_reproduce_the_unfolded_rule(rho, sigma, radial_panels, monkeypatch):
-    # The triangle runner folds the exchange and averages the angle exactly;
-    # the unfolded 3D rule, at two resolutions, must agree with it within
-    # the sum of both two-level estimates.  The runner's first level has
-    # radial_panels Gauss-Legendre panels in r_A (a quarter of radial_nodes)
-    # and half as many, rounded down, in s: 16 and 8 or 15 and 7, an even
-    # and an odd layout.
+    # The s-rule folds the exchange, averages the angle and integrates the
+    # radius exactly, and a reference enters through the radial cross
+    # entropies of the marginal split; the unfolded 3D rule, at two
+    # resolutions, must agree with it within the sum of both two-level
+    # estimates.  The first level has 4 radial_panels panels of s (or of
+    # the radius, for the cross entropies): 64 or 60, an even and an odd
+    # layout.
     cutoff = 9.0
     monkeypatch.setattr("wehrlkit.quadrature.gamma_tail_threshold", lambda *args: cutoff)
     spec = QuadratureSpec(radial_nodes=4 * _PANEL_NODES * radial_panels,
@@ -683,55 +707,87 @@ def test_the_per_axis_ceiling_stops_like_the_budget(caplog):
 
 
 def test_polar_runner_stops_at_the_node_budget(caplog, monkeypatch):
-    # the third level is 5e-10 from the second, far from a tolerance of
-    # 1e-15; with the budget at 10^5 the fourth level (800 x 400) is
-    # refused after 96 x 48, 192 x 96 and 400 x 192 nodes
-    budget = 100_000
+    # The marginal split of a "noon" relative entropy runs the radial cross
+    # entropy of the N = 1 marginal against |1>, whose ln S carries 2 ln r;
+    # its graded levels gain about a factor four a doubling, far from a
+    # tolerance of 1e-15.  With the budget at 5,000 its fifth level (6,400
+    # nodes) is refused after 400, 800, 1,600 and 3,200 nodes, before the
+    # s-rule runs.
+    budget = 5_000
     monkeypatch.setattr("wehrlkit.quadrature._MAX_LEVEL_NODES", budget)
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
     with caplog.at_level(logging.INFO, logger="wehrlkit"):
         with pytest.raises(ToleranceNotReached, match="node ceiling") as err:
             relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)), spec)
-    assert err.value.result.nodes_used == 96 * 48 + 192 * 96 + 400 * 192
+    assert err.value.result.nodes_used == 400 + 800 + 1600 + 3200
     assert len(caplog.records) == 1
     assert str(budget) in caplog.records[0].getMessage()
 
 
 def test_graded_s_panels_resolve_a_reference_vanishing_at_the_origin():
-    # ln S = -r_A^2/2 - r_B^2/2 + ln(r_B^2 / 2) carries s ln s at s = 0.
+    # ln S = -r_A^2/2 - r_B^2/2 + ln(r_B^2 / 2) carries ln r_B at r_B = 0.
     # Under the N = 1 density <|alpha|^2> = <|beta|^2> = 3/2 and the B
     # marginal is (Q_0 + Q_1) / 2, so <ln |beta|^2> = 1/2 - gamma_E, and
-    # with S(AB) = 2 + gamma_E the relative entropy is exactly 1/2.
+    # with S(AB) = 2 + gamma_E the relative entropy is exactly 1/2.  The
+    # split integrates ln r_B on the radial cross entropy against |1>,
+    # whose panels are graded: two levels each, and two for the s-rule.
     res = relative_entropy(NoonHusimi(1), ProductHusimi(FockHusimi(0), FockHusimi(1)))
     assert abs(res.value - 0.5) < 1e-8
-    assert res.nodes_used <= 192 * 96 + 400 * 192
+    assert res.nodes_used == 3 * (400 + 800)
+
+
+def test_graded_radial_panels_resolve_a_reference_vanishing_at_the_origin(caplog):
+    # The N = 1 marginal (Q_0 + Q_1) / 2 against |1>: ln S = ln u - u with
+    # u = r^2 / 2 is singular at r = 0, where the density is not, and
+    # FockHusimi(1) declares it by its lowest index, 1 against 0.  With
+    # E[u] = 3/2, E[ln u] = 1/2 - gamma_E and the marginal's entropy
+    # 1 + ln 2 - e E_1(1) / 2, the relative entropy is
+    # gamma_E - ln 2 + e E_1(1) / 2.  On graded panels it converges at
+    # 1e-10 on four levels; the plain rule took 12,400 nodes at 1e-8 and
+    # stalled at 1e-10.
+    want = EULER_GAMMA - math.log(2.0) + 0.5 * math.e * exp1(1.0)
+    rho, sigma = NoonMarginalHusimi(1), FockHusimi(1)
+    for tol, levels in [(1e-8, [400, 800]), (1e-10, [400, 800, 1600, 3200])]:
+        spec = QuadratureSpec(abs_tol=tol, rel_tol=tol)
+        res, nodes = _levels_run(caplog, lambda: relative_entropy(rho, sigma, spec))
+        assert nodes == levels
+        assert res.nodes_used == sum(levels)
+        assert abs(res.value - want) <= res.error_estimate
+    # the density declares the grading; it is not probed
+    assert (sigma.lowest_index, rho.lowest_index) == (1, 0)
 
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_a_same_density_reference_gives_the_two_order_mean(n):
-    # one marginal instance takes the single-evaluation path, two equal
-    # instances the mean of both orders; the floats must be the same
+    # one marginal instance for both factors and two equal instances run
+    # the same stack of cross entropies; the floats must be the same
     spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
     marg = NoonMarginalHusimi(n)
     once = relative_entropy(NoonHusimi(n), ProductHusimi(marg, marg), spec)
     twice = relative_entropy(NoonHusimi(n),
                              ProductHusimi(NoonMarginalHusimi(n), NoonMarginalHusimi(n)), spec)
     assert once == twice
+    # against the density's own marginal instance, X(Q_A, Q_A) = X(Q_B, Q_B)
+    # is the entropy S(A), integrated once with no reference evaluated,
+    # with the bits of the two cross entropies
+    rho = NoonHusimi(n)
+    own = relative_entropy(rho, ProductHusimi(rho.marginal, rho.marginal), spec)
+    assert (own.value, own.error_estimate) == (once.value, once.error_estimate)
+    assert (own.nodes_used, once.nodes_used) == (2 * 1200, 3 * 1200)
 
 
-def _dense_triangle_level(rho, sigma, factor_of_log, n_r, n_s, cutoff, log_tiny=LOG_TINY,
-                          log_support=LOG_SUPPORT):
-    """One "noon" triangle level as a dense (n_r, n_s) integrand, node by node.
+def _dense_profile_level(rho, factor_of_log, s, ws, log_tiny=LOG_TINY):
+    """One s-rule level of a "noon" density from a dense (r, s) integrand.
 
-    The reference the axis-factor runner is checked against:
-    ln <Q> and <Q ln Q> / <Q> of the NOON density in closed form on the
-    whole grid, ln S of the two reference orders at every node, clamped
-    at 2 ``log_tiny`` and averaged, a support check (Q above
-    e^``log_support``) where S is below e^``log_tiny``, exact zeros where
-    <Q> is at most e^``log_tiny``, and one weighted sum.
+    The reference the closed-form radius of ``s_profile`` is checked
+    against: ln <Q> and <Q ln Q> / <Q> averaged over the phase difference
+    in closed form (Jensen's formula) at r_A = r and r_B = s r, on the
+    level's nodes s and a dense Gauss-Legendre rule in r on [0, 40];
+    the radius summed against 2 r^3 s, exact zeros at the s nodes whose
+    mass, so summed, is at most e^``log_tiny``, and one weighted sum over
+    s.
     """
-    r, wr = _panel_nodes(0.0, cutoff, n_r)
-    s, ws = _panel_nodes(0.0, 1.0, n_s, graded=True)
+    r, wr = _panel_nodes(0.0, 40.0, 2048)
     n = rho.excitation
     log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1) + math.log1p(n == 0)
     log_mass = np.outer(-0.5 * r * r, 1.0 + s * s)
@@ -743,30 +799,70 @@ def _dense_triangle_level(rho, sigma, factor_of_log, n_r, n_s, cutoff, log_tiny=
         t = s ** (2 * n)
         log_factor = log_mass + 2.0 * t / (1.0 + t)
         log_mass += np.log1p(t)
-    factor = factor_of_log(log_factor, out=log_factor)
-    if sigma is not None:
-        r_b = np.outer(r, s)
-        log_a, log_b = sigma.factor_a.log_q_radial, sigma.factor_b.log_q_radial
-        ab = log_a(r)[:, None] + log_b(r_b)
-        ba = log_a(r_b) + log_b(r)[:, None]
-        if np.any(log_mass[(ab < log_tiny) | (ba < log_tiny)] > log_support):
-            raise SupportViolation("dense rule: mass where the reference underflows")
-        floor = 2.0 * log_tiny
-        factor = factor - 0.5 * (np.maximum(ab, floor) + np.maximum(ba, floor))
-    dead = log_mass <= log_tiny
-    terms = np.where(dead, 0.0, np.exp(log_mass) * np.where(dead, 0.0, factor))
-    return float(np.sum(terms * np.outer(2.0 * wr * r**3, ws * s)))
+    q = np.exp(log_mass)
+    radial = 2.0 * wr * r**3
+    mass = radial @ q
+    terms = radial @ (q * factor_of_log(log_factor, out=log_factor))
+    terms[s * mass <= math.exp(log_tiny)] = 0.0
+    return float(np.dot(ws * s, terms))
+
+
+def _dense_radial_level(rho, sigma, factor_of_log, x, w, log_tiny=LOG_TINY,
+                        log_support=LOG_SUPPORT):
+    """One radial level of Q (factor_of_log(ln Q) - ln S) r, node by node.
+
+    ln S is clamped at 2 ``log_tiny``, with a support check (Q above
+    e^``log_support``) where S is below e^``log_tiny``, and exact zeros
+    where Q is at most e^``log_tiny``.
+    """
+    logq, logs = rho.log_q_radial(x), sigma.log_q_radial(x)
+    if np.any(logq[logs < log_tiny] > log_support):
+        raise SupportViolation("dense rule: mass where the reference underflows")
+    dead = logq <= log_tiny
+    factor = factor_of_log(logq.copy()) - np.maximum(logs, 2.0 * log_tiny)
+    return float(np.dot(w, np.where(dead, 0.0, np.exp(logq) * np.where(dead, 0.0, factor)) * x))
+
+
+def _split_levels(rho, sigma, factor_of_log, spec, levels, **thresholds):
+    """The levels ``_run_1d`` logs for a "noon" integral, from the dense rules.
+
+    ``levels`` holds the number of levels of each run the runner logged:
+    with a reference the two radial cross entropies (the factor
+    relative entropies for a separable density), then the s-rule.
+    """
+    if sigma is None:
+        runs = [("s", factor_of_log)]
+    else:
+        pairs = [(rho.marginal, sigma.factor_a), (rho.marginal, sigma.factor_b)]
+        radial = _log_factor if rho.separable else _cross_factor
+        runs = [(pair, radial) for pair in pairs] + [("s", factor_of_log)] * (not rho.separable)
+    assert len(runs) == len(levels)
+    want = []
+    for (pair, factor), count in zip(runs, levels):
+        if pair == "s":
+            layouts = [_panel_nodes(0.0, 1.0, spec.radial_nodes, doublings=k) for k in range(count)]
+            log_tiny = thresholds.get("log_tiny", LOG_TINY)
+            want.append([_dense_profile_level(rho, factor, x, w, log_tiny) for x, w in layouts])
+            continue
+        q, ref = pair
+        shape = max(q.radial_gamma_shape, ref.radial_gamma_shape)
+        cutoff = gamma_tail_threshold(shape, 1.0, _tail_mass(spec))
+        graded = ref.lowest_index > q.lowest_index
+        layouts = [_panel_nodes(0.0, cutoff, spec.radial_nodes, graded=graded, doublings=k)
+                   for k in range(count)]
+        want.append([_dense_radial_level(q, ref, factor, x, w, **thresholds) for x, w in layouts])
+    return want
 
 
 # functional, reference for an excitation n (or None), factor of ln Q
 _TRIANGLE_CASES = {
     "entropy": (entropy_functional, None, _entropy_factor),
     "normalization": (normalization, None, _unit_factor),
-    # two equal instances, so the runner forms both orders
+    # two equal instances: one stack of two equal cross entropies
     "marginals": (relative_entropy,
                   lambda n: ProductHusimi(NoonMarginalHusimi(n), NoonMarginalHusimi(n)),
                   _log_factor),
-    # not exchange symmetric at all
+    # not exchange symmetric at all, and graded against |1>
     "asymmetric": (relative_entropy, lambda n: ProductHusimi(FockHusimi(0), FockHusimi(1)),
                    _log_factor),
 }
@@ -775,8 +871,10 @@ _TRIANGLE_CASES = {
 @pytest.mark.parametrize("case", sorted(_TRIANGLE_CASES))
 @pytest.mark.parametrize("n", [0, 1, 5, 10, 50])
 def test_axis_factor_levels_match_the_dense_rule(caplog, case, n):
-    # every level the runner logs against the dense integrand at the same
-    # resolution and cutoff
+    # every level the runner logs against the dense rules at the same
+    # resolution: the s-rule against the angle-averaged axis factors with
+    # the radius summed on a dense grid, the radial cross entropies of the
+    # split node by node; the result is their sum
     run, reference, factor_of_log = _TRIANGLE_CASES[case]
     rho, sigma = NoonHusimi(n), reference and reference(n)
     spec = QuadratureSpec(abs_tol=1e-7, rel_tol=1e-7)
@@ -784,15 +882,20 @@ def test_axis_factor_levels_match_the_dense_rule(caplog, case, n):
     with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
         res = run(rho, spec=spec) if sigma is None else run(rho, sigma, spec)
     levels = [rec.args[1:4] for rec in caplog.records if rec.levelno == logging.DEBUG]
-    assert len(levels) >= 2
-    cutoff = gamma_tail_threshold(n + 1.0, 1.0, _tail_mass(spec))
-    dense = []
-    for (n_r, n_s), nodes, value in levels:
-        assert n_r * n_s == nodes
-        dense.append(_dense_triangle_level(rho, sigma, factor_of_log, n_r, n_s, cutoff))
-        assert abs(value - dense[-1]) < 1e-13
-    assert abs(res.value - dense[-1]) < 1e-13
-    assert abs(res.error_estimate - abs(dense[-1] - dense[-2])) < 1e-13
+    # a run starts at the base level, 400 nodes
+    runs = []
+    for resolution, nodes, value in levels:
+        assert resolution == nodes
+        if nodes == spec.radial_nodes:
+            runs.append([])
+        runs[-1].append(value)
+    dense = _split_levels(rho, sigma, factor_of_log, spec, [len(run) for run in runs])
+    for got, want in zip(runs, dense):
+        assert len(got) >= 2
+        for value, level in zip(got, want):
+            assert abs(value - level) < 1e-13 * max(1.0, abs(level))
+    assert abs(res.value - sum(want[-1] for want in dense)) < 1e-13
+    assert abs(res.error_estimate - sum(abs(w[-1] - w[-2]) for w in dense)) < 1e-13
 
 
 @pytest.mark.parametrize("run, factor_of_log", [(entropy_functional, _entropy_factor),
@@ -800,19 +903,18 @@ def test_axis_factor_levels_match_the_dense_rule(caplog, case, n):
                          ids=["entropy", "normalization"])
 def test_triangle_nodes_below_the_mass_floor_contribute_exactly_zero(monkeypatch, run,
                                                                     factor_of_log):
-    # With the floor raised from 1e-300 to 1e-3, 8,225 of the 18,432
-    # nodes of the N = 5 density's second level fall under it, 2% of its
-    # mass.  The axis bound clears 48 of the 192 rows and flags the rest;
-    # the level must be the dense rule with those nodes zeroed, well away
-    # from the level under the usual floor.
-    log_tiny = math.log(1e-3)
+    # With the floor raised from 1e-300 to 1/2, the s nodes of the N = 5
+    # profile whose mass is under it (s below about 0.04 and above about
+    # 0.7) drop out.  The level must be the dense rule with those nodes
+    # zeroed, well away from the level under the usual floor.
+    log_tiny = math.log(0.5)
     spec = QuadratureSpec(abs_tol=1.0, rel_tol=1.0)
     rho = NoonHusimi(5)
-    cutoff = gamma_tail_threshold(6.0, 1.0, _tail_mass(spec))
     usual = run(rho, spec).value
     monkeypatch.setattr("wehrlkit.quadrature.LOG_TINY", log_tiny)
     res = run(rho, spec)
-    want = _dense_triangle_level(rho, None, factor_of_log, 192, 96, cutoff, log_tiny)
+    s, ws = _panel_nodes(0.0, 1.0, 400, doublings=1)
+    want = _dense_profile_level(rho, factor_of_log, s, ws, log_tiny)
     assert abs(res.value - want) < 1e-13
     assert abs(res.value - usual) > 0.01
 
@@ -822,27 +924,30 @@ def test_triangle_nodes_below_the_mass_floor_contribute_exactly_zero(monkeypatch
     ProductHusimi(FockHusimi(0), FockHusimi(1)),
 ], ids=["marginals", "asymmetric"])
 def test_triangle_clamps_the_reference_log_like_the_dense_rule(monkeypatch, sigma):
-    # With the underflow threshold raised to 1e-3 (the clamp to 1e-6) and
+    # With the underflow threshold raised to 0.02 (the clamp to 4e-4) and
     # the support check disarmed, the reference falls under the threshold
-    # on rows the axis bound flags, and the clamped ln S changes the value;
-    # the level must still be the dense rule under the same thresholds.
-    log_tiny = math.log(1e-3)
+    # at radial nodes of the split's cross entropies, and the clamped ln S
+    # changes the value; the result must still be the dense rules' under
+    # the same thresholds.
+    log_tiny = math.log(0.02)
     spec = QuadratureSpec(abs_tol=1.0, rel_tol=1.0)
     rho = NoonHusimi(5)
-    cutoff = gamma_tail_threshold(6.0, 1.0, _tail_mass(spec))
     usual = relative_entropy(rho, sigma, spec).value
     monkeypatch.setattr("wehrlkit.quadrature.LOG_TINY", log_tiny)
     monkeypatch.setattr("wehrlkit.quadrature._LOG_FLOOR", 2.0 * log_tiny)
     monkeypatch.setattr("wehrlkit.quadrature.LOG_SUPPORT", math.inf)
     res = relative_entropy(rho, sigma, spec)
-    want = _dense_triangle_level(rho, sigma, _log_factor, 192, 96, cutoff, log_tiny, math.inf)
+    dense = _split_levels(rho, sigma, _log_factor, spec, [2, 2, 2], log_tiny=log_tiny,
+                          log_support=math.inf)
+    want = sum(levels[-1] for levels in dense)
     assert abs(res.value - want) < 1e-13
     assert abs(res.value - usual) > 0.01
 
 
 def test_triangle_support_violation_is_raised_before_any_level(caplog):
     # Q_200 of the reference factors is below 1e-300 wherever a radius is
-    # under about 9, where the N = 1 density has its mass
+    # under about 9, where the N = 1 marginal has its mass: the split's
+    # cross entropies, which run first, see it on their first level
     sigma = ProductHusimi(FockHusimi(200), FockHusimi(200))
     with caplog.at_level(logging.DEBUG, logger="wehrlkit"):
         with pytest.raises(SupportViolation):
@@ -1258,23 +1363,27 @@ def test_the_line_entropy_of_a_number_state_past_the_float_range_is_refused():
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 10, 20, 30, 50])
 def test_noon_rows_converge_on_the_first_two_triangle_levels(caplog, n, tol):
-    # the triangle starts at 96 x 48 and checks at 192 x 96; radial_nodes
-    # = 800 lays out 192 x 96 and 400 x 192, one doubling finer
+    # the s-rule starts at 400 nodes and checks at 800, and so does the
+    # marginal entropy of a mutual information (the two factor relative
+    # entropies at n = 0, where there is no s-rule); radial_nodes = 800
+    # lays out 800 and 1,600, one doubling finer
     state = NoonState(n)
-    for fn in (wehrl_quadrature, wehrl_mutual_information):
+    runs = {wehrl_quadrature: 1, wehrl_mutual_information: 2}
+    for fn, count in runs.items():
         res, nodes = _levels_run(caplog, lambda: fn(state, QuadratureSpec(abs_tol=tol, rel_tol=tol)))
-        assert nodes == [96 * 48, 192 * 96]
-        assert res.nodes_used == 23_040
+        assert nodes == [400, 800] * count
+        assert res.nodes_used == 1200 * count
         finer = fn(state, QuadratureSpec(radial_nodes=800, abs_tol=tol, rel_tol=tol))
         assert abs(res.value - finer.value) <= res.error_estimate + finer.error_estimate
 
 
-@pytest.mark.parametrize("fn, arrays", [(wehrl_quadrature, 2.5), (wehrl_mutual_information, 3.5)],
+@pytest.mark.parametrize("fn", [wehrl_quadrature, wehrl_mutual_information],
                          ids=["joint", "mutual-information"])
-def test_noon_triangle_peak_memory_stays_within_a_few_finest_arrays(fn, arrays):
-    # a level holds E = exp(-r^2 s^2 / 2) and, against a reference, the
-    # reference's remainder: about one and two arrays of the finest level
-    # (192 x 96 at tol 1e-6), where a dense level needs five and six
+def test_noon_triangle_peak_memory_stays_within_a_few_finest_arrays(fn):
+    # a NOON row forms no 2D array: its largest call is the joined first
+    # two levels of the s-rule or of the marginal entropy of a mutual
+    # information, 1,200 nodes, and the peak stays within ten arrays of
+    # that call
     state = NoonState(5)
     spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
     fn(state, spec)  # fill the caches of layouts and cutoffs first
@@ -1284,17 +1393,20 @@ def test_noon_triangle_peak_memory_stays_within_a_few_finest_arrays(fn, arrays):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= arrays * 192 * 96 * 8
+    assert peak <= 10 * 1200 * 8
 
 
 def test_a_tight_noon_mutual_information_takes_a_third_level(caplog):
-    spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
-    state = NoonState(10)
+    # at 1e-15 the entropy of the N = 50 marginal takes a third and a
+    # fourth level, in a call of its own, while the s-rule settles on its
+    # first two, as the joint entropy does
+    spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
+    state = NoonState(50)
     res, nodes = _levels_run(caplog, lambda: wehrl_mutual_information(state, spec))
-    assert nodes == [96 * 48, 192 * 96, 400 * 192]
-    assert res.nodes_used == 99_840
+    assert nodes == [400, 800, 1600, 3200, 400, 800]
+    assert res.nodes_used == 7_200
     _, nodes = _levels_run(caplog, lambda: wehrl_quadrature(state, spec))
-    assert nodes == [96 * 48, 192 * 96]
+    assert nodes == [400, 800]
 
 
 def test_state_round_trip_through_evaluator_normalization():
