@@ -50,6 +50,7 @@ A subclass that changes one of such a pair must change the other.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 
@@ -336,6 +337,20 @@ def _noon_log_offset(n: int) -> float:
                       -math.lgamma(n + 1)])
 
 
+@functools.lru_cache(maxsize=None)
+def _noon_constants(n: int):
+    """The partition, ln normalization, s-profile offset and marginal of ``NoonHusimi(n)``.
+
+    They depend on the excitation n alone, so they are built once for
+    each n, and every ``NoonHusimi(n)`` shares them, its ``marginal``
+    instance among them.  The offset is ``_noon_log_offset(n)``, an O(n)
+    exactly rounded sum, and -2 at n = 0.
+    """
+    log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1) + math.log1p(1.0 if n == 0 else 0.0)
+    return (ModePartition(1, 1), log_norm, _noon_log_offset(n) if n else -2.0,
+            NoonMarginalHusimi(n))
+
+
 class NoonHusimi(HusimiEvaluator):
     """Two-mode superposition with all n excitations in one mode or the other.
 
@@ -347,18 +362,15 @@ class NoonHusimi(HusimiEvaluator):
             / (2^(n+1) n! (1 + delta_{n,0}))
 
     At n = 0 it is the vacuum in both modes, the product of its marginals.
+    The constants of an excitation (see ``_noon_constants``), its
+    ``marginal`` among them, are built once and shared by every instance.
     """
 
     kind = "noon"
 
     def __init__(self, excitation: int):
-        self.excitation = int(excitation)
-        self.partition = ModePartition(1, 1)
-        n = self.excitation
-        delta = 1.0 if n == 0 else 0.0
-        self._log_norm = (n + 1) * math.log(2.0) + math.lgamma(n + 1) + math.log1p(delta)
-        self._log_mean_offset = _noon_log_offset(n) if n else -2.0
-        self.marginal = NoonMarginalHusimi(n)
+        self.excitation = n = int(excitation)
+        self.partition, self._log_norm, self._log_mean_offset, self.marginal = _noon_constants(n)
         self.separable = n == 0
 
     def log_q(self, points):

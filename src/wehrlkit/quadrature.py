@@ -169,7 +169,10 @@ def _gamma_tail_inverse(a: int, tail_mass: float) -> float:
     The start 2 (a ln 2 - ln p) is right of the root by the Chernoff
     bound Q(a, x) <= 2^a e^(-x/2).  The sum is taken relative to its last
     term, x^(a-1) / (a-1)!, which keeps it finite for any a and makes
-    -1 / (that ratio) the derivative of ln Q.
+    -1 / (that ratio) the derivative of ln Q.  Its terms, from k = a - 1
+    down, grow while k > x and then shrink, so it stops at the first term
+    that leaves the sum unchanged: every later one is smaller and would
+    leave it unchanged too.
     """
     log_p = math.log(tail_mass)
     log_last = -math.lgamma(a)
@@ -178,6 +181,8 @@ def _gamma_tail_inverse(a: int, tail_mass: float) -> float:
         ratio = term = 1.0
         for k in range(a - 1, 0, -1):
             term *= k / x
+            if ratio + term == ratio:
+                break
             ratio += term
         log_q = -x + (a - 1) * math.log(x) + log_last + math.log(ratio)
         step = (log_q - log_p) * ratio
@@ -274,6 +279,15 @@ def _unit_panels(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+# The columns of a call of one level: all of them.
+_WHOLE = (slice(None),)
+
+
+def _level_columns(base: int, total: int) -> tuple[slice, slice]:
+    """The columns of the base level and of its doubling in a first call of ``total`` nodes."""
+    return slice(0, base), slice(base, total)
+
+
 class _Segments:
     """A composite rule on [a, b] with panel edges at breakpoints, shared out once for every level.
 
@@ -287,8 +301,8 @@ class _Segments:
     and its weights (hi - lo) w, with x and w the cached rule
     ``_unit_panels(k, graded)`` on [0, 1].  ``layout`` lays out levels in
     one pass over the segments; a call is the ``axes`` of ``_run_1d``,
-    which lays out the base level together with its doubling and returns
-    that one at the next call.
+    and ``first``, the base level joined with its doubling, is laid out
+    once, at its first use, for both those levels.
     """
 
     def __init__(self, a: float, b: float, inner, n_panels: int, graded: bool):
@@ -298,10 +312,9 @@ class _Segments:
         self.lows = np.array(edges[:-1])
         self.spans = np.array(spans)
         self.graded = graded
-        self.doubled = None
 
     def layout(self, *doublings):
-        """(x, w) of each level ``doublings``, laid out as one array."""
+        """(x, w) of the levels ``doublings`` in turn, laid out as one array pair."""
         counts = [k << j for j in doublings for k in self.counts]
         xs, ws = zip(*[_unit_panels(k, self.graded) for k in counts])
         repeats = [k * _PANEL_NODES for k in counts]
@@ -311,17 +324,19 @@ class _Segments:
         x *= span
         x += np.concatenate([self.lows] * len(doublings)).repeat(repeats)
         w *= span
-        ends = list(itertools.accumulate(
-            [_PANEL_NODES * (sum(self.counts) << j) for j in doublings], initial=0))
-        return [(x[lo:hi], w[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])]
+        return x, w
+
+    @functools.cached_property
+    def first(self):
+        x, w = self.layout(0, 1)
+        return x, w, _level_columns(_PANEL_NODES * sum(self.counts), x.size)
 
     def __call__(self, doublings: int):
-        if doublings == 0:
-            (x, w), self.doubled = self.layout(0, 1)
-        elif doublings == 1 and self.doubled is not None:
-            (x, w), self.doubled = self.doubled, None
+        if doublings < 2:
+            x, w, cols = self.first
+            x, w = x[cols[doublings]], w[cols[doublings]]
         else:
-            (x, w), = self.layout(doublings)
+            x, w = self.layout(doublings)
         return x.size, x.size, (x, w)
 
 
@@ -336,7 +351,7 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     requested level.  Consecutive members may share one ``axes``, whose
     first levels are then laid out once for all of them.
     ``evaluate(calls)`` takes a list of calls (member, grids, node count)
-    and returns one row of values a call, one value a grid.
+    and returns one row of values a call, one Python float a grid.
 
     Every integral runs its base level and the first doubling, so the
     two go to one call when ``grow`` gives a finer level and that level
@@ -374,7 +389,6 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
                 break
             start = time.perf_counter()
             (value,), = evaluate([(i, [grid], nodes)])
-            value = float(value)
             _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
                        what, resolution, nodes, value, time.perf_counter() - start)
             err = abs(value - result.value)
@@ -392,7 +406,6 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     for chunk in _joined(layouts, base, grow(base), spec, what):
         start = time.perf_counter()
         rows = evaluate([(i, grids, nodes) for i, _, grids, nodes in chunk])
-        rows = np.asarray(rows, dtype=float).tolist()
         seconds = time.perf_counter() - start
         for (i, levels, _, nodes), row in zip(chunk, rows):
             if debug:
@@ -571,114 +584,149 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
     cutoff, ``radial_nodes`` and the tails' other entries are ignored,
     and the 4-point level is the finest.
 
-    A member without inner breakpoints lays out one cached unit rule
-    (``_unit_panels`` on [0, 1], or the Gauss-Laguerre rule) for its own
-    scale, the cutoff or the rate (none on [0, 1]), so ``_escalated``
-    lays out that rule once for each run of consecutive members on it; a
-    member with breakpoints shares out its segments once for all its
-    levels (``_Segments``).
+    A member without inner breakpoints runs on one cached unit rule
+    (``_UnitRule``: ``_unit_panels`` on [0, 1], or the Gauss-Laguerre
+    rule) scaled for it, by its cutoff or its rate (not at all on
+    [0, 1]); a member with breakpoints shares out its segments once for
+    all its levels (``_Segments``).  Either keeps its first call, the
+    base level joined with its doubling, as one array pair, ``first``,
+    laid out once: once a process for a unit rule.
     ``terms(x, members, counts)`` maps nodes to the integrand there: x
     joins the levels of each member of a call in turn, ``counts[i]``
     nodes of member ``members[i]``.  ``_escalated`` joins the first two
     levels of consecutive members into calls of at most
-    ``_STACK_CHUNK_NODES`` nodes.  In a call, the nodes and weights of
-    consecutive members on one unit rule are the rows of one (members x
-    nodes) layout, formed from the scales and the rule by one outer
-    operation, and each level's values are one batched ``np.matmul`` of
-    weight rows against integrand rows, which gives the bits of
-    ``np.dot`` on a call per level of each member alone.
+    ``_STACK_CHUNK_NODES`` nodes.  In a call, consecutive members on one
+    rule form a block.  A block of one member, such as every integral
+    that is not a stack, sums each level with one ``np.dot`` on
+    contiguous slices.  In a larger block the nodes and weights are the
+    rows of one (members x nodes) layout, formed from the scales and the
+    rule by one outer operation, and each level's values are one batched
+    ``np.matmul`` of weight rows against integrand rows, which gives the
+    bits of that ``np.dot`` on each member alone.  The values go back to
+    ``_escalated`` as Python floats.
     """
     n_panels = max(1, spec.radial_nodes // _PANEL_NODES)
 
     def rule(tail):
         # (axes, scale) of a tail; scale None: laid out as it is
-        if coordinate == "unit":
-            return _unit_axes(n_panels, False), None
         shape, rate, breakpoints, tail_log_margin = tail
         if exact:
-            return _laguerre_layout, rate
+            return _laguerre_axes, rate
         mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
         cutoff = gamma_tail_threshold(shape, rate, mass)
-        inner = sorted({abs(b) for b in breakpoints if 0.0 < abs(b) < cutoff})
-        if inner:
-            return _Segments(0.0, cutoff, inner, n_panels, True), None
+        if breakpoints:
+            inner = sorted({abs(b) for b in breakpoints if 0.0 < abs(b) < cutoff})
+            if inner:
+                return _Segments(0.0, cutoff, inner, n_panels, True), None
         return _unit_axes(n_panels, bool(breakpoints)), cutoff
 
-    rules = {tail: rule(tail) for tail in set(tails)}
-    layouts, scales = zip(*[rules[tail] for tail in tails])
+    if coordinate == "unit":
+        layouts, scales = [_unit_axes(n_panels, False)] * len(tails), [None] * len(tails)
+    else:
+        rules = {tail: rule(tail) for tail in set(tails)}
+        layouts, scales = zip(*[rules[tail] for tail in tails])
 
     def evaluate(calls):
         # Consecutive calls on one ``grids`` list share one unit rule: a
         # block, whose members' nodes and weights are rows of one layout.
-        pieces, blocks = [], []
-        for _, block in itertools.groupby(calls, key=lambda call: id(call[1])):
-            block = list(block)
-            levels = block[0][1]
-            x, w = (np.concatenate(unit) for unit in zip(*levels))
-            factors = [scales[i] for i, _, _ in block]
+        # A call of two levels is a first call, read as its rule's
+        # ``first``; a call of one level is that level as it is.
+        blocks = [calls] if len(calls) == 1 else [
+            list(block) for _, block in itertools.groupby(calls, key=lambda call: id(call[1]))]
+        pieces, sums = [], []
+        for block in blocks:
+            i, levels, _ = block[0]
+            x, w, cols = layouts[i].first if len(levels) == 2 else (*levels[0], _WHOLE)
+            factors = [scales[j] for j, _, _ in block]
+            # One scale serves every member as a scalar, else a column.
+            scale = (factors[0] if factors.count(factors[0]) == len(factors)
+                     else np.array(factors)[:, None])
             if exact:
                 # r = sqrt(2 u / rate) and weights w e^u / (rate r)
-                rate = np.array(factors)[:, None]
-                x = np.sqrt(x / rate)
-                w = w / (rate * x)
-            elif factors.count(factors[0]) < len(factors):
-                x, w = np.multiply.outer(factors, x), np.multiply.outer(factors, w)
-            elif factors[0] is not None:
-                # One scale: one row serves every member.
-                x, w = factors[0] * x, factors[0] * w
+                x = np.sqrt(x / scale)
+                w = w / (scale * x)
+            elif scale is not None:
+                x, w = scale * x, scale * w
             pieces += [x.ravel()] if x.ndim == 2 else [x] * len(block)
-            blocks.append((len(block), w.reshape(-1, w.shape[-1]), [u.size for u, _ in levels]))
+            sums.append((len(block), w, cols))
         x = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         members, _, counts = zip(*calls)
         t = terms(x, members, counts)
         if coordinate == "radius":
             t *= x
-        # Each level is one batched product of weight rows and integrand
-        # rows, which gives the bits of ``np.dot`` on each row (a single
-        # weight row is broadcast).
-        values = np.empty((len(calls), len(calls[0][1])))
-        end = k = 0
-        for size, w, sizes in blocks:
-            t_rows = t[end:end + size * counts[k]].reshape(size, -1)
-            end += t_rows.size
-            col = 0
-            for level, n in enumerate(sizes):
-                cols = slice(col, col + n)
-                col += n
-                values[k:k + size, level] = np.matmul(w[:, None, cols],
-                                                      t_rows[:, cols, None])[:, 0, 0]
-            k += size
-        return 2.0 * values if coordinate == "line" else values
+        rows, end = [], 0
+        for size, w, cols in sums:
+            n = counts[len(rows)]
+            if size == 1:
+                # One member: one ``np.dot`` a level, on contiguous slices.
+                t_row = t[end:end + n]
+                rows.append([float(np.dot(w[c], t_row[c])) for c in cols])
+            else:
+                # One batched product of weight rows and integrand rows a
+                # level, which gives the bits of ``np.dot`` on each row (a
+                # single weight row is broadcast).
+                t_rows = t[end:end + size * n].reshape(size, n)
+                w = w.reshape(-1, n)
+                values = np.empty((size, len(cols)))
+                for level, c in enumerate(cols):
+                    values[:, level] = np.matmul(w[:, None, c], t_rows[:, c, None])[:, 0, 0]
+                rows += values.tolist()
+            end += size * n
+        return [[2.0 * v for v in row] for row in rows] if coordinate == "line" else rows
 
     grow = (lambda level: min(level + 1, 1)) if exact else (lambda level: level + 1)
     return _escalated(layouts, evaluate, 0, grow, spec, what)
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_axes(n_panels: int, graded: bool):
-    """``_run_1d``'s ``axes`` of the members without inner breakpoints: unit rules on [0, 1]."""
+class _UnitRule:
+    """``_run_1d``'s ``axes`` of the members without inner breakpoints: one cached unit rule.
 
-    def axes(doublings):
-        x, w = _unit_panels(n_panels << doublings, graded)
+    ``rule(level)`` gives the level's read-only (x, w), which ``_run_1d``
+    scales for each member.  ``first``, the base level joined with its
+    doubling into one read-only array pair, is laid out at its first use
+    and kept with the rule, so every later first call reads it as it is.
+    """
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def __call__(self, level):
+        x, w = self.rule(level)
         return x.size, x.size, (x, w)
 
-    return axes
+    @functools.cached_property
+    def first(self):
+        x, w = (np.concatenate(unit) for unit in zip(self.rule(0), self.rule(1)))
+        x.flags.writeable = False
+        w.flags.writeable = False
+        return x, w, _level_columns(self.rule(0)[0].size, x.size)
 
 
 @functools.lru_cache(maxsize=None)
-def _laguerre_layout(level: int):
-    """``_run_1d``'s ``axes`` of an exact member: the 2^(level + 1)-point Gauss-Laguerre rule.
+def _unit_axes(n_panels: int, graded: bool) -> _UnitRule:
+    """The unit rule whose level j is ``_unit_panels(n_panels << j, graded)`` on [0, 1]."""
+    return _UnitRule(lambda doublings: _unit_panels(n_panels << doublings, graded))
 
-    Its grid, read-only, is 2u and w e^u at the nodes u and weights w of
-    the rule for e^-u on [0, inf); ``_run_1d`` turns them into radii and
-    weights for each member's rate.
+
+@functools.lru_cache(maxsize=None)
+def _laguerre_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^(level + 1)-point Gauss-Laguerre rule as ``_run_1d`` scales it, read-only.
+
+    It is 2u and w e^u at the nodes u and weights w of the rule for e^-u
+    on [0, inf); ``_run_1d`` turns them into radii and weights for each
+    member's rate.
     """
     u, w = laggauss(2 << level)
     u *= 2.0
     w *= np.exp(0.5 * u)
     u.flags.writeable = False
     w.flags.writeable = False
-    return u.size, u.size, (u, w)
+    return u, w
+
+
+# The ``axes`` of an exact member (see ``_run_1d``); its levels are laid
+# out at their first use.
+_laguerre_axes = _UnitRule(_laguerre_rule)
 
 
 def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
@@ -757,18 +805,16 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     by marginals (``_marginal_split``) against a product of two radial
     factors; cartesian otherwise (see ``_cartesian``).
     """
-    densities = (evaluator,) if reference is None else (evaluator, reference)
-    if all(d.kind == "radial" for d in densities):
-        terms = functools.partial(_density_terms, evaluator.log_q_radial,
-                                  None if reference is None else reference.log_q_radial,
-                                  factor_of_log)
-        return _run_1d(lambda x, *_: terms(x), [_radial_tail(evaluator, reference)], spec, what,
-                       coordinate="radius",
-                       exact=reference is None and evaluator.log_q_affine_in_r2)[0]
+    if evaluator.kind == "radial" and (reference is None or reference.kind == "radial"):
+        log_s = None if reference is None else reference.log_q_radial
+        return _run_1d(
+            lambda x, *_: _density_terms(evaluator.log_q_radial, log_s, factor_of_log, x),
+            [_radial_tail(evaluator, reference)], spec, what, coordinate="radius",
+            exact=reference is None and evaluator.log_q_affine_in_r2)[0]
     if evaluator.kind == "noon":
         if reference is None:
-            terms = functools.partial(_profile_terms, evaluator.s_profile, factor_of_log)
-            return _run_1d(lambda s, *_: terms(s), [None], spec, what, coordinate="unit")[0]
+            return _run_1d(lambda s, *_: _profile_terms(evaluator.s_profile, factor_of_log, s),
+                           [None], spec, what, coordinate="unit")[0]
         if (isinstance(reference, ProductHusimi)
                 and reference.factor_a.kind == reference.factor_b.kind == "radial"):
             return _marginal_split(evaluator, reference, factor_of_log, spec, what)

@@ -66,10 +66,15 @@ from wehrlkit.quadrature import (
     _cross_factor,
     _density_terms,
     _entropy_factor,
+    _gamma_tail_inverse,
     _hermite_rule,
+    _laguerre_axes,
     _log_factor,
+    _profile_terms,
+    _run_1d,
     _Segments,
     _tail_mass,
+    _unit_axes,
     _unit_factor,
     _unit_panels,
 )
@@ -94,7 +99,7 @@ def _panel_nodes(a, b, n_nodes, breakpoints=(), graded=False, doublings=0):
         x, w = _unit_panels(n_panels << doublings, graded)
         # a + total x, without the call that adds a zero a
         return (a + total * x if a else total * x), total * w
-    return _Segments(a, b, inner, n_panels, graded).layout(doublings)[0]
+    return _Segments(a, b, inner, n_panels, graded).layout(doublings)
 
 
 EVALUATORS = [
@@ -197,6 +202,36 @@ def test_gamma_tail_threshold_matches_the_incomplete_gamma_inverse():
             expected = math.sqrt(2.0 * gammainccinv(shape + 2.0, tail_mass) / 0.7)
             got = gamma_tail_threshold(float(shape), 0.7, tail_mass)
             assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (shape, tail_mass)
+
+
+def _gamma_tail_inverse_plain(a, tail_mass):
+    # the Newton steps of ``_gamma_tail_inverse`` with the full sum over
+    # every term, the reference for its early stop
+    log_p = math.log(tail_mass)
+    log_last = -math.lgamma(a)
+    x = 2.0 * (a * math.log(2.0) - log_p)
+    for _ in range(100):
+        ratio = term = 1.0
+        for k in range(a - 1, 0, -1):
+            term *= k / x
+            ratio += term
+        log_q = -x + (a - 1) * math.log(x) + log_last + math.log(ratio)
+        step = (log_q - log_p) * ratio
+        x += step
+        if abs(step) <= 1e-15 * x:
+            break
+    return x
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 7, 13, 52, 151, 652])
+def test_gamma_tail_inverse_stops_its_sum_without_moving_a_bit(a):
+    # the sum stops at the first term that leaves it unchanged; near p = 1
+    # the root x lies below a - 1, where the terms first grow
+    masses = [*np.logspace(-1, -280, 29), 0.5, 0.9, 0.999]
+    for tail_mass in masses:
+        got = _gamma_tail_inverse.__wrapped__(a, float(tail_mass))
+        assert got == _gamma_tail_inverse_plain(a, float(tail_mass)), (a, tail_mass)
+    assert _gamma_tail_inverse_plain(a, 0.999) < a - 1 or a < 3
 
 
 def test_gamma_tail_threshold_rejects_a_non_integer_shape():
@@ -1083,6 +1118,28 @@ def test_unit_panels_are_shared_and_read_only():
     assert np.array_equal(got, x) and not np.shares_memory(got, x)
 
 
+@pytest.mark.parametrize("axes", [_unit_axes(25, False), _unit_axes(7, True), _laguerre_axes],
+                         ids=["plain", "graded", "laguerre"])
+def test_a_unit_rules_first_call_is_laid_out_once_and_read_only(axes):
+    # the base level joined with its doubling, kept with the cached rule
+    x, w, (base, doubled) = axes.first
+    assert axes.first[0] is x and axes.first[1] is w
+    for level, cols in ((0, base), (1, doubled)):
+        _, nodes, (lx, lw) = axes(level)
+        assert np.array_equal(x[cols], lx) and np.array_equal(w[cols], lw)
+        assert cols.stop - cols.start == nodes
+    assert x.size == w.size == doubled.stop
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    # a run reads it as it is: the rule keeps the same arrays afterwards
+    entropy_functional(FockHusimi(3))
+    entropy_functional(NoonHusimi(2))
+    entropy_functional(ThermalHusimi(0.4))
+    assert axes.first[0] is x and axes.first[1] is w
+    assert _unit_axes(25, False) is _unit_axes(25, False)
+
+
 def test_node_counts_are_pinned():
     # a layout change must not shift these; one panel edge per distinct |zero|
     # of psi_n on the line
@@ -1271,6 +1328,8 @@ def test_a_stack_gives_the_bits_of_its_integrals_one_by_one(monkeypatch, name):
     members = STACKS[name]
     assert len(members) % 2 == 1
     line = not isinstance(members[0], HusimiEvaluator)
+    # each single sums its levels with ``np.dot``, the stack with one
+    # batched ``np.matmul`` a level
     singles = [(density_entropy_1d if line else entropy_functional)(m) for m in members]
     cls = FockMixturePositionDensity if line else type(members[0])
     calls = _recorded(monkeypatch, cls, "stacked_log_f" if line else "stacked_log_q_radial")
@@ -1283,6 +1342,28 @@ def test_a_stack_gives_the_bits_of_its_integrals_one_by_one(monkeypatch, name):
     assert len(calls) == 1 if name == "thermal-radial" else len(calls) > 1
     assert sum(len(stack) for stack, _ in calls) == len(members)
     assert sum(nodes for _, nodes in calls) == sum(r.nodes_used for r in singles)
+
+
+def test_a_unit_stack_gives_the_bits_of_its_s_rules_one_by_one():
+    # "noon" s-profiles have no stacked kernel, so the stack runs here on
+    # the unit coordinate, one ``_profile_terms`` a member: its rows share
+    # one broadcast weight row and the batched product, where each
+    # ``entropy_functional`` sums a lone member with ``np.dot``
+    members = [NoonHusimi(n) for n in (3, 0, 7, 1, 12, 5, 2, 9, 4)]
+    singles = [entropy_functional(m) for m in members]
+    calls = []
+
+    def terms(s, at, counts):
+        calls.append(len(at))
+        ends = np.cumsum((0, *counts))
+        return np.concatenate([_profile_terms(members[i].s_profile, _entropy_factor,
+                                              s[lo:hi]) for i, lo, hi in zip(at, ends, ends[1:])])
+
+    got = _run_1d(terms, [None] * len(members), QuadratureSpec(), "entropy functional",
+                  coordinate="unit")
+    assert [_bits(r) for r in got] == [_bits(r) for r in singles]
+    # 1,200 nodes a member: six members to a call of at most 2^13 nodes
+    assert calls == [6, 3]
 
 
 def test_a_member_that_misses_its_tolerance_escalates_alone(monkeypatch):
