@@ -54,7 +54,8 @@ class EurReport:
     else None.  For a thermal state the quadrature is exact on six
     Gauss-Laguerre nodes, with no cutoff and whatever ``radial_nodes``,
     so the delta is a few units in the last place of the value; for a
-    number state it also carries the truncation at the radial cutoff.
+    number state it is the two-level error of the radial rule, whose
+    cutoff leaves out a tail below rounding.
     ``homodyne`` is the differential entropy of the x marginal, which
     equals that of p for every accepted family, and ``von_neumann`` the
     spectral entropy.  The sums, and their deficits

@@ -87,8 +87,8 @@ class QuadratureSpec:
     further doublings; it stops early, with ToleranceNotReached, before a
     level of more than 10^8 nodes.
     No field sets a cutoff either: each runner solves its own from the
-    integrand's Gamma-type tail, at a tail mass of 1e-2 times the smaller
-    tolerance (at least 1e-18), so a tighter tolerance widens the cutoff.
+    integrand's Gamma-type tail, at a tail mass of 1e-18 whatever the
+    tolerance, so the truncation lies below rounding.
     A thermal phase-space integral without a reference ignores
     ``radial_nodes`` and has no cutoff: its ln Q is affine in r^2, and
     2- and 4-point Gauss-Laguerre rules integrate it exactly (see
@@ -125,10 +125,11 @@ class IntegralResult:
     """Value plus the two-level error estimate that backed it.
 
     ``error_estimate`` is the difference between the two finest levels.
-    It leaves out the truncation at the radial cutoff, so it can be
-    smaller than the true error; a thermal phase-space integral, exact
-    on Gauss-Laguerre nodes, and a "noon" density's s-rule on [0, 1]
-    have no cutoff to truncate.  ``nodes_used`` counts the nodes evaluated
+    Every cutoff leaves a tail of at most 1e-18 of the mass (see
+    ``_TAIL_MASS``), below rounding, so the estimate has no truncation to
+    leave out; a thermal phase-space integral, exact on Gauss-Laguerre
+    nodes, and a "noon" density's s-rule on [0, 1] have no cutoff at all.
+    ``nodes_used`` counts the nodes evaluated
     over all levels; on a "noon" density's s-rule a node is one ratio of
     the two radii, its radius and angle integrated exactly.  Results
     combine with ``+`` and ``-``: values add or subtract, estimates and
@@ -156,8 +157,9 @@ def _map_chunks(fn, items, parallelism: int):
         return list(pool.map(fn, items))
 
 
-def _tail_mass(spec: QuadratureSpec) -> float:
-    return max(1e-18, 1e-2 * min(spec.abs_tol, spec.rel_tol))
+# The Gamma-tail mass every cutoff leaves out, whatever the tolerance:
+# below rounding, so a two-level estimate needs no truncation term.
+_TAIL_MASS = 1e-18
 
 
 @functools.lru_cache(maxsize=None)
@@ -567,8 +569,8 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
     the unit rule on [0, 1], with no cutoff, and the tails ignored.
     Otherwise ``tails`` holds each member's (shape, rate, breakpoints,
     tail_log_margin).  Its cutoff is solved from the Gamma tail of
-    ``shape`` and ``rate`` (see ``gamma_tail_threshold``) at the spec's
-    tail mass, which ``tail_log_margin`` shrinks for tails that outrun
+    ``shape`` and ``rate`` (see ``gamma_tail_threshold``) at the tail
+    mass ``_TAIL_MASS``, which ``tail_log_margin`` shrinks for tails that outrun
     the plain Gamma envelope.  ``breakpoints`` are where a log in the
     integrand is singular (the zeros of a line density, or the origin of
     a radial reference that vanishes there): they become panel edges,
@@ -612,7 +614,7 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
         shape, rate, breakpoints, tail_log_margin = tail
         if exact:
             return _laguerre_axes, rate
-        mass = max(_tail_mass(spec) * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
+        mass = max(_TAIL_MASS * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
         cutoff = gamma_tail_threshold(shape, rate, mass)
         if breakpoints:
             inner = sorted({abs(b) for b in breakpoints if 0.0 < abs(b) < cutoff})

@@ -315,4 +315,4 @@ def test_the_sweeps_integrate_pinned_node_counts(monkeypatch):
     radial = _kernel_nodes(monkeypatch, FockMixtureHusimi, "stacked_log_q_radial")
     line = _kernel_nodes(monkeypatch, FockMixturePositionDensity, "stacked_log_f")
     eur_sweep_fock(50)
-    assert (sum(line), sum(radial)) == (64_320, 61_200)
+    assert (sum(line), sum(radial)) == (65_472, 61_200)

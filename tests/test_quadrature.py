@@ -73,7 +73,7 @@ from wehrlkit.quadrature import (
     _profile_terms,
     _run_1d,
     _Segments,
-    _tail_mass,
+    _TAIL_MASS,
     _unit_axes,
     _unit_factor,
     _unit_panels,
@@ -881,7 +881,7 @@ def _split_levels(rho, sigma, factor_of_log, spec, levels, **thresholds):
             continue
         q, ref = pair
         shape = max(q.radial_gamma_shape, ref.radial_gamma_shape)
-        cutoff = gamma_tail_threshold(shape, 1.0, _tail_mass(spec))
+        cutoff = gamma_tail_threshold(shape, 1.0, _TAIL_MASS)
         graded = ref.lowest_index > q.lowest_index
         layouts = [_panel_nodes(0.0, cutoff, spec.radial_nodes, graded=graded, doublings=k)
                    for k in range(count)]
@@ -1145,7 +1145,7 @@ def test_node_counts_are_pinned():
     # of psi_n on the line
     line = sum(density_entropy_1d(FockPositionDensity(n)).nodes_used for n in range(51))
     radial = sum(entropy_functional(FockHusimi(n)).nodes_used for n in range(51))
-    assert (line, radial) == (64_320, 61_200)
+    assert (line, radial) == (65_472, 61_200)
     # a thermal integral runs on 2 and 4 Gauss-Laguerre nodes, whatever radial_nodes
     assert entropy_functional(ThermalHusimi(0.7)).nodes_used == 6
     assert entropy_functional(ThermalHusimi(0.7), QuadratureSpec(radial_nodes=16)).nodes_used == 6
@@ -1256,7 +1256,7 @@ def test_the_first_two_1d_levels_share_one_density_call(caplog, monkeypatch, den
     else:
         shape, rate = density.position_gamma_shape, density.position_rate
         margin = density.position_tail_log_margin
-    cutoff = gamma_tail_threshold(shape, rate, _tail_mass(QuadratureSpec()) * math.exp(-margin))
+    cutoff = gamma_tail_threshold(shape, rate, _TAIL_MASS * math.exp(-margin))
     breaks = [b for b in getattr(density, "breakpoints", ()) if b > 0.0]
     graded = len(getattr(density, "breakpoints", ())) > 0
     layouts = [_panel_nodes(0.0, cutoff, 400, breakpoints=breaks, graded=graded, doublings=k)
@@ -1436,7 +1436,7 @@ def test_a_thermal_stack_is_one_kernel_call_with_the_bits_of_its_integrals(monke
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_the_line_entropy_of_a_number_state_past_the_float_range_is_refused():
     result = density_entropy_1d(FockPositionDensity(650))
-    assert (result.value, result.nodes_used) == (3.8174751033389955, 36_848)
+    assert (result.value, result.nodes_used) == (3.8174751033406342, 36_848)
     with pytest.raises(UnsupportedState, match=r"index 651\b"):
         density_entropy_1d(FockPositionDensity(651))
 
@@ -1478,14 +1478,14 @@ def test_noon_triangle_peak_memory_stays_within_a_few_finest_arrays(fn):
 
 
 def test_a_tight_noon_mutual_information_takes_a_third_level(caplog):
-    # at 1e-15 the entropy of the N = 50 marginal takes a third and a
-    # fourth level, in a call of its own, while the s-rule settles on its
-    # first two, as the joint entropy does
+    # at 1e-15 the entropy of the N = 50 marginal takes a third level, in
+    # a call of its own, while the s-rule settles on its first two, as the
+    # joint entropy does
     spec = QuadratureSpec(abs_tol=1e-15, rel_tol=1e-15)
     state = NoonState(50)
     res, nodes = _levels_run(caplog, lambda: wehrl_mutual_information(state, spec))
-    assert nodes == [400, 800, 1600, 3200, 400, 800]
-    assert res.nodes_used == 7_200
+    assert nodes == [400, 800, 1600, 400, 800]
+    assert res.nodes_used == 4_000
     _, nodes = _levels_run(caplog, lambda: wehrl_quadrature(state, spec))
     assert nodes == [400, 800]
 
