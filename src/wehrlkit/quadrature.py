@@ -285,11 +285,6 @@ def _unit_panels(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
 _WHOLE = (slice(None),)
 
 
-def _level_columns(base: int, total: int) -> tuple[slice, slice]:
-    """The columns of the base level and of its doubling in a first call of ``total`` nodes."""
-    return slice(0, base), slice(base, total)
-
-
 class _Segments:
     """A composite rule on [a, b] with panel edges at breakpoints, shared out once for every level.
 
@@ -302,9 +297,11 @@ class _Segments:
     its error from the estimate.  A segment's nodes are lo + (hi - lo) x
     and its weights (hi - lo) w, with x and w the cached rule
     ``_unit_panels(k, graded)`` on [0, 1].  ``layout`` lays out levels in
-    one pass over the segments; a call is the ``axes`` of ``_run_1d``,
-    and ``first``, the base level joined with its doubling, is laid out
-    once, at its first use, for both those levels.
+    one pass over the segments; a call is the ``axes`` of ``_run_1d``.
+    The call for the base level lays it out joined with its doubling,
+    for both those levels, and ``first`` hands that layout over once: the
+    segments keep it no longer, so a stack holds the layouts of one
+    chunk at a time.  Each member of a stack has segments of its own.
     """
 
     def __init__(self, a: float, b: float, inner, n_panels: int, graded: bool):
@@ -314,6 +311,7 @@ class _Segments:
         self.lows = np.array(edges[:-1])
         self.spans = np.array(spans)
         self.graded = graded
+        self.joined = None
 
     def layout(self, *doublings):
         """(x, w) of the levels ``doublings`` in turn, laid out as one array pair."""
@@ -328,14 +326,17 @@ class _Segments:
         w *= span
         return x, w
 
-    @functools.cached_property
     def first(self):
-        x, w = self.layout(0, 1)
-        return x, w, _level_columns(_PANEL_NODES * sum(self.counts), x.size)
+        first, self.joined = self.joined, None
+        return first
 
     def __call__(self, doublings: int):
+        if doublings == 0:
+            x, w = self.layout(0, 1)
+            base = _PANEL_NODES * sum(self.counts)
+            self.joined = x, w, (slice(0, base), slice(base, x.size))
         if doublings < 2:
-            x, w, cols = self.first
+            x, w, cols = self.joined
             x, w = x[cols[doublings]], w[cols[doublings]]
         else:
             x, w = self.layout(doublings)
@@ -590,9 +591,10 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
     (``_UnitRule``: ``_unit_panels`` on [0, 1], or the Gauss-Laguerre
     rule) scaled for it, by its cutoff or its rate (not at all on
     [0, 1]); a member with breakpoints shares out its segments once for
-    all its levels (``_Segments``).  Either keeps its first call, the
-    base level joined with its doubling, as one array pair, ``first``,
-    laid out once: once a process for a unit rule.
+    all its levels (``_Segments``).  Either gives its first call, the
+    base level joined with its doubling, as one array pair, ``first()``,
+    laid out once: once a process for a unit rule, once a run for
+    segments, which hand it over.
     ``terms(x, members, counts)`` maps nodes to the integrand there: x
     joins the levels of each member of a call in turn, ``counts[i]``
     nodes of member ``members[i]``.  ``_escalated`` joins the first two
@@ -625,20 +627,19 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
     if coordinate == "unit":
         layouts, scales = [_unit_axes(n_panels, False)] * len(tails), [None] * len(tails)
     else:
-        rules = {tail: rule(tail) for tail in set(tails)}
-        layouts, scales = zip(*[rules[tail] for tail in tails])
+        layouts, scales = zip(*map(rule, tails))
 
     def evaluate(calls):
         # Consecutive calls on one ``grids`` list share one unit rule: a
         # block, whose members' nodes and weights are rows of one layout.
         # A call of two levels is a first call, read as its rule's
-        # ``first``; a call of one level is that level as it is.
+        # ``first()``; a call of one level is that level as it is.
         blocks = [calls] if len(calls) == 1 else [
             list(block) for _, block in itertools.groupby(calls, key=lambda call: id(call[1]))]
         pieces, sums = [], []
         for block in blocks:
             i, levels, _ = block[0]
-            x, w, cols = layouts[i].first if len(levels) == 2 else (*levels[0], _WHOLE)
+            x, w, cols = layouts[i].first() if len(levels) == 2 else (*levels[0], _WHOLE)
             factors = [scales[j] for j, _, _ in block]
             # One scale serves every member as a scalar, else a column.
             scale = (factors[0] if factors.count(factors[0]) == len(factors)
@@ -684,24 +685,28 @@ class _UnitRule:
     """``_run_1d``'s ``axes`` of the members without inner breakpoints: one cached unit rule.
 
     ``rule(level)`` gives the level's read-only (x, w), which ``_run_1d``
-    scales for each member.  ``first``, the base level joined with its
-    doubling into one read-only array pair, is laid out at its first use
-    and kept with the rule, so every later first call reads it as it is.
+    scales for each member.  ``first()``, the base level joined with its
+    doubling into one read-only array pair, with the columns of each, is
+    laid out at its first use and kept with the rule, so every later
+    first call reads it as it is.
     """
 
     def __init__(self, rule):
         self.rule = rule
+        self.joined = None
 
     def __call__(self, level):
         x, w = self.rule(level)
         return x.size, x.size, (x, w)
 
-    @functools.cached_property
     def first(self):
-        x, w = (np.concatenate(unit) for unit in zip(self.rule(0), self.rule(1)))
-        x.flags.writeable = False
-        w.flags.writeable = False
-        return x, w, _level_columns(self.rule(0)[0].size, x.size)
+        if self.joined is None:
+            x, w = (np.concatenate(unit) for unit in zip(self.rule(0), self.rule(1)))
+            x.flags.writeable = False
+            w.flags.writeable = False
+            base = self.rule(0)[0].size
+            self.joined = x, w, (slice(0, base), slice(base, x.size))
+        return self.joined
 
 
 @functools.lru_cache(maxsize=None)

@@ -1122,8 +1122,8 @@ def test_unit_panels_are_shared_and_read_only():
                          ids=["plain", "graded", "laguerre"])
 def test_a_unit_rules_first_call_is_laid_out_once_and_read_only(axes):
     # the base level joined with its doubling, kept with the cached rule
-    x, w, (base, doubled) = axes.first
-    assert axes.first[0] is x and axes.first[1] is w
+    x, w, (base, doubled) = axes.first()
+    assert axes.first()[0] is x and axes.first()[1] is w
     for level, cols in ((0, base), (1, doubled)):
         _, nodes, (lx, lw) = axes(level)
         assert np.array_equal(x[cols], lx) and np.array_equal(w[cols], lw)
@@ -1136,7 +1136,7 @@ def test_a_unit_rules_first_call_is_laid_out_once_and_read_only(axes):
     entropy_functional(FockHusimi(3))
     entropy_functional(NoonHusimi(2))
     entropy_functional(ThermalHusimi(0.4))
-    assert axes.first[0] is x and axes.first[1] is w
+    assert axes.first()[0] is x and axes.first()[1] is w
     assert _unit_axes(25, False) is _unit_axes(25, False)
 
 
@@ -1364,6 +1364,22 @@ def test_a_unit_stack_gives_the_bits_of_its_s_rules_one_by_one():
     assert [_bits(r) for r in got] == [_bits(r) for r in singles]
     # 1,200 nodes a member: six members to a call of at most 2^13 nodes
     assert calls == [6, 3]
+
+
+def test_a_line_stack_holds_the_layouts_of_one_chunk_at_a_time():
+    # each member's segments hand their joined first call over to the
+    # chunk that evaluates it, so the 51-member number-state line stack
+    # (65,472 nodes over all levels) peaks at what one chunk of at most
+    # 2^13 nodes holds, about a dozen arrays of it
+    members = [FockPositionDensity(n) for n in range(51)]
+    density_entropies_1d(members)  # fill the caches of layouts and cutoffs first
+    tracemalloc.start()
+    try:
+        density_entropies_1d(members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * (1 << 13) * 8
 
 
 def test_a_member_that_misses_its_tolerance_escalates_alone(monkeypatch):
