@@ -281,8 +281,10 @@ def _unit_panels(k: int, graded: bool) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# The columns of a call of one level: all of them.
-_WHOLE = (slice(None),)
+def _columns(sizes) -> tuple[slice, ...]:
+    """The columns of each level in a call that joins levels of ``sizes`` nodes."""
+    ends = list(itertools.accumulate(sizes, initial=0))
+    return tuple(slice(lo, hi) for lo, hi in zip(ends[:-1], ends[1:]))
 
 
 class _Segments:
@@ -297,11 +299,9 @@ class _Segments:
     its error from the estimate.  A segment's nodes are lo + (hi - lo) x
     and its weights (hi - lo) w, with x and w the cached rule
     ``_unit_panels(k, graded)`` on [0, 1].  ``layout`` lays out levels in
-    one pass over the segments; a call is the ``axes`` of ``_run_1d``.
-    The call for the base level lays it out joined with its doubling,
-    for both those levels, and ``first`` hands that layout over once: the
-    segments keep it no longer, so a stack holds the layouts of one
-    chunk at a time.  Each member of a stack has segments of its own.
+    one pass over the segments; a call is the ``axes`` of ``_run_1d``,
+    which lays out the levels of one runner call, joined, and keeps
+    nothing: a stack holds the layouts of one chunk at a time.
     """
 
     def __init__(self, a: float, b: float, inner, n_panels: int, graded: bool):
@@ -311,7 +311,6 @@ class _Segments:
         self.lows = np.array(edges[:-1])
         self.spans = np.array(spans)
         self.graded = graded
-        self.joined = None
 
     def layout(self, *doublings):
         """(x, w) of the levels ``doublings`` in turn, laid out as one array pair."""
@@ -326,21 +325,9 @@ class _Segments:
         w *= span
         return x, w
 
-    def first(self):
-        first, self.joined = self.joined, None
-        return first
-
-    def __call__(self, doublings: int):
-        if doublings == 0:
-            x, w = self.layout(0, 1)
-            base = _PANEL_NODES * sum(self.counts)
-            self.joined = x, w, (slice(0, base), slice(base, x.size))
-        if doublings < 2:
-            x, w, cols = self.joined
-            x, w = x[cols[doublings]], w[cols[doublings]]
-        else:
-            x, w = self.layout(doublings)
-        return x.size, x.size, (x, w)
+    def __call__(self, levels):
+        sizes = [_PANEL_NODES * (sum(self.counts) << j) for j in levels]
+        return sizes, sizes, (*self.layout(*levels), _columns(sizes))
 
 
 def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
@@ -348,13 +335,14 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     """Run doubling resolutions until two levels agree: the one refinement driver.
 
     It runs a stack of integrals that share one rule, one member per
-    entry of ``layouts``: a member's ``axes(level)`` lays out a level and
-    returns the resolution (nodes per axis, or a tuple of them), the
-    number of nodes and the level's grid, and ``grow`` steps the
-    requested level.  Consecutive members may share one ``axes``, whose
-    first levels are then laid out once for all of them.
-    ``evaluate(calls)`` takes a list of calls (member, grids, node count)
-    and returns one row of values a call, one Python float a grid.
+    entry of ``layouts``: a member's ``axes(levels)`` lays out the levels
+    of one call, a tuple, and returns the resolution of each (nodes per
+    axis, or a tuple of them), the nodes of each and the call's grid, and
+    ``grow`` steps the requested level.  Consecutive members may share
+    one ``axes``, whose first levels are then laid out once for all of
+    them.  ``evaluate(calls)`` takes a list of calls (member, grid, node
+    count) and returns one row of values a call, one Python float a
+    level.
 
     Every integral runs its base level and the first doubling, so the
     two go to one call when ``grow`` gives a finer level and that level
@@ -385,13 +373,13 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
         # The levels of member i after ``level``, one call each.
         while grow(level) != level:
             level = grow(level)
-            resolution, nodes, grid = layouts[i](level)
+            (resolution,), (nodes,), grid = layouts[i]((level,))
             if nodes > _MAX_LEVEL_NODES:
                 _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
                           what, resolution, nodes, _MAX_LEVEL_NODES)
                 break
             start = time.perf_counter()
-            (value,), = evaluate([(i, [grid], nodes)])
+            (value,), = evaluate([(i, grid, nodes)])
             _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
                        what, resolution, nodes, value, time.perf_counter() - start)
             err = abs(value - result.value)
@@ -406,11 +394,11 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
         raise _ceiling(result, spec, what)
 
     results = []
-    for chunk in _joined(layouts, base, grow(base), spec, what):
+    for calls, first_levels in _joined(layouts, base, grow(base), spec, what):
         start = time.perf_counter()
-        rows = evaluate([(i, grids, nodes) for i, _, grids, nodes in chunk])
+        rows = evaluate(calls)
         seconds = time.perf_counter() - start
-        for (i, levels, _, nodes), row in zip(chunk, rows):
+        for (i, _, nodes), levels, row in zip(calls, first_levels, rows):
             if debug:
                 for (_, resolution, level_nodes), value, s in zip(levels, row, (seconds, 0.0)):
                     _log.debug("%s: level %s, %d nodes, value %.17g, %.6f s",
@@ -432,48 +420,40 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
 def _joined(layouts, base, finer, spec: QuadratureSpec, what: str):
     """The first calls of the members of ``layouts``, joined in order into chunks.
 
-    A first call is (member, levels, grids, nodes): the (level,
-    resolution, nodes) of the base level and, when ``finer`` differs and
-    fits the budget, of the doubling, their grids and summed nodes.  A
-    chunk holds the paired first calls of consecutive members, at most
-    ``_STACK_CHUNK_NODES`` nodes or one member; a lone base level is a
-    chunk of its own.  A base level over the budget is refused here.
+    A first call is (member, grid, nodes), one ``axes`` call of the base
+    level and, when ``finer`` differs and fits the budget, the doubling,
+    with the (level, resolution, nodes) of each; consecutive members on
+    one ``axes`` share it.  A chunk is its calls and their levels; it
+    holds the paired first calls of consecutive members, at most
+    ``_STACK_CHUNK_NODES`` nodes or one member, and a lone base level is
+    a chunk of its own.  A base level over the budget is refused here; a
+    doubling over it is left out, for ``refine`` to refuse, and the base
+    level is then laid out alone.
     """
-    chunk, size, last = [], 0, None
+    calls, first_levels, size, last = [], [], 0, None
     for i, axes in enumerate(layouts):
-        if last is None or axes is not last[0]:
-            last = axes, _first_call(axes, base, finer, spec, what)
-        levels, grids, nodes = last[1]
-        if chunk and (len(levels) == 1 or size + nodes > _STACK_CHUNK_NODES):
-            yield chunk
-            chunk, size = [], 0
-        chunk.append((i, levels, grids, nodes))
+        if axes is not last:
+            last, levels = axes, ((base,) if finer == base else (base, finer))
+            resolutions, counts, grid = axes(levels)
+            if counts[0] > _MAX_LEVEL_NODES:
+                _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
+                          what, resolutions[0], counts[0], _MAX_LEVEL_NODES)
+                raise _ceiling(None, spec, what)
+            if counts[-1] > _MAX_LEVEL_NODES:
+                levels = (base,)
+                resolutions, counts, grid = axes(levels)
+            levels, nodes = list(zip(levels, resolutions, counts)), sum(counts)
+        if calls and (len(levels) == 1 or size + nodes > _STACK_CHUNK_NODES):
+            yield calls, first_levels
+            calls, first_levels, size = [], [], 0
+        calls.append((i, grid, nodes))
+        first_levels.append(levels)
         size += nodes
         if len(levels) == 1:
-            yield chunk
-            chunk, size = [], 0
-    if chunk:
-        yield chunk
-
-
-def _first_call(axes, base, finer, spec: QuadratureSpec, what: str):
-    """``_joined``'s (levels, grids, nodes) of one ``axes``.
-
-    A doubling over the budget is left out, for ``refine`` to refuse.
-    """
-    resolution, nodes, grid = axes(base)
-    if nodes > _MAX_LEVEL_NODES:
-        _log.info("%s: level %s needs %d nodes, over the budget of %d per level",
-                  what, resolution, nodes, _MAX_LEVEL_NODES)
-        raise _ceiling(None, spec, what)
-    levels, grids = [(base, resolution, nodes)], [grid]
-    if finer != base:
-        resolution, finer_nodes, grid = axes(finer)
-        if finer_nodes <= _MAX_LEVEL_NODES:
-            levels.append((finer, resolution, finer_nodes))
-            grids.append(grid)
-            nodes += finer_nodes
-    return levels, grids, nodes
+            yield calls, first_levels
+            calls, first_levels, size = [], [], 0
+    if calls:
+        yield calls, first_levels
 
 
 def _settled(err: float, value: float, spec: QuadratureSpec) -> bool:
@@ -591,10 +571,10 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
     (``_UnitRule``: ``_unit_panels`` on [0, 1], or the Gauss-Laguerre
     rule) scaled for it, by its cutoff or its rate (not at all on
     [0, 1]); a member with breakpoints shares out its segments once for
-    all its levels (``_Segments``).  Either gives its first call, the
-    base level joined with its doubling, as one array pair, ``first()``,
-    laid out once: once a process for a unit rule, once a run for
-    segments, which hand it over.
+    all its levels (``_Segments``).  Either lays out the levels of a call
+    joined, as one array pair with the columns of each level: the first
+    call, the base level and its doubling, once a process for a unit
+    rule, and once a run for segments, which keep nothing.
     ``terms(x, members, counts)`` maps nodes to the integrand there: x
     joins the levels of each member of a call in turn, ``counts[i]``
     nodes of member ``members[i]``.  ``_escalated`` joins the first two
@@ -630,20 +610,19 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
         layouts, scales = zip(*map(rule, tails))
 
     def evaluate(calls):
-        # Consecutive calls on one ``grids`` list share one unit rule: a
-        # block, whose members' nodes and weights are rows of one layout.
-        # A call of two levels is a first call, read as its rule's
-        # ``first()``; a call of one level is that level as it is.
+        # Consecutive calls on one grid share one rule: a block, whose
+        # members' nodes and weights are rows of one layout.
         blocks = [calls] if len(calls) == 1 else [
             list(block) for _, block in itertools.groupby(calls, key=lambda call: id(call[1]))]
         pieces, sums = [], []
         for block in blocks:
-            i, levels, _ = block[0]
-            x, w, cols = layouts[i].first() if len(levels) == 2 else (*levels[0], _WHOLE)
-            factors = [scales[j] for j, _, _ in block]
+            i, (x, w, cols), _ = block[0]
             # One scale serves every member as a scalar, else a column.
-            scale = (factors[0] if factors.count(factors[0]) == len(factors)
-                     else np.array(factors)[:, None])
+            scale = scales[i]
+            if len(block) > 1:
+                factors = [scales[j] for j, _, _ in block]
+                if factors.count(scale) < len(factors):
+                    scale = np.array(factors)[:, None]
             if exact:
                 # r = sqrt(2 u / rate) and weights w e^u / (rate r)
                 x = np.sqrt(x / scale)
@@ -662,8 +641,10 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
             n = counts[len(rows)]
             if size == 1:
                 # One member: one ``np.dot`` a level, on contiguous slices.
-                t_row = t[end:end + n]
-                rows.append([float(np.dot(w[c], t_row[c])) for c in cols])
+                t_row, row = t[end:end + n], []
+                for c in cols:
+                    row.append(float(np.dot(w[c], t_row[c])))
+                rows.append(row)
             else:
                 # One batched product of weight rows and integrand rows a
                 # level, which gives the bits of ``np.dot`` on each row (a
@@ -685,28 +666,29 @@ class _UnitRule:
     """``_run_1d``'s ``axes`` of the members without inner breakpoints: one cached unit rule.
 
     ``rule(level)`` gives the level's read-only (x, w), which ``_run_1d``
-    scales for each member.  ``first()``, the base level joined with its
-    doubling into one read-only array pair, with the columns of each, is
-    laid out at its first use and kept with the rule, so every later
-    first call reads it as it is.
+    scales for each member.  A call lays out the levels of one runner
+    call joined into one read-only array pair, at its first use, and
+    keeps it with the rule: every later first call, the base level and
+    its doubling, reads the same arrays as they are.
     """
 
     def __init__(self, rule):
         self.rule = rule
-        self.joined = None
+        self.calls = {}
 
-    def __call__(self, level):
-        x, w = self.rule(level)
-        return x.size, x.size, (x, w)
-
-    def first(self):
-        if self.joined is None:
-            x, w = (np.concatenate(unit) for unit in zip(self.rule(0), self.rule(1)))
-            x.flags.writeable = False
-            w.flags.writeable = False
-            base = self.rule(0)[0].size
-            self.joined = x, w, (slice(0, base), slice(base, x.size))
-        return self.joined
+    def __call__(self, levels):
+        call = self.calls.get(levels)
+        if call is None:
+            x, w = zip(*map(self.rule, levels))
+            sizes = [u.size for u in x]
+            if len(levels) > 1:
+                x, w = np.concatenate(x), np.concatenate(w)
+                x.flags.writeable = False
+                w.flags.writeable = False
+            else:
+                (x,), (w,) = x, w
+            call = self.calls[levels] = sizes, sizes, (x, w, _columns(sizes))
+        return call
 
 
 @functools.lru_cache(maxsize=None)
@@ -778,7 +760,7 @@ def _run_cartesian(dim, envelope, terms, nodes_per_dim, spec: QuadratureSpec,
         return math.exp(log_pref) * math.fsum(parts)
 
     # Each level is its own sum of chunks, whether or not it shares a call.
-    return _escalated([lambda m: (m, m**dim, m)],
+    return _escalated([lambda ms: (ms, [m**dim for m in ms], ms)],
                       lambda calls: [[run(m) for m in ms] for _, ms, _ in calls],
                       min(nodes_per_dim, 384), lambda m: min(2 * m, 384), spec, what)[0]
 

@@ -1122,12 +1122,11 @@ def test_unit_panels_are_shared_and_read_only():
                          ids=["plain", "graded", "laguerre"])
 def test_a_unit_rules_first_call_is_laid_out_once_and_read_only(axes):
     # the base level joined with its doubling, kept with the cached rule
-    x, w, (base, doubled) = axes.first()
-    assert axes.first()[0] is x and axes.first()[1] is w
+    (n0, n1), (m0, m1), (x, w, (base, doubled)) = axes((0, 1))
+    assert (n0, n1) == (m0, m1) == (base.stop, doubled.stop - base.stop)
     for level, cols in ((0, base), (1, doubled)):
-        _, nodes, (lx, lw) = axes(level)
+        _, _, (lx, lw, _) = axes((level,))
         assert np.array_equal(x[cols], lx) and np.array_equal(w[cols], lw)
-        assert cols.stop - cols.start == nodes
     assert x.size == w.size == doubled.stop
     for arr in (x, w):
         with pytest.raises(ValueError):
@@ -1136,7 +1135,8 @@ def test_a_unit_rules_first_call_is_laid_out_once_and_read_only(axes):
     entropy_functional(FockHusimi(3))
     entropy_functional(NoonHusimi(2))
     entropy_functional(ThermalHusimi(0.4))
-    assert axes.first()[0] is x and axes.first()[1] is w
+    again = axes((0, 1))[2]
+    assert again[0] is x and again[1] is w
     assert _unit_axes(25, False) is _unit_axes(25, False)
 
 
