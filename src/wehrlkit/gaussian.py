@@ -53,14 +53,16 @@ _PAIR_TOL = 1e-9
 # spectrum of the covariance grows like eps * cond(V) ~ eps / (1 - lam)^2;
 # up to this bound the pure spectrum stays within SYMPLECTIC_SLACK of 1/2.
 LAMBDA_MAX = 0.998
-# ``from_v`` refuses a V whose smallest symplectic eigenvalue is at most
-# _SPECTRUM_ROUNDING * dim * max|V|: such a value cannot be told from 0.
-# ``eigvals`` is backward stable, so the spectrum it returns is that of
-# Omega V + E with ||E|| of order eps * ||V|| <= eps * dim * max|V|.  The
-# exactly singular s [[1, 1], [1, 1]] comes out at about 0.4 eps * dim * s
-# for every s; four eps keeps a factor ten above that, and the floor stays
-# far below 1/2 wherever the spectrum is trusted: about 9e-13 for the
-# two-mode squeezed state at LAMBDA_MAX, whose largest entry is about 250.
+# ``from_v`` refuses a V whose smallest symplectic eigenvalue, or smallest
+# eigenvalue, is at most _SPECTRUM_ROUNDING * dim * max|V|: such a value
+# cannot be told from 0.  ``eigvals`` is backward stable, so the spectrum
+# it returns is that of Omega V + E with ||E|| of order eps * ||V|| <=
+# eps * dim * max|V|: the exactly singular s [[1, 1], [1, 1]] comes out at
+# about 0.4 eps * dim * s for every s, and four eps keeps a factor ten above
+# that.  A rank-one s u u^T can still err by sqrt(eps) s, hence the test of
+# the eigenvalue, which V > 0 passes (a diagonal squeezed vacuum up to
+# r = 8.5).  The floor stays far below 1/2 wherever the spectrum is trusted:
+# about 9e-13 for the two-mode squeezed state at LAMBDA_MAX (entries ~250).
 _SPECTRUM_ROUNDING = 4.0 * np.finfo(float).eps
 
 
@@ -195,10 +197,12 @@ class CovarianceModel:
                 min_symplectic=nu_min,
             )
         floor = _SPECTRUM_ROUNDING * v.shape[0] * float(np.max(np.abs(v)))
-        if nu_min <= floor:
+        lowest = float(np.linalg.eigvalsh(v)[0])
+        if min(nu_min, lowest) <= floor:
             raise InadmissibleCovariance(
-                f"minimum symplectic eigenvalue {nu_min:.6g} is within the rounding "
-                f"floor {floor:.3g} of this covariance and cannot be told from 0",
+                f"minimum symplectic eigenvalue {nu_min:.6g} or smallest eigenvalue "
+                f"{lowest:.6g} is within the rounding floor {floor:.3g} of this covariance "
+                f"and cannot be told from 0",
                 min_symplectic=nu_min,
             )
         model = cls._from_symmetric(v, partition)

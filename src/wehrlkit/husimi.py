@@ -9,7 +9,7 @@ amplitude of a mode is ``alpha = (x + i p) / sqrt(2)``.
 Evaluators declare how they can be integrated through ``kind`` alone,
 and the quadrature engine routes on it without probing for methods:
 
-* ``"radial"`` promises ``log_q_radial``, ``radial_gamma_shape``,
+* ``"radial"`` promises ``stacked_log_q_radial``, ``radial_gamma_shape``,
   ``radial_rate``, ``log_q_affine_in_r2`` and ``lowest_index``, the
   smallest occupied number-state index (Q vanishes like r^(2 k) at the
   origin); the one-mode radial densities share ``RadialHusimi``;
@@ -27,9 +27,8 @@ and the quadrature engine routes on it without probing for methods:
 * every other kind is integrated on the whitened cartesian grid, through
   ``gaussian_envelope``, which raises UnsupportedState by default.
 
-``log_q``, ``log_q_radial``, ``log_f`` and ``s_profile`` must return
-fresh arrays: the engine overwrites them while it evaluates the
-integrand.
+``log_q``, the stacked kernels and ``s_profile`` must return fresh
+arrays: the engine overwrites them while it evaluates the integrand.
 
 Every number-state density is a Fock mixture sum_k w_k |k><k|: a number
 state has one index and the NOON marginal (|0><0| + |n><n|) / 2 two.  So
@@ -39,12 +38,13 @@ the radius and ``FockMixturePositionDensity`` on the line;
 name their weights.  ``_hermite_steps`` is the one Hermite recurrence,
 of the line kernel and of the quadrature engine's Gauss-Hermite rule.
 
-The number-state and thermal densities also have stacked kernels,
-static methods ``stacked_log_q_radial(members, r, counts)`` and
-``stacked_log_f(members, x, counts)``: one call evaluates a stack of
-densities of the class, each on its own run of nodes, with the
-operations, and so the bits, of its own ``log_q_radial`` or ``log_f``.
-A subclass that changes one of such a pair must change the other.
+Each 1D density has one kernel, a static method: a radial density's
+``stacked_log_q_radial(members, r, counts)`` and a line density's
+``stacked_log_f(members, x, counts)``.  One call evaluates a stack of
+densities of the class, the first ``counts[0]`` nodes member 0's, and
+so on, each node with the operations of its member alone.  The base
+classes declare the kernel and define ``log_q_radial`` and ``log_f``
+once, as the stack of one, so a density and a stack give the same bits.
 """
 
 from __future__ import annotations
@@ -121,9 +121,10 @@ class HusimiEvaluator:
 class RadialHusimi(HusimiEvaluator):
     """A one-mode density that depends on the radius r = |(x, p)| alone.
 
-    Subclasses define ``log_q_radial`` and set ``radial_gamma_shape``,
-    ``radial_rate`` and ``axis_second_moment``, the mean of x^2 (and of
-    p^2); ``log_q`` and ``gaussian_envelope`` follow from them.
+    Subclasses define ``stacked_log_q_radial`` and set
+    ``radial_gamma_shape``, ``radial_rate`` and ``axis_second_moment``,
+    the mean of x^2 (and of p^2); ``log_q_radial``, ``log_q`` and
+    ``gaussian_envelope`` follow from them.
     """
 
     kind = "radial"
@@ -135,8 +136,14 @@ class RadialHusimi(HusimiEvaluator):
     # at the origin (a thermal state occupies the vacuum).
     lowest_index = 0
 
-    def log_q_radial(self, r):
+    @staticmethod
+    def stacked_log_q_radial(members, r, counts):
+        """ln Q of a stack: the first ``counts[0]`` nodes of r are member 0's, and so on."""
         raise NotImplementedError
+
+    def log_q_radial(self, r):
+        """ln Q at radii r of any shape: the stack of this density alone."""
+        return _stack_of_one(self.stacked_log_q_radial, self, r)
 
     def log_q(self, points):
         pts = self._points(points)
@@ -165,6 +172,13 @@ def _per_node(values, counts):
         if value != first:
             return np.repeat(values, counts)
     return first
+
+
+def _stack_of_one(kernel, member, x):
+    """``kernel`` of ``member`` alone at x of any shape, a scalar at a scalar x."""
+    x = np.asarray(x, dtype=float)
+    values = kernel((member,), x.reshape(-1), (x.size,))
+    return values.reshape(x.shape) if x.ndim else values[0]
 
 
 def _fock_mixture_log_q(r, twice_k0, c0, folds):
@@ -221,18 +235,14 @@ class FockMixtureHusimi(RadialHusimi):
         self.weights = pairs = _occupied(weights)
         self.lowest_index = k0 = pairs[0][0]
         coefs = [(k, math.log(w) - k * math.log(2.0) - math.lgamma(k + 1)) for k, w in pairs]
-        self._c0 = coefs[0][1]
-        self._folds = tuple((2.0 * (k - k0), c) for k, c in coefs[1:])
+        # ``_fock_mixture_log_q``'s constants; one stacked pass shares the
+        # branches: k0 > 0 or not, and the number of folds.
+        folds = tuple((2.0 * (k - k0), c) for k, c in coefs[1:])
+        self._constants = (2.0 * k0 if k0 else None, coefs[0][1], folds)
+        self._branches = (k0 > 0, len(folds))
         self.radial_gamma_shape = float(pairs[-1][0])
         self.radial_rate = 1.0
         self.axis_second_moment = sum(w * (k + 1.0) for k, w in pairs)
-
-    def log_q_radial(self, r):
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return self.log_q_radial(r.reshape(1))[0]
-        k0 = self.lowest_index
-        return _fock_mixture_log_q(r, 2.0 * k0 if k0 else None, self._c0, self._folds)
 
     @staticmethod
     def stacked_log_q_radial(members, r, counts):
@@ -240,30 +250,32 @@ class FockMixtureHusimi(RadialHusimi):
 
         Consecutive members with the same branches, a nonzero k0 or not
         and the same number of folds, form one run, evaluated in one pass
-        with k0, c_k0 and each fold's gap and constant as per-node columns
-        (a scalar where the run shares it).  Each node sees the operations
-        of its member's own ``log_q_radial``, so the stack gives its bits.
+        with 2 k0, c_k0 and each fold's gap and constant as per-node
+        columns (a scalar where the run shares it).
         """
-        runs = [list(run) for _, run in itertools.groupby(
-            zip(members, counts), key=lambda pair: (pair[0].lowest_index > 0, len(pair[0]._folds)))]
-        log_q = np.empty_like(r) if len(runs) > 1 else None
-        end = 0
-        for run in runs:
-            group, group_counts = zip(*run)
-            nodes = slice(end, end + sum(group_counts))
-            end = nodes.stop
-            folds = [(_per_node([m._folds[j][0] for m in group], group_counts),
-                      _per_node([m._folds[j][1] for m in group], group_counts))
-                     for j in range(len(group[0]._folds))]
-            twice_k0 = (_per_node([2.0 * m.lowest_index for m in group], group_counts)
-                        if group[0].lowest_index else None)
-            run_log_q = _fock_mixture_log_q(r[nodes], twice_k0,
-                                            _per_node([m._c0 for m in group], group_counts),
-                                            folds)
+        log_q, first, start = None, 0, 0
+        for i in range(1, len(members) + 1):
+            if i < len(members) and members[i]._branches == members[first]._branches:
+                continue  # the run from ``first`` goes on
+            group, group_counts, first = members[first:i], counts[first:i], i
+            end = start + sum(group_counts)
+            constants = [m._constants for m in group]
+            shared = constants[0]
+            if constants.count(shared) < len(constants):
+                twice_k0, c0, folds = zip(*constants)
+                shared = (None if twice_k0[0] is None else _per_node(twice_k0, group_counts),
+                          _per_node(c0, group_counts),
+                          [tuple(_per_node(column, group_counts) for column in zip(*fold))
+                           for fold in zip(*folds)])
+            run_log_q = _fock_mixture_log_q(r[start:end], *shared)
             if log_q is None:
-                return run_log_q
-            log_q[nodes] = run_log_q
+                if end == r.size:
+                    return run_log_q
+                log_q = np.empty_like(r)
+            log_q[start:end] = run_log_q
+            start = end
         return log_q
+
 
 class FockHusimi(FockMixtureHusimi):
     """Q_n(x, p) = (x^2 + p^2)^n exp(-(x^2 + p^2)/2) / (2^n n!): one occupied index."""
@@ -285,17 +297,9 @@ class ThermalHusimi(RadialHusimi):
         self.radial_rate = self._rate
         self.axis_second_moment = 1.0 / self._rate
 
-    def log_q_radial(self, r):
-        r = np.asarray(r, dtype=float)
-        return math.log(self._rate) - 0.5 * self._rate * r * r
-
     @staticmethod
     def stacked_log_q_radial(members, r, counts):
-        """ln Q of a stack, each member's ln rate and rate / 2 a per-node column.
-
-        The nodes are laid out as for ``FockMixtureHusimi``, and each sees
-        the operations of its member's own ``log_q_radial``.
-        """
+        """ln Q of a stack, each member's ln rate and rate / 2 a per-node column."""
         half_rate = _per_node([0.5 * m._rate for m in members], counts)
         return _per_node([math.log(m._rate) for m in members], counts) - half_rate * r * r
 
@@ -601,8 +605,14 @@ class PositionDensity:
     # cutoff selection shrinks its mass target by this much.
     position_tail_log_margin = 0.0
 
-    def log_f(self, x):
+    @staticmethod
+    def stacked_log_f(members, x, counts):
+        """ln f of a stack: the first ``counts[0]`` nodes of x are member 0's, and so on."""
         raise NotImplementedError
+
+    def log_f(self, x):
+        """ln f at x of any shape: the stack of this density alone."""
+        return _stack_of_one(self.stacked_log_f, self, x)
 
     def f(self, x):
         return np.exp(self.log_f(x))
@@ -617,9 +627,12 @@ class ThermalPositionDensity(PositionDensity):
         self.position_gamma_shape = 0.0
         self.position_rate = 1.0 / self.sigma_sq
 
-    def log_f(self, x):
-        x = np.asarray(x, dtype=float)
-        return -0.5 * x * x / self.sigma_sq - 0.5 * math.log(2.0 * math.pi * self.sigma_sq)
+    @staticmethod
+    def stacked_log_f(members, x, counts):
+        """ln f of a stack, each member's sigma^2 and log normalization a per-node column."""
+        sigma_sq = _per_node([m.sigma_sq for m in members], counts)
+        log_norm = _per_node([0.5 * math.log(2.0 * math.pi * m.sigma_sq) for m in members], counts)
+        return -0.5 * x * x / sigma_sq - log_norm
 
 
 class FockMixturePositionDensity(PositionDensity):
@@ -639,6 +652,7 @@ class FockMixturePositionDensity(PositionDensity):
 
     def __init__(self, weights):
         self.weights = pairs = _occupied(weights)
+        self._weight_of = dict(pairs)
         self._top = top = pairs[-1][0]
         self.position_gamma_shape = float(top)
         # Decay exp(-x^2) means rate 2 in the exp(-rate x^2 / 2) convention.
@@ -654,11 +668,6 @@ class FockMixturePositionDensity(PositionDensity):
             # A mixture vanishes only where every psi_k does: at x = 0.
             self.breakpoints = (0.0,)
 
-    def log_f(self, x):
-        x = np.asarray(x, dtype=float)
-        return _fock_mixture_log_f(x, [self._top], [x.size],
-                                   {k: (..., w) for k, w in self.weights})
-
     @staticmethod
     def stacked_log_f(members, x, counts):
         """ln f of a stack: the first ``counts[0]`` nodes of x are member 0's, and so on.
@@ -668,20 +677,18 @@ class FockMixturePositionDensity(PositionDensity):
         that index, not with the sum of the indices.  The index-k terms
         are added on the nodes from the first to the last member that has
         one, with w_k a per-node column (0 for the members in between
-        without it) unless one weight serves them all.  Each node sees the
-        operations of its member's own ``log_f``, so the stack gives its
-        bits.
+        without it) unless one weight serves them all.
         """
         ends = list(itertools.accumulate(counts))
-        weight_of = [dict(m.weights) for m in members]
-        have = {}
-        for i, weights in enumerate(weight_of):
-            for k in weights:
-                have.setdefault(k, []).append(i)
+        first, last = {}, {}
+        for i, member in enumerate(members):
+            for k in member._weight_of:
+                first.setdefault(k, i)
+                last[k] = i
         terms = {}
-        for k, at in have.items():
-            lo, hi = at[0], at[-1] + 1
-            w = [weights.get(k, 0.0) for weights in weight_of[lo:hi]]
+        for k, lo in first.items():
+            hi = last[k] + 1
+            w = [m._weight_of.get(k, 0.0) for m in members[lo:hi]]
             terms[k] = (slice(ends[lo] - counts[lo], ends[hi - 1]), _per_node(w, counts[lo:hi]))
         return _fock_mixture_log_f(x, [m._top for m in members], ends, terms)
 

@@ -355,12 +355,10 @@ def _escalated(layouts, evaluate, base, grow, spec: QuadratureSpec,
     before the next member of the chunk.  A level of more than
     ``_MAX_LEVEL_NODES`` nodes is refused before it is evaluated, and so
     is a level past the finest, where ``grow`` returns the level
-    unchanged; the refusal is logged at INFO and raised as
+    unchanged (the second of the 1D runner's exact rule, see
+    ``_run_1d``); the refusal is logged at INFO and raised as
     ToleranceNotReached ("node ceiling") carrying the result of the last
-    level run (None when the base level is refused).  The 1D runner's
-    exact rule for thermal phase-space integrals has two levels, 2 and 4
-    Gauss-Laguerre nodes, the second the finest; it has no cutoff and
-    ignores ``radial_nodes`` (see ``_run_1d``).  Each level that runs is
+    level run (None when the base level is refused).  Each level that runs is
     logged at DEBUG with its laid-out resolution, nodes, value and the
     seconds of its call; the seconds of a joint call are logged with
     each member's base level, and the doubled level logs 0.  Returns one
@@ -479,56 +477,36 @@ def _ceiling(result: IntegralResult | None, spec: QuadratureSpec,
     )
 
 
-def _check_support(log_mass):
-    """Raise SupportViolation if Q keeps mass above 1e-12 at a node where S underflows.
-
-    ``log_mass`` holds ln Q at the nodes where S is below 1e-300.
-    """
-    if np.any(log_mass > LOG_SUPPORT):
-        raise SupportViolation(
-            "first density keeps mass where the second has none; "
-            "the relative entropy diverges at this resolution"
-        )
-
-
-def _node_terms(log_q, factor_of_log, reference=None, log_weight=None, *, out=None):
+def _node_terms(log_q, factor_of_log, log_s=None, log_weight=None, *, out=None):
     """Q (factor_of_log(ln Q) - ln S) at each node: the 1D and cartesian integrand rule.
 
     ``log_q`` holds ln Q at the nodes and is overwritten, and so is
-    ``log_weight`` when ``out`` is it.  ``reference`` is None or the pair
-    (ln S clamped at ``_LOG_FLOOR``, index of the nodes where S
-    underflows); SupportViolation is raised as soon as Q keeps mass above
-    1e-12 at one of those nodes.  ``log_weight`` (cartesian rule) joins
-    the mass before the exponential, so the mass Q * weight decides the
-    underflow; such nodes give exact zeros.  ``out`` (may be
-    ``log_weight`` itself) buffers the result.
+    ``log_weight`` when ``out`` is it.  ``log_s`` is None or ln S at the
+    nodes, which is clamped at ``_LOG_FLOOR`` in place; SupportViolation
+    is raised as soon as Q keeps mass above 1e-12 at a node where S is
+    below 1e-300.  ``log_weight`` (cartesian rule) joins the mass before
+    the exponential, so the mass Q * weight decides the underflow; such
+    nodes give exact zeros.  ``out`` (may be ``log_weight`` itself)
+    buffers the result.
     """
-    if reference is not None:
-        logs, under = reference
-        if under.size:
-            _check_support(log_q[under])
+    if log_s is not None:
+        under = np.flatnonzero(log_s < LOG_TINY)
+        if under.size and np.any(log_q[under] > LOG_SUPPORT):
+            raise SupportViolation("first density keeps mass where the second has none; "
+                                   "the relative entropy diverges at this resolution")
+        np.maximum(log_s, _LOG_FLOOR, out=log_s)
     mass = log_q if log_weight is None else np.add(log_q, log_weight, out=out)
-    dead = mass <= LOG_TINY
+    # Most calls have no node to zero: the mask is formed only if the least mass asks for it.
+    dead = mass <= LOG_TINY if np.fmin.reduce(mass, axis=None) <= LOG_TINY else None
     terms = np.exp(mass, out=out)
-    if dead.any():
+    if dead is not None:
         np.copyto(terms, 0.0, where=dead)
         # A zero log where the mass underflows keeps the factor finite there.
         np.copyto(log_q, 0.0, where=dead)
     factor = factor_of_log(log_q, out=log_q)
-    if reference is not None:
-        factor = np.subtract(factor, logs, out=log_q)
-    return np.multiply(terms, factor, out=terms)
-
-
-def _density_terms(log_q, log_s, factor_of_log, nodes, log_weight=None):
-    """``_node_terms`` of ``log_q`` against ``log_s`` (or None), ln Q evaluated first."""
-    logq = log_q(nodes)
-    reference = None
     if log_s is not None:
-        logs = log_s(nodes)
-        under = np.flatnonzero(logs < LOG_TINY)
-        reference = np.maximum(logs, _LOG_FLOOR, out=logs), under
-    return _node_terms(logq, factor_of_log, reference, log_weight, out=log_weight)
+        factor = np.subtract(factor, log_s, out=log_q)
+    return np.multiply(terms, factor, out=terms)
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +527,7 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
     s = r_B / r_A of a "noon" density, whose profile carries its measure:
     the unit rule on [0, 1], with no cutoff, and the tails ignored.
     Otherwise ``tails`` holds each member's (shape, rate, breakpoints,
-    tail_log_margin).  Its cutoff is solved from the Gamma tail of
-    ``shape`` and ``rate`` (see ``gamma_tail_threshold``) at the tail
-    mass ``_TAIL_MASS``, which ``tail_log_margin`` shrinks for tails that outrun
-    the plain Gamma envelope.  ``breakpoints`` are where a log in the
-    integrand is singular (the zeros of a line density, or the origin of
-    a radial reference that vanishes there): they become panel edges,
-    and when there is any, every panel is graded (see ``_unit_panels``).
+    tail_log_margin), whose rule ``_tail_axes`` works out once a tail.
     Level j lays out ``spec.radial_nodes`` with every panel of the base
     level halved j times.
 
@@ -570,44 +542,32 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
     A member without inner breakpoints runs on one cached unit rule
     (``_UnitRule``: ``_unit_panels`` on [0, 1], or the Gauss-Laguerre
     rule) scaled for it, by its cutoff or its rate (not at all on
-    [0, 1]); a member with breakpoints shares out its segments once for
-    all its levels (``_Segments``).  Either lays out the levels of a call
-    joined, as one array pair with the columns of each level: the first
-    call, the base level and its doubling, once a process for a unit
-    rule, and once a run for segments, which keep nothing.
-    ``terms(x, members, counts)`` maps nodes to the integrand there: x
-    joins the levels of each member of a call in turn, ``counts[i]``
-    nodes of member ``members[i]``.  ``_escalated`` joins the first two
-    levels of consecutive members into calls of at most
-    ``_STACK_CHUNK_NODES`` nodes.  In a call, consecutive members on one
-    rule form a block.  A block of one member, such as every integral
-    that is not a stack, sums each level with one ``np.dot`` on
-    contiguous slices.  In a larger block the nodes and weights are the
-    rows of one (members x nodes) layout, formed from the scales and the
-    rule by one outer operation, and each level's values are one batched
-    ``np.matmul`` of weight rows against integrand rows, which gives the
-    bits of that ``np.dot`` on each member alone.  The values go back to
+    [0, 1]); a member with breakpoints on its tail's ``_Segments``.
+    Either lays out the levels of a call joined, as one array pair with
+    the columns of each level: the first call, the base level and its
+    doubling, once a process for a unit rule, and at each call for
+    segments, which keep nothing.  ``terms(x, members, counts)`` maps
+    nodes to the integrand there: x joins the levels of each member of a
+    call in turn, ``counts[i]`` nodes of member ``members[i]``.
+    ``_escalated`` joins the first two levels of consecutive members into
+    calls of at most ``_STACK_CHUNK_NODES`` nodes.  In a call,
+    consecutive members on one rule form a block.  A block of one member
+    sums each level with one ``np.dot`` on contiguous slices.  In a
+    larger block the nodes and weights are the rows of one (members x
+    nodes) layout, formed from the scales and the rule by one outer
+    operation, and each level's values are one batched ``np.matmul`` of
+    weight rows against integrand rows, which gives the bits of that
+    ``np.dot`` on each member alone.  The values go back to
     ``_escalated`` as Python floats.
     """
     n_panels = max(1, spec.radial_nodes // _PANEL_NODES)
 
-    def rule(tail):
-        # (axes, scale) of a tail; scale None: laid out as it is
-        shape, rate, breakpoints, tail_log_margin = tail
-        if exact:
-            return _laguerre_axes, rate
-        mass = max(_TAIL_MASS * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
-        cutoff = gamma_tail_threshold(shape, rate, mass)
-        if breakpoints:
-            inner = sorted({abs(b) for b in breakpoints if 0.0 < abs(b) < cutoff})
-            if inner:
-                return _Segments(0.0, cutoff, inner, n_panels, True), None
-        return _unit_axes(n_panels, bool(breakpoints)), cutoff
-
     if coordinate == "unit":
         layouts, scales = [_unit_axes(n_panels, False)] * len(tails), [None] * len(tails)
+    elif exact:
+        layouts, scales = [_laguerre_axes] * len(tails), [tail[1] for tail in tails]
     else:
-        layouts, scales = zip(*map(rule, tails))
+        layouts, scales = zip(*[_tail_axes(*tail, n_panels) for tail in tails])
 
     def evaluate(calls):
         # Consecutive calls on one grid share one rule: a block, whose
@@ -660,6 +620,27 @@ def _run_1d(terms, tails, spec: QuadratureSpec, what: str, *, coordinate: str,
 
     grow = (lambda level: min(level + 1, 1)) if exact else (lambda level: level + 1)
     return _escalated(layouts, evaluate, 0, grow, spec, what)
+
+
+@functools.lru_cache(maxsize=1024)
+def _tail_axes(shape: float, rate: float, breakpoints, tail_log_margin: float, n_panels: int):
+    """``_run_1d``'s (axes, scale) of a member with this tail; scale None: laid out as it is.
+
+    The cutoff is solved from the Gamma tail (``gamma_tail_threshold``)
+    at the tail mass ``_TAIL_MASS``, shrunk by ``tail_log_margin`` for
+    tails that outrun the plain Gamma envelope.  ``breakpoints``, where a
+    log in the integrand is singular (the zeros of a line density, or
+    the origin of a radial reference that vanishes there), become panel
+    edges, and when there is any, every panel is graded.  Worked out once
+    a tail, the rule keeps nothing of a layout.
+    """
+    mass = max(_TAIL_MASS * math.exp(-min(tail_log_margin, 600.0)), 1e-280)
+    cutoff = gamma_tail_threshold(shape, rate, mass)
+    if breakpoints:
+        inner = sorted({abs(b) for b in breakpoints if 0.0 < abs(b) < cutoff})
+        if inner:
+            return _Segments(0.0, cutoff, inner, n_panels, True), None
+    return _unit_axes(n_panels, bool(breakpoints)), cutoff
 
 
 class _UnitRule:
@@ -787,19 +768,17 @@ def _integrate(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     cartesian runners through one kernel, ``_node_terms``.
 
     The runner is picked here, and only here, by ``kind`` (see
-    ``husimi``) alone: radial when every density is "radial", its panels
-    graded when the reference vanishes at the origin faster than the
-    density (``_radial_tail``); for a "noon" density, the unit rule of
+    ``husimi``) alone: radial when every density is "radial", a stack of
+    one through ``_stack``, its panels graded when the reference vanishes
+    at the origin faster than the density (``_radial_tail``); for a
+    "noon" density, the unit rule of
     ``_run_1d`` on its ``s_profile`` without a reference, and the split
     by marginals (``_marginal_split``) against a product of two radial
     factors; cartesian otherwise (see ``_cartesian``).
     """
     if evaluator.kind == "radial" and (reference is None or reference.kind == "radial"):
-        log_s = None if reference is None else reference.log_q_radial
-        return _run_1d(
-            lambda x, *_: _density_terms(evaluator.log_q_radial, log_s, factor_of_log, x),
-            [_radial_tail(evaluator, reference)], spec, what, coordinate="radius",
-            exact=reference is None and evaluator.log_q_affine_in_r2)[0]
+        return _stack((evaluator,), spec, what, factor_of_log,
+                      None if reference is None else (reference,))[0]
     if evaluator.kind == "noon":
         if reference is None:
             return _run_1d(lambda s, *_: _profile_terms(evaluator.s_profile, factor_of_log, s),
@@ -851,9 +830,9 @@ def _marginal_split(evaluator: HusimiEvaluator, reference: ProductHusimi, factor
     marginals that is I = S(A) + S(B) - S(AB).  Both reductions are the
     one ``marginal`` instance, so against it X(Q_A, Q_A) = X(Q_B, Q_B) is
     the entropy S(A), integrated once with no reference evaluated.  Other
-    cross entropies run first, one stack when the references share a
-    stacked kernel, so a SupportViolation is raised before the s-rule of
-    Q runs.  A separable Q is the product of its marginals: each factor
+    cross entropies run first, as one stack when their kernels agree
+    (``_runs``), so a SupportViolation is raised before the s-rule of Q
+    runs.  A separable Q is the product of its marginals: each factor
     pair then takes half the offset of f, and the nodes of a pair whose
     reference is the density itself are exactly 0.
     """
@@ -866,13 +845,8 @@ def _marginal_split(evaluator: HusimiEvaluator, reference: ProductHusimi, factor
         return twice + _integrate(evaluator, None, factor_of_log, spec, what)
     else:
         factor = _cross_factor
-    kernel = _stacked_kernel((marginal, marginal), "stacked_log_q_radial")
-    reference_kernel = _stacked_kernel(references, "stacked_log_q_radial")
-    if kernel is None or reference_kernel is None:
-        a, b = (_integrate(marginal, s, factor, spec, what) for s in references)
-    else:
-        a, b = _stack(kernel, (marginal, marginal), [_radial_tail(marginal, s) for s in references],
-                      spec, what, factor, (reference_kernel, references), coordinate="radius")
+    a, b = [result for _, run, refs in _runs((marginal, marginal), references)
+            for result in _stack(run, spec, what, factor, refs)]
     if evaluator.separable:
         return a + b
     return a + b + _integrate(evaluator, None, factor_of_log, spec, what)
@@ -893,8 +867,13 @@ def _cartesian(evaluator: HusimiEvaluator, reference: HusimiEvaluator | None, fa
     if all(d.kind == "gaussian" for d in densities):
         nodes_per_dim = min(nodes_per_dim, _GAUSSIAN_NODES_PER_DIM)
     envelope = evaluator.gaussian_envelope()
-    terms = functools.partial(_density_terms, evaluator.log_q,
-                              None if reference is None else reference.log_q, factor_of_log)
+
+    def terms(pts, log_weight):
+        # ln Q evaluated first
+        log_q = evaluator.log_q(pts)
+        log_s = None if reference is None else reference.log_q(pts)
+        return _node_terms(log_q, factor_of_log, log_s, log_weight, out=log_weight)
+
     return _run_cartesian(evaluator.dim, envelope, terms, nodes_per_dim, spec, what)
 
 
@@ -950,52 +929,74 @@ def entropy_functional(evaluator: HusimiEvaluator,
                         spec or QuadratureSpec(), "entropy functional")
 
 
-def _stacked_kernel(members, name: str):
-    """The stacked kernel ``name`` (see ``_run_1d``) every member's class shares, else None.
+def _runs(members, references=None):
+    """(key, members, references) of each consecutive run of ``members`` that can share a stack.
 
-    A stack of one has none: it runs on its member's own method.
+    The key holds the kernels and, without a reference, whether the rule
+    is exact; it is None off the 1D kernels, for a density neither on the
+    line nor "radial".  ``references`` is None or one a member, as a run's.
     """
-    kernels = {getattr(type(m), name, None) for m in members}
-    return kernels.pop() if len(members) > 1 and len(kernels) == 1 else None
+    def key(pair):
+        density, reference = pair
+        if isinstance(density, PositionDensity):
+            return type(density).stacked_log_f
+        if density.kind != "radial":
+            return None
+        if reference is None:
+            return type(density).stacked_log_q_radial, density.log_q_affine_in_r2
+        return type(density).stacked_log_q_radial, type(reference).stacked_log_q_radial
+
+    for k, run in itertools.groupby(zip(members, references or itertools.repeat(None)), key=key):
+        run_members, run_references = zip(*run)
+        yield k, run_members, None if references is None else run_references
 
 
-def _stack(kernel, members, tails, spec: QuadratureSpec, what: str,
-           factor_of_log=_entropy_factor, references=None, **rule) -> list[IntegralResult]:
-    """Integral of each member, one ``_run_1d`` stack through ``kernel(members, x, counts)``.
+def _stack(members, spec: QuadratureSpec, what: str, factor_of_log=_entropy_factor,
+           references=None) -> list[IntegralResult]:
+    """Integral of each member of a run of ``_runs``: one ``_run_1d`` stack.
 
-    The integrand is that of ``_density_terms``, by default the entropy's;
-    ``references`` is None or (its kernel, one reference a member), for
-    the ln S term.
+    Every radial and line integral runs here, a single one as a stack of
+    one.  The first member gives the kernel, the coordinate and whether
+    the rule is exact; ``_node_terms`` forms the integrand, by default
+    the entropy's, from the kernels' ln Q and ln S.
     """
+    first = members[0]
+    if isinstance(first, PositionDensity):
+        kernel, coordinate, exact = type(first).stacked_log_f, "line", False
+        tails = [(d.position_gamma_shape, d.position_rate, d.breakpoints,
+                  d.position_tail_log_margin) for d in members]
+    else:
+        kernel, coordinate = type(first).stacked_log_q_radial, "radius"
+        exact = references is None and first.log_q_affine_in_r2
+        tails = list(map(_radial_tail, members, references or (None,) * len(members)))
+    reference_kernel = None if references is None else type(references[0]).stacked_log_q_radial
 
     def terms(x, at, counts):
-        log = functools.partial(kernel, [members[i] for i in at], counts=counts)
-        log_s = None
-        if references is not None:
-            reference_kernel, refs = references
-            log_s = functools.partial(reference_kernel, [refs[i] for i in at], counts=counts)
-        return _density_terms(log, log_s, factor_of_log, x)
+        # ln Q evaluated first
+        log_q = kernel([members[i] for i in at], x, counts)
+        log_s = None if references is None else reference_kernel(
+            [references[i] for i in at], x, counts)
+        return _node_terms(log_q, factor_of_log, log_s)
 
-    return _run_1d(terms, tails, spec, what, **rule)
+    return _run_1d(terms, tails, spec, what, coordinate=coordinate, exact=exact)
 
 
 def entropy_functionals(evaluators, spec: QuadratureSpec | None = None) -> list[IntegralResult]:
     """``entropy_functional`` of each evaluator, to the same bits.
 
-    Evaluators whose classes share a ``stacked_log_q_radial`` (radial
-    ones, such as number states and their mixtures, or thermal states)
-    run as one stack: each kernel call evaluates the first levels of
-    many of them (see ``_run_1d``).  Any other list runs one evaluator
-    at a time.  The first failure met is raised; the EUR sweeps then run
-    their points one by one to name the first failing point.
+    Each consecutive run of "radial" evaluators that share a kernel and
+    an exact rule or not (number states and their mixtures, or thermal
+    states) is one stack: each kernel call evaluates the first levels of
+    many of them (see ``_run_1d``).  Any other evaluator runs alone.  The
+    first failure met, in the order given, is raised; the EUR sweeps then
+    run their points one by one to name the first failing point.
     """
     spec = spec or QuadratureSpec()
-    kernel = _stacked_kernel(evaluators, "stacked_log_q_radial")
-    exact = {ev.log_q_affine_in_r2 for ev in evaluators} if kernel else ()
-    if len(exact) != 1:
-        return [entropy_functional(ev, spec) for ev in evaluators]
-    return _stack(kernel, evaluators, [_radial_tail(ev) for ev in evaluators], spec,
-                  "entropy functional", coordinate="radius", exact=exact.pop())
+    results = []
+    for key, run, _ in _runs(evaluators):
+        results += (_stack(run, spec, "entropy functional") if key
+                    else [entropy_functional(ev, spec) for ev in run])
+    return results
 
 
 def normalization(evaluator: HusimiEvaluator,
@@ -1056,41 +1057,26 @@ def relative_entropy(rho: HusimiEvaluator, sigma: HusimiEvaluator,
     return _integrate(rho, sigma, _log_factor, spec, "relative entropy")
 
 
-def _line_tail(density: PositionDensity):
-    return (density.position_gamma_shape, density.position_rate, density.breakpoints,
-            density.position_tail_log_margin)
-
-
-def _line(density: PositionDensity, factor_of_log, spec: QuadratureSpec | None,
-          what: str) -> IntegralResult:
-    terms = functools.partial(_density_terms, density.log_f, None, factor_of_log)
-    return _run_1d(lambda x, *_: terms(x), [_line_tail(density)], spec or QuadratureSpec(),
-                   what, coordinate="line")[0]
-
-
 def density_entropy_1d(density: PositionDensity,
                        spec: QuadratureSpec | None = None) -> IntegralResult:
     """Differential entropy - integral of f ln f dx of an even line density."""
-    return _line(density, _entropy_factor, spec, "line entropy")
+    return _stack((density,), spec or QuadratureSpec(), "line entropy")[0]
 
 
 def density_entropies_1d(densities, spec: QuadratureSpec | None = None) -> list[IntegralResult]:
     """``density_entropy_1d`` of each density, to the same bits.
 
-    Densities whose classes share a ``stacked_log_f`` (number states and
-    their mixtures) run as one stack, like ``entropy_functionals``, in
-    the order given; any other list runs one density at a time.  The
-    first failure met in that order is raised.
+    Each consecutive run of densities that share a kernel (number states
+    and their mixtures, or thermal states) is one stack, like
+    ``entropy_functionals``, in the order given.  The first failure met
+    in that order is raised.
     """
     spec = spec or QuadratureSpec()
-    kernel = _stacked_kernel(densities, "stacked_log_f")
-    if kernel is None:
-        return [density_entropy_1d(d, spec) for d in densities]
-    return _stack(kernel, densities, [_line_tail(d) for d in densities], spec, "line entropy",
-                  coordinate="line")
+    return [result for _, run, _ in _runs(densities)
+            for result in _stack(run, spec, "line entropy")]
 
 
 def density_normalization_1d(density: PositionDensity,
                              spec: QuadratureSpec | None = None) -> IntegralResult:
     """Integral of an even line density f dx; one when normalized."""
-    return _line(density, _unit_factor, spec, "line normalization")
+    return _stack((density,), spec or QuadratureSpec(), "line normalization", _unit_factor)[0]

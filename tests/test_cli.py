@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface, via subprocess or ``main``."""
 
 import csv
+import hashlib
 import dataclasses
 import io
 import json
@@ -584,6 +585,17 @@ def test_gaussian_singular_matrix_at_any_scale_exits_3(tmp_path, capsys, scale):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_gaussian_nearly_singular_matrix_exits_3(tmp_path, capsys, scale):
+    cov_file = tmp_path / "nearly-singular.json"
+    cov_file.write_text(json.dumps((scale * np.array([[1.0, 3.0], [3.0, 9.0]])).tolist()))
+    assert main(["gaussian", "--cov", str(cov_file)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "smallest eigenvalue" in captured.err
+    assert captured.out == ""
+
+
 def test_gaussian_von_neumann_entropy_of_a_huge_thermal_mode(tmp_path):
     cov_file = tmp_path / "hot.json"
     cov_file.write_text(json.dumps([[1e16, 0.0], [0.0, 1e16]]))
@@ -636,3 +648,35 @@ def test_gaussian_inadmissible_matrix_exits_3(tmp_path):
     proc = run_cli("gaussian", "--cov", str(cov_file), "--partition", "1,1")
     assert proc.returncode == 3
     assert "below 1/2" in proc.stderr
+
+
+# The stdout sha256 of the reference commands of scripts/stdout_digests.py,
+# in CSV and in JSON.  A change that moves one by design updates it here
+# and records the old and the new value in CHANGES.md.
+NORTH_STAR_DIGESTS = {
+    ("eur-fock", "--n-max", "50", "--asymptotics"): (
+        "6aa8d1f4e1f95180252711ad9e3953440e074a5d73082e580d4a25db328f15d7",
+        "88773092b4dbb3d27375f6b38cd6ea985e5cd26296527bb02f36c57233c4a184"),
+    ("eur-mixture", "--steps", "101"): (
+        "9f58c5a2c32e76cb0e0f506a26b4e9ad3ea2a3a959fa48cbc62e42dc6f4e2023",
+        "d0773bfe00c406f74d13aa7d49b0f1be1b8eecc81fab15d7cecdb8a45f6f9283"),
+    ("eur-thermal", "--points", "400"): (
+        "9a496133dc4feab269632d2546f5bdc25ba68a622c57b4daa7881f5c49ad212d",
+        "895e664b7fbcb7ecff028760a1c5b505c86a70a530be3564a99a933a2b2c234a"),
+    ("bipartite-tmss",): (
+        "e202b752675fc64d3a062638fcfe61049cc425e5280b43ad3c31af5b8b16178e",
+        "c462c903da5f3c5268135f88797f8d80c5453216b787e80d6f1175f04a24f7c4"),
+    ("bipartite-noon", "--n-max", "10"): (
+        "62f1d7f3c4cbbef16296ce425dcc960e7b72588ca941f5539503302d378f5204",
+        "186869ff0b8421ee071a30930ae6699ad7ba495a015e81ca523ae29567699edd"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(NORTH_STAR_DIGESTS), ids=lambda c: c[0])
+def test_reference_commands_print_their_pinned_bytes(capsys, monkeypatch, command, fmt):
+    monkeypatch.delenv("WEHRLKIT_PARALLELISM", raising=False)
+    assert main([*command, "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode()
+    want = NORTH_STAR_DIGESTS[command][fmt == "json"]
+    assert hashlib.sha256(out).hexdigest() == want

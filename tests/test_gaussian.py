@@ -157,6 +157,17 @@ def test_from_v_refuses_a_singular_covariance_at_any_scale(scale):
     assert err.value.min_symplectic > 0.5
 
 
+@pytest.mark.parametrize("scale", [1e8, 1e12])
+def test_from_v_refuses_a_nearly_singular_covariance_with_large_entries(scale):
+    # s [[1, 3], [3, 9]] has nu = 0, but its computed spectrum is far above
+    # the rounding floor (2.3 at 1e8, about 3e4 at 1e12); its smallest
+    # eigenvalue is not
+    v = scale * np.array([[1.0, 3.0], [3.0, 9.0]])
+    assert symplectic_eigenvalues(v)[0] > 1.0
+    with pytest.raises(InadmissibleCovariance, match="smallest eigenvalue"):
+        CovarianceModel.from_v(v, ModePartition(1))
+
+
 def test_determinant_identity_on_random_covariances():
     """det C * det(V + 1/2) = 1, so det C <= 1 iff det(V + 1/2) >= 1."""
     rng = np.random.default_rng(2024)

@@ -44,7 +44,13 @@ from wehrlkit import (
     tmss_covariance,
 )
 from wehrlkit.gaussian import ModePartition
-from wehrlkit.husimi import _hermite_steps, _hermite_zeros, _log_sum_exp
+from wehrlkit.husimi import (
+    PositionDensity,
+    RadialHusimi,
+    _hermite_steps,
+    _hermite_zeros,
+    _log_sum_exp,
+)
 
 from traced_marginal import QuadratureMarginalHusimi
 
@@ -784,3 +790,39 @@ def test_log_sum_exp_all_minus_inf_column_is_silent():
     assert got[0] == -np.inf
     assert got[1] == 0.0
     assert got[2] == pytest.approx(np.logaddexp(-2.0, -1.0), abs=1e-15)
+
+
+def test_the_base_1d_densities_declare_their_stacked_kernel():
+    x = np.linspace(0.0, 3.0, 5)
+    with pytest.raises(NotImplementedError):
+        RadialHusimi.stacked_log_q_radial([RadialHusimi()], x, [x.size])
+    with pytest.raises(NotImplementedError):
+        RadialHusimi().log_q_radial(x)
+    with pytest.raises(NotImplementedError):
+        PositionDensity.stacked_log_f([PositionDensity()], x, [x.size])
+    with pytest.raises(NotImplementedError):
+        PositionDensity().log_f(x)
+
+
+@pytest.mark.parametrize("cls", [FockMixtureHusimi, FockHusimi, NoonMarginalHusimi, ThermalHusimi,
+                                 FockMixturePositionDensity, FockPositionDensity,
+                                 ThermalPositionDensity])
+def test_a_1d_density_class_has_one_kernel(cls):
+    # the stacked kernel; the single log is the base class's stack of one
+    if issubclass(cls, RadialHusimi):
+        assert cls.log_q_radial is RadialHusimi.log_q_radial
+        assert cls.stacked_log_q_radial is not RadialHusimi.stacked_log_q_radial
+    else:
+        assert cls.log_f is PositionDensity.log_f
+        assert cls.stacked_log_f is not PositionDensity.stacked_log_f
+
+
+@pytest.mark.parametrize("density", [FockHusimi(3), NoonMarginalHusimi(2), ThermalHusimi(0.4),
+                                     FockPositionDensity(3), ThermalPositionDensity(0.4)],
+                         ids=lambda d: type(d).__name__)
+def test_the_single_log_takes_any_shape(density):
+    log = density.log_q_radial if isinstance(density, RadialHusimi) else density.log_f
+    x = np.linspace(0.0, 4.0, 12)
+    flat = log(x)
+    assert np.array_equal(log(x.reshape(3, 4)), flat.reshape(3, 4))
+    assert log(x[5]) == flat[5] and np.ndim(log(x[5])) == 0

@@ -64,16 +64,17 @@ from wehrlkit.quadrature import (
     _PANEL_NODES,
     _cartesian,
     _cross_factor,
-    _density_terms,
     _entropy_factor,
     _gamma_tail_inverse,
     _hermite_rule,
     _laguerre_axes,
     _log_factor,
+    _node_terms,
     _profile_terms,
     _run_1d,
     _Segments,
     _TAIL_MASS,
+    _tail_axes,
     _unit_axes,
     _unit_factor,
     _unit_panels,
@@ -179,6 +180,10 @@ def test_cutoff_insensitivity(monkeypatch):
         return widened[-1]
 
     monkeypatch.setattr("wehrlkit.quadrature.gamma_tail_threshold", wider)
+    # each tail's rule is cached: a fresh cache works it out again under
+    # the wider cutoff, and the shared one never sees it
+    monkeypatch.setattr("wehrlkit.quadrature._tail_axes",
+                        functools.lru_cache(maxsize=None)(_tail_axes.__wrapped__))
     for ev, a in zip(cases, default):
         b = entropy_functional(ev, spec)
         assert abs(a.value - b.value) < spec.abs_tol
@@ -1211,17 +1216,18 @@ ONE_D_DENSITIES = [
 
 
 def _counted_1d(monkeypatch, density):
-    # (the density's log method, the node arrays it is called on), with
-    # the method replaced on the instance by one that records its calls
-    name = "log_q_radial" if isinstance(density, HusimiEvaluator) else "log_f"
-    log, calls = getattr(density, name), []
+    # (the density's log alone, the node arrays its class's stacked kernel
+    # is called on), with the kernel replaced on the class by one that
+    # records its calls
+    name = "stacked_log_q_radial" if isinstance(density, HusimiEvaluator) else "stacked_log_f"
+    kernel, calls = getattr(type(density), name), []
 
-    def counted(x):
+    def counted(members, x, counts):
         calls.append(np.array(x))
-        return log(x)
+        return kernel(members, x, counts)
 
-    monkeypatch.setattr(density, name, counted)
-    return log, calls
+    monkeypatch.setattr(type(density), name, staticmethod(counted))
+    return (lambda x: kernel((density,), x, (x.size,))), calls
 
 
 def _thermal_layout(rate, m):
@@ -1266,7 +1272,7 @@ def test_the_first_two_1d_levels_share_one_density_call(caplog, monkeypatch, den
     assert np.array_equal(calls[0], np.concatenate([layouts[0][0], layouts[1][0]]))
     for (x, w), (nodes, value) in zip(layouts, levels):
         assert x.size == nodes
-        terms = _density_terms(log, None, _entropy_factor, x)
+        terms = _node_terms(log(x), _entropy_factor)
         want = float(np.dot(w, terms * x)) if radial else 2.0 * float(np.dot(w, terms))
         assert value == want
 
@@ -1342,6 +1348,50 @@ def test_a_stack_gives_the_bits_of_its_integrals_one_by_one(monkeypatch, name):
     assert len(calls) == 1 if name == "thermal-radial" else len(calls) > 1
     assert sum(len(stack) for stack, _ in calls) == len(members)
     assert sum(nodes for _, nodes in calls) == sum(r.nodes_used for r in singles)
+
+
+def test_a_mixed_list_stacks_each_run_of_one_kernel(monkeypatch):
+    # runs of a shared kernel and rule, in order: two number states, two
+    # thermal states (the exact rule), one NOON marginal, a Gaussian that
+    # runs alone on the cartesian grid, then a NOON marginal and a number
+    # state; each run's first two levels are one kernel call
+    gaussian = GaussianHusimi(CovarianceModel.from_v(np.diag([1.0, 0.7]), ModePartition(1)))
+    members = [FockHusimi(2), FockHusimi(5), ThermalHusimi(0.7), ThermalHusimi(1.3),
+               NoonMarginalHusimi(3), gaussian, NoonMarginalHusimi(4), FockHusimi(1)]
+    spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+    singles = [entropy_functional(m, spec) for m in members]
+    fock = _recorded(monkeypatch, FockMixtureHusimi, "stacked_log_q_radial")
+    thermal = _recorded(monkeypatch, ThermalHusimi, "stacked_log_q_radial")
+    got = entropy_functionals(members, spec)
+    assert [_bits(r) for r in got] == [_bits(r) for r in singles]
+    assert [stack for stack, _ in fock] == [members[0:2], members[4:5], members[6:8]]
+    assert [stack for stack, _ in thermal] == [members[2:4]]
+
+
+def test_a_mixed_line_list_stacks_each_run_of_one_kernel(monkeypatch):
+    # thermal lines have a kernel of their own: between number-state lines
+    # they make a run, and every run is one kernel call
+    members = [FockPositionDensity(3), FockPositionDensity(0), ThermalPositionDensity(0.5),
+               ThermalPositionDensity(2.0), FockMixturePositionDensity([(0, 0.4), (2, 0.6)]),
+               FockPositionDensity(4)]
+    spec = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
+    singles = [density_entropy_1d(d, spec) for d in members]
+    fock = _recorded(monkeypatch, FockMixturePositionDensity, "stacked_log_f")
+    thermal = _recorded(monkeypatch, ThermalPositionDensity, "stacked_log_f")
+    got = density_entropies_1d(members, spec)
+    assert [_bits(r) for r in got] == [_bits(r) for r in singles]
+    assert [stack for stack, _ in fock] == [members[0:2], members[4:6]]
+    assert [stack for stack, _ in thermal] == [members[2:4]]
+
+
+def test_a_single_1d_integral_is_a_stack_of_one(monkeypatch):
+    fock = _recorded(monkeypatch, FockMixtureHusimi, "stacked_log_q_radial")
+    line = _recorded(monkeypatch, ThermalPositionDensity, "stacked_log_f")
+    ev, density = NoonMarginalHusimi(5), ThermalPositionDensity(0.8)
+    entropy_functional(ev)
+    density_normalization_1d(density)
+    assert [stack for stack, _ in fock] == [[ev]]
+    assert [stack for stack, _ in line] == [[density]]
 
 
 def test_a_unit_stack_gives_the_bits_of_its_s_rules_one_by_one():
